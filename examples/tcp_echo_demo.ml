@@ -28,7 +28,9 @@ let () =
 
   let world = app.Apps.App.make_world () in
   world.Apps.App.prepare ();
-  let r = Mon.Runner.run_protected ~devices:world.Apps.App.devices image in
+  let r =
+    Mon.Runner.run_protected ~devices:world.Apps.App.devices ~trace:true image
+  in
   (match world.Apps.App.check () with
   | Ok () -> Format.printf "== run ==@.all valid frames echoed correctly@."
   | Error e -> Format.printf "== run ==@.FAILED: %s@." e);

@@ -125,8 +125,6 @@ let opec_cell (app : Apps.App.t) (image : C.Image.t) ~clean inj =
       ~engine:(P.current_engine ()) ~wrap_handler:(Inject.handler injector)
       image
   in
-  (* nothing reads a cell's trace; don't accumulate one *)
-  (E.Interp.trace r.Mon.Runner.interp).E.Trace.enabled <- false;
   Inject.attach injector ~bus:r.Mon.Runner.bus ~interp:r.Mon.Runner.interp;
   let cpu = r.Mon.Runner.bus.M.Bus.cpu in
   cpu.M.Cpu.sp <- image.C.Image.map.E.Address_map.stack_top;
@@ -156,7 +154,6 @@ let baseline_cell (app : Apps.App.t) (image : C.Image.t) ~clean ~defense ~mode
   let injector =
     Inject.create ~mode ~global_addr:map.E.Address_map.global_addr inj
   in
-  (E.Interp.trace r.Mon.Runner.b_interp).E.Trace.enabled <- false;
   E.Interp.set_handler r.Mon.Runner.b_interp
     (Inject.handler injector E.Interp.abort_handler);
   Inject.attach injector ~bus:r.Mon.Runner.b_bus

@@ -154,6 +154,47 @@ let svc_mark t kind (fname : string) =
       (Obs.Sink.Svc_switch
          { sv_kind = kind; sv_entry = fname; sv_at = M.Cpu.cycles (cpu t) })
 
+(* The two SVC traps of an operation switch, shared by the engines: the
+   trap cost, the handler at the privileged level (exception entry; the
+   previous level comes back on return or unwind), the telemetry mark
+   and the trace event.  Every switch runs them, so they build no
+   closure. *)
+let trap_enter t (f : Func.t) argv =
+  let c = cpu t in
+  M.Cpu.charge c 4 (* SVC entry/exit pipeline cost *);
+  let saved = c.M.Cpu.privileged in
+  c.M.Cpu.privileged <- true;
+  let argv =
+    match t.handler.on_operation_enter ~entry:f ~args:argv with
+    | a ->
+      c.M.Cpu.privileged <- saved;
+      a
+    | exception e ->
+      c.M.Cpu.privileged <- saved;
+      raise e
+  in
+  svc_mark t Obs.Sink.Enter f.Func.name;
+  Trace.op_enter t.trace f.Func.name;
+  t.depth <- t.depth + 1;
+  argv
+
+(* The exit trap is a switch too: [svc_mark] keeps the count in lockstep
+   with the monitor's [Stats.switches], which counts both directions. *)
+let trap_exit t (f : Func.t) ~saved_sp =
+  let c = cpu t in
+  M.Cpu.charge c 4;
+  let saved = c.M.Cpu.privileged in
+  c.M.Cpu.privileged <- true;
+  (match t.handler.on_operation_exit ~entry:f with
+  | () -> c.M.Cpu.privileged <- saved
+  | exception e ->
+    c.M.Cpu.privileged <- saved;
+    raise e);
+  svc_mark t Obs.Sink.Exit f.Func.name;
+  t.depth <- t.depth - 1;
+  Trace.op_exit t.trace f.Func.name;
+  c.M.Cpu.sp <- saved_sp
+
 exception Halted
 exception Returning of int64
 
@@ -428,7 +469,7 @@ and call_plain t (f : Func.t) argv =
   let argv = Array.of_list argv in
   spill t argv;
   M.Cpu.charge c 2;
-  Trace.record t.trace (Trace.Call f.name);
+  Trace.call t.trace f.name;
   t.depth <- t.depth + 1;
   let env = Env.create () in
   List.iteri
@@ -441,41 +482,23 @@ and call_plain t (f : Func.t) argv =
     | exception Returning v -> v
   in
   t.depth <- t.depth - 1;
-  Trace.record t.trace (Trace.Return f.name);
+  Trace.return t.trace f.name;
   c.M.Cpu.sp <- saved_sp;
   ret
 
 (* Operation switch protocol: SVC trap in, run entry, SVC trap out. *)
 and call_operation t (f : Func.t) argv =
-  let c = cpu t in
-  let saved_sp = c.M.Cpu.sp in
-  M.Cpu.charge c 4 (* SVC entry/exit pipeline cost *);
-  let argv = Array.of_list argv in
-  let argv' =
-    M.Cpu.with_privilege c (fun () -> t.handler.on_operation_enter ~entry:f ~args:argv)
-  in
-  svc_mark t Obs.Sink.Enter f.name;
-  Trace.record t.trace (Trace.Op_enter f.name);
-  t.depth <- t.depth + 1;
+  let saved_sp = (cpu t).M.Cpu.sp in
+  let argv' = trap_enter t f (Array.of_list argv) in
   let env = Env.create () in
   List.iteri
     (fun i (x, _ty) ->
       Env.set env x (if i < Array.length argv' then argv'.(i) else 0L))
     f.params;
-  let finish () =
-    M.Cpu.charge c 4;
-    M.Cpu.with_privilege c (fun () -> t.handler.on_operation_exit ~entry:f);
-    (* the exit trap is a switch too — keep this count in lockstep with
-       the monitor's [Stats.switches], which counts both directions *)
-    svc_mark t Obs.Sink.Exit f.name;
-    t.depth <- t.depth - 1;
-    Trace.record t.trace (Trace.Op_exit f.name);
-    c.M.Cpu.sp <- saved_sp
-  in
   match exec_block t env f.body with
-  | () -> finish (); 0L
-  | exception Returning v -> finish (); v
-  | exception e -> finish (); raise e
+  | () -> trap_exit t f ~saved_sp; 0L
+  | exception Returning v -> trap_exit t f ~saved_sp; v
+  | exception e -> trap_exit t f ~saved_sp; raise e
 
 (* Spill arguments beyond the register set onto the caller's stack and
    read them back, exactly as the callee's prologue would. *)
@@ -551,7 +574,7 @@ and dcall_plain t df (argv : int64 array) =
   let saved_sp = c.M.Cpu.sp in
   spill t argv;
   M.Cpu.charge c 2;
-  Trace.record t.trace (Trace.Call df.df_func.Func.name);
+  Trace.call t.trace df.df_func.Func.name;
   t.depth <- t.depth + 1;
   let fr = dframe df argv in
   let ret =
@@ -560,35 +583,18 @@ and dcall_plain t df (argv : int64 array) =
     | exception Returning v -> v
   in
   t.depth <- t.depth - 1;
-  Trace.record t.trace (Trace.Return df.df_func.Func.name);
+  Trace.return t.trace df.df_func.Func.name;
   c.M.Cpu.sp <- saved_sp;
   ret
 
 and dcall_operation t df (argv : int64 array) =
-  let c = cpu t in
-  let saved_sp = c.M.Cpu.sp in
-  M.Cpu.charge c 4 (* SVC entry/exit pipeline cost *);
+  let saved_sp = (cpu t).M.Cpu.sp in
   let f = df.df_func in
-  let argv' =
-    M.Cpu.with_privilege c (fun () -> t.handler.on_operation_enter ~entry:f ~args:argv)
-  in
-  svc_mark t Obs.Sink.Enter f.Func.name;
-  Trace.record t.trace (Trace.Op_enter f.Func.name);
-  t.depth <- t.depth + 1;
-  let fr = dframe df argv' in
-  let finish () =
-    M.Cpu.charge c 4;
-    M.Cpu.with_privilege c (fun () -> t.handler.on_operation_exit ~entry:f);
-    (* exit trap counts too; see [call_operation] *)
-    svc_mark t Obs.Sink.Exit f.Func.name;
-    t.depth <- t.depth - 1;
-    Trace.record t.trace (Trace.Op_exit f.Func.name);
-    c.M.Cpu.sp <- saved_sp
-  in
+  let fr = dframe df (trap_enter t f argv) in
   match dexec_body df.df_body fr with
-  | () -> finish (); 0L
-  | exception Returning v -> finish (); v
-  | exception e -> finish (); raise e
+  | () -> trap_exit t f ~saved_sp; 0L
+  | exception Returning v -> trap_exit t f ~saved_sp; v
+  | exception e -> trap_exit t f ~saved_sp; raise e
 
 (* Decode one function: assign every local name a slot (parameters
    first, then names in order of appearance) and compile the body to
@@ -1225,42 +1231,24 @@ and ccall_plain t cf (argv : int64 array) =
   let saved_sp = c.M.Cpu.sp in
   if Array.length argv > spill_threshold then spill t argv;
   M.Cpu.charge c 2;
-  Trace.record t.trace (Trace.Call cf.cf_func.Func.name);
+  Trace.call t.trace cf.cf_func.Func.name;
   t.depth <- t.depth + 1;
   let ret = cf.cf_entry (cframe cf argv) in
   t.depth <- t.depth - 1;
-  Trace.record t.trace (Trace.Return cf.cf_func.Func.name);
+  Trace.return t.trace cf.cf_func.Func.name;
   c.M.Cpu.sp <- saved_sp;
   ret
 
 and ccall_operation t cf (argv : int64 array) =
-  let c = cpu t in
-  let saved_sp = c.M.Cpu.sp in
-  M.Cpu.charge c 4 (* SVC entry/exit pipeline cost *);
+  let saved_sp = (cpu t).M.Cpu.sp in
   let f = cf.cf_func in
-  let argv' =
-    M.Cpu.with_privilege c (fun () ->
-        t.handler.on_operation_enter ~entry:f ~args:argv)
-  in
-  svc_mark t Obs.Sink.Enter f.Func.name;
-  Trace.record t.trace (Trace.Op_enter f.Func.name);
-  t.depth <- t.depth + 1;
-  let fr = cframe cf argv' in
-  let finish () =
-    M.Cpu.charge c 4;
-    M.Cpu.with_privilege c (fun () -> t.handler.on_operation_exit ~entry:f);
-    (* exit trap counts too; see [call_operation] *)
-    svc_mark t Obs.Sink.Exit f.Func.name;
-    t.depth <- t.depth - 1;
-    Trace.record t.trace (Trace.Op_exit f.Func.name);
-    c.M.Cpu.sp <- saved_sp
-  in
+  let fr = cframe cf (trap_enter t f argv) in
   match cf.cf_entry fr with
   | v ->
-    finish ();
+    trap_exit t f ~saved_sp;
     v
   | exception e ->
-    finish ();
+    trap_exit t f ~saved_sp;
     raise e
 
 (* A compiled instruction before superblock grouping: [Cpure] carries an
@@ -2138,17 +2126,19 @@ let compile t (cf : cfunc) =
 (* --- construction ------------------------------------------------------- *)
 
 let create ?(fuel = 200_000_000) ?(max_depth = 200) ?(handler = abort_handler)
-    ?(entries = []) ?(engine = Compiled) ?(sink = Obs.Sink.null) ~bus ~map
-    program =
+    ?(entries = []) ?(engine = Compiled) ?(sink = Obs.Sink.null)
+    ?(trace = false) ~bus ~map program =
   let tbl = Hashtbl.create 16 in
   List.iter (fun e -> Hashtbl.replace tbl e ()) entries;
+  let tr = Trace.create () in
+  tr.Trace.enabled <- trace;
   let t =
     { program;
       funcs = Program.func_map program;
       bus;
       map;
       handler;
-      trace = Trace.create ();
+      trace = tr;
       entries = tbl;
       fuel;
       depth = 0;

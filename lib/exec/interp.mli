@@ -65,7 +65,10 @@ type t
     protocol); [fuel] bounds executed instructions; [max_depth] bounds
     the call stack; [engine] selects the execution engine (default
     [Compiled]); [sink] attaches a telemetry collector (default
-    {!Opec_obs.Sink.null} — disabled, no allocation, no cycles). *)
+    {!Opec_obs.Sink.null} — disabled, no allocation, no cycles);
+    [trace] records the function-level execution trace {!trace} returns
+    (default off: most runs never read it, and a long run's trace
+    dominates the heap). *)
 val create :
   ?fuel:int ->
   ?max_depth:int ->
@@ -73,6 +76,7 @@ val create :
   ?entries:string list ->
   ?engine:engine ->
   ?sink:Opec_obs.Sink.t ->
+  ?trace:bool ->
   bus:Opec_machine.Bus.t ->
   map:Address_map.t ->
   Program.t ->

@@ -33,6 +33,14 @@ let record t e =
     t.fwd_cache <- None
   end
 
+(* [record] of one call-structure event, built only when tracing is on:
+   the interpreter records these on every call, and a disabled trace
+   must not allocate the event it would drop. *)
+let call t f = if t.enabled then record t (Call f)
+let return t f = if t.enabled then record t (Return f)
+let op_enter t f = if t.enabled then record t (Op_enter f)
+let op_exit t f = if t.enabled then record t (Op_exit f)
+
 let record_access t ~addr ~write =
   if t.enabled && t.mem then begin
     t.rev_events <- Access { addr; write } :: t.rev_events;

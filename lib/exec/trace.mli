@@ -23,6 +23,14 @@ type t = {
 val create : unit -> t
 val record : t -> event -> unit
 
+(** [record] of a [Call], [Return], [Op_enter] or [Op_exit] event,
+    allocating nothing when tracing is off. *)
+val call : t -> string -> unit
+
+val return : t -> string -> unit
+val op_enter : t -> string -> unit
+val op_exit : t -> string -> unit
+
 (** Record a memory access; a no-op unless both [enabled] and [mem] are
     set, so function-granularity tracing stays cheap. *)
 val record_access : t -> addr:int -> write:bool -> unit

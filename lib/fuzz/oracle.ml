@@ -246,7 +246,7 @@ let baseline_obs (app : Apps.App.t) engine =
   try
     let r =
       Mon.Runner.run_baseline ~devices:world.Apps.App.devices ~engine
-        ~board:app.Apps.App.board app.Apps.App.program
+        ~trace:true ~board:app.Apps.App.board app.Apps.App.program
     in
     { o_cycles = Ex.Interp.cycles r.Mon.Runner.b_interp;
       o_events = Ex.Trace.events (Ex.Interp.trace r.Mon.Runner.b_interp);
@@ -265,7 +265,8 @@ let protected_obs (app : Apps.App.t) image engine =
   world.Apps.App.prepare ();
   try
     let r =
-      Mon.Runner.run_protected ~devices:world.Apps.App.devices ~engine image
+      Mon.Runner.run_protected ~devices:world.Apps.App.devices ~engine
+        ~trace:true image
     in
     { o_cycles = Ex.Interp.cycles r.Mon.Runner.interp;
       o_events = Ex.Trace.events (Ex.Interp.trace r.Mon.Runner.interp);

@@ -171,10 +171,12 @@ let check_trace ~(map : E.Address_map.t) ~(events : E.Trace.event list)
 (* Replay the mem-traced baseline, running [check] over the stream. *)
 let replayed ~devices (image : C.Image.t) check =
   let module Mon = Opec_monitor in
-  let r = Mon.Runner.prepare_baseline ~devices ~board:image.board image.source in
+  let r =
+    Mon.Runner.prepare_baseline ~devices ~trace:true ~board:image.board
+      image.source
+  in
   let tr = E.Interp.trace r.b_interp in
   tr.E.Trace.mem <- true;
-  tr.E.Trace.enabled <- true;
   let failure =
     match E.Interp.run r.b_interp with
     | () -> None

@@ -50,9 +50,11 @@ type result = {
   r_max : int64;
   r_mean : float;
   r_check : (unit, string) Stdlib.result;
+  r_stats : Mon.Stats.t;
 }
 
-let finish ~kind ~backend ~stimuli ~cycles ~wall ~check (agg : Obs.Agg.t) =
+let finish ~kind ~backend ~stimuli ~cycles ~wall ~check ~stats
+    (agg : Obs.Agg.t) =
   let h = agg.Obs.Agg.all_latency in
   let telemetry = Obs.Agg.event_count agg in
   { r_scenario = name kind;
@@ -68,7 +70,8 @@ let finish ~kind ~backend ~stimuli ~cycles ~wall ~check (agg : Obs.Agg.t) =
     r_p999 = Obs.Agg.hist_percentile h 0.999;
     r_max = (if h.Obs.Agg.samples = 0 then 0L else h.Obs.Agg.max);
     r_mean = Obs.Agg.hist_mean h;
-    r_check = check }
+    r_check = check;
+    r_stats = stats }
 
 (* --- request-storm ------------------------------------------------------ *)
 
@@ -144,7 +147,8 @@ let request_storm ?backend requests =
       Error
         (Printf.sprintf "acknowledged %d of %d requests" !responses requests)
   in
-  (requests, agg, Ex.Interp.cycles run.Mon.Runner.interp, wall, check)
+  (requests, agg, Ex.Interp.cycles run.Mon.Runner.interp, wall, check,
+   Mon.Monitor.stats run.Mon.Runner.monitor)
 
 (* --- sensor-burst ------------------------------------------------------- *)
 
@@ -248,7 +252,8 @@ let sensor_burst ?backend ~burst_len bursts =
       Error (Printf.sprintf "%d flush sums wrong" !mismatches)
     else Ok ()
   in
-  (stimuli, agg, Ex.Interp.cycles run.Mon.Runner.interp, wall, check)
+  (stimuli, agg, Ex.Interp.cycles run.Mon.Runner.interp, wall, check,
+   Mon.Monitor.stats run.Mon.Runner.monitor)
 
 (* --- interrupt-preempt -------------------------------------------------- *)
 
@@ -314,7 +319,8 @@ let interrupt_preempt ?backend rounds =
            stimuli)
     else Ok ()
   in
-  (stimuli, agg, Ex.Interp.cycles run.Mon.Runner.interp, wall, check)
+  (stimuli, agg, Ex.Interp.cycles run.Mon.Runner.interp, wall, check,
+   Mon.Monitor.stats run.Mon.Runner.monitor)
 
 (* --- tcp-echo-slice ----------------------------------------------------- *)
 
@@ -342,7 +348,7 @@ let tcp_echo_slice ?backend frames =
   in
   let wall = Unix.gettimeofday () -. t0 in
   (frames, agg, Ex.Interp.cycles run.Mon.Runner.interp, wall,
-   world.Apps.App.check ())
+   world.Apps.App.check (), Mon.Monitor.stats run.Mon.Runner.monitor)
 
 (* --- sizing and the driver ---------------------------------------------- *)
 
@@ -371,15 +377,15 @@ let run ?(backend = M.Backend.Mpu) ?(target_events = 100_000) kind =
          the millions impractical, and the point is shape, not rate *)
       500
     | _ ->
-      let p_stim, p_agg, _, _, _ = measure pilot_stimuli in
+      let p_stim, p_agg, _, _, _, _ = measure pilot_stimuli in
       let per =
         float_of_int (p_stim + Obs.Agg.event_count p_agg)
         /. float_of_int (max 1 p_stim)
       in
       int_of_float (ceil (float_of_int target_events /. per))
   in
-  let stimuli, agg, cycles, wall, check = measure stimuli in
-  finish ~kind ~backend ~stimuli ~cycles ~wall ~check agg
+  let stimuli, agg, cycles, wall, check, stats = measure stimuli in
+  finish ~kind ~backend ~stimuli ~cycles ~wall ~check ~stats agg
 
 let pp_result f r =
   Format.fprintf f

@@ -29,6 +29,7 @@ type result = {
   r_max : int64;
   r_mean : float;
   r_check : (unit, string) Stdlib.result;  (** end-to-end output check *)
+  r_stats : Opec_monitor.Stats.t;  (** the monitor's counters after the run *)
 }
 
 (** Run one scenario.  A pilot run calibrates events-per-stimulus, then

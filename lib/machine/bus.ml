@@ -37,15 +37,19 @@ let find_device t addr = List.find_opt (fun d -> Device.contains d addr) t.devic
 let set_protection t st = t.prot <- st
 let protection t = t.prot
 
-let mpu_check t ~addr ~access =
+(* The backend check of an access made at privilege level [privileged]. *)
+let check_as t ~privileged ~addr ~access =
   match t.prot with
   (* disabled-MPU short circuit: baseline runs take this on every bus
      access, so don't pay two cross-module calls to learn "allowed" *)
   | Backend.Mpu_state m when not m.Mpu.enabled -> ()
   | st -> (
-    match Backend.check st ~privileged:t.cpu.Cpu.privileged ~addr ~access with
+    match Backend.check st ~privileged ~addr ~access with
     | Ok () -> ()
     | Error info -> raise (Fault.Mem_manage info))
+
+let mpu_check t ~addr ~access =
+  check_as t ~privileged:t.cpu.Cpu.privileged ~addr ~access
 
 let fault_bus t ~addr ~access =
   raise (Fault.Bus { Fault.addr; access; privileged = t.cpu.Cpu.privileged })
@@ -121,6 +125,29 @@ let write_device t addr width v =
   match find_device t addr with
   | Some d -> d.Device.write (addr - d.Device.base) width v
   | None -> fault_bus t ~addr ~access:Fault.Write
+
+(* Privileged word primitives for the monitor's SRAM copies: each access
+   is a privileged [read_sram]/[write_sram] — the same one-cycle charge,
+   then the same backend check at the privileged level — without raising
+   the CPU's level or boxing the word.  Callers prove the ranges lie in
+   SRAM with [in_sram]; [width] is 1 or 4. *)
+let in_sram t addr bytes = Memory.in_range t.sram addr bytes
+
+let copy_sram_word t ~src ~dst width =
+  Cpu.charge t.cpu 1;
+  check_as t ~privileged:true ~addr:src ~access:Fault.Read;
+  let v = Memory.get_unchecked t.sram src width in
+  Cpu.charge t.cpu 1;
+  check_as t ~privileged:true ~addr:dst ~access:Fault.Write;
+  Memory.set_unchecked t.sram dst width v
+
+let equal_sram_word t ~a ~b width =
+  Cpu.charge t.cpu 1;
+  check_as t ~privileged:true ~addr:a ~access:Fault.Read;
+  let va = Memory.get_unchecked t.sram a width in
+  Cpu.charge t.cpu 1;
+  check_as t ~privileged:true ~addr:b ~access:Fault.Read;
+  va = Memory.get_unchecked t.sram b width
 
 (* Privileged raw accessors for the monitor and the loader: bypass the
    MPU (the monitor runs on the background map) but still route devices. *)

@@ -50,6 +50,21 @@ val read_device : t -> int -> int -> int64
 
 val write_device : t -> int -> int -> int64 -> unit
 
+(** Whether [addr .. addr + bytes - 1] lies in SRAM. *)
+val in_sram : t -> int -> int -> bool
+
+(** Privileged SRAM word primitives for the monitor's copy plans.
+    [copy_sram_word t ~src ~dst width] reads [src] and writes the word to
+    [dst]; [equal_sram_word t ~a ~b width] reads [a] then [b] and compares.
+    Each access charges one cycle and runs the backend check exactly as
+    {!read_sram}/{!write_sram} do at the privileged level, in the same
+    order, but neither raises the CPU's level nor boxes the word.
+    [width] is 1 or 4, and the caller guarantees both ranges pass
+    {!in_sram}. *)
+val copy_sram_word : t -> src:int -> dst:int -> int -> unit
+
+val equal_sram_word : t -> a:int -> b:int -> int -> bool
+
 (** Privileged raw accessors for the loader and the monitor: bypass the
     MPU (background map) but still route to devices. *)
 val read_raw : t -> int -> int -> int64

@@ -94,14 +94,16 @@ let cap_allows c (access : Fault.access) =
    and carries the permission grants it (capabilities are grants, not a
    priority scheme — there is no "deny" capability to shadow another).
    Privileged code holds the default capability and always passes. *)
+let rec grants caps addr access =
+  match caps with
+  | [] -> false
+  | c :: rest ->
+    (cap_matches c addr && cap_allows c access) || grants rest addr access
+
+(* Only the deny path allocates: this runs per bus access. *)
 let check t ~privileged ~addr ~(access : Fault.access) =
-  let info = { Fault.addr; access; privileged } in
-  if not t.enforcing then Ok ()
-  else if privileged then Ok ()
-  else if
-    List.exists (fun c -> cap_matches c addr && cap_allows c access) t.caps
-  then Ok ()
-  else Error info
+  if (not t.enforcing) || privileged || grants t.caps addr access then Ok ()
+  else Error { Fault.addr; access; privileged }
 
 let pp_cap fmt c =
   Fmt.pf fmt "cap [0x%08X,+%d) %s%s%s" c.cap_base c.cap_len

@@ -31,7 +31,13 @@ let raise_privilege t = t.privileged <- true
 let with_privilege t f =
   let saved = t.privileged in
   t.privileged <- true;
-  Fun.protect ~finally:(fun () -> t.privileged <- saved) f
+  match f () with
+  | v ->
+    t.privileged <- saved;
+    v
+  | exception e ->
+    t.privileged <- saved;
+    raise e
 
 let pp fmt t =
   Fmt.pf fmt "cpu{%s sp=0x%08X cycles=%d}"

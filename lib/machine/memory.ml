@@ -58,6 +58,27 @@ let write_unchecked t addr bytes v =
         (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
     done
 
+(* 1- and 4-byte accesses with the value as a native int (4 bytes always
+   fit), unchecked like the two above: the monitor's word copies move
+   words in this form, so they never box an [int64]. *)
+let get_unchecked t addr bytes =
+  let off = addr - t.base in
+  if bytes = 4 then
+    Char.code (Bytes.unsafe_get t.data off)
+    lor (Char.code (Bytes.unsafe_get t.data (off + 1)) lsl 8)
+    lor (Char.code (Bytes.unsafe_get t.data (off + 2)) lsl 16)
+    lor (Char.code (Bytes.unsafe_get t.data (off + 3)) lsl 24)
+  else Char.code (Bytes.unsafe_get t.data off)
+
+let set_unchecked t addr bytes x =
+  let off = addr - t.base in
+  Bytes.unsafe_set t.data off (Char.unsafe_chr (x land 0xFF));
+  if bytes = 4 then begin
+    Bytes.unsafe_set t.data (off + 1) (Char.unsafe_chr ((x lsr 8) land 0xFF));
+    Bytes.unsafe_set t.data (off + 2) (Char.unsafe_chr ((x lsr 16) land 0xFF));
+    Bytes.unsafe_set t.data (off + 3) (Char.unsafe_chr ((x lsr 24) land 0xFF))
+  end
+
 let write t addr bytes v =
   if not (in_range t addr bytes) then
     raise (Fault.Bus { addr; access = Fault.Write; privileged = true });

@@ -21,6 +21,13 @@ val read_unchecked : t -> int -> int -> int64
 
 val write_unchecked : t -> int -> int -> int64 -> unit
 
+(** Unchecked 1- or 4-byte accesses carrying the value as a native int,
+    so a word copy boxes nothing.  Same precondition as
+    {!read_unchecked}; other widths are undefined behaviour. *)
+val get_unchecked : t -> int -> int -> int
+
+val set_unchecked : t -> int -> int -> int -> unit
+
 (** Bulk extraction/injection for loaders and tests. *)
 val blit_out : t -> int -> int -> Bytes.t
 

@@ -86,24 +86,16 @@ let perm_allows perm access =
        [check] where the region is known *)
     perm <> No_access
 
-(* Check a single access.  Returns [Ok ()] or the faulting info.  The
-   info record is only built on the fault paths: this runs per bus
-   access, and the common allow outcome must not allocate. *)
-let check t ~privileged ~addr ~(access : Fault.access) =
-  if not t.enabled then Ok ()
+(* Decide an access from region [n] down: the first (highest-numbered)
+   matching region decides it. *)
+let rec decide t ~privileged ~addr ~(access : Fault.access) n =
+  if n < 0 then
+    (* PRIVDEFENA behaviour: the background map, for privileged code
+       only (privileged execute included) *)
+    if privileged then Ok () else Error { Fault.addr; access; privileged }
   else
-    let rec highest n best =
-      if n >= region_count then best
-      else
-        let best =
-          match t.regions.(n) with
-          | Some r when region_matches r addr -> Some r
-          | Some _ | None -> best
-        in
-        highest (n + 1) best
-    in
-    match highest 0 None with
-    | Some r ->
+    match t.regions.(n) with
+    | Some r when region_matches r addr ->
       let perm = if privileged then r.privileged else r.unprivileged in
       let allowed =
         match access with
@@ -111,11 +103,13 @@ let check t ~privileged ~addr ~(access : Fault.access) =
         | Read | Write -> perm_allows perm access
       in
       if allowed then Ok () else Error { Fault.addr; access; privileged }
-    | None ->
-      (* PRIVDEFENA behaviour: background map for privileged code only. *)
-      if privileged && access <> Fault.Execute then Ok ()
-      else if privileged then Ok () (* privileged execute uses default map *)
-      else Error { Fault.addr; access; privileged }
+    | Some _ | None -> decide t ~privileged ~addr ~access (n - 1)
+
+(* Check a single access.  Returns [Ok ()] or the faulting info.  Only
+   the fault paths allocate: this runs per bus access. *)
+let check t ~privileged ~addr ~access =
+  if not t.enabled then Ok ()
+  else decide t ~privileged ~addr ~access (region_count - 1)
 
 let pp_perm fmt p =
   Fmt.string fmt

@@ -72,21 +72,18 @@ let entry_allows e (access : Fault.access) =
 (* Check one access: the lowest-numbered matching entry decides.
    Machine-mode accesses pass unless the deciding entry is locked; with
    no match, machine mode passes and lower privileges fault. *)
-let check t ~privileged ~addr ~(access : Fault.access) =
-  let info = { Fault.addr; access; privileged } in
-  if not t.enforcing then Ok ()
+let rec decide t ~privileged ~addr ~(access : Fault.access) i =
+  if i >= entry_count then
+    if privileged then Ok () else Error { Fault.addr; access; privileged }
   else
-    let rec first i =
-      if i >= entry_count then None
-      else if matches t.entries.(i) addr then Some t.entries.(i)
-      else first (i + 1)
-    in
-    match first 0 with
-    | Some e ->
-      if privileged && not e.locked then Ok ()
-      else if entry_allows e access then Ok ()
-      else Error info
-    | None -> if privileged then Ok () else Error info
+    let e = t.entries.(i) in
+    if not (matches e addr) then decide t ~privileged ~addr ~access (i + 1)
+    else if (privileged && not e.locked) || entry_allows e access then Ok ()
+    else Error { Fault.addr; access; privileged }
+
+(* Only the deny paths allocate: this runs per bus access. *)
+let check t ~privileged ~addr ~access =
+  if not t.enforcing then Ok () else decide t ~privileged ~addr ~access 0
 
 let pp_entry fmt e =
   let perms =

@@ -100,23 +100,23 @@ let perm_allows perm (access : Fault.access) =
 (* Check one access: the first overlay covering the address decides via
    its key's POR entry; a keyless window (or no window at all) faults at
    the unprivileged level.  Privileged accesses bypass overlays. *)
+let rec allows t addr (access : Fault.access) = function
+  | [] -> false
+  | ov :: rest ->
+    if addr >= ov.ov_base && addr < ov.ov_limit then
+      ov.ov_key <> no_key
+      &&
+      let perm = t.por.(ov.ov_key) in
+      match access with
+      | Fault.Execute -> t.por_x.(ov.ov_key) && perm_allows perm Fault.Read
+      | Fault.Read | Fault.Write -> perm_allows perm access
+    else allows t addr access rest
+
+(* Only the deny path allocates: this runs per bus access. *)
 let check t ~privileged ~addr ~(access : Fault.access) =
-  let info = { Fault.addr; access; privileged } in
-  if not t.enforcing then Ok ()
-  else if privileged then Ok ()
-  else
-    match find t addr with
-    | None -> Error info
-    | Some ov ->
-      if ov.ov_key = no_key then Error info
-      else
-        let perm = t.por.(ov.ov_key) in
-        let allowed =
-          match access with
-          | Fault.Execute -> t.por_x.(ov.ov_key) && perm_allows perm Fault.Read
-          | Fault.Read | Fault.Write -> perm_allows perm access
-        in
-        if allowed then Ok () else Error info
+  if (not t.enforcing) || privileged || allows t addr access t.overlays then
+    Ok ()
+  else Error { Fault.addr; access; privileged }
 
 let pp_perm fmt p =
   Fmt.string fmt

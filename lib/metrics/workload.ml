@@ -43,7 +43,7 @@ let run_baseline_fresh (app : Apps.App.t) =
   world.Apps.App.prepare ();
   let r =
     Mon.Runner.run_baseline ~devices:world.Apps.App.devices
-      ~engine:(P.current_engine ()) ~board:app.Apps.App.board
+      ~engine:(P.current_engine ()) ~trace:true ~board:app.Apps.App.board
       app.Apps.App.program
   in
   { b_cycles = E.Interp.cycles r.Mon.Runner.b_interp;

@@ -27,6 +27,64 @@ let install st ~(image : C.Image.t) ~(meta : C.Metadata.op_meta) ~srd =
       ~code_bytes:image.C.Image.code_bytes ~layout:image.C.Image.layout ~srd
       ?heap meta.C.Metadata.section meta.C.Metadata.op
 
+(* A backend's complete protection state as [install] leaves it.  Every
+   install clears and rewrites the whole state — all MPU regions, all
+   PMP entries, the capability table, every overlay and key permission —
+   so restoring an image captured right after an install repeats that
+   install without deriving the plan again. *)
+type image =
+  | Mpu_image of { regions : M.Mpu.region option array; enabled : bool }
+  | Pmp_image of { entries : M.Pmp.entry array; enforcing : bool }
+  | Cheri_image of { caps : M.Cheri.cap list; enforcing : bool }
+  | Poe_image of {
+      overlays : M.Poe.overlay list;
+      por : M.Poe.perm array;
+      por_x : bool array;
+      enforcing : bool;
+    }
+
+(* Key recycling retags POE overlays in place, so an image and the live
+   state never share an overlay record. *)
+let copy_overlays overlays =
+  List.map (fun (ov : M.Poe.overlay) -> { ov with M.Poe.ov_key = ov.M.Poe.ov_key })
+    overlays
+
+let capture = function
+  | M.Backend.Mpu_state m ->
+    Mpu_image { regions = Array.copy m.M.Mpu.regions; enabled = m.M.Mpu.enabled }
+  | M.Backend.Pmp_state p ->
+    Pmp_image { entries = Array.copy p.M.Pmp.entries; enforcing = p.M.Pmp.enforcing }
+  | M.Backend.Cheri_state c ->
+    Cheri_image { caps = c.M.Cheri.caps; enforcing = c.M.Cheri.enforcing }
+  | M.Backend.Poe_state p ->
+    Poe_image
+      { overlays = copy_overlays p.M.Poe.overlays;
+        por = Array.copy p.M.Poe.por;
+        por_x = Array.copy p.M.Poe.por_x;
+        enforcing = p.M.Poe.enforcing }
+
+let restore st image =
+  match (st, image) with
+  | M.Backend.Mpu_state m, Mpu_image i ->
+    Array.blit i.regions 0 m.M.Mpu.regions 0 M.Mpu.region_count;
+    m.M.Mpu.enabled <- i.enabled;
+    true
+  | M.Backend.Pmp_state p, Pmp_image i ->
+    Array.blit i.entries 0 p.M.Pmp.entries 0 M.Pmp.entry_count;
+    p.M.Pmp.enforcing <- i.enforcing;
+    true
+  | M.Backend.Cheri_state c, Cheri_image i ->
+    c.M.Cheri.caps <- i.caps;
+    c.M.Cheri.enforcing <- i.enforcing;
+    true
+  | M.Backend.Poe_state p, Poe_image i ->
+    p.M.Poe.overlays <- copy_overlays i.overlays;
+    Array.blit i.por 0 p.M.Poe.por 0 M.Poe.key_count;
+    Array.blit i.por_x 0 p.M.Poe.por_x 0 M.Poe.key_count;
+    p.M.Poe.enforcing <- i.enforcing;
+    true
+  | _ -> false
+
 (* One fault-time rotation: which slot (region / entry / key) was
    rotated, what it evicted, and what is now resident there. *)
 type swap = {

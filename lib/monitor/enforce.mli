@@ -16,6 +16,20 @@ val install :
   srd:int ->
   M.Mpu.region list
 
+(** A backend's complete protection state as {!install} leaves it: MPU
+    regions, PMP entries, the CHERI capability table, or the POE
+    overlays and key permissions. *)
+type image
+
+(** The state's image.  Taken right after an {!install}, restoring it
+    repeats that install. *)
+val capture : M.Backend.state -> image
+
+(** Write an image back onto a backend; [false], leaving the state
+    untouched, when the image was captured from another kind of
+    backend. *)
+val restore : M.Backend.state -> image -> bool
+
 (** One fault-time rotation: which slot (MPU region / PMP entry / POE
     key) was rotated, what it evicted, and what is now resident. *)
 type swap = {

@@ -10,16 +10,27 @@
    - MPU virtualization: rotate the four reserved peripheral regions
      round-robin from the memory-management fault handler;
    - core-peripheral emulation: perform permitted PPB loads/stores from
-     the bus-fault handler so application code never runs privileged. *)
+     the bus-fault handler so application code never runs privileged.
+
+   The compiler emits per-operation metadata so that the monitor only has
+   to look things up at a switch (Section 5.2).  [create] carries that
+   through: operations and shared variables are interned to dense
+   indices, and every per-switch structure — the copy plans of the static
+   sync schedule, the relocation-table writes, the sanitization checks,
+   the pointer-translation ranges — becomes an array indexed by
+   operation.  A switch only indexes them, and a protection install
+   restores the register image captured from the first real install of
+   the same (operation, sub-region mask). *)
 
 open Opec_ir
 module M = Opec_machine
 module C = Opec_core
 module Obs = Opec_obs
-module SS = Set.Make (String)
+module Ss = Opec_analysis.Syncset
 
 type frame = {
   op : C.Operation.t;
+  oi : int;                         (** [op]'s index, see {!t} *)
   meta : C.Metadata.op_meta;
   srd : int;                        (** sub-region disable mask while active *)
   saved_sp : int;                   (** caller sp to restore bookkeeping *)
@@ -27,56 +38,80 @@ type frame = {
   mutable virt_next : int;          (** round-robin cursor for regions 4..7 *)
 }
 
-(* One scheduled copy: variable, its shadow address in the operation's
-   data section, its master address, and its size.  [sl_forced] marks a
-   variable whose address escaped into a peripheral window: a device can
-   rewrite its master at any time, so the incremental-copy bookkeeping
-   below never applies to it. *)
+(* One scheduled copy: the variable's index, its shadow address in the
+   operation's data section, its master address, its size, and the
+   offsets of its pointer fields.  [sl_forced] marks a variable whose
+   address escaped into a peripheral window: a device can rewrite its
+   master at any time, so the incremental-copy bookkeeping below never
+   applies to it.  [sl_sram] marks a slot whose shadow and master both
+   lie in SRAM: its words move through the bus's unboxed primitives. *)
 type sync_slot = {
-  sl_var : string;
+  sl_var : int;
   sl_shadow : int;
   sl_master : int;
   sl_size : int;
   sl_forced : bool;
+  sl_sram : bool;
+  sl_ptrs : int list;
 }
 
+(* An operation is indexed by its position in the image's operation
+   list, a shared variable by the order [create] first met it.  Tables
+   over (operation, variable) pairs are flat, at [op * nvars + var]. *)
 type t = {
   image : C.Image.t;
   bus : M.Bus.t;
   stats : Stats.t;
-  var_size : (string, int) Hashtbl.t;
-  ptr_offsets : (string, int list) Hashtbl.t;
-  (* reverse index: (op, var, base, size) for pointer translation *)
-  shadow_ranges : (string * string * int * int) list;
-  (* (var, base, size) of the public-section masters: a pointer field can
-     hold a master address after a sync through an operation without
-     access to the target, and must localize again on the next switch *)
-  master_ranges : (string * int * int) list;
-  sync_whole_section : bool;
-      (** ablation: copy entire sections at switches instead of only the
-          shared variables (Section 6.3 credits the shared-only policy) *)
-  full_sync : bool;
-      (** ablation: copy every shadow slot at switches, ignoring the
-          static sync schedule (the pre-schedule behaviour) *)
-  (* read-only master mappings: per operation, the slots the schedule
-     proved write-free.  Their relocation entries point straight at the
-     master (the MPU background region grants unprivileged reads of the
-     public section), so their shadows are never filled or synced.
-     Empty under the full-sync ablations, which bypass the schedule. *)
-  ro_vars : (string, SS.t) Hashtbl.t;
-  (* precomputed sync plans from the image's static schedule *)
-  all_plan : (string, sync_slot array) Hashtbl.t;      (* op -> all slots *)
-  out_plan : (string, sync_slot array) Hashtbl.t;
-  enter_plan : (string, sync_slot array) Hashtbl.t;
-  resume_plan : (string * string, sync_slot array) Hashtbl.t;  (* (src,dst) *)
-  (* incremental synchronization: [epoch] counts, per shared variable,
-     the sync-outs that actually changed its master; [pulled] records,
-     per (op, var), the epoch at which that shadow last matched the
-     master.  A sync-in copy is skipped when the two agree — the master
-     cannot have changed since the shadow was filled (or published), so
-     the copy would move identical bytes. *)
-  epoch : (string, int) Hashtbl.t;
-  pulled : (string * string, int) Hashtbl.t;
+  ops : C.Operation.t array;
+  metas : C.Metadata.op_meta array;
+  nvars : int;
+  full : bool;
+      (* either ablation: [sync_whole_section] stages entire sections at
+         switches instead of only the shared variables (Section 6.3
+         credits the shared-only policy); [full_sync] copies every shadow
+         slot, ignoring the static sync schedule (the pre-schedule
+         behaviour).  Both bypass the schedule. *)
+  (* the image's static sync schedule as per-switch copy plans *)
+  all_plan : sync_slot array array;     (* op -> every shadow slot *)
+  out_plan : sync_slot array array;
+  enter_plan : sync_slot array array;
+  resume_plan : sync_slot array array;  (* src * nops + dst *)
+  stage_plan : (int * int * bool) array array;
+      (* whole-section ablation only: op -> (addr, size, in SRAM) of each
+         section slot that is not a shadow; it copies in place, costing
+         the same bus traffic *)
+  sanitize_plan : (int * C.Dev_input.sanitize_rule) array array;
+      (* op -> (shadow address, rule), in check order *)
+  reloc_plan : (int * int64) array array;
+      (* op -> (relocation slot, target), see [update_reloc_table] *)
+  ro : bool array;
+      (* read-only master mappings: the (op, var) slots the schedule
+         proved write-free.  Their relocation entries point straight at
+         the master (the MPU background region grants unprivileged reads
+         of the public section), so their shadows are never filled or
+         synced.  None under the ablations. *)
+  shadow_ranges : (int * int * int * int) array;
+      (* (owner op or -1, var, base, size) of every shadow *)
+  master_ranges : (int * int * int) array;
+      (* (var, base, size) of the public-section masters: a pointer field
+         can hold a master address after a sync through an operation
+         without access to the target, and must localize again on the
+         next switch *)
+  local_base : int array;
+      (* (op, var) -> where the operation reaches the variable: the
+         master for a read-only mapping, else its shadow if it has one,
+         else the master *)
+  epoch : int array;
+  pulled : int array;
+      (* incremental synchronization: [epoch] counts, per variable, the
+         sync-outs that actually changed its master; [pulled] records, per
+         (op, var), the epoch at which that shadow last matched the
+         master.  A sync-in copy is skipped when the two agree — the
+         master cannot have changed since the shadow was filled (or
+         published), so the copy would move identical bytes. *)
+  images : Enforce.image option array;
+      (* protection register images at [op * 256 + srd], each captured
+         from the first install of its pair *)
   mutable frames : frame list;      (** head = current operation *)
   mutable sink : Obs.Sink.t;
       (** telemetry sink; {!Obs.Sink.null} unless a collector is attached *)
@@ -165,6 +200,27 @@ let emit_span t r kind ~src ~dst =
 
 let create ?(sync_whole_section = false) ?(full_sync = false)
     ?(sink = Obs.Sink.null) (image : C.Image.t) (bus : M.Bus.t) =
+  let layout = image.C.Image.layout in
+  let ss = image.C.Image.syncsets in
+  let full = full_sync || sync_whole_section in
+  let ops = Array.of_list image.C.Image.ops in
+  let nops = Array.length ops in
+  let op_index = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (op : C.Operation.t) ->
+      if not (Hashtbl.mem op_index op.C.Operation.name) then
+        Hashtbl.add op_index op.C.Operation.name i)
+    ops;
+  let metas =
+    Array.map
+      (fun (op : C.Operation.t) ->
+        match C.Image.meta_of image op.C.Operation.name with
+        | Some m -> m
+        | None ->
+          invalid_arg
+            ("Monitor: no metadata for operation " ^ op.C.Operation.name))
+      ops
+  in
   let var_size = Hashtbl.create 64 in
   let ptr_offsets = Hashtbl.create 64 in
   List.iter
@@ -174,302 +230,372 @@ let create ?(sync_whole_section = false) ?(full_sync = false)
       | [] -> ()
       | offs -> Hashtbl.replace ptr_offsets g.name offs)
     image.C.Image.source.Program.globals;
+  let master_addr var =
+    match C.Layout.master_of layout var with
+    | Some a -> a
+    | None -> invalid_arg ("Monitor: no master for " ^ var)
+  in
+  let var_index = Hashtbl.create 64 in
+  let intern var =
+    match Hashtbl.find_opt var_index var with
+    | Some v -> v
+    | None ->
+      let v = Hashtbl.length var_index in
+      Hashtbl.add var_index var v;
+      v
+  in
   let shadow_ranges =
     Hashtbl.fold
       (fun var homes acc ->
         List.fold_left
           (fun acc (op, base) ->
-            (op, var, base, Hashtbl.find var_size var) :: acc)
+            ( Option.value (Hashtbl.find_opt op_index op) ~default:(-1),
+              intern var, base, Hashtbl.find var_size var )
+            :: acc)
           acc homes)
-      image.C.Image.layout.C.Layout.shadow_addr []
+      layout.C.Layout.shadow_addr []
+    |> Array.of_list
   in
   let master_ranges =
     List.map
-      (fun (s : C.Layout.slot) -> (s.C.Layout.var, s.C.Layout.addr, s.C.Layout.size))
-      image.C.Image.layout.C.Layout.public.C.Layout.slots
+      (fun (s : C.Layout.slot) ->
+        (intern s.C.Layout.var, s.C.Layout.addr, s.C.Layout.size))
+      layout.C.Layout.public.C.Layout.slots
+    |> Array.of_list
   in
-  (* materialize the image's static sync schedule as per-switch copy
-     plans, resolving each scheduled variable to (shadow, master, size)
-     once here rather than per switch *)
-  let master_addr var =
-    match C.Layout.master_of image.C.Image.layout var with
-    | Some a -> a
-    | None -> invalid_arg ("Monitor: no master for " ^ var)
-  in
-  let module Ss = Opec_analysis.Syncset in
-  let ss = image.C.Image.syncsets in
   let escaped = Ss.escaped ss in
   let plan_of (meta : C.Metadata.op_meta) keep =
     List.filter_map
       (fun (var, shadow) ->
-        if keep var then
+        if keep var then begin
+          let master = master_addr var and size = Hashtbl.find var_size var in
           Some
-            { sl_var = var; sl_shadow = shadow; sl_master = master_addr var;
-              sl_size = Hashtbl.find var_size var;
-              sl_forced = Ss.SS.mem var escaped }
+            { sl_var = intern var; sl_shadow = shadow; sl_master = master;
+              sl_size = size; sl_forced = Ss.SS.mem var escaped;
+              sl_sram =
+                M.Bus.in_sram bus shadow size && M.Bus.in_sram bus master size;
+              sl_ptrs =
+                Option.value (Hashtbl.find_opt ptr_offsets var) ~default:[] }
+        end
         else None)
       meta.C.Metadata.shadow_slots
     |> Array.of_list
   in
-  let all_plan = Hashtbl.create 8 in
-  let out_plan = Hashtbl.create 8 in
-  let enter_plan = Hashtbl.create 8 in
-  let resume_plan = Hashtbl.create 16 in
-  let ro_vars = Hashtbl.create 8 in
-  List.iter
-    (fun (opn, meta) ->
-      Hashtbl.replace ro_vars opn
-        (if full_sync || sync_whole_section then SS.empty
-         else Ss.ro_set ss opn);
-      Hashtbl.replace all_plan opn (plan_of meta (fun _ -> true));
-      Hashtbl.replace out_plan opn
-        (plan_of meta (fun v -> Ss.SS.mem v (Ss.out_set ss opn)));
-      Hashtbl.replace enter_plan opn
-        (plan_of meta (fun v -> Ss.SS.mem v (Ss.enter_set ss opn))))
-    image.C.Image.metas;
+  (* an operation's schedule set is only read when it has shadow slots *)
+  let scheduled set_of i meta =
+    let set = lazy (set_of ss ops.(i).C.Operation.name) in
+    plan_of meta (fun var -> Ss.SS.mem var (Lazy.force set))
+  in
+  let all_plan = Array.map (fun meta -> plan_of meta (fun _ -> true)) metas in
+  let out_plan = Array.mapi (scheduled Ss.out_set) metas in
+  let enter_plan = Array.mapi (scheduled Ss.enter_set) metas in
+  (* a (src, dst) pair without a resume set of its own resumes like an
+     enter *)
+  let resume_plan =
+    Array.init (nops * nops) (fun k -> enter_plan.(k mod nops))
+  in
   List.iter
     (fun (src, dst) ->
-      match List.assoc_opt dst image.C.Image.metas with
-      | None -> ()
-      | Some meta ->
+      match (Hashtbl.find_opt op_index src, Hashtbl.find_opt op_index dst) with
+      | Some s, Some d ->
         let set = Ss.resume_set ss ~src ~dst in
-        Hashtbl.replace resume_plan (src, dst)
-          (plan_of meta (fun v -> Ss.SS.mem v set)))
+        resume_plan.((s * nops) + d) <-
+          plan_of metas.(d) (fun var -> Ss.SS.mem var set)
+      | _ -> ())
     (Ss.pairs ss);
-  { image; bus; stats = Stats.create (); var_size; ptr_offsets; shadow_ranges;
-    master_ranges; sync_whole_section; full_sync; ro_vars; all_plan; out_plan;
-    enter_plan; resume_plan; epoch = Hashtbl.create 16;
-    pulled = Hashtbl.create 64; frames = []; sink }
+  let ro_sets =
+    Array.map
+      (fun (op : C.Operation.t) ->
+        if full then Ss.SS.empty else Ss.ro_set ss op.C.Operation.name)
+      ops
+  in
+  let nvars = Hashtbl.length var_index in
+  let ro = Array.make (nops * nvars) false in
+  let local_base = Array.make (nops * nvars) 0 in
+  Hashtbl.iter
+    (fun var v ->
+      Array.iteri
+        (fun i (op : C.Operation.t) ->
+          let k = (i * nvars) + v in
+          ro.(k) <- Ss.SS.mem var ro_sets.(i);
+          local_base.(k) <-
+            (if ro.(k) then master_addr var
+             else
+               match
+                 C.Layout.shadow_of layout ~op:op.C.Operation.name ~var
+               with
+               | Some shadow -> shadow
+               | None -> master_addr var))
+        ops)
+    var_index;
+  let reloc_plan =
+    Array.mapi
+      (fun i (meta : C.Metadata.op_meta) ->
+        List.map
+          (fun (var, slot) ->
+            let target =
+              if Ss.SS.mem var ro_sets.(i) then master_addr var
+              else
+                match List.assoc_opt var meta.C.Metadata.shadow_slots with
+                | Some shadow -> shadow
+                | None -> 0
+            in
+            (slot, Int64.of_int target))
+          layout.C.Layout.reloc_slots
+        |> Array.of_list)
+      metas
+  in
+  let sanitize_plan =
+    Array.map
+      (fun (meta : C.Metadata.op_meta) ->
+        List.concat_map
+          (fun (var, shadow) ->
+            List.filter_map
+              (fun (r : C.Dev_input.sanitize_rule) ->
+                if String.equal r.C.Dev_input.sz_global var then
+                  Some (shadow, r)
+                else None)
+              meta.C.Metadata.sanitize)
+          meta.C.Metadata.shadow_slots
+        |> Array.of_list)
+      metas
+  in
+  let stage_plan =
+    Array.map
+      (fun (meta : C.Metadata.op_meta) ->
+        match meta.C.Metadata.section with
+        | Some sec when sync_whole_section ->
+          List.filter_map
+            (fun (s : C.Layout.slot) ->
+              if List.mem_assoc s.C.Layout.var meta.C.Metadata.shadow_slots
+              then None
+              else
+                Some
+                  ( s.C.Layout.addr, s.C.Layout.size,
+                    M.Bus.in_sram bus s.C.Layout.addr s.C.Layout.size ))
+            sec.C.Layout.slots
+          |> Array.of_list
+        | Some _ | None -> [||])
+      metas
+  in
+  { image; bus; stats = Stats.create (); ops; metas; nvars; full; all_plan; out_plan; enter_plan; resume_plan; stage_plan;
+    sanitize_plan; reloc_plan; ro; shadow_ranges; master_ranges; local_base;
+    epoch = Array.make nvars 0;
+    pulled = Array.make (nops * nvars) 0;
+    images = Array.make (nops * 256) None;
+    frames = [];
+    sink }
 
 (* --- privileged memory helpers ----------------------------------------- *)
 
+(* A bus access at the privileged level: the CPU is raised for the access
+   and lowered again after it, faulting or not. *)
 let priv_read t addr width =
-  M.Cpu.with_privilege t.bus.M.Bus.cpu (fun () -> M.Bus.read t.bus addr width)
+  let cpu = t.bus.M.Bus.cpu in
+  let saved = cpu.M.Cpu.privileged in
+  cpu.M.Cpu.privileged <- true;
+  match M.Bus.read t.bus addr width with
+  | v ->
+    cpu.M.Cpu.privileged <- saved;
+    v
+  | exception e ->
+    cpu.M.Cpu.privileged <- saved;
+    raise e
 
 let priv_write t addr width v =
-  M.Cpu.with_privilege t.bus.M.Bus.cpu (fun () -> M.Bus.write t.bus addr width v)
+  let cpu = t.bus.M.Bus.cpu in
+  let saved = cpu.M.Cpu.privileged in
+  cpu.M.Cpu.privileged <- true;
+  match M.Bus.write t.bus addr width v with
+  | () -> cpu.M.Cpu.privileged <- saved
+  | exception e ->
+    cpu.M.Cpu.privileged <- saved;
+    raise e
 
-let copy_words t ~src ~dst bytes =
-  let rec go off =
-    if off < bytes then begin
-      let w = if bytes - off >= 4 then 4 else 1 in
-      priv_write t (dst + off) w (priv_read t (src + off) w);
-      go (off + w)
-    end
-  in
-  go 0;
+(* Copy [bytes] bytes a word at a time (a byte at a time for a sub-word
+   tail).  [sram] is the create-time proof that both ranges lie in SRAM,
+   which lets the words move through the bus's unboxed primitives; any
+   other copy goes through privileged [Bus.read]/[Bus.write]. *)
+let rec copy_from t ~sram ~src ~dst bytes off =
+  if off < bytes then begin
+    let w = if bytes - off >= 4 then 4 else 1 in
+    if sram then M.Bus.copy_sram_word t.bus ~src:(src + off) ~dst:(dst + off) w
+    else priv_write t (dst + off) w (priv_read t (src + off) w);
+    copy_from t ~sram ~src ~dst bytes (off + w)
+  end
+
+let copy_words t ~sram ~src ~dst bytes =
+  copy_from t ~sram ~src ~dst bytes 0;
   t.stats.Stats.synced_bytes <- t.stats.Stats.synced_bytes + bytes
 
-let words_equal t ~a ~b bytes =
-  let rec go off =
-    off >= bytes
-    ||
-    let w = if bytes - off >= 4 then 4 else 1 in
-    Int64.equal (priv_read t (a + off) w) (priv_read t (b + off) w)
-    && go (off + w)
-  in
-  go 0
-
-let gen tbl key = Option.value (Hashtbl.find_opt tbl key) ~default:0
+let rec words_equal t ~sram ~a ~b bytes off =
+  off >= bytes
+  ||
+  let w = if bytes - off >= 4 then 4 else 1 in
+  (if sram then M.Bus.equal_sram_word t.bus ~a:(a + off) ~b:(b + off) w
+   else
+     let va = priv_read t (a + off) w in
+     Int64.equal va (priv_read t (b + off) w))
+  && words_equal t ~sram ~a ~b bytes (off + w)
 
 (* --- sanitization ------------------------------------------------------- *)
 
-(* Check the developer-provided valid range for [var]'s first word before
-   its shadow value propagates out of the operation (Section 5.3). *)
-let sanitize t (meta : C.Metadata.op_meta) var shadow_addr =
-  List.iter
-    (fun (r : C.Dev_input.sanitize_rule) ->
-      if String.equal r.C.Dev_input.sz_global var then begin
-        let v = priv_read t shadow_addr 4 in
-        if Int64.compare v r.C.Dev_input.sz_min < 0
-           || Int64.compare v r.C.Dev_input.sz_max > 0 then
-          abort t
-            (Fmt.str "sanitization failed for %s: %Ld not in [%Ld, %Ld]" var v
-               r.C.Dev_input.sz_min r.C.Dev_input.sz_max)
-      end)
-    meta.C.Metadata.sanitize
+(* Check the developer-provided valid range of each checked variable's
+   first word before the operation's shadow values propagate out of it
+   (Section 5.3).  Runs before [sync_out], so the telemetry can bracket
+   sanitization as its own phase — and so a failing check aborts before
+   any shadow value has reached the public section. *)
+let sanitize_all t oi =
+  let plan = t.sanitize_plan.(oi) in
+  for i = 0 to Array.length plan - 1 do
+    let shadow, (r : C.Dev_input.sanitize_rule) = plan.(i) in
+    let v = priv_read t shadow 4 in
+    if Int64.compare v r.C.Dev_input.sz_min < 0
+       || Int64.compare v r.C.Dev_input.sz_max > 0
+    then
+      abort t
+        (Fmt.str "sanitization failed for %s: %Ld not in [%Ld, %Ld]"
+           r.C.Dev_input.sz_global v r.C.Dev_input.sz_min r.C.Dev_input.sz_max)
+  done
 
 (* --- global synchronization (Figure 7) ---------------------------------- *)
 
-let master_of t var =
-  match C.Layout.master_of t.image.C.Image.layout var with
-  | Some a -> a
-  | None -> invalid_arg ("Monitor: no master for " ^ var)
+let stage_whole_section t oi =
+  let plan = t.stage_plan.(oi) in
+  for i = 0 to Array.length plan - 1 do
+    let addr, size, sram = plan.(i) in
+    copy_words t ~sram ~src:addr ~dst:addr size
+  done
 
-(* Whether [op] reaches [var] through the read-only master mapping: its
-   relocation entry targets the master and its shadow is dead. *)
-let is_ro t ~op var =
-  match Hashtbl.find_opt t.ro_vars op with
-  | Some s -> SS.mem var s
-  | None -> false
+(* write back operation [oi]'s shadows to the public section, restricted
+   by the static schedule to the slots the operation may have written
+   (the masters of the rest are already equal by the sync-out
+   invariant); the caller runs [sanitize_all] first *)
+let sync_out t oi =
+  stage_whole_section t oi;
+  if t.full then begin
+    let plan = t.all_plan.(oi) in
+    for i = 0 to Array.length plan - 1 do
+      let sl = plan.(i) in
+      copy_words t ~sram:sl.sl_sram ~src:sl.sl_shadow ~dst:sl.sl_master
+        sl.sl_size
+    done
+  end
+  else begin
+    let plan = t.out_plan.(oi) and row = oi * t.nvars in
+    for i = 0 to Array.length plan - 1 do
+      let sl = plan.(i) in
+      if (not sl.sl_forced)
+         && words_equal t ~sram:sl.sl_sram ~a:sl.sl_shadow ~b:sl.sl_master
+              sl.sl_size 0
+      then
+        (* the operation left the value it saw: the master is already
+           current, and this shadow is a faithful copy of it *)
+        t.pulled.(row + sl.sl_var) <- t.epoch.(sl.sl_var)
+      else begin
+        copy_words t ~sram:sl.sl_sram ~src:sl.sl_shadow ~dst:sl.sl_master
+          sl.sl_size;
+        let e = t.epoch.(sl.sl_var) + 1 in
+        t.epoch.(sl.sl_var) <- e;
+        t.pulled.(row + sl.sl_var) <- e
+      end
+    done
+  end
 
-(* In the whole-section ablation every slot of the section is staged,
-   modeling a design without the shared-variable filter; internal slots
-   copy in place, costing the same bus traffic. *)
-let stage_whole_section t (meta : C.Metadata.op_meta) =
-  if t.sync_whole_section then
-    match meta.C.Metadata.section with
-    | None -> ()
-    | Some sec ->
-      List.iter
-        (fun (slot : C.Layout.slot) ->
-          if not (List.mem_assoc slot.C.Layout.var meta.C.Metadata.shadow_slots)
-          then
-            copy_words t ~src:slot.C.Layout.addr ~dst:slot.C.Layout.addr
-              slot.C.Layout.size)
-        sec.C.Layout.slots
-
-(* Run every sanitize rule of [meta] against its shadow values.  Hoisted
-   out of {!sync_out} so the telemetry can bracket sanitization as its
-   own phase — and so a failing check aborts before any shadow value has
-   propagated to the public section. *)
-let sanitize_all t (meta : C.Metadata.op_meta) =
-  List.iter
-    (fun (var, shadow) -> sanitize t meta var shadow)
-    meta.C.Metadata.shadow_slots
-
-(* Both ablation knobs disable the schedule: every shadow slot copies. *)
-let full_mode t = t.full_sync || t.sync_whole_section
-
-let plan_exn tbl key what =
-  match Hashtbl.find_opt tbl key with
-  | Some p -> p
-  | None -> invalid_arg ("Monitor: no " ^ what ^ " sync plan")
-
-(* write back the current operation's shadows to the public section,
-   restricted by the static schedule to the slots the operation may have
-   written (the masters of the rest are already equal by the sync-out
-   invariant); the caller runs {!sanitize_all} first *)
-let sync_out t (meta : C.Metadata.op_meta) =
-  stage_whole_section t meta;
-  let opn = meta.C.Metadata.op.C.Operation.name in
-  if full_mode t then
-    Array.iter
-      (fun sl -> copy_words t ~src:sl.sl_shadow ~dst:sl.sl_master sl.sl_size)
-      (plan_exn t.all_plan opn opn)
+let rec find_shadow_range t oi addr i =
+  if i >= Array.length t.shadow_ranges then -1
   else
-    Array.iter
-      (fun sl ->
-        if (not sl.sl_forced)
-           && words_equal t ~a:sl.sl_shadow ~b:sl.sl_master sl.sl_size
-        then
-          (* the operation left the value it saw: the master is already
-             current, and this shadow is a faithful copy of it *)
-          Hashtbl.replace t.pulled (opn, sl.sl_var) (gen t.epoch sl.sl_var)
-        else begin
-          copy_words t ~src:sl.sl_shadow ~dst:sl.sl_master sl.sl_size;
-          let e = gen t.epoch sl.sl_var + 1 in
-          Hashtbl.replace t.epoch sl.sl_var e;
-          Hashtbl.replace t.pulled (opn, sl.sl_var) e
-        end)
-      (plan_exn t.out_plan opn opn)
+    let owner, _, base, size = t.shadow_ranges.(i) in
+    if owner <> oi && addr >= base && addr < base + size then i
+    else find_shadow_range t oi addr (i + 1)
+
+let rec find_master_range t addr i =
+  if i >= Array.length t.master_ranges then -1
+  else
+    let _, base, size = t.master_ranges.(i) in
+    if addr >= base && addr < base + size then i
+    else find_master_range t addr (i + 1)
 
 (* Translate a pointer that targets another operation's shadow section to
-   the equivalent location visible to [op] (Section 5.3). *)
-let translate_pointer t ~op v =
+   the equivalent location visible to operation [oi] (Section 5.3).  A
+   master address is the canonical form a pointer takes after passing
+   through an operation without access to the target; it localizes into
+   [oi]'s shadow when one exists. *)
+let translate_pointer t oi v =
   let addr = Int64.to_int v in
-  let hit =
-    match
-      List.find_opt
-        (fun (owner, _var, base, size) ->
-          (not (String.equal owner op)) && addr >= base && addr < base + size)
-        t.shadow_ranges
-    with
-    | Some (_owner, var, base, _size) -> Some (var, base)
-    | None ->
-      (* a master address is the canonical form a pointer takes after
-         passing through an operation without access to the target;
-         localize it into [op]'s shadow when one exists *)
-      Option.map
-        (fun (var, base, _size) -> (var, base))
-        (List.find_opt
-           (fun (_var, base, size) -> addr >= base && addr < base + size)
-           t.master_ranges)
+  let var, base =
+    match find_shadow_range t oi addr 0 with
+    | i when i >= 0 ->
+      let _, var, base, _ = t.shadow_ranges.(i) in
+      (var, base)
+    | _ -> (
+      match find_master_range t addr 0 with
+      | i when i >= 0 ->
+        let var, base, _ = t.master_ranges.(i) in
+        (var, base)
+      | _ -> (-1, 0))
   in
-  match hit with
-  | None -> v
-  | Some (var, base) ->
-    let delta = addr - base in
-    let target =
-      if is_ro t ~op var then master_of t var + delta
-      else
-        match C.Layout.shadow_of t.image.C.Image.layout ~op ~var with
-        | Some s -> s + delta
-        | None -> master_of t var + delta
-    in
+  if var < 0 then v
+  else
+    let target = t.local_base.((oi * t.nvars) + var) + (addr - base) in
     if target = addr then v
     else begin
       t.stats.Stats.pointer_fixups <- t.stats.Stats.pointer_fixups + 1;
       Int64.of_int target
     end
 
-(* copy masters into the incoming operation's shadows and fix up pointer
-   fields that still reference another operation's section.  The static
-   schedule restricts the copy to the slots some other operation may
-   have synced out since this shadow was filled: [`Enter] uses the
-   all-writers enter set, [`Resume src] the tighter set for writers
-   reachable from the exiting operation [src].  Uncopied shadows keep
-   the operation's own (already local) values, so pointer translation is
-   only needed on the copied slots. *)
-let sync_in ?(via = `Enter) t (meta : C.Metadata.op_meta) =
-  stage_whole_section t meta;
-  let op = meta.C.Metadata.op.C.Operation.name in
-  let plan =
-    if full_mode t then plan_exn t.all_plan op op
-    else
-      match via with
-      | `Enter -> plan_exn t.enter_plan op op
-      | `Resume src -> (
-        match Hashtbl.find_opt t.resume_plan (src, op) with
-        | Some p -> p
-        | None -> plan_exn t.enter_plan op op)
-  in
-  Array.iter
-    (fun sl ->
-      let e = gen t.epoch sl.sl_var in
-      (* skip the copy when the master has not changed since this shadow
-         last matched it: every suspension publishes the operation's
-         writes first (sync-out invariant), so an unchanged epoch means
-         the shadow still holds the master's bytes — including already
-         localized pointer fields.  The ablations copy unconditionally. *)
-      if
-        full_mode t || sl.sl_forced
-        || gen t.pulled (op, sl.sl_var) <> e
-      then begin
-        copy_words t ~src:sl.sl_master ~dst:sl.sl_shadow sl.sl_size;
-        Hashtbl.replace t.pulled (op, sl.sl_var) e;
-        match Hashtbl.find_opt t.ptr_offsets sl.sl_var with
-        | None -> ()
-        | Some offsets ->
-          List.iter
-            (fun off ->
-              let v = priv_read t (sl.sl_shadow + off) 4 in
-              let v' = translate_pointer t ~op v in
-              if not (Int64.equal v v') then
-                priv_write t (sl.sl_shadow + off) 4 v')
-            offsets
-      end)
-    plan
+(* localize the pointer fields of operation [oi]'s shadow at [base] *)
+let rec fix_pointers t oi base = function
+  | [] -> ()
+  | off :: rest ->
+    let v = priv_read t (base + off) 4 in
+    let v' = translate_pointer t oi v in
+    if not (Int64.equal v v') then priv_write t (base + off) 4 v';
+    fix_pointers t oi base rest
 
-(* point every relocation-table slot at the operation's shadow — or, for
-   slots the schedule proved write-free for this operation, straight at
-   the master (reads are unprivileged-legal through the MPU background
-   region and a write faults, which is exactly the proof obligation) —
-   or NULL when the operation has no access to the variable *)
-let update_reloc_table t (meta : C.Metadata.op_meta) =
-  let layout = t.image.C.Image.layout in
-  let op = meta.C.Metadata.op.C.Operation.name in
-  List.iter
-    (fun (var, slot) ->
-      let target =
-        if is_ro t ~op var then Int64.of_int (master_of t var)
-        else
-          match List.assoc_opt var meta.C.Metadata.shadow_slots with
-          | Some shadow -> Int64.of_int shadow
-          | None -> 0L
-      in
-      priv_write t slot 4 target)
-    layout.C.Layout.reloc_slots
+(* copy masters into operation [oi]'s shadows and fix up pointer fields
+   that still reference another operation's section.  The static
+   schedule restricts the copy to the slots some other operation may
+   have synced out since this shadow was filled: an enter ([from] < 0)
+   uses the all-writers enter set, a resume after operation [from]
+   exits the tighter set for writers reachable from [from].  Uncopied
+   shadows keep the operation's own (already local) values, so pointer
+   translation is only needed on the copied slots. *)
+let sync_in t ~from oi =
+  stage_whole_section t oi;
+  let plan =
+    if t.full then t.all_plan.(oi)
+    else if from < 0 then t.enter_plan.(oi)
+    else t.resume_plan.((from * Array.length t.ops) + oi)
+  in
+  let row = oi * t.nvars in
+  for i = 0 to Array.length plan - 1 do
+    let sl = plan.(i) in
+    let e = t.epoch.(sl.sl_var) in
+    (* skip the copy when the master has not changed since this shadow
+       last matched it: every suspension publishes the operation's
+       writes first (sync-out invariant), so an unchanged epoch means
+       the shadow still holds the master's bytes — including already
+       localized pointer fields.  The ablations copy unconditionally. *)
+    if t.full || sl.sl_forced || t.pulled.(row + sl.sl_var) <> e then begin
+      copy_words t ~sram:sl.sl_sram ~src:sl.sl_master ~dst:sl.sl_shadow
+        sl.sl_size;
+      t.pulled.(row + sl.sl_var) <- e;
+      fix_pointers t oi sl.sl_shadow sl.sl_ptrs
+    end
+  done
+
+(* point every relocation-table slot at operation [oi]'s target for it:
+   the shadow; the master for a read-only mapping (reads are
+   unprivileged-legal through the MPU background region and a write
+   faults, which is exactly the proof obligation); or NULL when the
+   operation has no access to the variable *)
+let update_reloc_table t oi =
+  let plan = t.reloc_plan.(oi) in
+  for i = 0 to Array.length plan - 1 do
+    let slot, target = plan.(i) in
+    priv_write t slot 4 target
+  done
 
 (* --- stack protection (Figure 8) ---------------------------------------- *)
 
@@ -484,85 +610,106 @@ let srd_for t sp =
   if top_sub >= 7 then 0 else mask (top_sub + 1) 0
 
 (* Relocate the buffers pointed to by pointer-type entry arguments onto
-   the incoming operation's stack and redirect the arguments. *)
-let relocate_arguments t (meta : C.Metadata.op_meta) (args : int64 array) =
-  let cpu = t.bus.M.Bus.cpu in
-  match meta.C.Metadata.stack_info with
-  | None -> (args, [])
-  | Some si ->
-    let relocated = ref [] in
-    let args = Array.copy args in
-    List.iter
-      (fun (pa : C.Dev_input.ptr_arg) ->
-        let idx = pa.C.Dev_input.param_index in
-        if idx < Array.length args then begin
-          let orig = Int64.to_int args.(idx) in
-          let bytes = pa.C.Dev_input.buffer_bytes in
-          let copy = (cpu.M.Cpu.sp - bytes) land lnot 7 in
-          if copy < cpu.M.Cpu.stack_base then
-            abort t "stack exhausted during argument relocation";
-          copy_words t ~src:orig ~dst:copy bytes;
-          t.stats.Stats.relocated_bytes <- t.stats.Stats.relocated_bytes + bytes;
-          cpu.M.Cpu.sp <- copy;
-          args.(idx) <- Int64.of_int copy;
-          relocated := (orig, copy, bytes) :: !relocated
-        end)
-      si.C.Dev_input.ptr_args;
-    (args, !relocated)
+   the incoming operation's stack and redirect the arguments in [args];
+   returns the (orig, copy, bytes) relocations, latest first. *)
+let rec relocate_arguments t args relocated = function
+  | [] -> relocated
+  | (pa : C.Dev_input.ptr_arg) :: rest ->
+    let idx = pa.C.Dev_input.param_index in
+    if idx >= Array.length args then relocate_arguments t args relocated rest
+    else begin
+      let cpu = t.bus.M.Bus.cpu in
+      let orig = Int64.to_int args.(idx) in
+      let bytes = pa.C.Dev_input.buffer_bytes in
+      let copy = (cpu.M.Cpu.sp - bytes) land lnot 7 in
+      if copy < cpu.M.Cpu.stack_base then
+        abort t "stack exhausted during argument relocation";
+      copy_words t ~sram:false ~src:orig ~dst:copy bytes;
+      t.stats.Stats.relocated_bytes <- t.stats.Stats.relocated_bytes + bytes;
+      cpu.M.Cpu.sp <- copy;
+      args.(idx) <- Int64.of_int copy;
+      relocate_arguments t args ((orig, copy, bytes) :: relocated) rest
+    end
 
-let copy_back_relocated t frame =
-  List.iter
-    (fun (orig, copy, bytes) -> copy_words t ~src:copy ~dst:orig bytes)
-    frame.relocated
+let rec copy_back t = function
+  | [] -> ()
+  | (orig, copy, bytes) :: rest ->
+    copy_words t ~sram:false ~src:copy ~dst:orig bytes;
+    copy_back t rest
 
 (* --- protection installation --------------------------------------------- *)
 
-let install_mpu t (meta : C.Metadata.op_meta) ~srd =
-  M.Cpu.with_privilege t.bus.M.Bus.cpu (fun () ->
-      ignore
-        (Enforce.install (M.Bus.protection t.bus) ~image:t.image ~meta ~srd))
+(* Install operation [oi]'s plan under sub-region mask [srd]: restore the
+   register image of the pair's first install, or — the first time, or
+   when the bus now carries another kind of backend — install the plan
+   and capture its image. *)
+let install t oi ~srd =
+  let st = M.Bus.protection t.bus in
+  let k = (oi * 256) + srd in
+  match t.images.(k) with
+  | Some img when Enforce.restore st img -> ()
+  | Some _ | None ->
+    ignore (Enforce.install st ~image:t.image ~meta:t.metas.(oi) ~srd);
+    t.images.(k) <- Some (Enforce.capture st)
 
 (* --- switch protocol ----------------------------------------------------- *)
 
-let meta_exn t op_name =
-  match C.Image.meta_of t.image op_name with
-  | Some m -> m
-  | None -> invalid_arg ("Monitor: no metadata for operation " ^ op_name)
+let rec entry_index ops name i =
+  if i >= Array.length ops then -1
+  else if String.equal ops.(i).C.Operation.entry name then i
+  else entry_index ops name (i + 1)
+
+(* The context every thread starts in: the default operation. *)
+let default_frame t =
+  let dop = C.Image.default_op t.image in
+  let rec index i =
+    if i >= Array.length t.ops then
+      invalid_arg ("Monitor: unknown operation " ^ dop.C.Operation.name)
+    else if String.equal t.ops.(i).C.Operation.name dop.C.Operation.name then i
+    else index (i + 1)
+  in
+  let oi = index 0 in
+  { op = dop; oi; meta = t.metas.(oi); srd = 0;
+    saved_sp = t.image.C.Image.map.Opec_exec.Address_map.stack_top;
+    relocated = []; virt_next = 0 }
 
 let enter_operation t ~(entry : Func.t) ~(args : int64 array) =
-  let op =
-    match C.Image.op_of_entry t.image entry.Func.name with
-    | Some op -> op
-    | None -> invalid_arg ("Monitor: not an operation entry: " ^ entry.Func.name)
-  in
-  let meta = meta_exn t op.C.Operation.name in
+  let oi = entry_index t.ops entry.Func.name 0 in
+  if oi < 0 then
+    invalid_arg ("Monitor: not an operation entry: " ^ entry.Func.name);
+  let op = t.ops.(oi) and meta = t.metas.(oi) in
   let r = rec_create t in
   let src = current_op_name t in
   (* 1. sanitize, then write back the previous operation's shadows *)
   (match t.frames with
   | prev :: _ ->
     ph_begin t r Obs.Sink.Sanitize;
-    sanitize_all t prev.meta;
+    sanitize_all t prev.oi;
     ph_end t r;
     ph_begin t r Obs.Sink.Sync;
-    sync_out t prev.meta
+    sync_out t prev.oi
   | [] -> ph_begin t r Obs.Sink.Sync);
   (* 2. fill the new operation's shadows and fix pointers *)
-  sync_in t meta;
-  update_reloc_table t meta;
+  sync_in t ~from:(-1) oi;
+  update_reloc_table t oi;
   ph_end t r;
   (* 3. relocate stack arguments *)
   ph_begin t r Obs.Sink.Relocate;
   let cpu = t.bus.M.Bus.cpu in
   let saved_sp = cpu.M.Cpu.sp in
-  let args, relocated = relocate_arguments t meta args in
+  let args, relocated =
+    match meta.C.Metadata.stack_info with
+    | None -> (args, [])
+    | Some si ->
+      let args = Array.copy args in
+      (args, relocate_arguments t args [] si.C.Dev_input.ptr_args)
+  in
   ph_end t r;
   (* 4. disable the sub-regions of previous stack frames *)
   ph_begin t r Obs.Sink.Mpu_config;
   let srd = srd_for t cpu.M.Cpu.sp in
-  let frame = { op; meta; srd; saved_sp; relocated; virt_next = 0 } in
-  t.frames <- frame :: t.frames;
-  install_mpu t meta ~srd;
+  t.frames <- { op; oi; meta; srd; saved_sp; relocated; virt_next = 0 } :: t.frames;
+  install t oi ~srd;
   ph_end t r;
   t.stats.Stats.switches <- t.stats.Stats.switches + 1;
   emit_span t r Obs.Sink.Enter ~src ~dst:op.C.Operation.name;
@@ -584,14 +731,14 @@ let exit_operation t ~(entry : Func.t) =
        interpreter gives every activation a fresh register file, so no
        register value can survive an operation exit by construction.) *)
     ph_begin t r Obs.Sink.Sanitize;
-    sanitize_all t frame.meta;
+    sanitize_all t frame.oi;
     ph_end t r;
     ph_begin t r Obs.Sink.Sync;
-    sync_out t frame.meta;
+    sync_out t frame.oi;
     ph_end t r;
     (* 2. restore stack data and pointer arguments *)
     ph_begin t r Obs.Sink.Relocate;
-    copy_back_relocated t frame;
+    copy_back t frame.relocated;
     ph_end t r;
     t.frames <- rest;
     (* 3. refill the resumed operation's shadows and MPU: only writers
@@ -600,11 +747,11 @@ let exit_operation t ~(entry : Func.t) =
     (match rest with
     | prev :: _ ->
       ph_begin t r Obs.Sink.Sync;
-      sync_in ~via:(`Resume src) t prev.meta;
-      update_reloc_table t prev.meta;
+      sync_in t ~from:frame.oi prev.oi;
+      update_reloc_table t prev.oi;
       ph_end t r;
       ph_begin t r Obs.Sink.Mpu_config;
-      install_mpu t prev.meta ~srd:prev.srd;
+      install t prev.oi ~srd:prev.srd;
       ph_end t r
     | [] -> ());
     t.stats.Stats.switches <- t.stats.Stats.switches + 1;
@@ -615,12 +762,7 @@ let exit_operation t ~(entry : Func.t) =
 (* An inactive thread's operation-context stack. *)
 type thread_snapshot = frame list
 
-let initial_snapshot t =
-  let dop = C.Image.default_op t.image in
-  let meta = meta_exn t dop.C.Operation.name in
-  [ { op = dop; meta; srd = 0;
-      saved_sp = t.image.C.Image.map.Opec_exec.Address_map.stack_top;
-      relocated = []; virt_next = 0 } ]
+let initial_snapshot t = [ default_frame t ]
 
 (* The single-core context switch of Section 7: write back the previous
    thread's operation shadows, adopt the next thread's context, refill
@@ -631,10 +773,10 @@ let thread_switch t ~(next : thread_snapshot) : thread_snapshot =
   (match t.frames with
   | f :: _ ->
     ph_begin t r Obs.Sink.Sanitize;
-    sanitize_all t f.meta;
+    sanitize_all t f.oi;
     ph_end t r;
     ph_begin t r Obs.Sink.Sync;
-    sync_out t f.meta;
+    sync_out t f.oi;
     ph_end t r
   | [] -> ());
   let prev = t.frames in
@@ -642,11 +784,11 @@ let thread_switch t ~(next : thread_snapshot) : thread_snapshot =
   (match next with
   | f :: _ ->
     ph_begin t r Obs.Sink.Sync;
-    sync_in t f.meta;
-    update_reloc_table t f.meta;
+    sync_in t ~from:(-1) f.oi;
+    update_reloc_table t f.oi;
     ph_end t r;
     ph_begin t r Obs.Sink.Mpu_config;
-    install_mpu t f.meta ~srd:f.srd;
+    install t f.oi ~srd:f.srd;
     ph_end t r
   | [] -> ());
   t.stats.Stats.switches <- t.stats.Stats.switches + 1;
@@ -740,55 +882,72 @@ let handle_bus_fault t (desc : Opec_exec.Interp.access_desc)
 (* --- initialization (Section 5.1) ---------------------------------------- *)
 
 let init t =
-  let image = t.image in
   let r = rec_create t in
   ph_begin t r Obs.Sink.Sync;
   (* copy the initial value of every shared global into its shadows and
      localize pointer fields right away: the incremental sync-in may
      skip an operation's first fill (unchanged master), so the initial
-     shadow must already be what that fill would have produced *)
-  List.iter
-    (fun (op_name, (meta : C.Metadata.op_meta)) ->
-      List.iter
-        (fun (var, shadow) ->
-          if is_ro t ~op:op_name var then ()
-            (* dead shadow: the relocation entry targets the master *)
-          else begin
-          copy_words t ~src:(master_of t var) ~dst:shadow
-            (Hashtbl.find t.var_size var);
-          match Hashtbl.find_opt t.ptr_offsets var with
-          | None -> ()
-          | Some offsets ->
-            List.iter
-              (fun off ->
-                let v = priv_read t (shadow + off) 4 in
-                let v' = translate_pointer t ~op:op_name v in
-                if not (Int64.equal v v') then
-                  priv_write t (shadow + off) 4 v')
-              offsets
+     shadow must already be what that fill would have produced.  A
+     read-only mapping's shadow is dead: its relocation entry targets
+     the master. *)
+  Array.iteri
+    (fun oi plan ->
+      Array.iter
+        (fun sl ->
+          if not t.ro.((oi * t.nvars) + sl.sl_var) then begin
+            copy_words t ~sram:sl.sl_sram ~src:sl.sl_master ~dst:sl.sl_shadow
+              sl.sl_size;
+            fix_pointers t oi sl.sl_shadow sl.sl_ptrs
           end)
-        meta.C.Metadata.shadow_slots)
-    image.C.Image.metas;
+        plan)
+    t.all_plan;
   (* start in the default operation *)
-  let dop = C.Image.default_op image in
-  let meta = meta_exn t dop.C.Operation.name in
-  let frame =
-    { op = dop; meta; srd = 0;
-      saved_sp = image.C.Image.map.Opec_exec.Address_map.stack_top;
-      relocated = []; virt_next = 0 }
-  in
+  let frame = default_frame t in
   t.frames <- [ frame ];
-  sync_in t meta;
-  update_reloc_table t meta;
+  sync_in t ~from:(-1) frame.oi;
+  update_reloc_table t frame.oi;
   ph_end t r;
   ph_begin t r Obs.Sink.Mpu_config;
-  install_mpu t meta ~srd:0;
+  install t frame.oi ~srd:0;
   ph_end t r;
   (* drop privilege: the application code runs unprivileged *)
   M.Cpu.drop_privilege t.bus.M.Bus.cpu;
   (* one-time cost, recorded as its own kind so it never counts as a
      switch in the [Stats.switches] reconciliation *)
-  emit_span t r Obs.Sink.Init ~src:"" ~dst:dop.C.Operation.name
+  emit_span t r Obs.Sink.Init ~src:"" ~dst:frame.op.C.Operation.name
+
+(* --- the oracle of the compiled protocol --------------------------------- *)
+
+(* The live protection state must equal a fresh install of the active
+   operation's plan on a fresh backend of the same kind, and the
+   relocation table must hold the operation's targets.  Charges no
+   cycles. *)
+let verify t =
+  match t.frames with
+  | [] -> Error "no active operation"
+  | f :: _ ->
+    let name = f.op.C.Operation.name in
+    let live = M.Bus.protection t.bus in
+    let fresh = M.Backend.create (M.Backend.kind_of live) in
+    ignore (Enforce.install fresh ~image:t.image ~meta:f.meta ~srd:f.srd);
+    if fresh <> live then
+      Error
+        (Fmt.str
+           "%s (srd 0x%02X): installed protection differs from a fresh \
+            install:@ %a@ expected@ %a"
+           name f.srd M.Backend.pp live M.Backend.pp fresh)
+    else
+      let holds slot = M.Bus.read_raw t.bus slot 4 in
+      match
+        Array.find_opt
+          (fun (slot, target) -> not (Int64.equal (holds slot) target))
+          t.reloc_plan.(f.oi)
+      with
+      | None -> Ok ()
+      | Some (slot, target) ->
+        Error
+          (Fmt.str "%s: relocation slot 0x%08X holds 0x%08Lx, expected 0x%08Lx"
+             name slot (holds slot) target)
 
 (* --- the interpreter-facing handler -------------------------------------- *)
 

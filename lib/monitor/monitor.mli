@@ -57,6 +57,15 @@ val enter_operation :
 
 val exit_operation : t -> entry:Opec_ir.Func.t -> unit
 
+(** The oracle of the compiled switch protocol: [Ok ()] when the live
+    protection state equals a fresh install of the active operation's
+    plan (same sub-region mask) on a fresh backend of the same kind, and
+    the relocation table holds that operation's targets; otherwise the
+    first difference.  Charges no cycles.  Meaningful right after
+    {!init} or a switch, before fault-time virtualization rotates
+    protection. *)
+val verify : t -> (unit, string) result
+
 (** The interpreter-facing trap interface. *)
 val handler : t -> Opec_exec.Interp.handler
 

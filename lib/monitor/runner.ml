@@ -16,7 +16,7 @@ type protected_run = {
    interposes on the monitor's trap handler (instrumentation such as the
    attack-injection campaign). *)
 let prepare ?(devices = []) ?sync_whole_section ?full_sync ?wrap_handler
-    ?engine ?sink (image : C.Image.t) =
+    ?engine ?sink ?trace (image : C.Image.t) =
   let bus = M.Bus.create ~board:image.C.Image.board in
   (* the default machine carries an MPU; swap in the image's backend
      (the MPU path keeps the machine's own state, preserving the
@@ -35,18 +35,18 @@ let prepare ?(devices = []) ?sync_whole_section ?full_sync ?wrap_handler
     match wrap_handler with None -> handler | Some wrap -> wrap handler
   in
   let interp =
-    E.Interp.create ~handler ~entries:image.C.Image.entries ?engine ?sink ~bus
-      ~map:image.C.Image.map image.C.Image.program
+    E.Interp.create ~handler ~entries:image.C.Image.entries ?engine ?sink
+      ?trace ~bus ~map:image.C.Image.map image.C.Image.program
   in
   { interp; monitor; bus }
 
 (* Initialize the monitor (shadow fill, MPU arm, privilege drop) and run
    the program from main. *)
 let run_protected ?devices ?sync_whole_section ?full_sync ?wrap_handler
-    ?engine ?sink image =
+    ?engine ?sink ?trace image =
   let r =
     prepare ?devices ?sync_whole_section ?full_sync ?wrap_handler ?engine
-      ?sink image
+      ?sink ?trace image
   in
   let cpu = r.bus.M.Bus.cpu in
   cpu.M.Cpu.sp <- image.C.Image.map.E.Address_map.stack_top;
@@ -67,8 +67,8 @@ type baseline_run = {
    trigger points to [handler] (the campaign's injection wrapper around
    [E.Interp.abort_handler]); with neither, calls are plain and faults
    abort. *)
-let prepare_baseline ?(devices = []) ?(entries = []) ?handler ?engine ~board
-    (program : Opec_ir.Program.t) =
+let prepare_baseline ?(devices = []) ?(entries = []) ?handler ?engine ?trace
+    ~board (program : Opec_ir.Program.t) =
   let bus = M.Bus.create ~board in
   List.iter (M.Bus.attach bus) devices;
   M.Bus.attach bus (M.Core_periph.systick ~cycles:(fun () -> M.Cpu.cycles bus.M.Bus.cpu));
@@ -78,12 +78,14 @@ let prepare_baseline ?(devices = []) ?(entries = []) ?handler ?engine ~board
   E.Vanilla_layout.load_initial_values bus
     ~global_addr:layout.E.Vanilla_layout.map.E.Address_map.global_addr program;
   let interp =
-    E.Interp.create ?handler ~entries ?engine ~bus
+    E.Interp.create ?handler ~entries ?engine ?trace ~bus
       ~map:layout.E.Vanilla_layout.map program
   in
   { b_interp = interp; b_bus = bus; b_layout = layout }
 
-let run_baseline ?devices ?entries ?handler ?engine ~board program =
-  let r = prepare_baseline ?devices ?entries ?handler ?engine ~board program in
+let run_baseline ?devices ?entries ?handler ?engine ?trace ~board program =
+  let r =
+    prepare_baseline ?devices ?entries ?handler ?engine ?trace ~board program
+  in
   E.Interp.run r.b_interp;
   r

@@ -1,5 +1,7 @@
 (** Convenience driver: assemble a machine, load an image (or a vanilla
-    baseline), wire the monitor into the interpreter, and run. *)
+    baseline), wire the monitor into the interpreter, and run.  [trace]
+    records the interpreter's function-level trace
+    ({!Opec_exec.Interp.trace}); it is off by default. *)
 
 module M = Opec_machine
 module C = Opec_core
@@ -24,6 +26,7 @@ val prepare :
   ?wrap_handler:(E.Interp.handler -> E.Interp.handler) ->
   ?engine:E.Interp.engine ->
   ?sink:Opec_obs.Sink.t ->
+  ?trace:bool ->
   C.Image.t ->
   protected_run
 
@@ -37,6 +40,7 @@ val run_protected :
   ?wrap_handler:(E.Interp.handler -> E.Interp.handler) ->
   ?engine:E.Interp.engine ->
   ?sink:Opec_obs.Sink.t ->
+  ?trace:bool ->
   C.Image.t ->
   protected_run
 
@@ -55,6 +59,7 @@ val prepare_baseline :
   ?entries:string list ->
   ?handler:E.Interp.handler ->
   ?engine:E.Interp.engine ->
+  ?trace:bool ->
   board:M.Memmap.board ->
   Opec_ir.Program.t ->
   baseline_run
@@ -64,6 +69,7 @@ val run_baseline :
   ?entries:string list ->
   ?handler:E.Interp.handler ->
   ?engine:E.Interp.engine ->
+  ?trace:bool ->
   board:M.Memmap.board ->
   Opec_ir.Program.t ->
   baseline_run

@@ -329,11 +329,9 @@ let run_baseline_with c ~entries ?(traced = true) ~mem stage =
       world.Apps.App.prepare ();
       let r =
         Mon.Runner.prepare_baseline ~devices:world.Apps.App.devices ~entries
-          ~engine:(Atomic.get engine) ~board:app.Apps.App.board
+          ~engine:(Atomic.get engine) ~trace:traced ~board:app.Apps.App.board
           app.Apps.App.program
       in
-      if not traced then
-        (E.Interp.trace r.Mon.Runner.b_interp).E.Trace.enabled <- false;
       if mem then (E.Interp.trace r.Mon.Runner.b_interp).E.Trace.mem <- true;
       let err = run_to_end (fun () -> E.Interp.run r.Mon.Runner.b_interp) in
       let tr = E.Interp.trace r.Mon.Runner.b_interp in
@@ -387,10 +385,8 @@ let run_protected_with c ~traced stage =
         world.Apps.App.prepare ();
         let r =
           Mon.Runner.prepare ~devices:world.Apps.App.devices
-            ~engine:(Atomic.get engine) image
+            ~engine:(Atomic.get engine) ~trace:traced image
         in
-        if not traced then
-          (E.Interp.trace r.Mon.Runner.interp).E.Trace.enabled <- false;
         let cpu = r.Mon.Runner.bus.M.Bus.cpu in
         cpu.M.Cpu.sp <- image.C.Image.map.E.Address_map.stack_top;
         cpu.M.Cpu.stack_base <- image.C.Image.map.E.Address_map.stack_base;
@@ -442,7 +438,6 @@ let protected_obs c =
             ~engine:(Atomic.get engine)
             ~sink:(Obs.Sink.Memory.sink buf) image
         in
-        (E.Interp.trace r.Mon.Runner.interp).E.Trace.enabled <- false;
         let cpu = r.Mon.Runner.bus.M.Bus.cpu in
         cpu.M.Cpu.sp <- image.C.Image.map.E.Address_map.stack_top;
         cpu.M.Cpu.stack_base <- image.C.Image.map.E.Address_map.stack_base;

@@ -174,7 +174,7 @@ let baseline_observation (app : Apps.App.t) engine =
   world.Apps.App.prepare ();
   let r =
     Mon.Runner.run_baseline ~devices:world.Apps.App.devices ~engine
-      ~board:app.Apps.App.board app.Apps.App.program
+      ~trace:true ~board:app.Apps.App.board app.Apps.App.program
   in
   let mem =
     Atk.Snapshot.baseline r.Mon.Runner.b_bus
@@ -189,7 +189,8 @@ let protected_observation (app : Apps.App.t) image engine =
   let world = app.Apps.App.make_world () in
   world.Apps.App.prepare ();
   let r =
-    Mon.Runner.run_protected ~devices:world.Apps.App.devices ~engine image
+    Mon.Runner.run_protected ~devices:world.Apps.App.devices ~engine
+      ~trace:true image
   in
   ( Ex.Interp.cycles r.Mon.Runner.interp,
     Ex.Trace.events (Ex.Interp.trace r.Mon.Runner.interp),

@@ -41,7 +41,7 @@ let test_sd_card_absent () =
   let sd_dev, sd = M.Sd_card.create "SDIO" ~base:Apps.Soc.sdio.Peripheral.base in
   M.Sd_card.set_present sd false;
   let r =
-    Mon.Runner.run_baseline
+    Mon.Runner.run_baseline ~trace:true
       ~devices:(Apps.Soc.config_devices () @ [ sd_dev ])
       ~board:M.Memmap.stm32479i_eval p
   in

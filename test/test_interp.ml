@@ -217,7 +217,9 @@ let test_trace_records_calls () =
   in
   let bus = M.Bus.create ~board in
   let layout = Ex.Vanilla_layout.make ~board p in
-  let interp = Ex.Interp.create ~bus ~map:layout.Ex.Vanilla_layout.map p in
+  let interp =
+    Ex.Interp.create ~trace:true ~bus ~map:layout.Ex.Vanilla_layout.map p
+  in
   Ex.Interp.run interp;
   let events = Ex.Trace.events (Ex.Interp.trace interp) in
   Alcotest.(check bool) "call order" true

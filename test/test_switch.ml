@@ -1,0 +1,137 @@
+(* The compiled operation-switch protocol against its references.
+
+   - After init and after every operation enter and exit,
+     [Monitor.verify] compares the protection state restored from the
+     monitor's cached register image with a fresh [Enforce.install] of
+     the same (operation, sub-region mask), and the relocation table
+     with the operation's targets: every registry workload, every
+     enforcement backend, and both sync ablations.
+   - The switch-heavy load scenarios are pinned bit for bit: model
+     cycles and every [Stats] counter (synced bytes included) of the
+     request-storm and sensor-burst scenarios on all four backends must
+     equal [data/switch_pin.json], recorded from the monitor that looked
+     its tables up by name on every switch. *)
+
+module M = Opec_machine
+module C = Opec_core
+module Mon = Opec_monitor
+module Ex = Opec_exec
+module Apps = Opec_apps
+module P = Opec_pipeline.Pipeline
+module L = Opec_load
+
+(* --- cached protection images vs a fresh derivation ---------------------- *)
+
+(* Run [app] protected on [backend], verifying the monitor after init and
+   after every enter and exit.  Returns the number of checks made and
+   the failures. *)
+let verified_run ?sync_whole_section ?full_sync ~backend (app : Apps.App.t) =
+  let image = P.image (P.ctx ~backend app) in
+  let world = app.Apps.App.make_world () in
+  world.Apps.App.prepare ();
+  let monitor = ref None and checks = ref 0 and failures = ref [] in
+  let verify what =
+    Option.iter
+      (fun m ->
+        incr checks;
+        match Mon.Monitor.verify m with
+        | Ok () -> ()
+        | Error e -> failures := (what ^ ": " ^ e) :: !failures)
+      !monitor
+  in
+  let wrap (h : Ex.Interp.handler) =
+    { h with
+      Ex.Interp.on_operation_enter =
+        (fun ~entry ~args ->
+          let args = h.Ex.Interp.on_operation_enter ~entry ~args in
+          verify ("enter " ^ entry.Opec_ir.Func.name);
+          args);
+      on_operation_exit =
+        (fun ~entry ->
+          h.Ex.Interp.on_operation_exit ~entry;
+          verify ("exit " ^ entry.Opec_ir.Func.name)) }
+  in
+  let r =
+    Mon.Runner.prepare ~devices:world.Apps.App.devices ?sync_whole_section
+      ?full_sync ~wrap_handler:wrap image
+  in
+  monitor := Some r.Mon.Runner.monitor;
+  let cpu = r.Mon.Runner.bus.M.Bus.cpu in
+  cpu.M.Cpu.sp <- image.C.Image.map.Ex.Address_map.stack_top;
+  cpu.M.Cpu.stack_base <- image.C.Image.map.Ex.Address_map.stack_base;
+  cpu.M.Cpu.stack_limit <- image.C.Image.map.Ex.Address_map.stack_top;
+  Mon.Monitor.init r.Mon.Runner.monitor;
+  verify "init";
+  Ex.Interp.run ~reset_stack:false r.Mon.Runner.interp;
+  (!checks, List.rev !failures)
+
+let check_verified ?sync_whole_section ?full_sync what backends =
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun (app : Apps.App.t) ->
+          let label =
+            Printf.sprintf "%s: %s on %s" what app.Apps.App.app_name
+              (M.Backend.kind_name backend)
+          in
+          let checks, failures =
+            verified_run ?sync_whole_section ?full_sync ~backend app
+          in
+          Alcotest.(check (list string)) (label ^ " verified") [] failures;
+          Alcotest.(check bool) (label ^ " switched") true (checks > 1))
+        (Apps.Registry.all_small ()))
+    backends
+
+let test_verify_backends () = check_verified "schedule" M.Backend.all_kinds
+
+let test_verify_ablations () =
+  check_verified ~full_sync:true "full-sync" [ M.Backend.Mpu ];
+  check_verified ~sync_whole_section:true "whole-section" [ M.Backend.Mpu ]
+
+(* --- the switch-heavy scenarios, bit for bit ----------------------------- *)
+
+let pin_file = "data/switch_pin.json"
+
+let pinned_line (r : L.Scenario.result) =
+  let s = r.L.Scenario.r_stats in
+  Printf.sprintf
+    {|{"scenario": "%s", "backend": "%s", "cycles": %Ld, "switches": %d, "synced_bytes": %d, "relocated_bytes": %d, "virt_swaps": %d, "emulations": %d, "pointer_fixups": %d, "denied": %d}|}
+    r.L.Scenario.r_scenario r.L.Scenario.r_backend r.L.Scenario.r_cycles
+    s.Mon.Stats.switches s.Mon.Stats.synced_bytes s.Mon.Stats.relocated_bytes
+    s.Mon.Stats.virt_swaps s.Mon.Stats.emulations s.Mon.Stats.pointer_fixups
+    s.Mon.Stats.denied
+
+(* The file is a JSON array holding one object per line. *)
+let read_pins path =
+  let ic = open_in path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  String.split_on_char '\n' s
+  |> List.map String.trim
+  |> List.filter (fun l -> String.length l > 0 && l.[0] = '{')
+  |> List.map (fun l ->
+         if l.[String.length l - 1] = ',' then
+           String.sub l 0 (String.length l - 1)
+         else l)
+
+let test_pinned_scenarios () =
+  let actual =
+    List.concat_map
+      (fun kind ->
+        List.map
+          (fun backend ->
+            pinned_line (L.Scenario.run ~backend ~target_events:10_000 kind))
+          M.Backend.all_kinds)
+      [ L.Scenario.Request_storm; L.Scenario.Sensor_burst ]
+  in
+  Alcotest.(check (list string))
+    "cycles and Stats equal the recorded values" (read_pins pin_file) actual
+
+let suite () =
+  [ ( "switch",
+      [ Alcotest.test_case "cached images match a fresh install" `Slow
+          test_verify_backends;
+        Alcotest.test_case "cached images match under the ablations" `Slow
+          test_verify_ablations;
+        Alcotest.test_case "switch-heavy scenarios pinned" `Quick
+          test_pinned_scenarios ] ) ]
