@@ -395,8 +395,8 @@ let micro () =
 
 (* Benchmark of the pipeline itself: per-target wall clock on a cold
    (empty) vs warm (fully cached) store, the shared-store sweep against
-   the compile-per-target sum it replaces, and the decode-once
-   interpreter's throughput on CoreMark.  Results also land in
+   the compile-per-target sum it replaces, and the default interpreter
+   engine's throughput on CoreMark.  Results also land in
    BENCH_pipeline.json for CI. *)
 
 let perf_targets =
@@ -424,7 +424,6 @@ let quietly f =
 
 let engine_name = function
   | Opec_exec.Interp.Tree -> "tree"
-  | Opec_exec.Interp.Decoded -> "decoded"
   | Opec_exec.Interp.Compiled -> "compiled"
 
 (* CoreMark baseline throughput under every interpreter engine — the
@@ -437,12 +436,10 @@ let engine_rows () =
   (* an interpreter run is allocation-rate-bound (trace events, boxed
      Int64 values); a larger minor heap keeps the comparison about the
      engines rather than about minor-GC frequency, and applies equally
-     to all three *)
+     to both *)
   let saved_gc = Gc.get () in
   Gc.set { saved_gc with Gc.minor_heap_size = 8 * 1024 * 1024 };
-  let engines =
-    [ Opec_exec.Interp.Tree; Opec_exec.Interp.Decoded; Opec_exec.Interp.Compiled ]
-  in
+  let engines = [ Opec_exec.Interp.Tree; Opec_exec.Interp.Compiled ] in
   let best = Array.make (List.length engines) infinity in
   let cycles = Array.make (List.length engines) 0L in
   (* best of five runs, with the engines interleaved inside each rep:
@@ -524,7 +521,7 @@ let pipeline_bench () =
   say "  isolated cold targets sum: %.3f s" cold_sum;
   say "  pre-pipeline emulation (no store, tree interpreter): %.3f s" legacy;
   say "  end-to-end speedup: %.2fx" speedup;
-  (* decode-once interpreter throughput: a fresh CoreMark baseline *)
+  (* default-engine interpreter throughput: a fresh CoreMark baseline *)
   let cm = Apps.Registry.coremark () in
   let cm_cycles = ref 0L in
   let cm_wall =
@@ -584,9 +581,18 @@ let pipeline_bench () =
   say "  wrote BENCH_pipeline.json"
 
 (* The standalone engine comparison (the CI perf smoke): CoreMark under
-   every engine, gated on the compiled engine clearing 2x the decoded
-   one.  Writes an engines-only BENCH_pipeline.json — [bench pipeline]
-   writes the full file, engine rows included. *)
+   both engines, gated on the compiled engine clearing [engine_gate]
+   times the tree walker's throughput.  Writes an engines-only
+   BENCH_pipeline.json — [bench pipeline] writes the full file, engine
+   rows included. *)
+
+(* The bound keeps the strength of the earlier "compiled >= 2x the
+   decode-once engine" rule, which this gate enforced until that engine
+   was removed: twice the decode-once engine's median throughput over
+   the tree walker (3.63x, over 28 CoreMark sweeps on a 2-core x86-64
+   host). *)
+let engine_gate = 7.27
+
 let coremark_engines_bench () =
   say "%s" (R.heading "CoreMark interpreter-engine comparison");
   let measure () =
@@ -596,22 +602,22 @@ let coremark_engines_bench () =
       | Some (_, _, _, cps) -> cps
       | None -> 0.0
     in
-    (rows, cps_of "compiled" /. Float.max 1e-9 (cps_of "decoded"))
+    (rows, cps_of "compiled" /. Float.max 1e-9 (cps_of "tree"))
   in
-  (* the gate asks "can the compiled engine demonstrate >= 2x?", so a
-     sweep that lands short retries (twice) rather than letting one bad
-     host window fail CI; the best sweep is the one recorded *)
+  (* the gate asks "can the compiled engine demonstrate the bound?", so
+     a sweep that lands short retries (twice) rather than letting one
+     bad host window fail CI; the best sweep is the one recorded *)
   let rec attempt n (brows, bratio) =
     let rows, ratio = measure () in
     let best = if ratio > bratio then (rows, ratio) else (brows, bratio) in
-    if ratio >= 2.0 || n <= 1 then best else attempt (n - 1) best
+    if ratio >= engine_gate || n <= 1 then best else attempt (n - 1) best
   in
   let rows, ratio = attempt 3 ([], 0.0) in
   List.iter
     (fun (name, cy, wall, cps) ->
       say "  %-8s %12Ld cycles  %7.3f s  %12.0f cycles/s" name cy wall cps)
     rows;
-  say "  compiled vs decoded: %.2fx" ratio;
+  say "  compiled vs tree: %.2fx" ratio;
   let oc = open_out "BENCH_pipeline.json" in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -619,8 +625,9 @@ let coremark_engines_bench () =
   out "  \"domains\": %d\n}\n" (Opec_pipeline.Pool.max_used ());
   close_out oc;
   say "  wrote BENCH_pipeline.json";
-  if ratio < 2.0 then begin
-    say "  ENGINE PERF REGRESSION: compiled is %.2fx decoded (< 2.0x)" ratio;
+  if ratio < engine_gate then begin
+    say "  ENGINE PERF REGRESSION: compiled is %.2fx tree (< %.2fx)" ratio
+      engine_gate;
     exit 1
   end
 

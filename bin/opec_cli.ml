@@ -68,7 +68,7 @@ let seed_range_conv =
   let print f (lo, hi) = Format.fprintf f "%d..%d" lo hi in
   Arg.conv (parse, print)
 
-(* Interpreter-engine selection, shared by run and compare: all three
+(* Interpreter-engine selection, shared by run and compare: the two
    engines are observationally identical (the engine-differential
    oracle holds them to it), so this only trades translation time
    against run throughput. *)
@@ -76,18 +76,13 @@ let engine_conv =
   let parse s =
     match String.lowercase_ascii (String.trim s) with
     | "tree" -> Ok Opec_exec.Interp.Tree
-    | "decoded" -> Ok Opec_exec.Interp.Decoded
     | "compiled" -> Ok Opec_exec.Interp.Compiled
-    | _ ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown engine %S (tree, decoded, compiled)" s))
+    | _ -> Error (`Msg (Printf.sprintf "unknown engine %S (tree, compiled)" s))
   in
   let print f e =
     Format.pp_print_string f
       (match e with
       | Opec_exec.Interp.Tree -> "tree"
-      | Opec_exec.Interp.Decoded -> "decoded"
       | Opec_exec.Interp.Compiled -> "compiled")
   in
   Arg.conv (parse, print)
@@ -99,9 +94,8 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Interpreter engine: $(b,compiled) (closure-compiled, the \
-           default), $(b,decoded) (decode-once), or $(b,tree) (the \
-           reference tree walker).  All three are bit-identical in \
-           every observable; they differ only in speed.")
+           default) or $(b,tree) (the reference tree walker).  Both are \
+           bit-identical in every observable; they differ only in speed.")
 
 (* Enforcement-backend selection, shared by run/trace/attack and the
    cross-backend study. *)
@@ -421,7 +415,7 @@ let syncsets_cmd =
         (Ss.ops ss)
     in
     if json then begin
-      let quote s = Printf.sprintf "%S" s in
+      let quote = Opec_obs.Json.quote in
       let ops_json =
         List.map
           (fun (opn, slots, out, enter, relevant, ro, dead, bytes) ->
@@ -970,7 +964,8 @@ let fleet_cmd =
       match Fl.Fleet.run ?domains ~progress spec with
       | Error e -> exits_with_error e
       | Ok o ->
-        print_string (Fl.Fleet.report_text o);
+        (* with the JSON report on stdout, stdout carries nothing else *)
+        if json_out <> Some "-" then print_string (Fl.Fleet.report_text o);
         Format.eprintf "fleet: %d units on %d domains in %.2fs@."
           (List.length o.Fl.Fleet.o_units) o.Fl.Fleet.o_domains
           o.Fl.Fleet.o_wall_s;

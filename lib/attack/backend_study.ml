@@ -189,7 +189,7 @@ let to_json t =
     List.map
       (fun app ->
         Printf.sprintf {|{"app":"%s","results":[%s]}|}
-          (Report.json_escape app)
+          (Opec_obs.Json.escape app)
           (String.concat "," (List.map row_json (rows_of t ~app))))
       (apps_of t)
   in

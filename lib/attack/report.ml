@@ -102,34 +102,22 @@ let summary (ms : Campaign.matrix list) =
 
 (* --- JSON ----------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Opec_obs.Json
 
 let cell_json (c : Campaign.cell) =
   Printf.sprintf
     {|{"primitive":"%s","operation":"%s","injection":"%s","rationale":"%s","defense":"%s","outcome":"%s","detail":"%s"}|}
-    (json_escape (Primitive.name c.Campaign.injection.Planner.primitive))
-    (json_escape c.Campaign.injection.Planner.op.C.Operation.name)
-    (json_escape (Primitive.describe c.Campaign.injection.Planner.primitive))
-    (json_escape c.Campaign.injection.Planner.rationale)
-    (json_escape (Campaign.defense_name c.Campaign.defense))
-    (json_escape (Campaign.outcome_name c.Campaign.outcome))
-    (json_escape c.Campaign.detail)
+    (Json.escape (Primitive.name c.Campaign.injection.Planner.primitive))
+    (Json.escape c.Campaign.injection.Planner.op.C.Operation.name)
+    (Json.escape (Primitive.describe c.Campaign.injection.Planner.primitive))
+    (Json.escape c.Campaign.injection.Planner.rationale)
+    (Json.escape (Campaign.defense_name c.Campaign.defense))
+    (Json.escape (Campaign.outcome_name c.Campaign.outcome))
+    (Json.escape c.Campaign.detail)
 
 let matrix_json (m : Campaign.matrix) =
   Printf.sprintf {|{"app":"%s","cells":[%s]}|}
-    (json_escape m.Campaign.app)
+    (Json.escape m.Campaign.app)
     (String.concat "," (List.map cell_json m.Campaign.cells))
 
 let to_json (ms : Campaign.matrix list) =

@@ -12,8 +12,5 @@ val summary : Campaign.matrix list -> string
 (** The whole campaign as one JSON document (stable field order). *)
 val to_json : Campaign.matrix list -> string
 
-(** JSON string escaping / one cell object — shared with the
-    cross-backend study's exporter. *)
-val json_escape : string -> string
-
+(** One cell object — shared with the cross-backend study's exporter. *)
 val cell_json : Campaign.cell -> string

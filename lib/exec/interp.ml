@@ -15,33 +15,29 @@
    the entry with the arguments the handler returned; a second trap fires
    when the entry returns.
 
-   Three execution engines share the machine-facing plumbing:
+   Two execution engines share the machine-facing plumbing:
 
    - [Tree] walks the IR directly: a string-keyed hashtable environment
      per activation and a recursive [eval] dispatch per expression node.
      It is the reference semantics.
-   - [Decoded] decodes each function once at image-load time: locals
-     are resolved to integer slots in a flat frame array and every
-     instruction and expression is compiled to a closure, so the hot
-     path performs no string hashing and no per-node match dispatch.
-   - [Compiled] (the default) goes one rung further: each function body
-     is translated once into a tree of OCaml closures with no opcode
-     dispatch at all — constants folded and local slots bound into the
-     closures themselves, runs of pure instructions fused into
-     superblocks with one fuel/cycle charge per block, direct-call
-     targets bound to the callee's compiled code at translation time,
-     and load/store fast paths that skip the bus's address decode when
-     the target region is statically known.  See the compiled-engine
-     section below for the design.
+   - [Compiled] (the default) translates each function body once, at
+     image-load time, into a tree of OCaml closures with no opcode
+     dispatch: constants folded and local slots bound into the closures
+     themselves, runs of pure instructions fused into superblocks with
+     one fuel/cycle charge per block, direct-call targets bound to the
+     callee's compiled code at translation time, and load/store fast
+     paths that skip the bus's address decode when the target region is
+     statically known.  See the compiled-engine section below for the
+     design and for the cycle-accounting argument.
 
    Cycle accounting is identical bit-for-bit between the engines at
    every observable point — bus accesses, operation switches, SVCs, and
    run completion — so every overhead ratio the evaluation reports is
-   unchanged by the engine choice.  (The decoded and compiled engines
-   batch expression-node cycles up front; see [decode] for the argument
-   and for the one divergence window, aborts inside an expression.)
-   The differential tests replay whole workloads under all engines and
-   assert equal traces, cycles, and memory. *)
+   unchanged by the engine choice.  (The compiled engine batches
+   expression-node cycles up front; the one divergence window is an
+   abort inside an expression.)  The differential tests replay whole
+   workloads under both engines and assert equal traces, cycles, and
+   memory. *)
 
 open Opec_ir
 module M = Opec_machine
@@ -76,28 +72,21 @@ let abort_handler =
       (fun _ info -> Bus_abort (Fmt.str "BusFault: %a" M.Fault.pp_info info));
     on_svc = (fun _ -> ()) }
 
-type engine = Tree | Decoded | Compiled
+type engine = Tree | Compiled
 
-(* A decoded activation record: locals live in [regs] at slots assigned
-   at decode time; [def] tracks which slots have been written, so a read
-   of a never-assigned local raises the same usage fault the tree
-   engine's hashtable miss does.  The compiled engine reuses the record;
-   functions whose locals are all definitely assigned skip the [def]
-   bookkeeping and share one empty byte string. *)
+(* A compiled activation record: locals live in [regs] at slots
+   assigned at translation time; [def] tracks which slots have been
+   written, so a read of a never-assigned local raises the same usage
+   fault the tree engine's hashtable miss does.  Functions whose locals
+   are all definitely assigned skip the [def] bookkeeping and share one
+   empty byte string. *)
 type frame = { regs : int64 array; def : Bytes.t }
-
-type dfunc = {
-  df_func : Func.t;
-  df_nslots : int;
-  df_nparams : int;
-  df_body : (frame -> unit) array;
-}
 
 (* A closure-compiled function.  [cf_entry] runs a fresh activation to
    completion and produces the return value (functions whose only
    [Return] is in tail position return it directly, with no exception);
-   [cf_checked] keeps the decoded engine's def-tracked frames for the
-   rare function where some local read is not definitely assigned.
+   [cf_checked] keeps def-tracked frames for the rare function where
+   some local read is not definitely assigned.
    Fields are mutable because translation is two-phase: records for
    every function exist before bodies compile, so direct call sites
    bind their callee's record — not a name — into the call closure. *)
@@ -121,7 +110,6 @@ type t = {
   mutable depth : int;
   max_depth : int;
   engine : engine;
-  dfuncs : (string, dfunc) Hashtbl.t;  (** decoded code, [Decoded] only *)
   cfuncs : (string, cfunc) Hashtbl.t;  (** compiled code, [Compiled] only *)
   (* switch bookkeeping for metrics: counts completed SVC transitions,
      both traps — one on entry, one on exit — matching the monitor's
@@ -234,42 +222,39 @@ let rec eval t env (e : Expr.t) =
 
 (* --- MPU-checked access with fault delivery --------------------------- *)
 
+(* Deliver a faulting access to the handler, recording it for
+   post-mortem classification.  [None] asks the caller to retry the
+   access (the handler fixed the protection state); [Some v] is the
+   value an emulated bus access produced (stores ignore it). *)
+let deliver_fault t desc = function
+  | M.Fault.Mem_manage info -> (
+    t.last_fault <- Some (desc, info);
+    match t.handler.on_mem_fault desc info with
+    | Retry -> None
+    | Abort msg -> raise (Aborted msg))
+  | M.Fault.Bus info -> (
+    t.last_fault <- Some (desc, info);
+    match t.handler.on_bus_fault desc info with
+    | Emulated v -> Some v
+    | Bus_abort msg -> raise (Aborted msg))
+  | e -> raise e
+
 let rec checked_load t addr width =
-  try
-    let v = M.Bus.read t.bus addr width in
+  match M.Bus.read t.bus addr width with
+  | v ->
     Trace.record_access t.trace ~addr ~write:false;
     v
-  with
-  | M.Fault.Mem_manage info -> (
-    let desc = Access_load { addr; width } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_mem_fault desc info with
-    | Retry -> checked_load t addr width
-    | Abort msg -> raise (Aborted msg))
-  | M.Fault.Bus info -> (
-    let desc = Access_load { addr; width } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_bus_fault desc info with
-    | Emulated v -> v
-    | Bus_abort msg -> raise (Aborted msg))
+  | exception ((M.Fault.Mem_manage _ | M.Fault.Bus _) as e) -> (
+    match deliver_fault t (Access_load { addr; width }) e with
+    | Some v -> v
+    | None -> checked_load t addr width)
 
 let rec checked_store t addr width v =
-  try
-    M.Bus.write t.bus addr width v;
-    Trace.record_access t.trace ~addr ~write:true
-  with
-  | M.Fault.Mem_manage info -> (
+  match M.Bus.write t.bus addr width v with
+  | () -> Trace.record_access t.trace ~addr ~write:true
+  | exception ((M.Fault.Mem_manage _ | M.Fault.Bus _) as e) ->
     let desc = Access_store { addr; width; value = v } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_mem_fault desc info with
-    | Retry -> checked_store t addr width v
-    | Abort msg -> raise (Aborted msg))
-  | M.Fault.Bus info -> (
-    let desc = Access_store { addr; width; value = v } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_bus_fault desc info with
-    | Emulated _ -> ()
-    | Bus_abort msg -> raise (Aborted msg))
+    if Option.is_none (deliver_fault t desc e) then checked_store t addr width v
 
 (* Region-routed variants for the compiled engine: [raw] is one of the
    bus fast paths ([Bus.read_sram], [Bus.read_device], ...) whose
@@ -278,82 +263,43 @@ let rec checked_store t addr width v =
    the same fast path (the monitor fixed the MPU, the routing still
    holds). *)
 let rec routed_load t raw addr width =
-  try
-    let v = raw t.bus addr width in
+  match raw t.bus addr width with
+  | v ->
     Trace.record_access t.trace ~addr ~write:false;
     v
-  with
-  | M.Fault.Mem_manage info -> (
-    let desc = Access_load { addr; width } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_mem_fault desc info with
-    | Retry -> routed_load t raw addr width
-    | Abort msg -> raise (Aborted msg))
-  | M.Fault.Bus info -> (
-    let desc = Access_load { addr; width } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_bus_fault desc info with
-    | Emulated v -> v
-    | Bus_abort msg -> raise (Aborted msg))
+  | exception ((M.Fault.Mem_manage _ | M.Fault.Bus _) as e) -> (
+    match deliver_fault t (Access_load { addr; width }) e with
+    | Some v -> v
+    | None -> routed_load t raw addr width)
 
 let rec routed_store t raw addr width v =
-  try
-    raw t.bus addr width v;
-    Trace.record_access t.trace ~addr ~write:true
-  with
-  | M.Fault.Mem_manage info -> (
+  match raw t.bus addr width v with
+  | () -> Trace.record_access t.trace ~addr ~write:true
+  | exception ((M.Fault.Mem_manage _ | M.Fault.Bus _) as e) ->
     let desc = Access_store { addr; width; value = v } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_mem_fault desc info with
-    | Retry -> routed_store t raw addr width v
-    | Abort msg -> raise (Aborted msg))
-  | M.Fault.Bus info -> (
-    let desc = Access_store { addr; width; value = v } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_bus_fault desc info with
-    | Emulated _ -> ()
-    | Bus_abort msg -> raise (Aborted msg))
+    if Option.is_none (deliver_fault t desc e) then
+      routed_store t raw addr width v
 
 (* SRAM-routed accesses, monomorphized: [routed_load t M.Bus.read_sram]
    would push [read_sram] through a generic three-argument apply on
    every access, so the SRAM case — the hottest by far — gets its own
    copies with direct calls. *)
 let rec sram_load t addr width =
-  try
-    let v = M.Bus.read_sram t.bus addr width in
+  match M.Bus.read_sram t.bus addr width with
+  | v ->
     Trace.record_access t.trace ~addr ~write:false;
     v
-  with
-  | M.Fault.Mem_manage info -> (
-    let desc = Access_load { addr; width } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_mem_fault desc info with
-    | Retry -> sram_load t addr width
-    | Abort msg -> raise (Aborted msg))
-  | M.Fault.Bus info -> (
-    let desc = Access_load { addr; width } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_bus_fault desc info with
-    | Emulated v -> v
-    | Bus_abort msg -> raise (Aborted msg))
+  | exception ((M.Fault.Mem_manage _ | M.Fault.Bus _) as e) -> (
+    match deliver_fault t (Access_load { addr; width }) e with
+    | Some v -> v
+    | None -> sram_load t addr width)
 
 let rec sram_store t addr width v =
-  try
-    M.Bus.write_sram t.bus addr width v;
-    Trace.record_access t.trace ~addr ~write:true
-  with
-  | M.Fault.Mem_manage info -> (
+  match M.Bus.write_sram t.bus addr width v with
+  | () -> Trace.record_access t.trace ~addr ~write:true
+  | exception ((M.Fault.Mem_manage _ | M.Fault.Bus _) as e) ->
     let desc = Access_store { addr; width; value = v } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_mem_fault desc info with
-    | Retry -> sram_store t addr width v
-    | Abort msg -> raise (Aborted msg))
-  | M.Fault.Bus info -> (
-    let desc = Access_store { addr; width; value = v } in
-    t.last_fault <- Some (desc, info);
-    match t.handler.on_bus_fault desc info with
-    | Emulated _ -> ()
-    | Bus_abort msg -> raise (Aborted msg))
+    if Option.is_none (deliver_fault t desc e) then sram_store t addr width v
 
 (* --- instruction execution (tree engine) ------------------------------- *)
 
@@ -518,402 +464,21 @@ and spill t (argv : int64 array) =
     done
   end
 
-(* --- decoded engine ----------------------------------------------------- *)
-
-(* A call target resolved once: the decoded code, the code address for
-   the execute check, and whether the callee is an operation entry.
-   Direct calls cache this in the call site's closure after the first
-   call, so the hot path performs no string hashing at all. *)
-type dtarget = {
-  dt_func : dfunc;
-  dt_addr : int;
-  dt_entry : bool;
-}
-
-(* Calls between decoded functions: same protocol as the tree engine but
-   over decoded activation frames; argument vectors are already arrays. *)
-let rec dresolve t fname =
-  match Hashtbl.find_opt t.dfuncs fname with
-  | None -> raise (Aborted ("call to undefined function " ^ fname))
-  | Some df ->
-    { dt_func = df;
-      dt_addr = t.map.Address_map.func_addr fname;
-      dt_entry = Hashtbl.mem t.entries fname }
-
-and dcall_target t dt (argv : int64 array) =
-  (try M.Bus.check_execute t.bus dt.dt_addr
-   with
-  | M.Fault.Mem_manage info | M.Fault.Bus info ->
-    raise
-      (Aborted
-         (Fmt.str "execute fault entering %s: %a" dt.dt_func.df_func.Func.name
-            M.Fault.pp_info info)));
-  if t.depth >= t.max_depth then raise (Aborted "call depth exceeded");
-  if dt.dt_entry then dcall_operation t dt.dt_func argv
-  else dcall_plain t dt.dt_func argv
-
-and dcall t fname (argv : int64 array) = dcall_target t (dresolve t fname) argv
-
-and dframe df (argv : int64 array) =
-  let fr =
-    { regs = Array.make df.df_nslots 0L; def = Bytes.make df.df_nslots '\000' }
-  in
-  let n = Array.length argv in
-  for i = 0 to df.df_nparams - 1 do
-    fr.regs.(i) <- (if i < n then argv.(i) else 0L);
-    Bytes.unsafe_set fr.def i '\001'
-  done;
-  fr
-
-and dexec_body body fr =
-  let n = Array.length (body : (frame -> unit) array) in
-  for i = 0 to n - 1 do (Array.unsafe_get body i) fr done
-
-and dcall_plain t df (argv : int64 array) =
-  let c = cpu t in
-  let saved_sp = c.M.Cpu.sp in
-  spill t argv;
-  M.Cpu.charge c 2;
-  Trace.call t.trace df.df_func.Func.name;
-  t.depth <- t.depth + 1;
-  let fr = dframe df argv in
-  let ret =
-    match dexec_body df.df_body fr with
-    | () -> 0L
-    | exception Returning v -> v
-  in
-  t.depth <- t.depth - 1;
-  Trace.return t.trace df.df_func.Func.name;
-  c.M.Cpu.sp <- saved_sp;
-  ret
-
-and dcall_operation t df (argv : int64 array) =
-  let saved_sp = (cpu t).M.Cpu.sp in
-  let f = df.df_func in
-  let fr = dframe df (trap_enter t f argv) in
-  match dexec_body df.df_body fr with
-  | () -> trap_exit t f ~saved_sp; 0L
-  | exception Returning v -> trap_exit t f ~saved_sp; v
-  | exception e -> trap_exit t f ~saved_sp; raise e
-
-(* Decode one function: assign every local name a slot (parameters
-   first, then names in order of appearance) and compile the body to
-   closures.
-
-   Cycle accounting is batched: expression closures themselves charge
-   nothing; each instruction closure charges, up front, the one cycle
-   the tree walker's dispatch charges plus one cycle per expression node
-   the instruction is about to evaluate.  Expressions never touch the
-   bus (loads are instructions), so at every observable point — a bus
-   access, an operation switch, an SVC — the cumulative count is
-   bit-identical to the tree engine's node-by-node charging.  The only
-   divergence window is a run aborting *inside* an expression (division
-   by zero, read of a never-assigned local): the batched count is then
-   ahead by the nodes that never evaluated.  Such a run dies on the
-   spot, and no evaluation artifact compares cycle counts of aborted
-   runs across engines.
-
-   Direct call sites resolve their target (decoded code, code address,
-   entry bit) once, on first execution, and cache it in the closure —
-   no string hashing on the call hot path. *)
-let decode t (f : Func.t) : dfunc =
-  let c = cpu t in
-  let slots = Hashtbl.create 16 in
-  let nslots = ref 0 in
-  let slot x =
-    match Hashtbl.find_opt slots x with
-    | Some i -> i
-    | None ->
-      let i = !nslots in
-      incr nslots;
-      Hashtbl.add slots x i;
-      i
-  in
-  List.iter (fun (x, _ty) -> ignore (slot x)) f.Func.params;
-  (* [dexpr e] is the uncharged evaluation closure and the node count
-     of [e] — the cycles its evaluation owes, charged by the enclosing
-     instruction. *)
-  let rec dexpr (e : Expr.t) : (frame -> int64) * int =
-    match e with
-    | Expr.Const n -> ((fun _fr -> n), 1)
-    | Expr.Local x ->
-      let i = slot x in
-      ( (fun fr ->
-          if Bytes.unsafe_get fr.def i = '\000' then
-            raise
-              (M.Fault.Usage (Printf.sprintf "use of undefined local %s" x))
-          else Array.unsafe_get fr.regs i),
-        1 )
-    | Expr.Global_addr g -> (
-      (* resolve at decode time when possible; an unknown name keeps
-         the tree engine's fault-at-evaluation behaviour *)
-      match Int64.of_int (t.map.Address_map.global_addr g) with
-      | addr -> ((fun _fr -> addr), 1)
-      | exception _ ->
-        ((fun _fr -> Int64.of_int (t.map.Address_map.global_addr g)), 1))
-    | Expr.Func_addr fn -> (
-      match Int64.of_int (t.map.Address_map.func_addr fn) with
-      | addr -> ((fun _fr -> addr), 1)
-      | exception _ ->
-        ((fun _fr -> Int64.of_int (t.map.Address_map.func_addr fn)), 1))
-    | Expr.Un (Expr.Neg, a) ->
-      let ka, wa = dexpr a in
-      ((fun fr -> Int64.neg (ka fr)), wa + 1)
-    | Expr.Un (Expr.Not, a) ->
-      let ka, wa = dexpr a in
-      ((fun fr -> Int64.lognot (ka fr)), wa + 1)
-    | Expr.Bin (op, a, b) ->
-      let ka, wa = dexpr a in
-      let kb, wb = dexpr b in
-      let w = wa + wb + 1 in
-      (* specialize the operator at decode time: no dispatch and no
-         option allocation per evaluation *)
-      let k =
-        match op with
-        | Expr.Add -> fun fr -> Int64.add (ka fr) (kb fr)
-        | Expr.Sub -> fun fr -> Int64.sub (ka fr) (kb fr)
-        | Expr.Mul -> fun fr -> Int64.mul (ka fr) (kb fr)
-        | Expr.Div ->
-          fun fr ->
-            let va = ka fr in
-            let vb = kb fr in
-            if Int64.equal vb 0L then
-              raise (M.Fault.Usage "division by zero")
-            else Int64.div va vb
-        | Expr.Rem ->
-          fun fr ->
-            let va = ka fr in
-            let vb = kb fr in
-            if Int64.equal vb 0L then
-              raise (M.Fault.Usage "division by zero")
-            else Int64.rem va vb
-        | Expr.And -> fun fr -> Int64.logand (ka fr) (kb fr)
-        | Expr.Or -> fun fr -> Int64.logor (ka fr) (kb fr)
-        | Expr.Xor -> fun fr -> Int64.logxor (ka fr) (kb fr)
-        | Expr.Shl ->
-          fun fr ->
-            let va = ka fr in
-            let vb = kb fr in
-            Int64.shift_left va (Int64.to_int vb land 63)
-        | Expr.Shr ->
-          fun fr ->
-            let va = ka fr in
-            let vb = kb fr in
-            Int64.shift_right_logical va (Int64.to_int vb land 63)
-        | Expr.Eq -> fun fr -> if Int64.equal (ka fr) (kb fr) then 1L else 0L
-        | Expr.Ne ->
-          fun fr -> if Int64.equal (ka fr) (kb fr) then 0L else 1L
-        | Expr.Lt ->
-          fun fr -> if Int64.compare (ka fr) (kb fr) < 0 then 1L else 0L
-        | Expr.Le ->
-          fun fr -> if Int64.compare (ka fr) (kb fr) <= 0 then 1L else 0L
-        | Expr.Gt ->
-          fun fr -> if Int64.compare (ka fr) (kb fr) > 0 then 1L else 0L
-        | Expr.Ge ->
-          fun fr -> if Int64.compare (ka fr) (kb fr) >= 0 then 1L else 0L
-      in
-      (k, w)
-  in
-  let set fr i v =
-    Array.unsafe_set fr.regs i v;
-    Bytes.unsafe_set fr.def i '\001'
-  in
-  (* the per-instruction prologue: the tree walker's fuel/dispatch cost
-     plus the batched cycles of the instruction's expressions *)
-  let pre w =
-    if t.fuel <= 0 then raise Fuel_exhausted;
-    t.fuel <- t.fuel - 1;
-    M.Cpu.charge c w
-  in
-  let rec dinstr (instr : Instr.t) : frame -> unit =
-    match instr with
-    | Instr.Nop -> fun _fr -> pre 1
-    | Instr.Let (x, e) ->
-      let i = slot x in
-      let ke, we = dexpr e in
-      let w = we + 1 in
-      fun fr -> pre w; set fr i (ke fr)
-    | Instr.Load (x, w, a) ->
-      let i = slot x in
-      let ka, wa = dexpr a in
-      let width = Instr.width_bytes w in
-      let w = wa + 1 in
-      fun fr ->
-        pre w;
-        let addr = Int64.to_int (ka fr) in
-        set fr i (checked_load t addr width)
-    | Instr.Store (w, a, v) ->
-      let ka, wa = dexpr a in
-      let kv, wv = dexpr v in
-      let width = Instr.width_bytes w in
-      let w = wa + wv + 1 in
-      fun fr ->
-        pre w;
-        let addr = Int64.to_int (ka fr) in
-        let v = kv fr in
-        checked_store t addr width v
-    | Instr.Alloca (x, ty) ->
-      let i = slot x in
-      let size = (Ty.size_of ty + 7) land lnot 7 in
-      fun fr ->
-        pre 1;
-        let sp = c.M.Cpu.sp - size in
-        if sp < c.M.Cpu.stack_base then raise (Aborted "stack overflow");
-        c.M.Cpu.sp <- sp;
-        set fr i (Int64.of_int sp)
-    | Instr.Call (dst, callee, args) ->
-      let kargs_l = List.map dexpr args in
-      let kargs = Array.of_list (List.map fst kargs_l) in
-      let wargs = List.fold_left (fun acc (_, w) -> acc + w) 0 kargs_l in
-      let idst = Option.map slot dst in
-      let eval_args fr =
-        let n = Array.length kargs in
-        let argv = Array.make n 0L in
-        for i = 0 to n - 1 do
-          Array.unsafe_set argv i ((Array.unsafe_get kargs i) fr)
-        done;
-        argv
-      in
-      (match callee with
-      | Instr.Direct fname ->
-        let w = wargs + 1 in
-        let target = ref None in
-        fun fr ->
-          pre w;
-          let argv = eval_args fr in
-          let dt =
-            match !target with
-            | Some dt -> dt
-            | None ->
-              let dt = dresolve t fname in
-              target := Some dt;
-              dt
-          in
-          let ret = dcall_target t dt argv in
-          (match idst with Some i -> set fr i ret | None -> ())
-      | Instr.Indirect e ->
-        let ke, we = dexpr e in
-        let w = wargs + we + 1 in
-        fun fr ->
-          pre w;
-          let addr = Int64.to_int (ke fr) in
-          let fname =
-            match t.map.Address_map.func_of_addr addr with
-            | Some f -> f
-            | None ->
-              raise
-                (Aborted
-                   (Printf.sprintf "indirect call to non-function 0x%08X" addr))
-          in
-          let argv = eval_args fr in
-          let ret = dcall t fname argv in
-          (match idst with Some i -> set fr i ret | None -> ()))
-    | Instr.If (cond, a, b) ->
-      let kc, wc = dexpr cond in
-      let ka = dblock a in
-      let kb = dblock b in
-      let w = wc + 1 in
-      fun fr ->
-        pre w;
-        if truthy (kc fr) then dexec_body ka fr else dexec_body kb fr
-    | Instr.While (cond, body) ->
-      let kc, wc = dexpr cond in
-      let kb = dblock body in
-      fun fr ->
-        pre 1;
-        let rec loop () =
-          if t.fuel <= 0 then raise Fuel_exhausted;
-          M.Cpu.charge c wc;
-          if truthy (kc fr) then begin
-            dexec_body kb fr;
-            loop ()
-          end
-        in
-        loop ()
-    | Instr.Return e ->
-      let ke = match e with None -> None | Some e -> Some (dexpr e) in
-      let w = match ke with None -> 1 | Some (_, we) -> we + 1 in
-      let ke = Option.map fst ke in
-      fun fr ->
-        pre w;
-        let v = match ke with None -> 0L | Some k -> k fr in
-        raise (Returning v)
-    | Instr.Memcpy (d, s, n) ->
-      let kd, wd = dexpr d in
-      let ks, ws = dexpr s in
-      let kn, wn = dexpr n in
-      let w = wd + ws + wn + 1 in
-      fun fr ->
-        pre w;
-        let dst = Int64.to_int (kd fr) in
-        let src = Int64.to_int (ks fr) in
-        let len = Int64.to_int (kn fr) in
-        let rec go off =
-          if off < len then begin
-            let w =
-              if len - off >= 4 && (dst + off) land 3 = 0 && (src + off) land 3 = 0
-              then 4
-              else 1
-            in
-            checked_store t (dst + off) w (checked_load t (src + off) w);
-            go (off + w)
-          end
-        in
-        go 0
-    | Instr.Memset (d, v, n) ->
-      let kd, wd = dexpr d in
-      let kv, wv = dexpr v in
-      let kn, wn = dexpr n in
-      let w = wd + wv + wn + 1 in
-      fun fr ->
-        pre w;
-        let dst = Int64.to_int (kd fr) in
-        let v = kv fr in
-        let len = Int64.to_int (kn fr) in
-        let word =
-          let b = Int64.logand v 0xFFL in
-          List.fold_left
-            (fun acc sh -> Int64.logor acc (Int64.shift_left b sh))
-            0L [ 0; 8; 16; 24 ]
-        in
-        let rec go off =
-          if off < len then begin
-            let w = if len - off >= 4 && (dst + off) land 3 = 0 then 4 else 1 in
-            checked_store t (dst + off) w (if w = 4 then word else v);
-            go (off + w)
-          end
-        in
-        go 0
-    | Instr.Svc n -> fun _fr -> pre 1; t.handler.on_svc n
-    | Instr.Halt -> fun _fr -> pre 1; raise Halted
-  and dblock (block : Instr.block) : (frame -> unit) array =
-    Array.of_list (List.map dinstr block)
-  in
-  let body = dblock f.Func.body in
-  { df_func = f; df_nslots = !nslots; df_nparams = List.length f.Func.params;
-    df_body = body }
-
 (* --- compiled engine ---------------------------------------------------- *)
 
 (* The closure-compiled engine.  Translation happens once, at image-load
-   time, and removes every remaining dispatch from the hot path:
+   time, and removes every dispatch from the hot path:
 
+   - Each function's locals get integer slots in a flat frame array
+     (parameters first, then names in order of appearance).
    - Expressions compile to a compile-time value classification [cval]:
      constants fold at translation time ([K]), reads of definitely-
      assigned locals become bare slot indices ([S]) inlined into the
      consuming closure (no closure call, no def-tag check), and only
-     genuinely dynamic subtrees keep a closure ([F]).  Weights (node
-     counts) are computed from the original tree, so batched cycle
-     charges are bit-identical to the decoded engine's.
+     genuinely dynamic subtrees keep a closure ([F]).
    - Runs of pure instructions (Let/Alloca/Nop — no bus access, no
      observable point) fuse into superblocks: one fuel check, one
-     decrement of the whole run, one batched cycle charge.  When fuel
-     cannot cover the run, an exact per-instruction slow path replicates
-     the decoded engine's check/decrement/charge sequence so
-     fuel-exhaustion falls on the same instruction with the same
-     cumulative cycles.  Instructions with observable effects (loads,
-     stores, calls, SVCs, control flow) charge individually, exactly as
-     [decode] does, so the count at every observable point matches.
+     decrement of the whole run, one batched cycle charge.
    - Direct call sites bind the callee's [cfunc] record at translation
      time (records for all functions exist before bodies compile);
      indirect sites keep a one-entry inline cache keyed by the code
@@ -923,13 +488,32 @@ let decode t (f : Func.t) : dfunc =
    - Loads and stores whose address folds at translation time route
      straight to the owning region (SRAM/flash/device window) through
      the bus fast paths; dynamic addresses probe the SRAM range first.
-     Both paths charge, MPU-check, trace, and fault exactly like the
-     generic decode.
+     Both paths charge, MPU-check, trace, and fault exactly like
+     [checked_load]/[checked_store].
 
-   The trap protocol (operation entry/exit, SVC marks, telemetry) is
-   byte-for-byte the decoded engine's: superblocks never span a call or
-   an SVC, so monitor activity interleaves with block charges exactly as
-   it does with per-instruction charges. *)
+   Cycle accounting, against [Tree].  The tree walker charges one cycle
+   per instruction dispatch and one per expression node as it evaluates
+   them.  Here expression closures charge nothing: each instruction
+   charges, up front, its dispatch cycle plus the node count of every
+   expression it is about to evaluate (counted on the original tree, so
+   folding changes nothing).  Expressions never touch the bus, so at
+   every observable point — a bus access, an operation switch, an SVC —
+   the cumulative count is bit-identical.  Superblocks batch further:
+   a pure run pays its whole charge before its first instruction, and by
+   the trailing-access rule a load or store whose one bus access is the
+   last thing it does may close a run, so every batched charge lands
+   before that access, as under [Tree].  Calls, SVCs, control flow and
+   memcpy/memset never fuse.  When fuel cannot cover a run, an exact
+   per-instruction slow path replays the tree walker's
+   check/decrement/charge sequence, so fuel exhaustion falls on the same
+   instruction with the same cycles.
+
+   The one divergence window is an abort *inside* an expression
+   (division by zero, read of a never-assigned local): the batched count
+   is ahead by the nodes that never evaluated, and where both operands
+   of a binary operator would fault, the right one (evaluated first
+   here) names the fault.  Such a run dies on the spot; no evaluation
+   artifact compares aborted runs' cycles across engines. *)
 
 module Str_set = Set.Make (String)
 
@@ -937,7 +521,7 @@ module Str_set = Set.Make (String)
    read in [f] is preceded by a write on all paths, so activations skip
    the [def] bookkeeping entirely.  Functions that fail the analysis
    (the fuzz generator can produce a read of a never-assigned local)
-   keep the decoded engine's checked frames, fault message included. *)
+   keep def-tracked frames, with the tree walker's fault message. *)
 let definitely_assigned (f : Func.t) =
   let ok = ref true in
   let rec expr defined (e : Expr.t) =
@@ -1255,15 +839,16 @@ and ccall_operation t cf (argv : int64 array) =
    uncharged effect plus its weight and is eligible for fusion; [Ctail]
    is an uncharged effect whose single bus access happens at its end, so
    it may terminate a fused run (every batched charge lands before the
-   access executes, which is exactly the cumulative count the decoded
-   engine shows at that access); [Cfull] charges for itself. *)
+   access executes, which is exactly the cumulative count the tree
+   walker shows at that access); [Cfull] charges for itself. *)
 type cinstr =
   | Cpure of (frame -> unit) * int
   | Ctail of (frame -> unit) * int
   | Cfull of (frame -> unit)
 
-(* Translate one function body into [cf_entry].  Mirrors [decode]'s
-   accounting exactly; see the section comment for what it specializes. *)
+(* Translate one function body into [cf_entry].  Mirrors [Tree]'s
+   accounting exactly; see the section comment for the argument and for
+   what it specializes. *)
 let compile t (cf : cfunc) =
   let f = cf.cf_func in
   let c = cpu t in
@@ -1341,7 +926,7 @@ let compile t (cf : cfunc) =
      over operands that only ever produce 0/1 (comparisons, or nested
      [And]/[Or] of such) fuse into boolean connectives: on 0/1 values
      bitwise and/or coincide with the boolean ones.  Both operands are
-     still evaluated, right one first, like the decoded closures — the
+     still evaluated, right one first, like the boxed closures — the
      connectives do not short-circuit. *)
   let rec boolish (e : Expr.t) =
     match e with
@@ -1480,14 +1065,14 @@ let compile t (cf : cfunc) =
      leaves up is exact, and unlike the boxed path it never allocates.
      Operators whose truncation does not commute (shifts, division,
      comparisons) return [None] and keep the boxed path.  Operand order
-     matches the decoded engine's closures (right operand first), so
-     def-check faults surface in the same order. *)
+     matches the boxed closures (right operand first), so def-check
+     faults surface in the same order on both paths. *)
   (* Shaped int-domain values, mirroring [cval]: [IK] constant, [IS]
      slot read (never faults — checked-mode locals compile to [IF] with
      the def test), [IF] computed.  Leaf shapes inline into the parent
      operation, so a binop over leaves is one closure, not three.  Only
      an [IF] side can fault; where both sides are [IF] the right one
-     evaluates first, like the decoded closures. *)
+     evaluates first, like the boxed closures. *)
   let geti fr i = Int64.to_int (Array.unsafe_get fr.regs i) in
   let rec cint_v (e : Expr.t) : cival option =
     match e with
@@ -1666,7 +1251,7 @@ let compile t (cf : cfunc) =
   in
   (* An address-consumer position: the int-domain closure when the
      expression qualifies, otherwise the boxed closure truncated at the
-     end — exactly what the decoded engine computes. *)
+     end — exactly what the tree walker computes. *)
   let cint_or_force (e : Expr.t) : frame -> int =
     match cint e with
     | Some ki -> ki
@@ -1700,7 +1285,7 @@ let compile t (cf : cfunc) =
   in
   (* Static routing for a constant address: pick the owning region's bus
      fast path at translation time; anything unusual (PPB, unmapped,
-     flash writes) keeps the generic decode, whose behaviour is the
+     flash writes) keeps the generic bus path, whose behaviour is the
      reference. *)
   let static_load addr width : unit -> int64 =
     match M.Memmap.classify addr with
@@ -1760,7 +1345,9 @@ let compile t (cf : cfunc) =
     match ks with
     | [||] -> fun _fr -> ()
     | [| k |] -> k
-    | ks -> fun fr -> dexec_body ks fr
+    | ks ->
+      fun fr ->
+        for i = 0 to Array.length ks - 1 do (Array.unsafe_get ks i) fr done
   in
   let rec cinstr (instr : Instr.t) : cinstr =
     match instr with
@@ -1884,7 +1471,7 @@ let compile t (cf : cfunc) =
         let ke = cint_or_force e in
         let w = wargs + we + 1 in
         (* one-entry inline cache keyed by the code address; the miss
-           path preserves the decoded engine's fault order (non-function
+           path preserves the tree walker's fault order (non-function
            address before arguments, undefined function after) *)
         let cache : (int * ctarget) option ref = ref None in
         Cfull
@@ -2010,7 +1597,7 @@ let compile t (cf : cfunc) =
   (* Group consecutive pure instructions into one superblock closure:
      fast path takes one fuel decrement and one batched charge for the
      whole run; if fuel cannot cover it, the slow path replays the
-     decoded engine's exact per-instruction sequence so exhaustion
+     tree walker's exact per-instruction sequence so exhaustion
      lands on the same instruction with the same cycle count. *)
   and cblock (block : Instr.block) : (frame -> unit) array =
     let fuse_run (run : ((frame -> unit) * int) list) : frame -> unit =
@@ -2144,7 +1731,6 @@ let create ?(fuel = 200_000_000) ?(max_depth = 200) ?(handler = abort_handler)
       depth = 0;
       max_depth;
       engine;
-      dfuncs = Hashtbl.create 64;
       cfuncs = Hashtbl.create 64;
       operation_switches = 0;
       sink;
@@ -2152,11 +1738,6 @@ let create ?(fuel = 200_000_000) ?(max_depth = 200) ?(handler = abort_handler)
   in
   (match engine with
   | Tree -> ()
-  | Decoded ->
-    (* decode once, at image-load time *)
-    List.iter
-      (fun (f : Func.t) -> Hashtbl.replace t.dfuncs f.Func.name (decode t f))
-      program.Program.funcs
   | Compiled ->
     (* two-phase translation: create every function's record first so
        direct call sites bind their callee's record, then compile the
@@ -2178,7 +1759,6 @@ let create ?(fuel = 200_000_000) ?(max_depth = 200) ?(handler = abort_handler)
 let call t fname argv =
   match t.engine with
   | Tree -> call t fname argv
-  | Decoded -> dcall t fname (Array.of_list argv)
   | Compiled -> ccall t fname (Array.of_list argv)
 
 let run ?(reset_stack = true) t =

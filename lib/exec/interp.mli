@@ -43,20 +43,18 @@ type handler = {
 (** Baseline handler: no monitor, any fault aborts. *)
 val abort_handler : handler
 
-(** Execution engine.  [Compiled] (the default) translates each function
-    body once, at image-load time, into a tree of OCaml closures with no
-    opcode dispatch: constants folded and local slots bound into the
-    closures, runs of pure instructions fused into superblocks with one
-    fuel/cycle charge per run, direct-call targets bound to the callee's
-    compiled code, and load/store fast paths that skip the bus's address
-    decode when the target region is statically known.  [Decoded]
-    resolves locals to array slots and compiles instructions to closures
-    with per-instruction dispatch; [Tree] walks the IR with a hashtable
-    environment per activation — the reference semantics.  Cycle
-    accounting, traces, and memory effects are identical across all
-    three; the differential tests replay workloads under every engine
-    and assert bit-equal observations. *)
-type engine = Tree | Decoded | Compiled
+(** Execution engine.  [Tree] walks the IR with a hashtable environment
+    per activation — the reference semantics.  [Compiled] (the default)
+    translates each function body once, at image-load time, into a tree
+    of OCaml closures with no opcode dispatch: local slots and constants
+    bound into the closures, runs of pure instructions fused into
+    superblocks with one fuel/cycle charge per run, direct-call targets
+    bound to the callee's compiled code, and load/store fast paths that
+    skip the bus's address decode when the target region is statically
+    known.  Cycle accounting, traces, and memory effects are identical
+    across the two; the differential tests replay workloads under both
+    engines and assert bit-equal observations. *)
+type engine = Tree | Compiled
 
 type t
 

@@ -56,26 +56,13 @@ let entries t = Mutex.protect t.lock (fun () -> List.rev t.rev_entries)
 let count t kind =
   List.length (List.filter (fun e -> String.equal e.e_kind kind) (entries t))
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04X" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Opec_obs.Json
 
 let entry_json e =
   Printf.sprintf
     {|{"seq":%d,"ns":%Ld,"domain":%d,"unit":"%s","kind":"%s","detail":"%s"}|}
-    e.e_seq e.e_ns e.e_domain (json_escape e.e_unit) (json_escape e.e_kind)
-    (json_escape e.e_detail)
+    e.e_seq e.e_ns e.e_domain (Json.escape e.e_unit) (Json.escape e.e_kind)
+    (Json.escape e.e_detail)
 
 let to_json t =
   let es = entries t in

@@ -8,7 +8,7 @@
    and fails the build if they diverge.  Timing truth lives in the job
    journal and in BENCH_fleet.json. *)
 
-let quote = Journal.json_escape
+let quote = Opec_obs.Json.escape
 
 (* --- JSON ---------------------------------------------------------------- *)
 

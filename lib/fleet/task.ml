@@ -185,7 +185,7 @@ let run (u : Spec.unit_) : result =
 
 (* --- JSON (deterministic; the report's raw material) -------------------- *)
 
-let quote = Journal.json_escape
+let quote = Opec_obs.Json.escape
 
 let oc_json oc =
   Printf.sprintf

@@ -287,41 +287,41 @@ let pp_guided_report f r =
    ride in [skipped] as structured records (and the CLI mirrors them to
    stderr). *)
 
-let json_quote s = Printf.sprintf "%S" s
+module Json = Opec_obs.Json
 
 let failure_json x =
   Printf.sprintf
     {|{"seed":%d,"property":%s,"detail":%s,"funcs_before":%d,"funcs_after":%d,"repro":%s}|}
-    x.f_seed (json_quote x.f_property) (json_quote x.f_detail)
+    x.f_seed (Json.quote x.f_property) (Json.quote x.f_detail)
     x.f_funcs_before x.f_funcs_after
-    (match x.f_repro with None -> "null" | Some p -> json_quote p)
+    (match x.f_repro with None -> "null" | Some p -> Json.quote p)
 
 let report_json r =
   Printf.sprintf
     {|{"mode":"blind","lo":%d,"hi":%d,"size":%d,"properties":[%s],"passed":%d,"failures":[%s]}|}
     r.r_lo r.r_hi r.r_size
-    (String.concat "," (List.map json_quote r.r_properties))
+    (String.concat "," (List.map Json.quote r.r_properties))
     r.r_passed
     (String.concat "," (List.map failure_json r.r_failures))
 
 let guided_failure_json x =
   Printf.sprintf
     {|{"origin":%s,"property":%s,"detail":%s,"funcs_before":%d,"funcs_after":%d,"repro":%s}|}
-    (json_quote x.gf_origin) (json_quote x.gf_property)
-    (json_quote x.gf_detail) x.gf_funcs_before x.gf_funcs_after
-    (match x.gf_repro with None -> "null" | Some p -> json_quote p)
+    (Json.quote x.gf_origin) (Json.quote x.gf_property)
+    (Json.quote x.gf_detail) x.gf_funcs_before x.gf_funcs_after
+    (match x.gf_repro with None -> "null" | Some p -> Json.quote p)
 
 let guided_report_json r =
   Printf.sprintf
     {|{"mode":"guided","lo":%d,"hi":%d,"size":%d,"budget":%d,"corpus_dir":%s,"loaded":%d,"skipped":[%s],"executions":%d,"new_entries":%d,"mutants_kept":%d,"edges":%d,"curve":[%s],"failures":[%s]}|}
     r.g_lo r.g_hi r.g_size r.g_budget
-    (json_quote r.g_corpus_dir)
+    (Json.quote r.g_corpus_dir)
     r.g_loaded
     (String.concat ","
        (List.map
           (fun (path, reason) ->
-            Printf.sprintf {|{"path":%s,"reason":%s}|} (json_quote path)
-              (json_quote reason))
+            Printf.sprintf {|{"path":%s,"reason":%s}|} (Json.quote path)
+              (Json.quote reason))
           r.g_skipped))
     r.g_executions r.g_new_entries r.g_mutants_kept r.g_edges
     (String.concat ","

@@ -47,36 +47,23 @@ let pp fmt d =
 
 (* --- JSON (hand-rendered; the tree carries no JSON library) ------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04X" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Opec_obs.Json
 
 let loc_json = function
   | Program -> Printf.sprintf {|{"kind":"program"}|}
-  | Function f -> Printf.sprintf {|{"kind":"function","name":"%s"}|} (json_escape f)
+  | Function f -> Printf.sprintf {|{"kind":"function","name":"%s"}|} (Json.escape f)
   | Operation op ->
-    Printf.sprintf {|{"kind":"operation","name":"%s"}|} (json_escape op)
+    Printf.sprintf {|{"kind":"operation","name":"%s"}|} (Json.escape op)
   | Icall { func; index } ->
     Printf.sprintf {|{"kind":"icall","function":"%s","index":%d}|}
-      (json_escape func) index
+      (Json.escape func) index
   | Region { op; slot } ->
     Printf.sprintf {|{"kind":"region","operation":"%s","slot":"%s"}|}
-      (json_escape op) (json_escape slot)
+      (Json.escape op) (Json.escape slot)
   | Address a -> Printf.sprintf {|{"kind":"address","address":%d}|} a
 
 let to_json d =
   Printf.sprintf {|{"code":"%s","severity":"%s","loc":%s,"message":"%s"}|}
-    (json_escape d.code)
+    (Json.escape d.code)
     (Fmt.str "%a" pp_severity d.severity)
-    (loc_json d.loc) (json_escape d.message)
+    (loc_json d.loc) (Json.escape d.message)

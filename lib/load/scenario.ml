@@ -394,7 +394,7 @@ let pp_result f r =
      check: %s@]"
     r.r_scenario r.r_backend r.r_events r.r_stimuli r.r_telemetry r.r_wall_s
     r.r_cycles r.r_switch_spans r.r_mean r.r_p50 r.r_p99 r.r_p999 r.r_max
-    (match r.r_check with Ok () -> "ok" | Error e -> e)
+    (match r.r_check with Ok () -> "ok" | Error e -> Obs.Json.escape e)
 
 (* JSON emission shared by [bench load] and [opec load --json]. *)
 let result_json r =
@@ -403,4 +403,4 @@ let result_json r =
     r.r_scenario r.r_backend r.r_events r.r_stimuli r.r_telemetry
     r.r_switch_spans r.r_cycles r.r_wall_s r.r_mean r.r_p50 r.r_p99 r.r_p999
     r.r_max
-    (match r.r_check with Ok () -> "ok" | Error e -> e)
+    (match r.r_check with Ok () -> "ok" | Error e -> Obs.Json.escape e)

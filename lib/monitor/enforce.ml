@@ -2,9 +2,10 @@
    fault-time virtualization over whatever protection state the bus
    carries.
 
-   The MPU arm routes through {!Mpu_install} and reproduces the original
-   monitor behaviour exactly (including stale-slot clearing and the
-   round-robin rotation arithmetic); PMP rotates overflowed peripheral
+   Every backend installs through {!Opec_core.Backend_plan.install}; the
+   MPU reproduces the original monitor behaviour exactly (each install
+   clears every region first, and rotation keeps the original
+   round-robin arithmetic); PMP rotates overflowed peripheral
    windows through its wider entry table; POE never evicts a window —
    it recycles permission keys onto the faulting keyless window; CHERI
    grants are always fully resident, so a capability fault is always a
@@ -15,17 +16,13 @@ module M = Opec_machine
 module Obs = Opec_obs
 
 let install st ~(image : C.Image.t) ~(meta : C.Metadata.op_meta) ~srd =
-  match st with
-  | M.Backend.Mpu_state mpu -> Mpu_install.install mpu ~image ~meta ~srd
-  | _ ->
-    let heap =
-      if meta.C.Metadata.uses_heap then
-        image.C.Image.layout.C.Layout.heap_section
-      else None
-    in
-    C.Backend_plan.install st ~code_base:image.C.Image.code_base
-      ~code_bytes:image.C.Image.code_bytes ~layout:image.C.Image.layout ~srd
-      ?heap meta.C.Metadata.section meta.C.Metadata.op
+  let heap =
+    if meta.C.Metadata.uses_heap then image.C.Image.layout.C.Layout.heap_section
+    else None
+  in
+  C.Backend_plan.install st ~code_base:image.C.Image.code_base
+    ~code_bytes:image.C.Image.code_bytes ~layout:image.C.Image.layout ~srd ?heap
+    meta.C.Metadata.section meta.C.Metadata.op
 
 (* A backend's complete protection state as [install] leaves it.  Every
    install clears and rewrites the whole state — all MPU regions, all

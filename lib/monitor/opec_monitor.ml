@@ -1,7 +1,6 @@
 (** OPEC-Monitor: privileged runtime enforcing operation isolation. *)
 
 module Stats = Stats
-module Mpu_install = Mpu_install
 module Enforce = Enforce
 module Monitor = Monitor
 module Runner = Runner

@@ -5,22 +5,9 @@
    no JSON dependency — and emitted deterministically so exports diff
    cleanly across runs. *)
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let jstr b s =
   Buffer.add_char b '"';
-  escape b s;
+  Json.add_escaped b s;
   Buffer.add_char b '"'
 
 (* ---- human text ---- *)

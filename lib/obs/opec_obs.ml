@@ -4,3 +4,4 @@
 module Sink = Sink
 module Agg = Agg
 module Export = Export
+module Json = Json

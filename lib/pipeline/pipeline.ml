@@ -165,9 +165,9 @@ let evict (c : ctx) =
 (* Caching can be switched off to emulate the pre-pipeline behaviour —
    every consumer recomputing its own artifacts — which is what the
    [bench pipeline] target measures the store against.  The engine knob
-   selects the interpreter for the store's reference runs; all engines
+   selects the interpreter for the store's reference runs; both engines
    produce bit-identical traces and cycle counts, so artifacts computed
-   under any of them are interchangeable. *)
+   under either are interchangeable. *)
 let caching = Atomic.make true
 let set_caching b = Atomic.set caching b
 let caching_enabled () = Atomic.get caching

@@ -10,8 +10,10 @@ let cli = Filename.concat (Filename.concat ".." "bin") "opec_cli.exe"
 
 (* --- a minimal JSON parser ----------------------------------------------
    Accepts the JSON subset our writers emit (objects, arrays, strings
-   with escapes, numbers, booleans, null).  Returns unit — the tests
-   only care that the text IS JSON, not what it says. *)
+   with escapes, numbers, booleans, null).  Strings are held to RFC
+   8259: no raw control bytes, only the standard escapes, and valid
+   UTF-8.  Returns unit — the tests only care that the text IS JSON,
+   not what it says. *)
 
 exception Bad of string
 
@@ -84,9 +86,25 @@ let parse_json (s : string) =
       match next () with
       | '"' -> ()
       | '\\' ->
-        ignore (next ());
+        (match next () with
+        | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> ()
+        | 'u' ->
+          for _ = 1 to 4 do
+            match next () with
+            | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
+            | c -> raise (Bad (Printf.sprintf "bad \\u digit %C" c))
+          done
+        | c -> raise (Bad (Printf.sprintf "invalid escape \\%c" c)));
         go ()
-      | _ -> go ()
+      | c when Char.code c < 0x20 ->
+        raise (Bad (Printf.sprintf "raw control byte 0x%02x" (Char.code c)))
+      | c when Char.code c < 0x80 -> go ()
+      | _ ->
+        let d = String.get_utf_8_uchar s (!pos - 1) in
+        if not (Uchar.utf_decode_is_valid d) then
+          raise (Bad (Printf.sprintf "invalid UTF-8 at byte %d" (!pos - 1)));
+        pos := !pos - 1 + Uchar.utf_decode_length d;
+        go ()
     in
     go ()
   and keyword () =
@@ -113,10 +131,15 @@ let parse_json (s : string) =
     done;
     if !pos = start then raise (Bad "empty number")
   in
-  value ();
+  (* one document, or one per line (JSON Lines) *)
+  let rec values () =
+    value ();
+    skip_ws ();
+    if !pos < n then values ()
+  in
   skip_ws ();
-  if !pos <> n then
-    raise (Bad (Printf.sprintf "trailing content at byte %d" !pos))
+  if !pos = n then raise (Bad "no JSON value");
+  values ()
 
 (* run a command, capture stdout (stderr goes to the null device), and
    return (exit_ok, stdout_text) *)
@@ -131,20 +154,11 @@ let capture cmd =
   let status = Unix.close_process_in ic in
   (status = Unix.WEXITED 0, Buffer.contents buf)
 
-let check_json_lines what text =
-  let lines =
-    List.filter
-      (fun l -> String.trim l <> "")
-      (String.split_on_char '\n' text)
-  in
-  Alcotest.(check bool) (what ^ ": produced output") true (lines <> []);
-  List.iter
-    (fun line ->
-      match parse_json line with
-      | () -> ()
-      | exception Bad msg ->
-        Alcotest.failf "%s: stdout line is not JSON (%s): %s" what msg line)
-    lines
+let check_json what text =
+  match parse_json text with
+  | () -> ()
+  | exception Bad msg ->
+    Alcotest.failf "%s: stdout is not JSON (%s): %s" what msg text
 
 let test_cmd_json what cmd () =
   if not (Sys.file_exists cli) then
@@ -154,12 +168,52 @@ let test_cmd_json what cmd () =
   else begin
     let ok, out = capture cmd in
     Alcotest.(check bool) (what ^ ": exit status zero") true ok;
-    check_json_lines what out
+    check_json what out
   end
+
+(* The parser above must itself reject what a lax writer produces:
+   OCaml [%S] escapes, raw control bytes and invalid UTF-8. *)
+let test_parser_strict () =
+  List.iter
+    (fun bad ->
+      match parse_json bad with
+      | () -> Alcotest.failf "parse_json accepted %S" bad
+      | exception Bad _ -> ())
+    [ {|"\195\169"|}; "\"\001\""; "\"\xff\""; "\"\xc3\""; {|"\u00g0"|} ];
+  parse_json "\"\xc3\xa9 \\u0001 \\\" \\\\\"";
+  parse_json {|{"a":["x",1,-2.5e3,true,null]}|}
+
+(* Hostile corpus files: the guided fuzzer reports them as skipped,
+   with the file's bytes in the reason — valid UTF-8 (e-acute), a
+   control byte, and invalid UTF-8 must all come out as JSON. *)
+let test_hostile_corpus () =
+  let dir = "_cli_json_hostile" in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+  else Sys.mkdir dir 0o755;
+  List.iteri
+    (fun i body ->
+      Out_channel.with_open_bin
+        (Filename.concat dir (Printf.sprintf "corpus-%06d.sexp" i))
+        (fun oc -> output_string oc body))
+    [ "(repro \xc3\xa9 \"\001\")"; "(repro \xff\xc3 \xe2\x82 \"\\\"\")" ];
+  test_cmd_json "fuzz-hostile"
+    (Filename.quote_command cli
+       [ "fuzz"; "--seeds"; "0..0"; "--corpus"; dir; "--budget"; "1"; "--out";
+         "_cli_json_fuzz"; "--json" ])
+    ()
 
 let suite () =
   [ ( "cli-json",
-      [ Alcotest.test_case "syncsets --json is pure JSON" `Slow
+      [ Alcotest.test_case "parse_json is strict" `Quick test_parser_strict;
+        Alcotest.test_case "fuzz --json escapes hostile corpus bytes" `Slow
+          test_hostile_corpus;
+        Alcotest.test_case "fleet --json - is pure JSON" `Slow
+          (test_cmd_json "fleet"
+             (Filename.quote_command cli
+                [ "fleet"; "--apps"; "none"; "--seeds"; "0..1"; "--tasks";
+                  "compile"; "--json"; "-"; "-q" ]));
+        Alcotest.test_case "syncsets --json is pure JSON" `Slow
           (test_cmd_json "syncsets"
              (Filename.quote_command cli [ "syncsets"; "pinlock"; "--json" ]));
         Alcotest.test_case "load --json is pure JSON" `Slow

@@ -160,8 +160,8 @@ let prop_overhead_nonnegative =
       >= 0)
 
 (* --- engine differential -------------------------------------------------
-   The decode-once interpreter must be observationally identical to the
-   reference tree-walker: replaying a whole application under both
+   The closure-compiled interpreter must be observationally identical to
+   the reference tree-walker: replaying a whole application under both
    engines must produce the same trace events, the same cycle count,
    and the same final memory — for the vanilla baseline and for the
    OPEC-protected run alike. *)
@@ -207,57 +207,34 @@ let check_same_observation what (c1, e1, m1, k1) (c2, e2, m2, k2) =
   Alcotest.(check bool) (what ^ ": both runs pass the app check") true
     (k1 = Ok () && k2 = Ok ())
 
-let test_engines_agree (app : Apps.App.t) () =
-  let name = app.Apps.App.app_name in
-  let tree = baseline_observation app Ex.Interp.Tree in
+(* Replay [app] baseline and protected under both engines. *)
+let check_engines_agree name (app : Apps.App.t) =
   let image =
     C.Compiler.compile ~board:app.Apps.App.board app.Apps.App.program
       app.Apps.App.dev_input
   in
-  let tree_p = protected_observation app image Ex.Interp.Tree in
-  List.iter
-    (fun (ename, engine) ->
-      check_same_observation
-        (Printf.sprintf "%s baseline (tree vs %s)" name ename)
-        tree
-        (baseline_observation app engine);
-      check_same_observation
-        (Printf.sprintf "%s protected (tree vs %s)" name ename)
-        tree_p
-        (protected_observation app image engine))
-    [ ("decoded", Ex.Interp.Decoded); ("compiled", Ex.Interp.Compiled) ]
+  check_same_observation (name ^ " baseline (tree vs compiled)")
+    (baseline_observation app Ex.Interp.Tree)
+    (baseline_observation app Ex.Interp.Compiled);
+  check_same_observation (name ^ " protected (tree vs compiled)")
+    (protected_observation app image Ex.Interp.Tree)
+    (protected_observation app image Ex.Interp.Compiled)
+
+let test_engines_agree (app : Apps.App.t) () =
+  check_engines_agree app.Apps.App.app_name app
 
 (* --- engine-equivalence regression corpus --------------------------------
    Checked-in reproducer files (test/data/corpus/corpus-NNNNNN.sexp):
    past fuzz inputs that once exercised interesting engine behaviour.
-   Each is replayed under all three engines; the closure-compiled and
-   the decode-once engines must reproduce the tree walker's observation
-   bit for bit, forever. *)
+   Each is replayed under both engines; the closure-compiled engine must
+   reproduce the tree walker's observation bit for bit, forever. *)
 
 module Fz = Opec_fuzz
 
 let corpus_dir = "data/corpus"
 
 let test_corpus_case path () =
-  let r = Fz.Repro.load path in
-  let app = Fz.Repro.to_app r in
-  let tree = baseline_observation app Ex.Interp.Tree in
-  let image =
-    C.Compiler.compile ~board:app.Apps.App.board app.Apps.App.program
-      app.Apps.App.dev_input
-  in
-  let tree_p = protected_observation app image Ex.Interp.Tree in
-  List.iter
-    (fun (ename, engine) ->
-      check_same_observation
-        (Printf.sprintf "%s baseline (tree vs %s)" path ename)
-        tree
-        (baseline_observation app engine);
-      check_same_observation
-        (Printf.sprintf "%s protected (tree vs %s)" path ename)
-        tree_p
-        (protected_observation app image engine))
-    [ ("decoded", Ex.Interp.Decoded); ("compiled", Ex.Interp.Compiled) ]
+  check_engines_agree path (Fz.Repro.to_app (Fz.Repro.load path))
 
 let corpus_tests () =
   List.map

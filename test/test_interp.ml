@@ -158,6 +158,76 @@ let test_fuel_exhaustion () =
   Alcotest.check_raises "fuel" Ex.Interp.Fuel_exhausted (fun () ->
       Ex.Interp.run interp)
 
+(* Build [p] under [engine] with [fuel]; run it and return how it ended
+   plus the interpreter. *)
+let run_engine ?fuel engine p =
+  let bus = M.Bus.create ~board in
+  let layout = Ex.Vanilla_layout.make ~board p in
+  let interp =
+    Ex.Interp.create ?fuel ~engine ~bus ~map:layout.Ex.Vanilla_layout.map p
+  in
+  let outcome =
+    match Ex.Interp.run interp with
+    | () -> "completed"
+    | exception Ex.Interp.Fuel_exhausted -> "fuel exhausted"
+    | exception M.Fault.Usage msg -> "usage: " ^ msg
+  in
+  (outcome, interp)
+
+(* The compiled engine charges fused superblocks in one step, with an
+   exact per-instruction slow path when fuel cannot cover a block: at
+   every fuel value the run must stop on the same instruction, with the
+   same cycle count, as the tree walker. *)
+let test_fuel_parity () =
+  let p =
+    Program.v ~name:"t" ~globals:[ word "out" ] ~peripherals:[]
+      ~funcs:
+        [ func "bump" [ pw "a" ] [ set "b" E.(l "a" + c 1); ret (l "b") ];
+          func "main" []
+            [ set "i" (c 0);
+              set "acc" (c 0);
+              while_
+                E.(l "i" < c 1000)
+                [ set "t" E.(l "acc" + l "i");
+                  set "acc" E.(l "t" * c 3);
+                  set "u" E.(l "acc" && c 0xff);
+                  store (gv "out") (l "u");
+                  call ~dst:"i" "bump" [ l "i" ] ];
+              halt ] ]
+      ()
+  in
+  for fuel = 1 to 400 do
+    let tree, ti = run_engine ~fuel Ex.Interp.Tree p in
+    let compiled, ci = run_engine ~fuel Ex.Interp.Compiled p in
+    let what = Printf.sprintf "fuel %d" fuel in
+    Alcotest.(check string) (what ^ ": tree runs out") "fuel exhausted" tree;
+    Alcotest.(check string) (what ^ ": compiled runs out") "fuel exhausted"
+      compiled;
+    Alcotest.(check int64) (what ^ ": cycles") (Ex.Interp.cycles ti)
+      (Ex.Interp.cycles ci)
+  done
+
+(* A read of a local that is unassigned on the path taken faults with
+   the same usage message under both engines.  Cycles are not compared:
+   an abort inside an expression is the engines' documented divergence
+   window (the compiled engine has already charged the whole
+   instruction). *)
+let test_undefined_local_parity () =
+  let p =
+    Program.v ~name:"t" ~globals:[ word "out" ] ~peripherals:[]
+      ~funcs:
+        [ func "main" []
+            [ set "x" (c 1);
+              if_ E.(l "x" == c 0) [ set "y" (c 5) ] [];
+              store (gv "out") E.(l "y" + c 1);
+              halt ] ]
+      ()
+  in
+  let tree, _ = run_engine Ex.Interp.Tree p in
+  let compiled, _ = run_engine Ex.Interp.Compiled p in
+  Alcotest.(check string) "tree faults" "usage: use of undefined local y" tree;
+  Alcotest.(check string) "same fault" tree compiled
+
 let test_stack_overflow () =
   let p =
     Program.v ~name:"t" ~globals:[] ~peripherals:[]
@@ -239,6 +309,9 @@ let suite () =
         Alcotest.test_case "icall" `Quick test_icall;
         Alcotest.test_case "icall to garbage" `Quick test_icall_to_non_function;
         Alcotest.test_case "fuel" `Quick test_fuel_exhaustion;
+        Alcotest.test_case "fuel parity across engines" `Quick test_fuel_parity;
+        Alcotest.test_case "undefined local parity" `Quick
+          test_undefined_local_parity;
         Alcotest.test_case "stack overflow" `Quick test_stack_overflow;
         Alcotest.test_case "call depth" `Quick test_call_depth;
         Alcotest.test_case "cycle accounting" `Quick test_cycles_monotonic;
