@@ -29,19 +29,22 @@ module A = Opec_aces
 module C = Opec_core
 module R = Met.Report
 module P = Opec_pipeline.Pipeline
+module Json = Opec_obs.Json
 
 let say fmt = Format.printf (fmt ^^ "@.")
+
+let write_json path v =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string v);
+      output_char oc '\n')
 
 let strategies =
   [ A.Strategy.Filename; A.Strategy.Filename_no_opt; A.Strategy.By_peripheral ]
 
 (* Materialize the listed stages for every app, one domain per app, so
-   the sequential rendering below it hits only the cache.  Pointless
-   when caching is off (the legacy emulation): the work would be
-   recomputed anyway. *)
+   the sequential rendering below it hits only the cache. *)
 let prewarm stages apps =
-  if P.caching_enabled () then
-    ignore (P.parallel_map (fun c -> List.iter (fun f -> f c) stages) apps)
+  ignore (P.parallel_map (fun c -> List.iter (fun f -> f c) stages) apps)
 
 let w_image c = ignore (P.image c)
 let w_baseline c = ignore (P.baseline c)
@@ -471,18 +474,16 @@ let engine_rows () =
       (engine_name e, cycles.(i), best.(i), cps))
     engines
 
-let out_engine_rows oc rows =
-  let out fmt = Printf.fprintf oc fmt in
-  out "  \"engines\": [\n";
-  List.iteri
-    (fun i (name, cycles, wall, cps) ->
-      out
-        "    {\"engine\": %S, \"cycles\": %Ld, \"wall_s\": %.6f, \
-         \"cycles_per_sec\": %.0f}%s\n"
-        name cycles wall cps
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  out "  ],\n"
+let engine_rows_json rows =
+  Json.List
+    (List.map
+       (fun (name, cycles, wall, cps) ->
+         Json.Obj
+           [ ("engine", Json.String name);
+             ("cycles", Json.Int (Int64.to_int cycles));
+             ("wall_s", Json.Float wall);
+             ("cycles_per_sec", Json.Int (Float.to_int (Float.round cps))) ])
+       rows)
 
 let pipeline_bench () =
   say "%s" (R.heading "Pipeline benchmark: compile-once artifact store");
@@ -506,21 +507,10 @@ let pipeline_bench () =
         (name, cold, warm))
       perf_targets
   in
-  (* the pre-refactor sequence, emulated faithfully: no artifact store
-     (every consumer recompiles and reruns privately) and the
-     tree-walking interpreter *)
-  P.set_caching false;
-  P.set_engine Opec_exec.Interp.Tree;
-  let legacy = timed sweep in
-  P.set_caching true;
-  P.set_engine Opec_exec.Interp.Compiled;
   P.reset ();
   let cold_sum = List.fold_left (fun acc (_, c, _) -> acc +. c) 0.0 rows in
-  let speedup = legacy /. Float.max 1e-9 shared in
   say "  sweep over a shared store: %.3f s" shared;
   say "  isolated cold targets sum: %.3f s" cold_sum;
-  say "  pre-pipeline emulation (no store, tree interpreter): %.3f s" legacy;
-  say "  end-to-end speedup: %.2fx" speedup;
   (* default-engine interpreter throughput: a fresh CoreMark baseline *)
   let cm = Apps.Registry.coremark () in
   let cm_cycles = ref 0L in
@@ -547,37 +537,37 @@ let pipeline_bench () =
         (P.app c).Apps.App.app_name, b.P.b_cycles, p.P.p_cycles)
       (Apps.Registry.all ())
   in
-  let oc = open_out "BENCH_pipeline.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"targets\": [\n";
-  List.iteri
-    (fun i (name, cold, warm) ->
-      out "    {\"name\": %S, \"cold_s\": %.6f, \"warm_s\": %.6f}%s\n" name cold
-        warm
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  out "  ],\n";
-  out
-    "  \"sweep\": {\"shared_store_s\": %.6f, \"isolated_cold_sum_s\": %.6f, \
-     \"legacy_s\": %.6f, \"speedup\": %.3f},\n"
-    shared cold_sum legacy speedup;
-  out
-    "  \"coremark\": {\"cycles\": %Ld, \"wall_s\": %.6f, \"cycles_per_sec\": \
-     %.0f},\n"
-    !cm_cycles cm_wall cps;
-  out_engine_rows oc engines;
-  out "  \"cycles\": {\n";
-  List.iteri
-    (fun i (name, b, p) ->
-      out "    %S: {\"baseline\": %Ld, \"protected\": %Ld}%s\n" name b p
-        (if i < List.length cycles - 1 then "," else ""))
-    cycles;
-  out "  },\n";
-  (* the high-water mark of participants any run actually used, not the
-     configured default: on a small machine these differ, and the field
-     is read as "how parallel was this measurement really" *)
-  out "  \"domains\": %d\n}\n" (Opec_pipeline.Pool.max_used ());
-  close_out oc;
+  let c v = Json.Int (Int64.to_int v) in
+  write_json "BENCH_pipeline.json"
+    (Json.Obj
+       [ ( "targets",
+           Json.List
+             (List.map
+                (fun (name, cold, warm) ->
+                  Json.Obj
+                    [ ("name", Json.String name); ("cold_s", Json.Float cold);
+                      ("warm_s", Json.Float warm) ])
+                rows) );
+         ( "sweep",
+           Json.Obj
+             [ ("shared_store_s", Json.Float shared);
+               ("isolated_cold_sum_s", Json.Float cold_sum) ] );
+         ( "coremark",
+           Json.Obj
+             [ ("cycles", c !cm_cycles); ("wall_s", Json.Float cm_wall);
+               ("cycles_per_sec", Json.Int (Float.to_int (Float.round cps))) ] );
+         ("engines", engine_rows_json engines);
+         ( "cycles",
+           Json.Obj
+             (List.map
+                (fun (name, b, p) ->
+                  (name, Json.Obj [ ("baseline", c b); ("protected", c p) ]))
+                cycles) );
+         (* the high-water mark of participants any run actually used,
+            not the configured default: on a small machine these
+            differ, and the field is read as "how parallel was this
+            measurement really" *)
+         ("domains", Json.Int (Opec_pipeline.Pool.max_used ())) ]);
   say "  wrote BENCH_pipeline.json"
 
 (* The standalone engine comparison (the CI perf smoke): CoreMark under
@@ -618,12 +608,10 @@ let coremark_engines_bench () =
       say "  %-8s %12Ld cycles  %7.3f s  %12.0f cycles/s" name cy wall cps)
     rows;
   say "  compiled vs tree: %.2fx" ratio;
-  let oc = open_out "BENCH_pipeline.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out_engine_rows oc rows;
-  out "  \"domains\": %d\n}\n" (Opec_pipeline.Pool.max_used ());
-  close_out oc;
+  write_json "BENCH_pipeline.json"
+    (Json.Obj
+       [ ("engines", engine_rows_json rows);
+         ("domains", Json.Int (Opec_pipeline.Pool.max_used ())) ]);
   say "  wrote BENCH_pipeline.json";
   if ratio < engine_gate then begin
     say "  ENGINE PERF REGRESSION: compiled is %.2fx tree (< %.2fx)" ratio
@@ -635,87 +623,39 @@ let coremark_engines_bench () =
 
 (* Overhead breakdown per workload (Section 6.3): where the monitor's
    cycles go, measured from the telemetry stream of the instrumented
-   protected run.  Results land in BENCH_obs.json; when a checked-in
-   reference breakdown (BENCH_obs_ref.json) exists, the target fails if
-   any workload's total monitor overhead regressed more than 25%
-   against it — the CI perf smoke. *)
+   protected run.  Results land in BENCH_obs.json.  The target fails
+   (exit 1) if any workload's total monitor overhead or synced bytes
+   regressed more than 25% against the checked-in reference breakdown
+   (BENCH_obs_ref.json), and exits 2 if that reference is missing or
+   malformed — the CI perf smoke. *)
 
 let w_obs c = ignore (P.protected_obs c)
 
 let obs_ref_file = "BENCH_obs_ref.json"
 
-(* Naive field scan over our own writer's output (one workload per
-   line); there is no JSON library in the tree and none is needed for
-   a file this regular. *)
-let find_sub s pat =
-  let n = String.length s and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.equal (String.sub s i m) pat then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let scan_field line key =
-  match find_sub line (Printf.sprintf "\"%s\": " key) with
-  | None -> None
-  | Some i ->
-    let n = String.length line in
-    if i < n && line.[i] = '"' then (
-      let j = ref (i + 1) in
-      while !j < n && line.[!j] <> '"' do incr j done;
-      Some (String.sub line (i + 1) (!j - i - 1)))
-    else (
-      let j = ref i in
-      while
-        !j < n
-        && match line.[!j] with '0' .. '9' | '-' | '.' -> true | _ -> false
-      do
-        incr j
-      done;
-      if !j = i then None else Some (String.sub line i (!j - i)))
-
+(* The reference's (app, overhead cycles, synced bytes) rows.  A
+   reference that is missing or malformed is an error, never an empty
+   gate. *)
 let parse_obs_ref path =
-  if not (Sys.file_exists path) then []
-  else (
-    let ic = open_in path in
-    let rows = ref [] in
-    (try
-       while true do
-         let line = input_line ic in
-         match (scan_field line "app", scan_field line "overhead_cycles") with
-         | Some app, Some oh ->
-           let sb = Option.map int_of_string (scan_field line "synced_bytes") in
-           rows := (app, Int64.of_string oh, sb) :: !rows
-         | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !rows)
-
-let write_obs_json path (rows : Met.Overhead.breakdown list) =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"workloads\": [\n";
-  List.iteri
-    (fun i (b : Met.Overhead.breakdown) ->
-      out
-        "    {\"app\": %S, \"baseline_cycles\": %Ld, \"protected_cycles\": \
-         %Ld, \"overhead_cycles\": %Ld, \"sanitize\": %Ld, \"sync\": %Ld, \
-         \"relocate\": %Ld, \"mpu\": %Ld, \"svc\": %Ld, \"init\": %Ld, \
-         \"other\": %Ld, \"switches\": %d, \"swaps\": %d, \"emulations\": \
-         %d, \"synced_bytes\": %d}%s\n"
-        b.Met.Overhead.bd_app b.Met.Overhead.bd_base_cycles
-        b.Met.Overhead.bd_prot_cycles b.Met.Overhead.bd_overhead_cycles
-        b.Met.Overhead.bd_sanitize b.Met.Overhead.bd_sync
-        b.Met.Overhead.bd_relocate b.Met.Overhead.bd_mpu
-        b.Met.Overhead.bd_svc b.Met.Overhead.bd_init b.Met.Overhead.bd_other
-        b.Met.Overhead.bd_switches b.Met.Overhead.bd_swaps
-        b.Met.Overhead.bd_emulations b.Met.Overhead.bd_synced_bytes
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  out "  ]\n}\n";
-  close_out oc
+  let ( let* ) = Result.bind in
+  let member k = function Json.Obj kvs -> List.assoc_opt k kvs | _ -> None in
+  let* text =
+    try Ok (In_channel.with_open_bin path In_channel.input_all)
+    with Sys_error e -> Error e
+  in
+  let* doc = Result.map_error (Printf.sprintf "%s: %s" path) (Json.parse text) in
+  match member "workloads" doc with
+  | Some (Json.List ws) ->
+    List.fold_right
+      (fun w acc ->
+        let* rows = acc in
+        let int k = match member k w with Some (Json.Int n) -> Some n | _ -> None in
+        match (member "app" w, int "overhead_cycles") with
+        | Some (Json.String app), Some oh ->
+          Ok ((app, Int64.of_int oh, int "synced_bytes") :: rows)
+        | _ -> Error (path ^ ": a workload lacks an app or its overhead_cycles"))
+      ws (Ok [])
+  | _ -> Error (path ^ ": no \"workloads\" array")
 
 let obs () =
   say "%s" (R.heading "Overhead breakdown (Section 6.3): where monitor cycles go");
@@ -750,12 +690,23 @@ let obs () =
          [ "Application"; "Overhead"; "Sanitize"; "Sync"; "Relocate"; "MPU";
            "SVC"; "Other"; "Switches"; "Synced(B)" ]
        (List.map cells rows));
-  write_obs_json "BENCH_obs.json" rows;
+  write_json "BENCH_obs.json"
+    (Json.Obj
+       [ ( "workloads",
+           Json.List
+             (List.map
+                (fun (b : Met.Overhead.breakdown) ->
+                  Json.Obj
+                    (("app", Json.String b.Met.Overhead.bd_app)
+                    :: Met.Overhead.breakdown_json b))
+                rows) ) ]);
   say "  wrote BENCH_obs.json";
   (* the regression gates against the checked-in reference breakdown *)
   match parse_obs_ref obs_ref_file with
-  | [] -> say "  no %s reference found; overhead gate skipped" obs_ref_file
-  | refs ->
+  | Error e ->
+    Format.eprintf "overhead gate: cannot read the reference: %s@." e;
+    exit 2
+  | Ok refs ->
     let ref_of app =
       List.find_opt (fun (a, _, _) -> String.equal a app) refs
     in
@@ -882,31 +833,28 @@ let fleet_bench () =
     List.concat_map (fun (_, _, _, o) -> o.Fl.Fleet.o_failures) points
   in
   say "  report deterministic across widths: %b" deterministic;
-  let oc = open_out "BENCH_fleet.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"units\": %d,\n" (List.length o1.Fl.Fleet.o_units);
-  out "  \"tasks\": [%s],\n"
-    (String.concat ", "
-       (List.map
-          (fun t -> Printf.sprintf "%S" (Fl.Spec.task_name t))
-          spec.Fl.Spec.tasks));
-  out "  \"curve\": [\n";
-  List.iteri
-    (fun i (rj, ej, wall, steals, o) ->
-      out
-        "    {\"requested_j\": %d, \"effective_j\": %d, \"wall_s\": %.6f, \
-         \"speedup\": %.3f, \"steals\": %d, \"failures\": %d}%s\n"
-        rj ej wall
-        (wall1 /. Float.max 1e-9 wall)
-        steals
-        (List.length o.Fl.Fleet.o_failures)
-        (if i < List.length curve - 1 then "," else ""))
-    curve;
-  out "  ],\n";
-  out "  \"recommended_domain_count\": %d,\n" all_cores;
-  out "  \"deterministic\": %b,\n" deterministic;
-  out "  \"domains\": %d\n}\n" (Opec_pipeline.Pool.max_used ());
-  close_out oc;
+  write_json "BENCH_fleet.json"
+    (Json.Obj
+       [ ("units", Json.Int (List.length o1.Fl.Fleet.o_units));
+         ( "tasks",
+           Json.List
+             (List.map
+                (fun t -> Json.String (Fl.Spec.task_name t))
+                spec.Fl.Spec.tasks) );
+         ( "curve",
+           Json.List
+             (List.map
+                (fun (rj, ej, wall, steals, o) ->
+                  Json.Obj
+                    [ ("requested_j", Json.Int rj); ("effective_j", Json.Int ej);
+                      ("wall_s", Json.Float wall);
+                      ("speedup", Json.Float (wall1 /. Float.max 1e-9 wall));
+                      ("steals", Json.Int steals);
+                      ("failures", Json.Int (List.length o.Fl.Fleet.o_failures)) ])
+                curve) );
+         ("recommended_domain_count", Json.Int all_cores);
+         ("deterministic", Json.Bool deterministic);
+         ("domains", Json.Int (Opec_pipeline.Pool.max_used ())) ]);
   say "  wrote BENCH_fleet.json";
   if not deterministic then begin
     say "  FLEET NONDETERMINISM: reports differ across -j";
@@ -1028,16 +976,8 @@ let load_bench () =
          [ "Scenario"; "Backend"; "Events"; "Switches"; "Mean"; "p50"; "p99";
            "p999"; "Max"; "Wall(s)"; "Check" ]
        (List.map cells rows));
-  let oc = open_out "BENCH_load.json" in
-  output_string oc "{\n  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      output_string oc "    ";
-      output_string oc (L.Scenario.result_json r);
-      output_string oc (if i = List.length rows - 1 then "\n" else ",\n"))
-    rows;
-  output_string oc "  ]\n}\n";
-  close_out oc;
+  write_json "BENCH_load.json"
+    (Json.Obj [ ("rows", Json.List (List.map L.Scenario.result_json rows)) ]);
   say "  wrote BENCH_load.json";
   let failures =
     List.concat_map

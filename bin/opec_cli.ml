@@ -34,6 +34,13 @@ module Mon = Opec_monitor
 module Apps = Opec_apps
 module Met = Opec_metrics
 module P = Opec_pipeline.Pipeline
+module Json = Opec_obs.Json
+
+(* one JSON document per line on stdout *)
+let print_json v = Format.printf "%s@." (Json.to_string v)
+
+let write_file path s =
+  Out_channel.with_open_text path (fun oc -> output_string oc s)
 
 let find_app name =
   match Apps.Registry.find name (Apps.Registry.all ()) with
@@ -308,9 +315,7 @@ let trace_cmd =
       match out with
       | None -> print_string rendered
       | Some path ->
-        let oc = open_out path in
-        output_string oc rendered;
-        close_out oc;
+        write_file path rendered;
         Format.eprintf "wrote %d %s events to %s@." (List.length events)
           (Obs.Export.format_name fmt) path)
   in
@@ -415,30 +420,32 @@ let syncsets_cmd =
         (Ss.ops ss)
     in
     if json then begin
-      let quote = Opec_obs.Json.quote in
+      let n v = Json.Int v and str v = Json.String v in
       let ops_json =
         List.map
           (fun (opn, slots, out, enter, relevant, ro, dead, bytes) ->
-            Printf.sprintf
-              {|{"op":%s,"slots":%d,"out":%d,"enter":%d,"relevant":%d,"ro":%d,"dead":%d,"bytes":%d}|}
-              (quote opn) slots out enter relevant ro dead bytes)
+            Json.Obj
+              [ ("op", str opn); ("slots", n slots); ("out", n out);
+                ("enter", n enter); ("relevant", n relevant); ("ro", n ro);
+                ("dead", n dead); ("bytes", n bytes) ])
           op_rows
       in
       let pairs_json =
         List.map
           (fun (src, dst, slots, bytes) ->
-            Printf.sprintf {|{"src":%s,"dst":%s,"slots":%d,"bytes":%d}|}
-              (quote src) (quote dst) slots bytes)
+            Json.Obj
+              [ ("src", str src); ("dst", str dst); ("slots", n slots);
+                ("bytes", n bytes) ])
           pair_rows
       in
-      Format.printf
-        {|{"app":%s,"conservative_resume":%b,"escaped":[%s],"ops":[%s],"pairs":[%s],"schedule_bytes":%d}@.|}
-        (quote app.Apps.App.app_name)
-        (Ss.conservative_resume ss)
-        (String.concat "," (List.map quote (Ss.SS.elements (Ss.escaped ss))))
-        (String.concat "," ops_json)
-        (String.concat "," pairs_json)
-        image.C.Image.syncset_bytes
+      print_json
+        (Json.Obj
+           [ ("app", str app.Apps.App.app_name);
+             ("conservative_resume", Json.Bool (Ss.conservative_resume ss));
+             ("escaped", Json.List (List.map str (Ss.SS.elements (Ss.escaped ss))));
+             ("ops", Json.List ops_json);
+             ("pairs", Json.List pairs_json);
+             ("schedule_bytes", n image.C.Image.syncset_bytes) ])
     end
     else begin
       Format.printf "== %s ==@." app.Apps.App.app_name;
@@ -523,8 +530,10 @@ let lint_cmd =
     in
     let diags = Opec_lint.Lint.run ~dynamic:all ?source image in
     if json then
-      Format.printf {|{"app":"%s","diagnostics":%s}@.|} app.Apps.App.app_name
-        (Opec_lint.Lint.to_json diags)
+      print_json
+        (Json.Obj
+           [ ("app", Json.String app.Apps.App.app_name);
+             ("diagnostics", Json.List (List.map Opec_lint.Diag.to_json diags)) ])
     else begin
       Format.printf "== %s ==@." app.Apps.App.app_name;
       Opec_lint.Lint.render ~all Format.std_formatter diags
@@ -701,9 +710,7 @@ let compare_backends_cmd =
       (match out with
       | None -> ()
       | Some path ->
-        let oc = open_out path in
-        output_string oc (Atk.Backend_study.to_json t);
-        close_out oc;
+        write_file path (Atk.Backend_study.to_json t);
         Format.eprintf "wrote %s@." path);
       if json then print_endline (Atk.Backend_study.to_json t)
       else print_endline (Atk.Backend_study.render t);
@@ -834,7 +841,7 @@ let fuzz_cmd =
                 Format.eprintf "opec fuzz: skipped stale %s: %s@." path
                   reason)
               report.F.Runner.g_skipped;
-            print_endline (F.Runner.guided_report_json report)
+            print_json (F.Runner.guided_report_json report)
           end
           else Format.printf "%a@." F.Runner.pp_guided_report report;
           if report.F.Runner.g_failures <> [] then exit 1)
@@ -845,7 +852,7 @@ let fuzz_cmd =
         with
         | exception Invalid_argument msg -> exits_with_error msg
         | report ->
-          if json then print_endline (F.Runner.report_json report)
+          if json then print_json (F.Runner.report_json report)
           else Format.printf "%a@." F.Runner.pp_report report;
           if report.F.Runner.r_failures <> [] then exit 1))
   in
@@ -972,10 +979,10 @@ let fleet_cmd =
         (match json_out with
         | None -> ()
         | Some "-" -> print_string (Fl.Fleet.report_json o)
-        | Some path -> Fl.Report.save path (Fl.Fleet.report_json o));
+        | Some path -> write_file path (Fl.Fleet.report_json o));
         (match journal_out with
         | None -> ()
-        | Some path -> Fl.Journal.save path o.Fl.Fleet.o_journal);
+        | Some path -> write_file path (Fl.Journal.to_json o.Fl.Fleet.o_journal));
         List.iter
           (fun (u, e) -> Format.eprintf "FAILED %s: %s@." u e)
           o.Fl.Fleet.o_failures;
@@ -1043,7 +1050,7 @@ let load_cmd =
       in
       List.iter
         (fun r ->
-          if json then print_endline (L.Scenario.result_json r)
+          if json then print_json (L.Scenario.result_json r)
           else Format.printf "%a@.@." L.Scenario.pp_result r)
         results;
       if

@@ -163,39 +163,37 @@ let render t =
 
 (* --- JSON ---------------------------------------------------------------- *)
 
+module Json = Opec_obs.Json
+
 let row_json (r : row) =
-  let bd = r.r_breakdown in
   let escaped =
     List.length
       (List.filter
          (fun (c : Campaign.cell) -> c.Campaign.outcome = Campaign.Escaped)
          r.r_cells)
   in
-  Printf.sprintf
-    {|{"backend":"%s","cells":[%s],"escaped":%d,"denied":%d,"base_cycles":%Ld,"prot_cycles":%Ld,"overhead_cycles":%Ld,"sanitize":%Ld,"sync":%Ld,"relocate":%Ld,"init":%Ld,"svc":%Ld,"other":%Ld,"switches":%d,"swaps":%d,"emulations":%d,"synced_bytes":%d,"flash_used":%d,"sram_used":%d}|}
-    (M.Backend.kind_name r.r_backend)
-    (String.concat "," (List.map Report.cell_json r.r_cells))
-    escaped r.r_denied bd.Met.Overhead.bd_base_cycles
-    bd.Met.Overhead.bd_prot_cycles bd.Met.Overhead.bd_overhead_cycles
-    bd.Met.Overhead.bd_sanitize bd.Met.Overhead.bd_sync
-    bd.Met.Overhead.bd_relocate bd.Met.Overhead.bd_init
-    bd.Met.Overhead.bd_svc bd.Met.Overhead.bd_other
-    bd.Met.Overhead.bd_switches bd.Met.Overhead.bd_swaps
-    bd.Met.Overhead.bd_emulations bd.Met.Overhead.bd_synced_bytes
-    r.r_flash_used r.r_sram_used
+  Json.Obj
+    ([ ("backend", Json.String (M.Backend.kind_name r.r_backend));
+       ("cells", Json.List (List.map Report.cell_json r.r_cells));
+       ("escaped", Json.Int escaped);
+       ("denied", Json.Int r.r_denied) ]
+    @ Met.Overhead.breakdown_json r.r_breakdown
+    @ [ ("flash_used", Json.Int r.r_flash_used);
+        ("sram_used", Json.Int r.r_sram_used) ])
 
 let to_json t =
-  let apps =
-    List.map
-      (fun app ->
-        Printf.sprintf {|{"app":"%s","results":[%s]}|}
-          (Opec_obs.Json.escape app)
-          (String.concat "," (List.map row_json (rows_of t ~app))))
-      (apps_of t)
-  in
-  Printf.sprintf {|{"backends":[%s],"apps":[%s]}|}
-    (String.concat ","
-       (List.map
-          (fun k -> "\"" ^ M.Backend.kind_name k ^ "\"")
-          t.backends))
-    (String.concat "," apps)
+  Json.to_string
+    (Json.Obj
+       [ ( "backends",
+           Json.List
+             (List.map (fun k -> Json.String (M.Backend.kind_name k)) t.backends)
+         );
+         ( "apps",
+           Json.List
+             (List.map
+                (fun app ->
+                  Json.Obj
+                    [ ("app", Json.String app);
+                      ("results", Json.List (List.map row_json (rows_of t ~app)))
+                    ])
+                (apps_of t)) ) ])

@@ -105,20 +105,22 @@ let summary (ms : Campaign.matrix list) =
 module Json = Opec_obs.Json
 
 let cell_json (c : Campaign.cell) =
-  Printf.sprintf
-    {|{"primitive":"%s","operation":"%s","injection":"%s","rationale":"%s","defense":"%s","outcome":"%s","detail":"%s"}|}
-    (Json.escape (Primitive.name c.Campaign.injection.Planner.primitive))
-    (Json.escape c.Campaign.injection.Planner.op.C.Operation.name)
-    (Json.escape (Primitive.describe c.Campaign.injection.Planner.primitive))
-    (Json.escape c.Campaign.injection.Planner.rationale)
-    (Json.escape (Campaign.defense_name c.Campaign.defense))
-    (Json.escape (Campaign.outcome_name c.Campaign.outcome))
-    (Json.escape c.Campaign.detail)
+  let inj = c.Campaign.injection in
+  Json.Obj
+    (List.map
+       (fun (k, v) -> (k, Json.String v))
+       [ ("primitive", Primitive.name inj.Planner.primitive);
+         ("operation", inj.Planner.op.C.Operation.name);
+         ("injection", Primitive.describe inj.Planner.primitive);
+         ("rationale", inj.Planner.rationale);
+         ("defense", Campaign.defense_name c.Campaign.defense);
+         ("outcome", Campaign.outcome_name c.Campaign.outcome);
+         ("detail", c.Campaign.detail) ])
 
 let matrix_json (m : Campaign.matrix) =
-  Printf.sprintf {|{"app":"%s","cells":[%s]}|}
-    (Json.escape m.Campaign.app)
-    (String.concat "," (List.map cell_json m.Campaign.cells))
+  Json.Obj
+    [ ("app", Json.String m.Campaign.app);
+      ("cells", Json.List (List.map cell_json m.Campaign.cells)) ]
 
 let to_json (ms : Campaign.matrix list) =
-  "[" ^ String.concat "," (List.map matrix_json ms) ^ "]"
+  Json.to_string (Json.List (List.map matrix_json ms))

@@ -13,4 +13,4 @@ val summary : Campaign.matrix list -> string
 val to_json : Campaign.matrix list -> string
 
 (** One cell object — shared with the cross-backend study's exporter. *)
-val cell_json : Campaign.cell -> string
+val cell_json : Campaign.cell -> Opec_obs.Json.t

@@ -59,26 +59,15 @@ let count t kind =
 module Json = Opec_obs.Json
 
 let entry_json e =
-  Printf.sprintf
-    {|{"seq":%d,"ns":%Ld,"domain":%d,"unit":"%s","kind":"%s","detail":"%s"}|}
-    e.e_seq e.e_ns e.e_domain (Json.escape e.e_unit) (Json.escape e.e_kind)
-    (Json.escape e.e_detail)
+  Json.Obj
+    [ ("seq", Json.Int e.e_seq);
+      ("ns", Json.Int (Int64.to_int e.e_ns));
+      ("domain", Json.Int e.e_domain);
+      ("unit", Json.String e.e_unit);
+      ("kind", Json.String e.e_kind);
+      ("detail", Json.String e.e_detail) ]
 
 let to_json t =
-  let es = entries t in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"events\": [\n";
-  List.iteri
-    (fun i e ->
-      Buffer.add_string b "    ";
-      Buffer.add_string b (entry_json e);
-      if i < List.length es - 1 then Buffer.add_string b ",";
-      Buffer.add_string b "\n")
-    es;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
-let save path t =
-  let oc = open_out path in
-  output_string oc (to_json t);
-  close_out oc
+  let events = Json.List (List.map entry_json (entries t)) in
+  Json.to_string (Json.Obj [ ("events", events) ])
+  ^ "\n"

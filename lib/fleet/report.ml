@@ -8,39 +8,32 @@
    and fails the build if they diverge.  Timing truth lives in the job
    journal and in BENCH_fleet.json. *)
 
-let quote = Opec_obs.Json.escape
+module Json = Opec_obs.Json
 
 (* --- JSON ---------------------------------------------------------------- *)
+
+let strs l = Json.List (List.map (fun x -> Json.String x) l)
 
 let job_json (s : Spec.t) =
   let apps =
     match s.Spec.apps with
-    | Spec.All_apps -> {|"all"|}
-    | Spec.No_apps -> "[]"
-    | Spec.Named names ->
-      Printf.sprintf "[%s]"
-        (String.concat ","
-           (List.map (fun n -> Printf.sprintf {|"%s"|} (quote n)) names))
+    | Spec.All_apps -> Json.String "all"
+    | Spec.No_apps -> Json.List []
+    | Spec.Named names -> strs names
   in
   let seeds =
     match s.Spec.seeds with
-    | None -> "null"
-    | Some (lo, hi) -> Printf.sprintf {|{"lo":%d,"hi":%d,"size":%d}|} lo hi s.Spec.seed_size
+    | None -> Json.Null
+    | Some (lo, hi) ->
+      Json.Obj
+        [ ("lo", Json.Int lo); ("hi", Json.Int hi);
+          ("size", Json.Int s.Spec.seed_size) ]
   in
-  let tasks =
-    String.concat ","
-      (List.map
-         (fun t -> Printf.sprintf {|"%s"|} (Spec.task_name t))
-         s.Spec.tasks)
-  in
-  let backends =
-    String.concat ","
-      (List.map
-         (fun k -> Printf.sprintf {|"%s"|} (Opec_machine.Backend.kind_name k))
-         s.Spec.backends)
-  in
-  Printf.sprintf {|{"apps":%s,"seeds":%s,"tasks":[%s],"backends":[%s]}|} apps
-    seeds tasks backends
+  Json.Obj
+    [ ("apps", apps); ("seeds", seeds);
+      ("tasks", strs (List.map Spec.task_name s.Spec.tasks));
+      ( "backends",
+        strs (List.map Opec_machine.Backend.kind_name s.Spec.backends) ) ]
 
 (* Group the flat (unit, result) list back into per-(image, backend)
    records.  Units are image-major (then backend-major) in canonical
@@ -60,59 +53,63 @@ let by_image (pairs : (Spec.unit_ * Task.result) list) :
     [] pairs
   |> List.rev_map (fun (label, im, rs) -> (label, im, List.rev rs))
 
-let image_json label (im : Spec.image) (tasks : (Spec.task * Task.result) list)
-    =
-  Printf.sprintf {|{"image":"%s","generated":%b,"tasks":{%s}}|} (quote label)
-    im.Spec.im_generated
-    (String.concat ","
-       (List.map
-          (fun (t, r) ->
-            Printf.sprintf {|"%s":%s|} (Spec.task_name t) (Task.to_json r))
-          tasks))
+let image_json (label, (im : Spec.image), tasks) =
+  let task (t, r) = (Spec.task_name t, Task.to_json r) in
+  Json.Obj
+    [ ("image", Json.String label);
+      ("generated", Json.Bool im.Spec.im_generated);
+      ("tasks", Json.Obj (List.map task tasks)) ]
+
+let overhead_pct (g : Agg.t) =
+  if Int64.compare g.Agg.g_base_cycles 0L > 0 then
+    Int64.to_float g.Agg.g_overhead_cycles
+    /. Int64.to_float g.Agg.g_base_cycles
+    *. 100.
+  else 0.
 
 let aggregate_json (g : Agg.t) =
-  let overhead_pct =
-    if Int64.compare g.Agg.g_base_cycles 0L > 0 then
-      Printf.sprintf "%.2f"
-        (Int64.to_float g.Agg.g_overhead_cycles
-        /. Int64.to_float g.Agg.g_base_cycles
-        *. 100.)
-    else "0.00"
-  in
-  Printf.sprintf
-    {|{"units":%d,"failed":%d,"images_compiled":%d,"ops":%d,"flash":%d,"sram":%d,"syncset_bytes":%d,"lint":{"runs":%d,"errors":%d,"warnings":%d,"infos":%d},"attack":{"runs":%d,"injections":%d,"opec_escapes":%d,"defenses":{%s}},"trace":{"runs":%d,"baseline_cycles":%Ld,"protected_cycles":%Ld,"overhead_cycles":%Ld,"overhead_pct":%s,"sync_cycles":%Ld,"switches":%d,"synced_bytes":%d},"fuzz":{"runs":%d,"failures":%d}}|}
-    g.Agg.g_units g.Agg.g_failed g.Agg.g_images_compiled g.Agg.g_ops
-    g.Agg.g_flash g.Agg.g_sram g.Agg.g_syncset_bytes g.Agg.g_lint_runs
-    g.Agg.g_lint_errors g.Agg.g_lint_warnings g.Agg.g_lint_infos
-    g.Agg.g_attack_runs g.Agg.g_injections g.Agg.g_opec_escapes
-    (String.concat ","
-       (List.map
-          (fun (name, oc) ->
-            Printf.sprintf {|"%s":%s|} (quote name) (Task.oc_json oc))
-          g.Agg.g_attack))
-    g.Agg.g_trace_runs g.Agg.g_base_cycles g.Agg.g_prot_cycles
-    g.Agg.g_overhead_cycles overhead_pct g.Agg.g_sync_cycles g.Agg.g_switches
-    g.Agg.g_synced_bytes g.Agg.g_fuzz_runs g.Agg.g_fuzz_failures
+  let c v = Json.Int (Int64.to_int v) and n v = Json.Int v in
+  Json.Obj
+    [ ("units", n g.Agg.g_units); ("failed", n g.Agg.g_failed);
+      ("images_compiled", n g.Agg.g_images_compiled); ("ops", n g.Agg.g_ops);
+      ("flash", n g.Agg.g_flash); ("sram", n g.Agg.g_sram);
+      ("syncset_bytes", n g.Agg.g_syncset_bytes);
+      ( "lint",
+        Json.Obj
+          [ ("runs", n g.Agg.g_lint_runs); ("errors", n g.Agg.g_lint_errors);
+            ("warnings", n g.Agg.g_lint_warnings);
+            ("infos", n g.Agg.g_lint_infos) ] );
+      ( "attack",
+        Json.Obj
+          [ ("runs", n g.Agg.g_attack_runs); ("injections", n g.Agg.g_injections);
+            ("opec_escapes", n g.Agg.g_opec_escapes);
+            ("defenses", Task.defenses_json g.Agg.g_attack) ] );
+      ( "trace",
+        Json.Obj
+          [ ("runs", n g.Agg.g_trace_runs);
+            ("baseline_cycles", c g.Agg.g_base_cycles);
+            ("protected_cycles", c g.Agg.g_prot_cycles);
+            ("overhead_cycles", c g.Agg.g_overhead_cycles);
+            (* two decimals, as the text report prints it *)
+            ( "overhead_pct",
+              Json.Float (float_of_string (Printf.sprintf "%.2f" (overhead_pct g)))
+            );
+            ("sync_cycles", c g.Agg.g_sync_cycles);
+            ("switches", n g.Agg.g_switches);
+            ("synced_bytes", n g.Agg.g_synced_bytes) ] );
+      ( "fuzz",
+        Json.Obj
+          [ ("runs", n g.Agg.g_fuzz_runs); ("failures", n g.Agg.g_fuzz_failures) ]
+      ) ]
 
 let to_json ~(spec : Spec.t) ~(pairs : (Spec.unit_ * Task.result) list)
     ~(agg : Agg.t) =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"job\": %s,\n" (job_json spec));
-  Buffer.add_string b "  \"images\": [\n";
-  let groups = by_image pairs in
-  List.iteri
-    (fun i (label, im, tasks) ->
-      Buffer.add_string b "    ";
-      Buffer.add_string b (image_json label im tasks);
-      if i < List.length groups - 1 then Buffer.add_string b ",";
-      Buffer.add_string b "\n")
-    groups;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"aggregate\": %s\n" (aggregate_json agg));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       [ ("job", job_json spec);
+         ("images", Json.List (List.map image_json (by_image pairs)));
+         ("aggregate", aggregate_json agg) ])
+  ^ "\n"
 
 (* --- text ---------------------------------------------------------------- *)
 
@@ -184,18 +181,9 @@ let render ~(spec : Spec.t) ~(pairs : (Spec.unit_ * Task.result) list)
   if agg.Agg.g_trace_runs > 0 then
     pf "  trace   : %d runs, overhead %Ld/%Ld cycles (%.2f%%), %d switches, %d B synced\n"
       agg.Agg.g_trace_runs agg.Agg.g_overhead_cycles agg.Agg.g_base_cycles
-      (if Int64.compare agg.Agg.g_base_cycles 0L > 0 then
-         Int64.to_float agg.Agg.g_overhead_cycles
-         /. Int64.to_float agg.Agg.g_base_cycles
-         *. 100.
-       else 0.)
+      (overhead_pct agg)
       agg.Agg.g_switches agg.Agg.g_synced_bytes;
   if agg.Agg.g_fuzz_runs > 0 then
     pf "  fuzz    : %d runs, %d property failures\n" agg.Agg.g_fuzz_runs
       agg.Agg.g_fuzz_failures;
   Buffer.contents b
-
-let save path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc

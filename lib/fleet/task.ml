@@ -185,49 +185,45 @@ let run (u : Spec.unit_) : result =
 
 (* --- JSON (deterministic; the report's raw material) -------------------- *)
 
-let quote = Opec_obs.Json.escape
+module Json = Opec_obs.Json
+
+let counts kvs = Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) kvs)
 
 let oc_json oc =
-  Printf.sprintf
-    {|{"blocked":%d,"contained":%d,"escaped":%d,"crashed":%d}|}
-    oc.oc_blocked oc.oc_contained oc.oc_escaped oc.oc_crashed
+  counts
+    [ ("blocked", oc.oc_blocked); ("contained", oc.oc_contained);
+      ("escaped", oc.oc_escaped); ("crashed", oc.oc_crashed) ]
 
-let to_json = function
+let defenses_json ds = Json.Obj (List.map (fun (k, oc) -> (k, oc_json oc)) ds)
+
+let to_json r =
+  let task name fields = Json.Obj (("task", Json.String name) :: fields) in
+  let c v = Json.Int (Int64.to_int v) and n v = Json.Int v in
+  match r with
   | Compiled c ->
-    Printf.sprintf
-      {|{"task":"compile","ops":%d,"entries":%d,"flash":%d,"sram":%d,"syncset_bytes":%d}|}
-      c.c_ops c.c_entries c.c_flash c.c_sram c.c_syncset_bytes
+    task "compile"
+      [ ("ops", n c.c_ops); ("entries", n c.c_entries); ("flash", n c.c_flash);
+        ("sram", n c.c_sram); ("syncset_bytes", n c.c_syncset_bytes) ]
   | Linted l ->
-    Printf.sprintf
-      {|{"task":"lint","errors":%d,"warnings":%d,"infos":%d,"by_code":{%s}}|}
-      l.l_errors l.l_warnings l.l_infos
-      (String.concat ","
-         (List.map
-            (fun (code, n) -> Printf.sprintf {|"%s":%d|} (quote code) n)
-            l.l_by_code))
+    task "lint"
+      [ ("errors", n l.l_errors); ("warnings", n l.l_warnings);
+        ("infos", n l.l_infos); ("by_code", counts l.l_by_code) ]
   | Attacked a ->
-    Printf.sprintf
-      {|{"task":"attack","injections":%d,"opec_escapes":%d,"defenses":{%s}}|}
-      a.a_injections a.a_opec_escapes
-      (String.concat ","
-         (List.map
-            (fun (name, oc) ->
-              Printf.sprintf {|"%s":%s|} (quote name) (oc_json oc))
-            a.a_defenses))
+    task "attack"
+      [ ("injections", n a.a_injections); ("opec_escapes", n a.a_opec_escapes);
+        ("defenses", defenses_json a.a_defenses) ]
   | Traced t ->
-    Printf.sprintf
-      {|{"task":"trace","baseline_cycles":%Ld,"protected_cycles":%Ld,"overhead_cycles":%Ld,"sanitize":%Ld,"sync":%Ld,"relocate":%Ld,"svc":%Ld,"other":%Ld,"switches":%d,"synced_bytes":%d}|}
-      t.t_base_cycles t.t_prot_cycles t.t_overhead_cycles t.t_sanitize
-      t.t_sync t.t_relocate t.t_svc t.t_other t.t_switches t.t_synced_bytes
+    task "trace"
+      [ ("baseline_cycles", c t.t_base_cycles);
+        ("protected_cycles", c t.t_prot_cycles);
+        ("overhead_cycles", c t.t_overhead_cycles); ("sanitize", c t.t_sanitize);
+        ("sync", c t.t_sync); ("relocate", c t.t_relocate); ("svc", c t.t_svc);
+        ("other", c t.t_other); ("switches", n t.t_switches);
+        ("synced_bytes", n t.t_synced_bytes) ]
   | Fuzzed f ->
-    Printf.sprintf {|{"task":"fuzz","properties":[%s],"failures":[%s]}|}
-      (String.concat ","
-         (List.map (fun p -> Printf.sprintf {|"%s"|} (quote p)) f.f_properties))
-      (String.concat ","
-         (List.map
-            (fun (p, d) ->
-              Printf.sprintf {|{"property":"%s","detail":"%s"}|} (quote p)
-                (quote d))
-            f.f_failures))
-  | Failed x ->
-    Printf.sprintf {|{"task":"failed","error":"%s"}|} (quote x.x_error)
+    let str s = Json.String s in
+    let failure (p, d) = Json.Obj [ ("property", str p); ("detail", str d) ] in
+    task "fuzz"
+      [ ("properties", Json.List (List.map str f.f_properties));
+        ("failures", Json.List (List.map failure f.f_failures)) ]
+  | Failed x -> task "failed" [ ("error", Json.String x.x_error) ]

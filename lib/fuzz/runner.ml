@@ -289,44 +289,43 @@ let pp_guided_report f r =
 
 module Json = Opec_obs.Json
 
+let str s = Json.String s and int i = Json.Int i
+let repro_json = function None -> Json.Null | Some p -> str p
+
 let failure_json x =
-  Printf.sprintf
-    {|{"seed":%d,"property":%s,"detail":%s,"funcs_before":%d,"funcs_after":%d,"repro":%s}|}
-    x.f_seed (Json.quote x.f_property) (Json.quote x.f_detail)
-    x.f_funcs_before x.f_funcs_after
-    (match x.f_repro with None -> "null" | Some p -> Json.quote p)
+  Json.Obj
+    [ ("seed", int x.f_seed); ("property", str x.f_property);
+      ("detail", str x.f_detail); ("funcs_before", int x.f_funcs_before);
+      ("funcs_after", int x.f_funcs_after); ("repro", repro_json x.f_repro) ]
 
 let report_json r =
-  Printf.sprintf
-    {|{"mode":"blind","lo":%d,"hi":%d,"size":%d,"properties":[%s],"passed":%d,"failures":[%s]}|}
-    r.r_lo r.r_hi r.r_size
-    (String.concat "," (List.map Json.quote r.r_properties))
-    r.r_passed
-    (String.concat "," (List.map failure_json r.r_failures))
+  Json.Obj
+    [ ("mode", str "blind"); ("lo", int r.r_lo); ("hi", int r.r_hi);
+      ("size", int r.r_size);
+      ("properties", Json.List (List.map str r.r_properties));
+      ("passed", int r.r_passed);
+      ("failures", Json.List (List.map failure_json r.r_failures)) ]
 
 let guided_failure_json x =
-  Printf.sprintf
-    {|{"origin":%s,"property":%s,"detail":%s,"funcs_before":%d,"funcs_after":%d,"repro":%s}|}
-    (Json.quote x.gf_origin) (Json.quote x.gf_property)
-    (Json.quote x.gf_detail) x.gf_funcs_before x.gf_funcs_after
-    (match x.gf_repro with None -> "null" | Some p -> Json.quote p)
+  Json.Obj
+    [ ("origin", str x.gf_origin); ("property", str x.gf_property);
+      ("detail", str x.gf_detail); ("funcs_before", int x.gf_funcs_before);
+      ("funcs_after", int x.gf_funcs_after); ("repro", repro_json x.gf_repro) ]
 
 let guided_report_json r =
-  Printf.sprintf
-    {|{"mode":"guided","lo":%d,"hi":%d,"size":%d,"budget":%d,"corpus_dir":%s,"loaded":%d,"skipped":[%s],"executions":%d,"new_entries":%d,"mutants_kept":%d,"edges":%d,"curve":[%s],"failures":[%s]}|}
-    r.g_lo r.g_hi r.g_size r.g_budget
-    (Json.quote r.g_corpus_dir)
-    r.g_loaded
-    (String.concat ","
-       (List.map
-          (fun (path, reason) ->
-            Printf.sprintf {|{"path":%s,"reason":%s}|} (Json.quote path)
-              (Json.quote reason))
-          r.g_skipped))
-    r.g_executions r.g_new_entries r.g_mutants_kept r.g_edges
-    (String.concat ","
-       (List.map (fun (x, e) -> Printf.sprintf "[%d,%d]" x e) r.g_curve))
-    (String.concat "," (List.map guided_failure_json r.g_failures))
+  let skipped (path, reason) =
+    Json.Obj [ ("path", str path); ("reason", str reason) ]
+  in
+  let point (x, e) = Json.List [ int x; int e ] in
+  Json.Obj
+    [ ("mode", str "guided"); ("lo", int r.g_lo); ("hi", int r.g_hi);
+      ("size", int r.g_size); ("budget", int r.g_budget);
+      ("corpus_dir", str r.g_corpus_dir); ("loaded", int r.g_loaded);
+      ("skipped", Json.List (List.map skipped r.g_skipped));
+      ("executions", int r.g_executions); ("new_entries", int r.g_new_entries);
+      ("mutants_kept", int r.g_mutants_kept); ("edges", int r.g_edges);
+      ("curve", Json.List (List.map point r.g_curve));
+      ("failures", Json.List (List.map guided_failure_json r.g_failures)) ]
 
 (* --- seeded-defect efficiency ------------------------------------------- *)
 

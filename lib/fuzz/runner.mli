@@ -93,9 +93,9 @@ val pp_guided_report : Format.formatter -> guided_report -> unit
 
 (** Single-object JSON encodings of the reports, for [--json] runs:
     the whole report on one line, nothing else on stdout. *)
-val report_json : report -> string
+val report_json : report -> Opec_obs.Json.t
 
-val guided_report_json : guided_report -> string
+val guided_report_json : guided_report -> Opec_obs.Json.t
 
 (** {1 Seeded-defect efficiency} *)
 

@@ -45,25 +45,26 @@ let pp fmt d =
   Fmt.pf fmt "%s %a [%a] %s" d.code pp_severity d.severity pp_loc d.loc
     d.message
 
-(* --- JSON (hand-rendered; the tree carries no JSON library) ------------ *)
+(* --- JSON ------------------------------------------------------------ *)
 
 module Json = Opec_obs.Json
 
-let loc_json = function
-  | Program -> Printf.sprintf {|{"kind":"program"}|}
-  | Function f -> Printf.sprintf {|{"kind":"function","name":"%s"}|} (Json.escape f)
-  | Operation op ->
-    Printf.sprintf {|{"kind":"operation","name":"%s"}|} (Json.escape op)
-  | Icall { func; index } ->
-    Printf.sprintf {|{"kind":"icall","function":"%s","index":%d}|}
-      (Json.escape func) index
-  | Region { op; slot } ->
-    Printf.sprintf {|{"kind":"region","operation":"%s","slot":"%s"}|}
-      (Json.escape op) (Json.escape slot)
-  | Address a -> Printf.sprintf {|{"kind":"address","address":%d}|} a
+let loc_json loc =
+  let str s = Json.String s in
+  Json.Obj
+    (match loc with
+    | Program -> [ ("kind", str "program") ]
+    | Function f -> [ ("kind", str "function"); ("name", str f) ]
+    | Operation op -> [ ("kind", str "operation"); ("name", str op) ]
+    | Icall { func; index } ->
+      [ ("kind", str "icall"); ("function", str func); ("index", Json.Int index) ]
+    | Region { op; slot } ->
+      [ ("kind", str "region"); ("operation", str op); ("slot", str slot) ]
+    | Address a -> [ ("kind", str "address"); ("address", Json.Int a) ])
 
 let to_json d =
-  Printf.sprintf {|{"code":"%s","severity":"%s","loc":%s,"message":"%s"}|}
-    (Json.escape d.code)
-    (Fmt.str "%a" pp_severity d.severity)
-    (loc_json d.loc) (Json.escape d.message)
+  Json.Obj
+    [ ("code", Json.String d.code);
+      ("severity", Json.String (Fmt.str "%a" pp_severity d.severity));
+      ("loc", loc_json d.loc);
+      ("message", Json.String d.message) ]

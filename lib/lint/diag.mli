@@ -35,5 +35,5 @@ val pp_loc : Format.formatter -> loc -> unit
 (** One line: [L003 error [operation lock/region P4] message]. *)
 val pp : Format.formatter -> t -> unit
 
-(** A JSON object (hand-rendered; no JSON library in the tree). *)
-val to_json : t -> string
+(** One diagnostic as a JSON object. *)
+val to_json : t -> Opec_obs.Json.t

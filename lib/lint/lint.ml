@@ -101,6 +101,3 @@ let render ?(all = false) fmt diags =
     (count Diag.Warning)
     (if count Diag.Warning = 1 then "" else "s")
     (count Diag.Info)
-
-let to_json diags =
-  "[" ^ String.concat "," (List.map Diag.to_json diags) ^ "]"

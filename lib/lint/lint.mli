@@ -45,6 +45,3 @@ val errors : Diag.t list -> Diag.t list
 (** Render a report: one line per diagnostic plus a summary.  Info
     diagnostics are hidden unless [all] is set. *)
 val render : ?all:bool -> Format.formatter -> Diag.t list -> unit
-
-(** The diagnostics as a JSON array. *)
-val to_json : Diag.t list -> string

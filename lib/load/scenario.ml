@@ -394,13 +394,19 @@ let pp_result f r =
      check: %s@]"
     r.r_scenario r.r_backend r.r_events r.r_stimuli r.r_telemetry r.r_wall_s
     r.r_cycles r.r_switch_spans r.r_mean r.r_p50 r.r_p99 r.r_p999 r.r_max
-    (match r.r_check with Ok () -> "ok" | Error e -> Obs.Json.escape e)
+    (match r.r_check with Ok () -> "ok" | Error e -> e)
 
 (* JSON emission shared by [bench load] and [opec load --json]. *)
 let result_json r =
-  Printf.sprintf
-    {|{"scenario": "%s", "backend": "%s", "events": %d, "stimuli": %d, "telemetry": %d, "switch_spans": %d, "cycles": %Ld, "wall_s": %.3f, "mean": %.1f, "p50": %Ld, "p99": %Ld, "p999": %Ld, "max": %Ld, "check": "%s"}|}
-    r.r_scenario r.r_backend r.r_events r.r_stimuli r.r_telemetry
-    r.r_switch_spans r.r_cycles r.r_wall_s r.r_mean r.r_p50 r.r_p99 r.r_p999
-    r.r_max
-    (match r.r_check with Ok () -> "ok" | Error e -> Obs.Json.escape e)
+  let module J = Obs.Json in
+  let c v = J.Int (Int64.to_int v) and n v = J.Int v in
+  J.Obj
+    [ ("scenario", J.String r.r_scenario); ("backend", J.String r.r_backend);
+      ("events", n r.r_events); ("stimuli", n r.r_stimuli);
+      ("telemetry", n r.r_telemetry); ("switch_spans", n r.r_switch_spans);
+      ("cycles", c r.r_cycles); ("wall_s", J.Float r.r_wall_s);
+      (* one decimal, as the text report prints it *)
+      ("mean", J.Float (float_of_string (Printf.sprintf "%.1f" r.r_mean)));
+      ("p50", c r.r_p50); ("p99", c r.r_p99); ("p999", c r.r_p999);
+      ("max", c r.r_max);
+      ("check", J.String (match r.r_check with Ok () -> "ok" | Error e -> e)) ]

@@ -159,3 +159,14 @@ let breakdown_of_app ?backend (app : Opec_apps.App.t) =
   breakdown_of ~app_name:app.Opec_apps.App.app_name
     ~base_cycles:baseline.Workload.b_cycles ~prot_cycles:o.P.o_cycles
     (Obs.Agg.of_events o.P.o_events)
+
+(* The one serialization of a breakdown, shared by [bench obs] and the
+   cross-backend study; the caller adds the row's identity. *)
+let breakdown_json (b : breakdown) =
+  let c v = Obs.Json.Int (Int64.to_int v) and n v = Obs.Json.Int v in
+  [ ("baseline_cycles", c b.bd_base_cycles); ("protected_cycles", c b.bd_prot_cycles);
+    ("overhead_cycles", c b.bd_overhead_cycles); ("sanitize", c b.bd_sanitize);
+    ("sync", c b.bd_sync); ("relocate", c b.bd_relocate); ("mpu", c b.bd_mpu);
+    ("svc", c b.bd_svc); ("init", c b.bd_init); ("other", c b.bd_other);
+    ("switches", n b.bd_switches); ("swaps", n b.bd_swaps);
+    ("emulations", n b.bd_emulations); ("synced_bytes", n b.bd_synced_bytes) ]

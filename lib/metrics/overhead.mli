@@ -77,3 +77,7 @@ val breakdown_of :
     unprotected baseline is shared across backends. *)
 val breakdown_of_app :
   ?backend:Opec_machine.Backend.kind -> Opec_apps.App.t -> breakdown
+
+(** The breakdown's JSON members, [baseline_cycles] through
+    [synced_bytes] ([bd_app] excluded), in a fixed order. *)
+val breakdown_json : breakdown -> (string * Opec_obs.Json.t) list

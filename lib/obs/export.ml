@@ -1,14 +1,6 @@
 (* Telemetry exporters: human text, machine JSON, and Chrome
-   trace-event JSON (loadable in Perfetto / chrome://tracing).
-
-   JSON is hand-rolled on a [Buffer] — the project deliberately carries
-   no JSON dependency — and emitted deterministically so exports diff
-   cleanly across runs. *)
-
-let jstr b s =
-  Buffer.add_char b '"';
-  Json.add_escaped b s;
-  Buffer.add_char b '"'
+   trace-event JSON (loadable in Perfetto / chrome://tracing).  Output
+   is deterministic, so exports diff cleanly across runs. *)
 
 (* ---- human text ---- *)
 
@@ -75,137 +67,97 @@ let text ?(events = false) (evs : Sink.event list) : string =
 
 (* ---- machine JSON ---- *)
 
-let json_phase_sample b (p : Sink.phase_sample) =
-  Buffer.add_string b "{\"phase\":";
-  jstr b (Sink.phase_name p.Sink.ph);
-  Buffer.add_string b
-    (Printf.sprintf ",\"start\":%Ld,\"end\":%Ld,\"bytes\":%d}" p.Sink.ph_start
-       p.Sink.ph_end p.Sink.ph_bytes)
+let i64 v = Json.Int (Int64.to_int v)
+let int i = Json.Int i
+let str s = Json.String s
+let option f = function None -> Json.Null | Some v -> f v
 
-let json_info b (i : Sink.M.Fault.info) =
-  Buffer.add_string b
-    (Printf.sprintf "{\"addr\":%d,\"access\":\"%s\",\"privileged\":%b}"
-       i.Sink.M.Fault.addr
-       (match i.Sink.M.Fault.access with
-       | Sink.M.Fault.Read -> "read"
-       | Sink.M.Fault.Write -> "write"
-       | Sink.M.Fault.Execute -> "execute")
-       i.Sink.M.Fault.privileged)
+let info_json (i : Sink.M.Fault.info) =
+  let access =
+    match i.Sink.M.Fault.access with
+    | Sink.M.Fault.Read -> "read"
+    | Sink.M.Fault.Write -> "write"
+    | Sink.M.Fault.Execute -> "execute"
+  in
+  Json.Obj
+    [ ("addr", int i.Sink.M.Fault.addr); ("access", str access);
+      ("privileged", Json.Bool i.Sink.M.Fault.privileged) ]
 
-let json_region b (r : Sink.region_id) =
-  Buffer.add_string b
-    (Printf.sprintf "{\"base\":%d,\"size_log2\":%d}" r.Sink.rg_base
-       r.Sink.rg_size_log2)
+let region_json (r : Sink.region_id) =
+  Json.Obj [ ("base", int r.Sink.rg_base); ("size_log2", int r.Sink.rg_size_log2) ]
 
-let json_event b (e : Sink.event) =
+let phase_json (p : Sink.phase_sample) =
+  Json.Obj
+    [ ("phase", str (Sink.phase_name p.Sink.ph)); ("start", i64 p.Sink.ph_start);
+      ("end", i64 p.Sink.ph_end); ("bytes", int p.Sink.ph_bytes) ]
+
+let event_json (e : Sink.event) =
+  let ev ty fields = Json.Obj (("type", str ty) :: fields) in
   match e with
   | Sink.Switch s ->
-    Buffer.add_string b "{\"type\":\"switch\",\"kind\":";
-    jstr b (Sink.kind_name s.Sink.sp_kind);
-    Buffer.add_string b ",\"src\":";
-    jstr b s.Sink.sp_src;
-    Buffer.add_string b ",\"dst\":";
-    jstr b s.Sink.sp_dst;
-    Buffer.add_string b
-      (Printf.sprintf ",\"start\":%Ld,\"end\":%Ld,\"phases\":[" s.Sink.sp_start
-         s.Sink.sp_end);
-    List.iteri
-      (fun i p ->
-        if i > 0 then Buffer.add_char b ',';
-        json_phase_sample b p)
-      s.Sink.sp_phases;
-    Buffer.add_string b "]}"
+    ev "switch"
+      [ ("kind", str (Sink.kind_name s.Sink.sp_kind)); ("src", str s.Sink.sp_src);
+        ("dst", str s.Sink.sp_dst); ("start", i64 s.Sink.sp_start);
+        ("end", i64 s.Sink.sp_end);
+        ("phases", Json.List (List.map phase_json s.Sink.sp_phases)) ]
   | Sink.Region_swap r ->
-    Buffer.add_string b "{\"type\":\"region_swap\",\"op\":";
-    jstr b r.rs_op;
-    Buffer.add_string b (Printf.sprintf ",\"slot\":%d,\"evicted\":" r.rs_slot);
-    (match r.rs_evicted with
-    | None -> Buffer.add_string b "null"
-    | Some rid -> json_region b rid);
-    Buffer.add_string b ",\"installed\":";
-    json_region b r.rs_installed;
-    Buffer.add_string b (Printf.sprintf ",\"at\":%Ld}" r.rs_at)
+    ev "region_swap"
+      [ ("op", str r.rs_op); ("slot", int r.rs_slot);
+        ("evicted", option region_json r.rs_evicted);
+        ("installed", region_json r.rs_installed); ("at", i64 r.rs_at) ]
   | Sink.Emulation e ->
-    Buffer.add_string b "{\"type\":\"emulation\",\"op\":";
-    jstr b e.em_op;
-    Buffer.add_string b
-      (Printf.sprintf ",\"write\":%b,\"info\":" e.em_write);
-    json_info b e.em_info;
-    Buffer.add_string b (Printf.sprintf ",\"at\":%Ld}" e.em_at)
+    ev "emulation"
+      [ ("op", str e.em_op); ("write", Json.Bool e.em_write);
+        ("info", info_json e.em_info); ("at", i64 e.em_at) ]
   | Sink.Denial d ->
-    Buffer.add_string b "{\"type\":\"denial\",\"op\":";
-    jstr b d.dn_op;
-    Buffer.add_string b ",\"reason\":";
-    jstr b d.dn_reason;
-    Buffer.add_string b ",\"info\":";
-    (match d.dn_info with
-    | None -> Buffer.add_string b "null"
-    | Some i -> json_info b i);
-    Buffer.add_string b (Printf.sprintf ",\"at\":%Ld}" d.dn_at)
+    ev "denial"
+      [ ("op", str d.dn_op); ("reason", str d.dn_reason);
+        ("info", option info_json d.dn_info); ("at", i64 d.dn_at) ]
   | Sink.Svc_switch s ->
-    Buffer.add_string b "{\"type\":\"svc_switch\",\"kind\":";
-    jstr b (Sink.kind_name s.sv_kind);
-    Buffer.add_string b ",\"entry\":";
-    jstr b s.sv_entry;
-    Buffer.add_string b (Printf.sprintf ",\"at\":%Ld}" s.sv_at)
+    ev "svc_switch"
+      [ ("kind", str (Sink.kind_name s.sv_kind)); ("entry", str s.sv_entry);
+        ("at", i64 s.sv_at) ]
+
+let op_json (o : Agg.op_agg) =
+  (* one decimal, the precision the text report prints *)
+  let mean = Printf.sprintf "%.1f" (Agg.hist_mean o.Agg.op_latency) in
+  Json.Obj
+    [ ("name", str o.Agg.op_name); ("enters", int o.Agg.enters);
+      ("exits", int o.Agg.exits); ("threads", int o.Agg.threads);
+      ("cycles", i64 o.Agg.op_latency.Agg.total);
+      ("mean_cycles", Json.Float (float_of_string mean));
+      ("synced_bytes", int o.Agg.op_synced_bytes); ("swaps", int o.Agg.op_swaps);
+      ("emulations", int o.Agg.op_emulations); ("denials", int o.Agg.op_denials) ]
 
 let json (evs : Sink.event list) : string =
   let a = Agg.of_events evs in
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\n  \"summary\": {";
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"switch_spans\": %d, \"init_spans\": %d, \"switch_cycles\": %Ld, \
-        \"init_cycles\": %Ld, \"region_swaps\": %d, \"emulations\": %d, \
-        \"denials\": %d, \"svc_marks\": %d, \"synced_bytes\": %d"
-       a.Agg.switch_spans a.Agg.init_spans a.Agg.switch_cycles
-       a.Agg.init_cycles a.Agg.swap_events a.Agg.emulation_events
-       a.Agg.denial_events a.Agg.svc_marks a.Agg.synced_bytes);
-  Buffer.add_string b "},\n  \"phases\": {";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string b ", ";
-      let c = a.Agg.totals.(Agg.phase_index p) in
-      jstr b (Sink.phase_name p);
-      Buffer.add_string b
-        (Printf.sprintf ": {\"cycles\": %Ld, \"bytes\": %d, \"legs\": %d}"
-           c.Agg.pt_cycles c.Agg.pt_bytes c.Agg.pt_samples))
-    Sink.phases;
-  Buffer.add_string b "},\n  \"operations\": [";
-  List.iteri
-    (fun i (o : Agg.op_agg) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n    {\"name\": ";
-      jstr b o.Agg.op_name;
-      Buffer.add_string b
-        (Printf.sprintf
-           ", \"enters\": %d, \"exits\": %d, \"threads\": %d, \"cycles\": \
-            %Ld, \"mean_cycles\": %.1f, \"synced_bytes\": %d, \"swaps\": %d, \
-            \"emulations\": %d, \"denials\": %d}"
-           o.Agg.enters o.Agg.exits o.Agg.threads o.Agg.op_latency.Agg.total
-           (Agg.hist_mean o.Agg.op_latency)
-           o.Agg.op_synced_bytes o.Agg.op_swaps o.Agg.op_emulations
-           o.Agg.op_denials))
-    (Agg.ops_by_cost a);
-  Buffer.add_string b "\n  ],\n  \"matrix\": [";
-  List.iteri
-    (fun i (src, dst, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n    {\"src\": ";
-      jstr b src;
-      Buffer.add_string b ", \"dst\": ";
-      jstr b dst;
-      Buffer.add_string b (Printf.sprintf ", \"count\": %d}" n))
-    (Agg.matrix_rows a);
-  Buffer.add_string b "\n  ],\n  \"events\": [";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n    ";
-      json_event b e)
-    evs;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let phase p =
+    let c = a.Agg.totals.(Agg.phase_index p) in
+    ( Sink.phase_name p,
+      Json.Obj
+        [ ("cycles", i64 c.Agg.pt_cycles); ("bytes", int c.Agg.pt_bytes);
+          ("legs", int c.Agg.pt_samples) ] )
+  in
+  let cell (src, dst, n) =
+    Json.Obj [ ("src", str src); ("dst", str dst); ("count", int n) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ( "summary",
+           Json.Obj
+             [ ("switch_spans", int a.Agg.switch_spans);
+               ("init_spans", int a.Agg.init_spans);
+               ("switch_cycles", i64 a.Agg.switch_cycles);
+               ("init_cycles", i64 a.Agg.init_cycles);
+               ("region_swaps", int a.Agg.swap_events);
+               ("emulations", int a.Agg.emulation_events);
+               ("denials", int a.Agg.denial_events);
+               ("svc_marks", int a.Agg.svc_marks);
+               ("synced_bytes", int a.Agg.synced_bytes) ] );
+         ("phases", Json.Obj (List.map phase Sink.phases));
+         ("operations", Json.List (List.map op_json (Agg.ops_by_cost a)));
+         ("matrix", Json.List (List.map cell (Agg.matrix_rows a)));
+         ("events", Json.List (List.map event_json evs)) ])
 
 (* ---- Chrome trace-event JSON ---- *)
 
@@ -213,121 +165,62 @@ let json (evs : Sink.event list) : string =
    fields Perfetto expects; absolute durations read as if the core ran
    at 1 MHz, relative widths are exact. *)
 let chrome (evs : Sink.event list) : string =
-  let b = Buffer.create 8192 in
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_string b ",\n";
-    Buffer.add_string b "    "
+  let event ~name ~cat ~ts ph extra args =
+    Json.Obj
+      ([ ("name", str name); ("cat", str cat); ("ph", str ph); ("ts", i64 ts) ]
+      @ extra
+      @ [ ("pid", int 1); ("tid", int 1); ("args", Json.Obj args) ])
   in
-  let complete ~name ~cat ~ts ~dur ~args =
-    sep ();
-    Buffer.add_string b "{\"name\": ";
-    jstr b name;
-    Buffer.add_string b ", \"cat\": ";
-    jstr b cat;
-    Buffer.add_string b
-      (Printf.sprintf
-         ", \"ph\": \"X\", \"ts\": %Ld, \"dur\": %Ld, \"pid\": 1, \"tid\": 1, \
-          \"args\": {%s}}"
-         ts dur args)
+  let complete ~name ~cat ~ts ~dur args =
+    event ~name ~cat ~ts "X" [ ("dur", i64 dur) ] args
   in
-  let instant ~name ~cat ~ts ~args =
-    sep ();
-    Buffer.add_string b "{\"name\": ";
-    jstr b name;
-    Buffer.add_string b ", \"cat\": ";
-    jstr b cat;
-    Buffer.add_string b
-      (Printf.sprintf
-         ", \"ph\": \"i\", \"ts\": %Ld, \"pid\": 1, \"tid\": 1, \"s\": \"t\", \
-          \"args\": {%s}}"
-         ts args)
+  let instant ~name ~cat ~ts args =
+    event ~name ~cat ~ts "i" [ ("s", str "t") ] args
   in
-  let arg_str k v =
-    let vb = Buffer.create 32 in
-    jstr vb v;
-    Printf.sprintf "\"%s\": %s" k (Buffer.contents vb)
-  in
-  List.iter
-    (fun (e : Sink.event) ->
-      match e with
-      | Sink.Switch s ->
-        let name =
-          Printf.sprintf "%s %s->%s"
-            (Sink.kind_name s.Sink.sp_kind)
-            (opname s.Sink.sp_src) (opname s.Sink.sp_dst)
-        in
-        complete ~name ~cat:"switch" ~ts:s.Sink.sp_start
-          ~dur:(Sink.span_cycles s)
-          ~args:
-            (String.concat ", "
-               [
-                 arg_str "kind" (Sink.kind_name s.Sink.sp_kind);
-                 arg_str "src" s.Sink.sp_src;
-                 arg_str "dst" s.Sink.sp_dst;
-               ]);
-        (* phase legs nest inside the span on the same track *)
-        List.iter
-          (fun (p : Sink.phase_sample) ->
-            complete
-              ~name:(Sink.phase_name p.Sink.ph)
-              ~cat:"phase" ~ts:p.Sink.ph_start
-              ~dur:(Int64.sub p.Sink.ph_end p.Sink.ph_start)
-              ~args:(Printf.sprintf "\"bytes\": %d" p.Sink.ph_bytes))
-          s.Sink.sp_phases
-      | Sink.Region_swap r ->
-        instant
+  let trace_events : Sink.event -> Json.t list = function
+    | Sink.Switch s ->
+      let kind = Sink.kind_name s.Sink.sp_kind in
+      let src = s.Sink.sp_src and dst = s.Sink.sp_dst in
+      let name = Printf.sprintf "%s %s->%s" kind (opname src) (opname dst) in
+      complete ~name ~cat:"switch" ~ts:s.Sink.sp_start ~dur:(Sink.span_cycles s)
+        [ ("kind", str kind); ("src", str src); ("dst", str dst) ]
+      (* phase legs nest inside the span on the same track *)
+      :: List.map
+           (fun (p : Sink.phase_sample) ->
+             complete ~name:(Sink.phase_name p.Sink.ph) ~cat:"phase"
+               ~ts:p.Sink.ph_start
+               ~dur:(Int64.sub p.Sink.ph_end p.Sink.ph_start)
+               [ ("bytes", int p.Sink.ph_bytes) ])
+           s.Sink.sp_phases
+    | Sink.Region_swap r ->
+      [ instant
           ~name:(Printf.sprintf "swap slot %d" r.rs_slot)
           ~cat:"region-swap" ~ts:r.rs_at
-          ~args:
-            (String.concat ", "
-               [
-                 arg_str "op" r.rs_op;
-                 Printf.sprintf "\"installed_base\": %d"
-                   r.rs_installed.Sink.rg_base;
-               ])
-      | Sink.Emulation e ->
-        instant
+          [ ("op", str r.rs_op);
+            ("installed_base", int r.rs_installed.Sink.rg_base) ] ]
+    | Sink.Emulation e ->
+      [ instant
           ~name:(if e.em_write then "ppb store" else "ppb load")
           ~cat:"emulation" ~ts:e.em_at
-          ~args:
-            (String.concat ", "
-               [
-                 arg_str "op" e.em_op;
-                 Printf.sprintf "\"addr\": %d" e.em_info.Sink.M.Fault.addr;
-               ])
-      | Sink.Denial d ->
-        instant ~name:"denial" ~cat:"denial" ~ts:d.dn_at
-          ~args:
-            (String.concat ", "
-               [ arg_str "op" d.dn_op; arg_str "reason" d.dn_reason ])
-      | Sink.Svc_switch s ->
-        instant
-          ~name:(Printf.sprintf "svc %s" (Sink.kind_name s.sv_kind))
-          ~cat:"svc" ~ts:s.sv_at
-          ~args:(arg_str "entry" s.sv_entry))
-    evs;
-  Printf.sprintf
-    "{\n\
-    \  \"displayTimeUnit\": \"ns\",\n\
-    \  \"traceEvents\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (Buffer.contents b)
+          [ ("op", str e.em_op); ("addr", int e.em_info.Sink.M.Fault.addr) ] ]
+    | Sink.Denial d ->
+      [ instant ~name:"denial" ~cat:"denial" ~ts:d.dn_at
+          [ ("op", str d.dn_op); ("reason", str d.dn_reason) ] ]
+    | Sink.Svc_switch s ->
+      [ instant ~name:("svc " ^ Sink.kind_name s.sv_kind) ~cat:"svc" ~ts:s.sv_at
+          [ ("entry", str s.sv_entry) ] ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("displayTimeUnit", str "ns");
+         ("traceEvents", Json.List (List.concat_map trace_events evs)) ])
 
 type format = Text | Json | Chrome
-
-let format_of_string = function
-  | "text" -> Some Text
-  | "json" -> Some Json
-  | "chrome" -> Some Chrome
-  | _ -> None
 
 let format_name = function Text -> "text" | Json -> "json" | Chrome -> "chrome"
 
 let render fmt evs =
   match fmt with
   | Text -> text evs
-  | Json -> json evs
-  | Chrome -> chrome evs
+  | Json -> json evs ^ "\n"
+  | Chrome -> chrome evs ^ "\n"

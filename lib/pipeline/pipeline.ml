@@ -162,16 +162,9 @@ let evict (c : ctx) =
   let sh = shard_of c.key in
   Mutex.protect sh.s_lock (fun () -> Hashtbl.remove sh.s_tbl c.key)
 
-(* Caching can be switched off to emulate the pre-pipeline behaviour —
-   every consumer recomputing its own artifacts — which is what the
-   [bench pipeline] target measures the store against.  The engine knob
-   selects the interpreter for the store's reference runs; both engines
-   produce bit-identical traces and cycle counts, so artifacts computed
-   under either are interchangeable. *)
-let caching = Atomic.make true
-let set_caching b = Atomic.set caching b
-let caching_enabled () = Atomic.get caching
-
+(* The engine knob selects the interpreter for the store's reference
+   runs; both engines produce bit-identical traces and cycle counts, so
+   artifacts computed under either are interchangeable. *)
 let engine : E.Interp.engine Atomic.t = Atomic.make E.Interp.Compiled
 let set_engine e = Atomic.set engine e
 let current_engine () = Atomic.get engine
@@ -186,43 +179,40 @@ let current_engine () = Atomic.get engine
    a waiter retries (and typically re-raises the same way) instead of
    wedging. *)
 let get (c : ctx) stage compute =
-  if not (Atomic.get caching) then compute ()
-  else begin
-    let claim () =
+  let claim () =
+    Mutex.protect c.lock (fun () ->
+        let rec go () =
+          match Hashtbl.find_opt c.arts stage with
+          | Some (Done a) -> `Hit a
+          | Some In_flight ->
+            Condition.wait c.cond c.lock;
+            go ()
+          | None ->
+            Hashtbl.replace c.arts stage In_flight;
+            `Claimed
+        in
+        go ())
+  in
+  match claim () with
+  | `Hit a -> a
+  | `Claimed -> (
+    let t0 = Unix.gettimeofday () in
+    match compute () with
+    | a ->
+      let dt = Unix.gettimeofday () -. t0 in
       Mutex.protect c.lock (fun () ->
-          let rec go () =
-            match Hashtbl.find_opt c.arts stage with
-            | Some (Done a) -> `Hit a
-            | Some In_flight ->
-              Condition.wait c.cond c.lock;
-              go ()
-            | None ->
-              Hashtbl.replace c.arts stage In_flight;
-              `Claimed
-          in
-          go ())
-    in
-    match claim () with
-    | `Hit a -> a
-    | `Claimed -> (
-      let t0 = Unix.gettimeofday () in
-      match compute () with
-      | a ->
-        let dt = Unix.gettimeofday () -. t0 in
-        Mutex.protect c.lock (fun () ->
-            Hashtbl.replace c.arts stage (Done a);
-            c.timings <- c.timings @ [ (stage, dt) ];
-            Hashtbl.replace c.counts stage
-              (1 + Option.value (Hashtbl.find_opt c.counts stage) ~default:0);
-            Condition.broadcast c.cond);
-        a
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        Mutex.protect c.lock (fun () ->
-            Hashtbl.remove c.arts stage;
-            Condition.broadcast c.cond);
-        Printexc.raise_with_backtrace e bt)
-  end
+          Hashtbl.replace c.arts stage (Done a);
+          c.timings <- c.timings @ [ (stage, dt) ];
+          Hashtbl.replace c.counts stage
+            (1 + Option.value (Hashtbl.find_opt c.counts stage) ~default:0);
+          Condition.broadcast c.cond);
+      a
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Mutex.protect c.lock (fun () ->
+          Hashtbl.remove c.arts stage;
+          Condition.broadcast c.cond);
+      Printexc.raise_with_backtrace e bt)
 
 (* --- compile-time stages ------------------------------------------------ *)
 

@@ -66,13 +66,6 @@ val reset : unit -> unit
     bound: each generated program evicts its entry once judged). *)
 val evict : ctx -> unit
 
-(** Switch memoization off/on (default: on).  With caching off every
-    accessor recomputes from scratch — the pre-pipeline behaviour the
-    [bench pipeline] target measures against. *)
-val set_caching : bool -> unit
-
-val caching_enabled : unit -> bool
-
 (** Interpreter engine for the store's reference runs (default:
     [Compiled]).  All engines produce bit-identical traces and cycle
     counts. *)

@@ -1,164 +1,35 @@
 (* JSON-output purity of the CLI: every [--json] mode must emit
    machine-parseable JSON on stdout — diagnostics and warnings belong
-   on stderr.  These tests spawn the real binary and run a minimal
-   JSON reader over the captured stdout; a stray prose line anywhere
-   in the stream fails the parse. *)
+   on stderr.  These tests spawn the real binary and parse each
+   non-blank stdout line as one document with the strict
+   [Opec_obs.Json.parse]; a stray prose line anywhere in the stream
+   fails.  The printer/parser pair itself is checked here too. *)
+
+module Json = Opec_obs.Json
 
 (* The test binary runs from test/ inside the dune sandbox; the CLI
    executable lands next to it under ../bin. *)
 let cli = Filename.concat (Filename.concat ".." "bin") "opec_cli.exe"
 
-(* --- a minimal JSON parser ----------------------------------------------
-   Accepts the JSON subset our writers emit (objects, arrays, strings
-   with escapes, numbers, booleans, null).  Strings are held to RFC
-   8259: no raw control bytes, only the standard escapes, and valid
-   UTF-8.  Returns unit — the tests only care that the text IS JSON,
-   not what it says. *)
-
-exception Bad of string
-
-let parse_json (s : string) =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let next () =
-    if !pos >= n then raise (Bad "unexpected end");
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      incr pos;
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    let g = next () in
-    if g <> c then raise (Bad (Printf.sprintf "expected %c, got %c" c g))
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> string_lit ()
-    | Some ('t' | 'f' | 'n') -> keyword ()
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some c -> raise (Bad (Printf.sprintf "unexpected %c" c))
-    | None -> raise (Bad "unexpected end")
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then incr pos
-    else
-      let rec members () =
-        skip_ws ();
-        string_lit ();
-        skip_ws ();
-        expect ':';
-        value ();
-        skip_ws ();
-        match next () with
-        | ',' -> members ()
-        | '}' -> ()
-        | c -> raise (Bad (Printf.sprintf "expected , or } in object, got %c" c))
-      in
-      members ()
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then incr pos
-    else
-      let rec elements () =
-        value ();
-        skip_ws ();
-        match next () with
-        | ',' -> elements ()
-        | ']' -> ()
-        | c -> raise (Bad (Printf.sprintf "expected , or ] in array, got %c" c))
-      in
-      elements ()
-  and string_lit () =
-    expect '"';
-    let rec go () =
-      match next () with
-      | '"' -> ()
-      | '\\' ->
-        (match next () with
-        | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> ()
-        | 'u' ->
-          for _ = 1 to 4 do
-            match next () with
-            | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
-            | c -> raise (Bad (Printf.sprintf "bad \\u digit %C" c))
-          done
-        | c -> raise (Bad (Printf.sprintf "invalid escape \\%c" c)));
-        go ()
-      | c when Char.code c < 0x20 ->
-        raise (Bad (Printf.sprintf "raw control byte 0x%02x" (Char.code c)))
-      | c when Char.code c < 0x80 -> go ()
-      | _ ->
-        let d = String.get_utf_8_uchar s (!pos - 1) in
-        if not (Uchar.utf_decode_is_valid d) then
-          raise (Bad (Printf.sprintf "invalid UTF-8 at byte %d" (!pos - 1)));
-        pos := !pos - 1 + Uchar.utf_decode_length d;
-        go ()
-    in
-    go ()
-  and keyword () =
-    let take w =
-      if !pos + String.length w <= n && String.sub s !pos (String.length w) = w
-      then pos := !pos + String.length w
-      else raise (Bad ("bad keyword at " ^ string_of_int !pos))
-    in
-    match peek () with
-    | Some 't' -> take "true"
-    | Some 'f' -> take "false"
-    | _ -> take "null"
-  and number () =
-    let start = !pos in
-    let cont () =
-      match peek () with
-      | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') ->
-        incr pos;
-        true
-      | _ -> false
-    in
-    while cont () do
-      ()
-    done;
-    if !pos = start then raise (Bad "empty number")
-  in
-  (* one document, or one per line (JSON Lines) *)
-  let rec values () =
-    value ();
-    skip_ws ();
-    if !pos < n then values ()
-  in
-  skip_ws ();
-  if !pos = n then raise (Bad "no JSON value");
-  values ()
-
 (* run a command, capture stdout (stderr goes to the null device), and
    return (exit_ok, stdout_text) *)
 let capture cmd =
   let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
-  let buf = Buffer.create 4096 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  let status = Unix.close_process_in ic in
-  (status = Unix.WEXITED 0, Buffer.contents buf)
+  let out = In_channel.input_all ic in
+  (Unix.close_process_in ic = Unix.WEXITED 0, out)
 
 let check_json what text =
-  match parse_json text with
-  | () -> ()
-  | exception Bad msg ->
-    Alcotest.failf "%s: stdout is not JSON (%s): %s" what msg text
+  let lines = String.split_on_char '\n' text in
+  match List.filter (fun l -> String.trim l <> "") lines with
+  | [] -> Alcotest.failf "%s: no JSON on stdout" what
+  | docs ->
+    List.iter
+      (fun l ->
+        match Json.parse l with
+        | Ok _ -> ()
+        | Error msg ->
+          Alcotest.failf "%s: stdout line is not JSON (%s): %s" what msg l)
+      docs
 
 let test_cmd_json what cmd () =
   if not (Sys.file_exists cli) then
@@ -171,17 +42,77 @@ let test_cmd_json what cmd () =
     check_json what out
   end
 
-(* The parser above must itself reject what a lax writer produces:
-   OCaml [%S] escapes, raw control bytes and invalid UTF-8. *)
+let json = Alcotest.testable (fun f v -> Fmt.string f (Json.to_string v)) ( = )
+
+(* The parser must reject what a lax writer produces (OCaml [%S]
+   escapes, raw control bytes, invalid UTF-8) and every number outside
+   the RFC grammar. *)
 let test_parser_strict () =
   List.iter
     (fun bad ->
-      match parse_json bad with
-      | () -> Alcotest.failf "parse_json accepted %S" bad
-      | exception Bad _ -> ())
-    [ {|"\195\169"|}; "\"\001\""; "\"\xff\""; "\"\xc3\""; {|"\u00g0"|} ];
-  parse_json "\"\xc3\xa9 \\u0001 \\\" \\\\\"";
-  parse_json {|{"a":["x",1,-2.5e3,true,null]}|}
+      match Json.parse bad with
+      | Ok _ -> Alcotest.failf "Json.parse accepted %S" bad
+      | Error _ -> ())
+    [ {|"\195\169"|}; "\"\001\""; "\"\xff\""; "\"\xc3\""; {|"\u00g0"|};
+      {|"\ud800"|}; "1.2.3"; "-"; "01"; ".5"; "1e"; "+1"; "1."; "[1,]";
+      "{} {}"; "" ];
+  let ok text v =
+    Alcotest.(check (result json string)) text (Ok v) (Json.parse text)
+  in
+  let open Json in
+  ok "\"\xc3\xa9 \\u0001 \\\" \\\\\"" (String "\xc3\xa9 \001 \" \\");
+  ok {|{"a":["x",1,-2.5e3,true,null]}|}
+    (Obj [ ("a", List [ String "x"; Int 1; Float (-2500.); Bool true; Null ]) ]);
+  ok {| [0, -0, 1E+2, 0.5e-1, "\ud83d\ude00"] |}
+    (List [ Int 0; Int 0; Float 100.; Float 0.05; String "\xf0\x9f\x98\x80" ])
+
+(* Generated values: valid-UTF-8 strings, finite floats. *)
+let gen_value =
+  let open QCheck.Gen in
+  let utf8 =
+    map
+      (fun us ->
+        let b = Buffer.create 16 in
+        List.iter (fun u -> Buffer.add_utf_8_uchar b (Uchar.of_int u)) us;
+        Buffer.contents b)
+      (list_size (int_bound 6)
+         (oneof
+            [ int_bound 0x7f; int_range 0x80 0xd7ff; int_range 0xe000 0x10ffff ]))
+  in
+  let finite = map (fun x -> if Float.is_finite x then x else 0.5) float in
+  let leaf =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int; map (fun x -> Json.Float x) finite;
+        map (fun i -> Json.Float (float_of_int i)) small_signed_int;
+        map (fun s -> Json.String s) utf8 ]
+  in
+  let items g = list_size (int_bound 4) g in
+  sized
+    (fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> Json.List l) (items (self (n / 4))));
+               (1, map (fun kvs -> Json.Obj kvs) (items (pair utf8 (self (n / 4)))))
+             ]))
+
+let prop_round_trip =
+  QCheck.Test.make ~name:"Json.parse (Json.to_string v) = Ok v" ~count:500
+    (QCheck.make ~print:Json.to_string gen_value)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+let prop_any_bytes =
+  QCheck.Test.make ~name:"Json.to_string (String s) parses for any bytes"
+    ~count:500 QCheck.string
+    (fun s -> Result.is_ok (Json.parse (Json.to_string (Json.String s))))
+
+let test_non_finite () =
+  let floats xs = Json.List (List.map (fun x -> Json.Float x) xs) in
+  Alcotest.(check string) "non-finite floats print as null"
+    "[null,null,null,1.0,0.1]"
+    (Json.to_string (floats [ nan; infinity; neg_infinity; 1.; 0.1 ]))
 
 (* Hostile corpus files: the guided fuzzer reports them as skipped,
    with the file's bytes in the reason — valid UTF-8 (e-acute), a
@@ -206,6 +137,9 @@ let test_hostile_corpus () =
 let suite () =
   [ ( "cli-json",
       [ Alcotest.test_case "parse_json is strict" `Quick test_parser_strict;
+        QCheck_alcotest.to_alcotest prop_round_trip;
+        QCheck_alcotest.to_alcotest prop_any_bytes;
+        Alcotest.test_case "non-finite floats print as null" `Quick test_non_finite;
         Alcotest.test_case "fuzz --json escapes hostile corpus bytes" `Slow
           test_hostile_corpus;
         Alcotest.test_case "fleet --json - is pure JSON" `Slow

@@ -320,7 +320,7 @@ let test_diag_ordering_and_json () =
     let rec go i = i + n <= h && (String.equal (String.sub hay i n) needle || go (i + 1)) in
     go 0
   in
-  let json = L.Lint.to_json [ w ] in
+  let json = Opec_obs.Json.to_string (L.Diag.to_json w) in
   List.iter
     (fun needle ->
       Alcotest.(check bool)

@@ -124,42 +124,14 @@ let test_checks_pass () =
 
 (* --- the p99 regression gate --------------------------------------------- *)
 
-(* naive field scanner, enough for the flat reference object *)
-let scan_field line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  match String.index_opt line ':' with
-  | None -> None
-  | Some _ ->
-    let plen = String.length pat and llen = String.length line in
-    let rec find i =
-      if i + plen > llen then None
-      else if String.sub line i plen = pat then
-        let rec num j acc =
-          if j < llen && (line.[j] = '-' || ('0' <= line.[j] && line.[j] <= '9'))
-          then num (j + 1) (acc ^ String.make 1 line.[j])
-          else acc
-        in
-        let rec skip j =
-          if j < llen && line.[j] = ' ' then skip (j + 1) else j
-        in
-        let s = num (skip (i + plen)) "" in
-        int_of_string_opt s
-      else find (i + 1)
-    in
-    find 0
-
 let parse_ref path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    let line = String.map (fun ch -> if ch = '\n' then ' ' else ch) s in
-    match (scan_field line "events", scan_field line "p99") with
-    | Some events, Some p99 -> Some (events, p99)
-    | _ -> None
-  end
+  match Obs.Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok (Obs.Json.Obj kvs) -> (
+    match (List.assoc_opt "events" kvs, List.assoc_opt "p99" kvs) with
+    | Some (Obs.Json.Int events), Some (Obs.Json.Int p99) -> Some (events, p99)
+    | _ -> None)
+  | Ok _ | Error _ -> None
+  | exception Sys_error _ -> None
 
 (* A deterministic 10k-event request-storm run under the default
    backend, gated against the checked-in reference with a tolerance

@@ -82,49 +82,67 @@ let pinlock_obs () =
   P.reraise o.P.o_err;
   o
 
+(* An exported document, parsed back: its members, and the [key]
+   member of each object in its array [arr]. *)
+let exported s arr key =
+  let field k = function Obs.Json.Obj kvs -> List.assoc_opt k kvs | _ -> None in
+  match Obs.Json.parse s with
+  | Ok (Obs.Json.Obj kvs as doc) -> (
+    match List.assoc_opt arr kvs with
+    | Some (Obs.Json.List l) -> (kvs, List.map (field key) l)
+    | _ -> Alcotest.failf "no %S array in %s" arr (Obs.Json.to_string doc))
+  | _ -> Alcotest.fail "export is not a JSON object"
+
+let count keys v = List.length (List.filter (( = ) (Some (Obs.Json.String v))) keys)
+
 let test_chrome_reconciles () =
   let o = pinlock_obs () in
   let evs = o.P.o_events in
   let a = Obs.Agg.of_events evs in
-  let s = Obs.Export.chrome evs in
+  let top, cats = exported (Obs.Export.chrome evs) "traceEvents" "cat" in
+  let cat = count cats in
   Alcotest.(check int) "one complete event per span (incl. init)"
     (a.Obs.Agg.switch_spans + a.Obs.Agg.init_spans)
-    (occurrences s "\"cat\": \"switch\"");
+    (cat "switch");
   let legs =
     Array.fold_left
       (fun acc (t : Obs.Agg.phase_total) -> acc + t.Obs.Agg.pt_samples)
       0 a.Obs.Agg.totals
   in
-  Alcotest.(check int) "one complete event per phase leg" legs
-    (occurrences s "\"cat\": \"phase\"");
+  Alcotest.(check int) "one complete event per phase leg" legs (cat "phase");
   Alcotest.(check int) "one instant per emulation" a.Obs.Agg.emulation_events
-    (occurrences s "\"cat\": \"emulation\"");
+    (cat "emulation");
   Alcotest.(check int) "one instant per region swap" a.Obs.Agg.swap_events
-    (occurrences s "\"cat\": \"region-swap\"");
+    (cat "region-swap");
   Alcotest.(check int) "one instant per denial" a.Obs.Agg.denial_events
-    (occurrences s "\"cat\": \"denial\"");
+    (cat "denial");
   Alcotest.(check int) "one instant per svc mark" a.Obs.Agg.svc_marks
-    (occurrences s "\"cat\": \"svc\"");
+    (cat "svc");
   (* spans reconcile with the Stats counters, the acceptance bar *)
   Alcotest.(check int) "chrome spans = Stats.switches"
     o.P.o_stats.Mon.Stats.switches
-    (occurrences s "\"cat\": \"switch\"" - a.Obs.Agg.init_spans);
+    (cat "switch" - a.Obs.Agg.init_spans);
+  Alcotest.(check int) "every trace event counted once" (List.length cats)
+    (cat "switch" + legs + a.Obs.Agg.emulation_events + a.Obs.Agg.swap_events
+    + a.Obs.Agg.denial_events + a.Obs.Agg.svc_marks);
   Alcotest.(check bool) "wrapped as a trace-event document" true
-    (occurrences s "\"traceEvents\"" = 1 && occurrences s "\"displayTimeUnit\"" = 1)
+    (List.assoc_opt "displayTimeUnit" top = Some (Obs.Json.String "ns"))
 
 let test_json_reconciles () =
   let o = pinlock_obs () in
   let evs = o.P.o_events in
   let a = Obs.Agg.of_events evs in
-  let s = Obs.Export.json evs in
+  let _, types = exported (Obs.Export.json evs) "events" "type" in
+  let ty = count types in
   Alcotest.(check int) "one switch object per span"
     (a.Obs.Agg.switch_spans + a.Obs.Agg.init_spans)
-    (occurrences s "{\"type\":\"switch\"");
+    (ty "switch");
   Alcotest.(check int) "one emulation object per event"
-    a.Obs.Agg.emulation_events
-    (occurrences s "{\"type\":\"emulation\"");
+    a.Obs.Agg.emulation_events (ty "emulation");
   Alcotest.(check int) "one svc object per mark" a.Obs.Agg.svc_marks
-    (occurrences s "{\"type\":\"svc_switch\"")
+    (ty "svc_switch");
+  Alcotest.(check int) "one object per event" (List.length evs)
+    (List.length types)
 
 let test_text_renders () =
   let o = pinlock_obs () in

@@ -1,8 +1,8 @@
 (* Tests for the compile-once artifact pipeline: memoization (physical
    sharing across consumers), cache keying on the developer input,
-   the caching knob, deterministic parallel evaluation, the stage
-   instrumentation, and the compile-exactly-once guarantee the full
-   evaluation sweep relies on. *)
+   deterministic parallel evaluation, the stage instrumentation, and
+   the compile-exactly-once guarantee the full evaluation sweep relies
+   on. *)
 
 module C = Opec_core
 module Apps = Opec_apps
@@ -42,23 +42,6 @@ let test_baseline_physically_shared () =
   let p1 = P.protected_ c in
   let p2 = P.protected_ c in
   Alcotest.(check bool) "protected run memoized" true (p1 == p2)
-
-let test_caching_knob () =
-  fresh ();
-  let app = Apps.Registry.pinlock () in
-  let c = P.ctx app in
-  Fun.protect
-    ~finally:(fun () -> P.set_caching true)
-    (fun () ->
-      P.set_caching false;
-      let i1 = P.image c in
-      let i2 = P.image c in
-      Alcotest.(check bool) "caching off recomputes" false (i1 == i2);
-      Alcotest.(check int) "two private compiles" 2
-        (C.Compiler.compile_count ()));
-  let i3 = P.image c in
-  let i4 = P.image c in
-  Alcotest.(check bool) "caching restored memoizes again" true (i3 == i4)
 
 let test_dev_input_mutation_misses () =
   fresh ();
@@ -163,7 +146,6 @@ let suite () =
           test_image_physically_shared;
         Alcotest.test_case "runs memoized" `Quick
           test_baseline_physically_shared;
-        Alcotest.test_case "caching knob" `Quick test_caching_knob;
         Alcotest.test_case "mutated dev_input misses" `Quick
           test_dev_input_mutation_misses;
         Alcotest.test_case "sweep compiles once per app" `Slow

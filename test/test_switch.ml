@@ -19,6 +19,7 @@ module Ex = Opec_exec
 module Apps = Opec_apps
 module P = Opec_pipeline.Pipeline
 module L = Opec_load
+module Json = Opec_obs.Json
 
 (* --- cached protection images vs a fresh derivation ---------------------- *)
 
@@ -92,27 +93,28 @@ let test_verify_ablations () =
 
 let pin_file = "data/switch_pin.json"
 
-let pinned_line (r : L.Scenario.result) =
-  let s = r.L.Scenario.r_stats in
-  Printf.sprintf
-    {|{"scenario": "%s", "backend": "%s", "cycles": %Ld, "switches": %d, "synced_bytes": %d, "relocated_bytes": %d, "virt_swaps": %d, "emulations": %d, "pointer_fixups": %d, "denied": %d}|}
-    r.L.Scenario.r_scenario r.L.Scenario.r_backend r.L.Scenario.r_cycles
-    s.Mon.Stats.switches s.Mon.Stats.synced_bytes s.Mon.Stats.relocated_bytes
-    s.Mon.Stats.virt_swaps s.Mon.Stats.emulations s.Mon.Stats.pointer_fixups
-    s.Mon.Stats.denied
+let pinned (r : L.Scenario.result) =
+  let s = r.L.Scenario.r_stats and n v = Json.Int v in
+  Json.Obj
+    [ ("scenario", Json.String r.L.Scenario.r_scenario);
+      ("backend", Json.String r.L.Scenario.r_backend);
+      ("cycles", n (Int64.to_int r.L.Scenario.r_cycles));
+      ("switches", n s.Mon.Stats.switches);
+      ("synced_bytes", n s.Mon.Stats.synced_bytes);
+      ("relocated_bytes", n s.Mon.Stats.relocated_bytes);
+      ("virt_swaps", n s.Mon.Stats.virt_swaps);
+      ("emulations", n s.Mon.Stats.emulations);
+      ("pointer_fixups", n s.Mon.Stats.pointer_fixups);
+      ("denied", n s.Mon.Stats.denied) ]
 
-(* The file is a JSON array holding one object per line. *)
+(* The file is a JSON array of pinned objects. *)
 let read_pins path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  String.split_on_char '\n' s
-  |> List.map String.trim
-  |> List.filter (fun l -> String.length l > 0 && l.[0] = '{')
-  |> List.map (fun l ->
-         if l.[String.length l - 1] = ',' then
-           String.sub l 0 (String.length l - 1)
-         else l)
+  match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok (Json.List pins) -> pins
+  | Ok _ -> Alcotest.failf "%s: not a JSON array" path
+  | Error e -> Alcotest.failf "%s: %s" path e
+
+let json = Alcotest.testable (fun f v -> Fmt.string f (Json.to_string v)) ( = )
 
 let test_pinned_scenarios () =
   let actual =
@@ -120,11 +122,11 @@ let test_pinned_scenarios () =
       (fun kind ->
         List.map
           (fun backend ->
-            pinned_line (L.Scenario.run ~backend ~target_events:10_000 kind))
+            pinned (L.Scenario.run ~backend ~target_events:10_000 kind))
           M.Backend.all_kinds)
       [ L.Scenario.Request_storm; L.Scenario.Sensor_burst ]
   in
-  Alcotest.(check (list string))
+  Alcotest.(check (list json))
     "cycles and Stats equal the recorded values" (read_pins pin_file) actual
 
 let suite () =
