@@ -22,9 +22,11 @@ val unreachable_function : check
     alignment, sub-region masks, and coverage of the code span, data
     section, and every merged peripheral range.  On PMP / CHERI / POE:
     data-section fit and the backend's alignment rule (power-of-two,
-    granule, or bounds representability), peripheral coverage, and the
-    entry or key budget under the backend's fault model. *)
-val mpu_plan_validity : check
+    granule, or bounds representability) and peripheral coverage.  On
+    every backend with a budget, an info when the plan's peripheral
+    windows exceed the rotation window
+    {!Opec_core.Backend_plan.rotation} reports. *)
+val plan_validity : check
 
 (** L004: soundness of resource coverage — every resource of every
     member function is included in its operation's resource set.  A miss
@@ -42,8 +44,8 @@ val over_privilege : check
     and the recorded SVC-site count matches a recount. *)
 val svc_instrumentation : check
 
-(** L008: layout consistency — sections within SRAM bounds and their MPU
-    spans mutually disjoint, and every accessible writable global of
+(** L008: layout consistency — sections within SRAM bounds and the
+    spans their backend windows reserve mutually disjoint, and every accessible writable global of
     every operation has the addresses instrumentation relies on (master,
     shadow, relocation slot). *)
 val layout_consistency : check

@@ -32,7 +32,7 @@ let checkers =
       ~doc:
         "protection plan legal under the image's backend and covering its \
          targets"
-      Checks.mpu_plan_validity;
+      Checks.plan_validity;
     static "resource-coverage" ~code:"L004"
       ~doc:"every member function's resources inside its operation's set"
       Checks.resource_coverage;

@@ -5,19 +5,19 @@
    read-only background view, (2) per-operation read-write windows over
    the stack prefix / data section / heap / permitted peripherals, and
    (3) a fault the monitor can classify.  Each substrate meets those
-   with different *constraints*, which this module reifies as a
-   descriptor the plan and layout passes consult instead of hard-coding
-   the ARMv7-M rules:
+   with different *constraints*; the two that shape the memory layout
+   are reified as a descriptor the partition and layout passes consult
+   instead of hard-coding the ARMv7-M rules:
 
    - entry budget: MPU 8 regions, PMP 16 entries, POE 8 keys, CHERI
      unbounded;
    - alignment rule: MPU/PMP naturally-aligned powers of two, POE a
-     small tagging granule, CHERI byte-granular under bounds precision;
-   - match priority: MPU highest-numbered wins, PMP lowest wins,
-     POE first match, CHERI any grant suffices;
-   - fault model: MPU/PMP rotate evicted windows back in (region
-     virtualization), POE recycles keys, CHERI never faults on a
-     planned access (every grant is resident). *)
+     small tagging granule, CHERI byte-granular under bounds precision.
+
+   Match priority (MPU highest-numbered wins, PMP lowest wins, POE first
+   match, CHERI any grant) and the fault model (MPU/PMP rotate windows,
+   POE recycles keys, CHERI grants are always resident) are the
+   planner's code, in [Opec_core.Backend_plan]. *)
 
 type kind = Mpu | Pmp | Cheri | Poe
 
@@ -47,52 +47,29 @@ type alignment =
       (** byte-granular for small windows; large windows need
           representable (compressed-capability) bounds *)
 
-type priority =
-  | Highest_wins  (** highest-numbered matching entry decides (MPU) *)
-  | Lowest_wins   (** lowest-numbered / first matching entry decides *)
-  | Any_grant     (** grants accumulate; any matching grant suffices *)
-
-type fault_model =
-  | Region_eviction  (** planned windows beyond the budget are rotated
-                         in from the fault handler *)
-  | Key_recycling    (** windows stay resident; scarce keys are
-                         reassigned from the fault handler *)
-  | Capability_bounds  (** no budget: every planned grant is resident,
-                           a fault is always a violation *)
-
 type descriptor = {
   d_kind : kind;
   d_entry_budget : int option;  (** simultaneously-resident windows/keys *)
   d_alignment : alignment;
-  d_priority : priority;
-  d_fault_model : fault_model;
 }
 
 let descriptor = function
   | Mpu ->
     { d_kind = Mpu;
       d_entry_budget = Some Mpu.region_count;
-      d_alignment = Pow2 { min_log2 = Mpu.min_size_log2 };
-      d_priority = Highest_wins;
-      d_fault_model = Region_eviction }
+      d_alignment = Pow2 { min_log2 = Mpu.min_size_log2 } }
   | Pmp ->
     { d_kind = Pmp;
       d_entry_budget = Some Pmp.entry_count;
-      d_alignment = Pow2 { min_log2 = 3 };
-      d_priority = Lowest_wins;
-      d_fault_model = Region_eviction }
+      d_alignment = Pow2 { min_log2 = 3 } }
   | Cheri ->
     { d_kind = Cheri;
       d_entry_budget = None;
-      d_alignment = Precision { mantissa_bits = Cheri.mantissa_bits };
-      d_priority = Any_grant;
-      d_fault_model = Capability_bounds }
+      d_alignment = Precision { mantissa_bits = Cheri.mantissa_bits } }
   | Poe ->
     { d_kind = Poe;
       d_entry_budget = Some Poe.key_count;
-      d_alignment = Granule { bytes = Poe.granule };
-      d_priority = Lowest_wins;
-      d_fault_model = Key_recycling }
+      d_alignment = Granule { bytes = Poe.granule } }
 
 let round_up a n = (n + a - 1) / a * a
 

@@ -1,8 +1,7 @@
 (** The enforcement-backend abstraction: a constraint descriptor per
-    substrate (entry budget, alignment rule, match priority, fault
-    model) and a uniform runtime state + check over the four hardware
-    models (ARMv7-M MPU, RISC-V PMP, CHERI capabilities, Arm POE/MPK
-    keys). *)
+    substrate (entry budget, alignment rule) and a uniform runtime
+    state + check over the four hardware models (ARMv7-M MPU, RISC-V
+    PMP, CHERI capabilities, Arm POE/MPK keys). *)
 
 type kind = Mpu | Pmp | Cheri | Poe
 
@@ -15,16 +14,10 @@ type alignment =
   | Granule of { bytes : int }
   | Precision of { mantissa_bits : int }
 
-type priority = Highest_wins | Lowest_wins | Any_grant
-
-type fault_model = Region_eviction | Key_recycling | Capability_bounds
-
 type descriptor = {
   d_kind : kind;
   d_entry_budget : int option;
   d_alignment : alignment;
-  d_priority : priority;
-  d_fault_model : fault_model;
 }
 
 val descriptor : kind -> descriptor

@@ -1,30 +1,20 @@
-(* Backend-generic enforcement glue: operation-switch installation and
-   fault-time virtualization over whatever protection state the bus
+(* Backend-generic enforcement glue: register images of installed plans
+   and fault-time virtualization over whatever protection state the bus
    carries.
 
-   Every backend installs through {!Opec_core.Backend_plan.install}; the
-   MPU reproduces the original monitor behaviour exactly (each install
-   clears every region first, and rotation keeps the original
-   round-robin arithmetic); PMP rotates overflowed peripheral
-   windows through its wider entry table; POE never evicts a window —
-   it recycles permission keys onto the faulting keyless window; CHERI
-   grants are always fully resident, so a capability fault is always a
-   real violation. *)
+   Every backend installs through {!Opec_core.Backend_plan.install}, and
+   every rotation goes through the plan's {!Opec_core.Backend_plan.rotation}
+   window: the MPU and PMP rotate overflowed peripheral windows through
+   their slots round-robin; POE never evicts a window — it recycles
+   permission keys onto the faulting keyless window; CHERI grants are
+   always fully resident, so a capability fault is always a real
+   violation. *)
 
 module C = Opec_core
 module M = Opec_machine
 module Obs = Opec_obs
 
-let install st ~(image : C.Image.t) ~(meta : C.Metadata.op_meta) ~srd =
-  let heap =
-    if meta.C.Metadata.uses_heap then image.C.Image.layout.C.Layout.heap_section
-    else None
-  in
-  C.Backend_plan.install st ~code_base:image.C.Image.code_base
-    ~code_bytes:image.C.Image.code_bytes ~layout:image.C.Image.layout ~srd ?heap
-    meta.C.Metadata.section meta.C.Metadata.op
-
-(* A backend's complete protection state as [install] leaves it.  Every
+(* A backend's complete protection state as an install leaves it.  Every
    install clears and rewrites the whole state — all MPU regions, all
    PMP entries, the capability table, every overlay and key permission —
    so restoring an image captured right after an install repeats that
@@ -115,44 +105,32 @@ let overlay_id (ov : M.Poe.overlay) =
    violation the monitor must deny) — always the case on CHERI, whose
    grants are never partial. *)
 let virtualize st ~cpu ~(meta : C.Metadata.op_meta) ~virt_next ~addr =
+  let slot () =
+    let rot = Option.get (C.Backend_plan.rotation (M.Backend.kind_of st) meta) in
+    rot.C.Backend_plan.first + (virt_next mod max 1 rot.C.Backend_plan.slots)
+  in
+  (* MPU and PMP: write the covering planned window over the slot's
+     current one *)
+  let rotate_window resident write =
+    match covering_region meta addr with
+    | None -> None
+    | Some region ->
+      let slot = slot () in
+      let evicted = resident slot in
+      M.Cpu.with_privilege cpu (fun () -> write slot region);
+      Some
+        { sw_slot = slot; sw_evicted = evicted;
+          sw_installed = Obs.Sink.region_id_of region }
+  in
   match st with
-  | M.Backend.Mpu_state mpu -> (
-    match covering_region meta addr with
-    | None -> None
-    | Some region ->
-      let first =
-        C.Config.peripheral_region_first
-        + if meta.C.Metadata.uses_heap then 1 else 0
-      in
-      let count =
-        (C.Config.peripheral_region_first + C.Config.peripheral_region_count)
-        - first
-      in
-      let slot = first + (virt_next mod max 1 count) in
-      let evicted = Option.map Obs.Sink.region_id_of (M.Mpu.get mpu slot) in
-      M.Cpu.with_privilege cpu (fun () -> M.Mpu.set mpu slot (Some region));
-      Some
-        { sw_slot = slot; sw_evicted = evicted;
-          sw_installed = Obs.Sink.region_id_of region })
-  | M.Backend.Pmp_state pmp -> (
-    match covering_region meta addr with
-    | None -> None
-    | Some region ->
-      let has_section = meta.C.Metadata.section <> None in
-      let has_heap = meta.C.Metadata.uses_heap in
-      let first = C.Backend_plan.pmp_periph_first ~has_section ~has_heap in
-      let resident =
-        min
-          (C.Backend_plan.pmp_periph_capacity ~has_section ~has_heap)
-          (List.length meta.C.Metadata.periph_regions)
-      in
-      let slot = first + (virt_next mod max 1 resident) in
-      let evicted = pmp_entry_id (M.Pmp.get pmp slot) in
-      M.Cpu.with_privilege cpu (fun () ->
-          M.Pmp.set pmp slot (C.Pmp_plan.of_mpu_region region));
-      Some
-        { sw_slot = slot; sw_evicted = evicted;
-          sw_installed = Obs.Sink.region_id_of region })
+  | M.Backend.Mpu_state mpu ->
+    rotate_window
+      (fun slot -> Option.map Obs.Sink.region_id_of (M.Mpu.get mpu slot))
+      (fun slot region -> M.Mpu.set mpu slot (Some region))
+  | M.Backend.Pmp_state pmp ->
+    rotate_window
+      (fun slot -> pmp_entry_id (M.Pmp.get pmp slot))
+      (fun slot region -> M.Pmp.set pmp slot (C.Backend_plan.pmp_window region))
   | M.Backend.Poe_state poe -> (
     (* key recycling, not region eviction: the faulting window is already
        resident but keyless — strip a key from its current holders and
@@ -167,10 +145,7 @@ let virtualize st ~cpu ~(meta : C.Metadata.op_meta) ~virt_next ~addr =
     match window with
     | None -> None
     | Some ov ->
-      let has_heap = meta.C.Metadata.uses_heap in
-      let first = C.Backend_plan.poe_recycle_first ~has_heap in
-      let count = C.Backend_plan.poe_recycle_count ~has_heap in
-      let key = first + (virt_next mod max 1 count) in
+      let key = slot () in
       let victims =
         M.Cpu.with_privilege cpu (fun () ->
             let victims = M.Poe.reclaim_key poe key in

@@ -1,27 +1,19 @@
-(** Backend-generic enforcement glue: operation-switch installation and
-    fault-time virtualization over whatever protection state the bus
-    carries (MPU regions, PMP entries, POE keys; CHERI grants are always
-    fully resident). *)
+(** Backend-generic enforcement glue: register images of installed
+    plans and fault-time virtualization over whatever protection state
+    the bus carries (MPU regions, PMP entries, POE keys; CHERI grants are
+    always fully resident). *)
 
 module C = Opec_core
 module M = Opec_machine
 module Obs = Opec_obs
 
-(** Install the operation's plan on the backend; returns the planned
-    peripheral windows left non-resident (rotated in at fault time). *)
-val install :
-  M.Backend.state ->
-  image:C.Image.t ->
-  meta:C.Metadata.op_meta ->
-  srd:int ->
-  M.Mpu.region list
-
-(** A backend's complete protection state as {!install} leaves it: MPU
-    regions, PMP entries, the CHERI capability table, or the POE
-    overlays and key permissions. *)
+(** A backend's complete protection state as
+    {!Opec_core.Backend_plan.install} leaves it: MPU regions, PMP
+    entries, the CHERI capability table, or the POE overlays and key
+    permissions. *)
 type image
 
-(** The state's image.  Taken right after an {!install}, restoring it
+(** The state's image.  Taken right after an install, restoring it
     repeats that install. *)
 val capture : M.Backend.state -> image
 

@@ -649,7 +649,7 @@ let install t oi ~srd =
   match t.images.(k) with
   | Some img when Enforce.restore st img -> ()
   | Some _ | None ->
-    ignore (Enforce.install st ~image:t.image ~meta:t.metas.(oi) ~srd);
+    ignore (C.Backend_plan.install st ~image:t.image ~meta:t.metas.(oi) ~srd);
     t.images.(k) <- Some (Enforce.capture st)
 
 (* --- switch protocol ----------------------------------------------------- *)
@@ -929,7 +929,7 @@ let verify t =
     let name = f.op.C.Operation.name in
     let live = M.Bus.protection t.bus in
     let fresh = M.Backend.create (M.Backend.kind_of live) in
-    ignore (Enforce.install fresh ~image:t.image ~meta:f.meta ~srd:f.srd);
+    ignore (C.Backend_plan.install fresh ~image:t.image ~meta:f.meta ~srd:f.srd);
     if fresh <> live then
       Error
         (Fmt.str

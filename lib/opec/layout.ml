@@ -17,11 +17,10 @@ type section = {
   owner : string;         (** operation name, or "public" *)
   base : int;
   used : int;             (** bytes occupied by variables *)
-  region_log2 : int;      (** MPU region size covering the section *)
   span : int;             (** bytes the section reserves under the
-                              target backend's window encoding; equals
-                              [2^region_log2] for power-of-two backends,
-                              tighter for capability/key backends *)
+                              target backend's window encoding: a power
+                              of two for MPU and PMP, tighter for
+                              capability/key backends *)
   slots : slot list;
 }
 
@@ -43,10 +42,6 @@ type t = {
 
 let align a n = (n + a - 1) / a * a
 
-let section_region_log2 used =
-  let _, log2 = Opec_machine.Mpu.region_size_for (max used 32) in
-  log2
-
 (* Pack variables into a section at [base]; big and strictly aligned
    variables first to limit internal padding. *)
 let pack_section ~owner ~base vars =
@@ -65,8 +60,8 @@ let pack_section ~owner ~base vars =
       vars
   in
   let used = !cursor - base in
-  let region_log2 = section_region_log2 used in
-  { owner; base; used; region_log2; span = 1 lsl region_log2; slots }
+  let span, _ = Opec_machine.Mpu.region_size_for (max used 32) in
+  { owner; base; used; span; slots }
 
 let slot_addr section var =
   match List.find_opt (fun s -> String.equal s.var var) section.slots with
@@ -82,8 +77,8 @@ let build ?(sort_sections = true) ?(backend = Opec_machine.Backend.Mpu)
     (cls : Partition.classification) =
   let desc = Opec_machine.Backend.descriptor backend in
   (* (base alignment, reserved span) of a window under the backend's
-     encoding; for the MPU this reproduces [section_region_log2]'s
-     power-of-two rounding bit for bit *)
+     encoding; for the MPU this reproduces [pack_section]'s power-of-two
+     rounding bit for bit *)
   let fit bytes = Opec_machine.Backend.region_fit desc bytes in
   let sizes = Hashtbl.create 64 in
   List.iter
@@ -125,7 +120,7 @@ let build ?(sort_sections = true) ?(backend = Opec_machine.Backend.Mpu)
       let sec = pack_section ~owner:"heap" ~base vars in
       (* the window must still cover the packed size *)
       let _, span = fit (max bytes sec.used) in
-      let sec = { sec with region_log2 = log2_ceil span; span } in
+      let sec = { sec with span } in
       cursor := base + span;
       List.iter (fun sl -> Hashtbl.replace var_home sl.var sl.addr) sec.slots;
       Some sec
@@ -172,9 +167,7 @@ let build ?(sort_sections = true) ?(backend = Opec_machine.Backend.Mpu)
         let section = pack_section ~owner:op.Operation.name ~base vars in
         (* the window must still cover the packed size *)
         let _, span = fit (max bytes section.used) in
-        let section =
-          { section with region_log2 = log2_ceil span; span }
-        in
+        let section = { section with span } in
         cursor := base + span;
         List.iter
           (fun s ->
@@ -218,10 +211,3 @@ let is_external t var = List.mem var t.externals
 (* SRAM bytes consumed by OPEC's data plan, including the MPU-alignment
    fragments inside and between operation data sections. *)
 let sram_bytes t = t.data_limit - t.data_base
-
-let pp_section fmt s =
-  Fmt.pf fmt "@[<v 2>section %s @@ 0x%08X (used %d, region 2^%d):@,%a@]"
-    s.owner s.base s.used s.region_log2
-    Fmt.(list ~sep:(any "@,") (fun fmt sl ->
-      Fmt.pf fmt "%s @@ 0x%08X (%d)" sl.var sl.addr sl.size))
-    s.slots

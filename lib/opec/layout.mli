@@ -15,10 +15,9 @@ type section = {
   owner : string;     (** operation name, or ["public"] *)
   base : int;
   used : int;         (** bytes occupied by variables *)
-  region_log2 : int;  (** MPU region size covering the section *)
   span : int;         (** bytes reserved under the target backend's
-                          window encoding ([2^region_log2] for
-                          power-of-two backends) *)
+                          window encoding (a power of two for MPU and
+                          PMP) *)
   slots : slot list;
 }
 
@@ -38,7 +37,6 @@ type t = {
 }
 
 val align : int -> int -> int
-val section_region_log2 : int -> int
 
 (** Pack variables into a section at [base], large ones first. *)
 val pack_section : owner:string -> base:int -> (string * int) list -> section
@@ -75,5 +73,3 @@ val is_external : t -> string -> bool
 
 (** SRAM bytes the plan consumes, including MPU-alignment fragments. *)
 val sram_bytes : t -> int
-
-val pp_section : Format.formatter -> section -> unit

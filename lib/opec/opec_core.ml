@@ -7,11 +7,9 @@ module Dev_input = Dev_input
 module Operation = Operation
 module Partition = Partition
 module Layout = Layout
-module Mpu_plan = Mpu_plan
-module Pmp_plan = Pmp_plan
-module Backend_plan = Backend_plan
 module Instrument = Instrument
 module Metadata = Metadata
 module Policy = Policy
 module Image = Image
+module Backend_plan = Backend_plan
 module Compiler = Compiler

@@ -71,6 +71,62 @@ let test_apps_clean () =
         [] (error_codes diags))
     (Apps.Registry.all_small ())
 
+(* Every registry image on every backend, through the artifact store. *)
+let backend_images () =
+  List.concat_map
+    (fun (app : Apps.App.t) ->
+      List.map
+        (fun kind ->
+          ( Printf.sprintf "%s@%s" app.app_name (M.Backend.kind_name kind),
+            Opec_pipeline.Pipeline.image
+              (Opec_pipeline.Pipeline.ctx ~backend:kind app) ))
+        M.Backend.all_kinds)
+    (Apps.Registry.all ())
+
+(* Sections are read at the span their own backend reserves, so the
+   tighter CHERI and POE layouts raise no false overlap. *)
+let test_apps_clean_every_backend () =
+  List.iter
+    (fun (name, image) ->
+      Alcotest.(check (list string))
+        (name ^ " has no static lint errors")
+        [] (error_codes (L.Lint.run ~dynamic:false image)))
+    (backend_images ())
+
+(* L003's budget info fires exactly when a fresh install leaves a
+   planned peripheral window non-resident: MPU/PMP overflow, or a
+   keyless POE overlay. *)
+let test_budget_matches_install () =
+  List.iter
+    (fun (name, (image : C.Image.t)) ->
+      let exceeds =
+        List.filter_map
+          (fun (d : L.Diag.t) ->
+            match d.loc with
+            | L.Diag.Operation op
+              when d.code = "L003" && d.severity = L.Diag.Info ->
+              Some op
+            | _ -> None)
+          (L.Checks.plan_validity image)
+      in
+      List.iter
+        (fun (opn, meta) ->
+          let st = M.Backend.create image.backend in
+          let overflow = C.Backend_plan.install st ~image ~meta ~srd:0 in
+          let keyless =
+            match st with
+            | M.Backend.Poe_state p ->
+              List.exists
+                (fun (ov : M.Poe.overlay) -> ov.M.Poe.ov_key = M.Poe.no_key)
+                (M.Poe.overlays p)
+            | _ -> false
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: budget info iff non-resident window" name opn)
+            (overflow <> [] || keyless) (List.mem opn exceeds))
+        image.metas)
+    (backend_images ())
+
 (* --- L007 trace oracle on a full PinLock run ---------------------------- *)
 
 let test_oracle_pinlock () =
@@ -345,6 +401,10 @@ let test_registry_complete () =
 let suite () =
   [ ( "lint",
       [ Alcotest.test_case "bundled apps are clean" `Quick test_apps_clean;
+        Alcotest.test_case "bundled apps are clean on every backend" `Quick
+          test_apps_clean_every_backend;
+        Alcotest.test_case "budget info matches the installed plan" `Quick
+          test_budget_matches_install;
         Alcotest.test_case "trace oracle on full pinlock" `Slow
           test_oracle_pinlock;
         Alcotest.test_case "seeded L001 unresolved icall" `Quick

@@ -13,6 +13,18 @@ let allowed t ~privileged ~addr ~access =
   | Ok () -> true
   | Error _ -> false
 
+let allows st ~privileged ~addr ~access =
+  Result.is_ok (M.Backend.check st ~privileged ~addr ~access)
+
+(* A fresh backend of [kind] with [entry]'s operation installed (full
+   stack, no sub-regions disabled), and the plan's overflow. *)
+let install_on kind image entry =
+  let op = Option.get (C.Image.op_of_entry image entry) in
+  let meta = Option.get (C.Image.meta_of image op.C.Operation.name) in
+  let st = M.Backend.create kind in
+  let overflow = C.Backend_plan.install st ~image ~meta ~srd:0 in
+  (st, overflow)
+
 let test_validation () =
   Alcotest.check_raises "misaligned napot"
     (Pmp.Invalid_entry "NAPOT base 0x20000004 not aligned to 2^5") (fun () ->
@@ -77,36 +89,27 @@ let test_plan_translation () =
       ()
   in
   let image = C.Compiler.compile p (C.Dev_input.v [ "task_a"; "task_b" ]) in
-  let op = Option.get (C.Image.op_of_entry image "task_a") in
   let layout = image.C.Image.layout in
-  let pmp = Pmp.create () in
-  let overflow =
-    C.Pmp_plan.install pmp ~code_base:image.C.Image.code_base
-      ~code_bytes:image.C.Image.code_bytes
-      ~stack_base:layout.C.Layout.stack_base
-      ~stack_accessible_limit:layout.C.Layout.stack_top
-      (C.Layout.section_of layout "task_a")
-      op
-  in
+  let pmp, overflow = install_on M.Backend.Pmp image "task_a" in
   Alcotest.(check int) "no overflow for one peripheral" 0 (List.length overflow);
   let sec_a = Option.get (C.Layout.section_of layout "task_a") in
   let sec_b = Option.get (C.Layout.section_of layout "task_b") in
   Alcotest.(check bool) "own section writable" true
-    (allowed pmp ~privileged:false ~addr:sec_a.C.Layout.base ~access:M.Fault.Write);
+    (allows pmp ~privileged:false ~addr:sec_a.C.Layout.base ~access:M.Fault.Write);
   Alcotest.(check bool) "other section not writable" false
-    (allowed pmp ~privileged:false ~addr:sec_b.C.Layout.base ~access:M.Fault.Write);
+    (allows pmp ~privileged:false ~addr:sec_b.C.Layout.base ~access:M.Fault.Write);
   Alcotest.(check bool) "other section readable (background)" true
-    (allowed pmp ~privileged:false ~addr:sec_b.C.Layout.base ~access:M.Fault.Read);
+    (allows pmp ~privileged:false ~addr:sec_b.C.Layout.base ~access:M.Fault.Read);
   Alcotest.(check bool) "listed peripheral writable" true
-    (allowed pmp ~privileged:false ~addr:0x4000_4404 ~access:M.Fault.Write);
+    (allows pmp ~privileged:false ~addr:0x4000_4404 ~access:M.Fault.Write);
   Alcotest.(check bool) "unlisted peripheral blocked" false
-    (allowed pmp ~privileged:false ~addr:0x4002_0C14 ~access:M.Fault.Write);
+    (allows pmp ~privileged:false ~addr:0x4002_0C14 ~access:M.Fault.Write);
   Alcotest.(check bool) "stack writable" true
-    (allowed pmp ~privileged:false
+    (allows pmp ~privileged:false
        ~addr:(layout.C.Layout.stack_top - 16)
        ~access:M.Fault.Write);
   Alcotest.(check bool) "code executable" true
-    (allowed pmp ~privileged:false ~addr:image.C.Image.code_base
+    (allows pmp ~privileged:false ~addr:image.C.Image.code_base
        ~access:M.Fault.Execute)
 
 (* differential property: for random addresses and accesses, the PMP
@@ -122,34 +125,17 @@ let prop_pmp_no_more_permissive =
       ()
   in
   let image = C.Compiler.compile p (C.Dev_input.v [ "t" ]) in
-  let op = Option.get (C.Image.op_of_entry image "t") in
-  let layout = image.C.Image.layout in
-  let mpu = M.Mpu.create () in
-  ignore
-    (C.Mpu_plan.install mpu ~code_base:image.C.Image.code_base
-       ~code_bytes:image.C.Image.code_bytes
-       ~stack_base:layout.C.Layout.stack_base ~srd:0
-       (C.Layout.section_of layout "t") op);
-  let pmp = Pmp.create () in
-  ignore
-    (C.Pmp_plan.install pmp ~code_base:image.C.Image.code_base
-       ~code_bytes:image.C.Image.code_bytes
-       ~stack_base:layout.C.Layout.stack_base
-       ~stack_accessible_limit:layout.C.Layout.stack_top
-       (C.Layout.section_of layout "t") op);
+  let mpu, _ = install_on M.Backend.Mpu image "t" in
+  let pmp, _ = install_on M.Backend.Pmp image "t" in
   QCheck.Test.make ~name:"PMP translation is no more permissive (writes)"
     ~count:300
     QCheck.(int_bound 0x2FFF)
     (fun off ->
       let addr = 0x2000_0000 + (off * 16) in
       let pmp_ok =
-        allowed pmp ~privileged:false ~addr ~access:M.Fault.Write
+        allows pmp ~privileged:false ~addr ~access:M.Fault.Write
       in
-      let mpu_ok =
-        match M.Mpu.check mpu ~privileged:false ~addr ~access:M.Fault.Write with
-        | Ok () -> true
-        | Error _ -> false
-      in
+      let mpu_ok = allows mpu ~privileged:false ~addr ~access:M.Fault.Write in
       (not pmp_ok) || mpu_ok)
 
 let suite () =

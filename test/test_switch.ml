@@ -2,7 +2,7 @@
 
    - After init and after every operation enter and exit,
      [Monitor.verify] compares the protection state restored from the
-     monitor's cached register image with a fresh [Enforce.install] of
+     monitor's cached register image with a fresh [Backend_plan.install] of
      the same (operation, sub-region mask), and the relocation table
      with the operation's targets: every registry workload, every
      enforcement backend, and both sync ablations.
