@@ -1,11 +1,15 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 6) on the simulated substrate, plus bechamel
-   micro-benchmarks of the monitor's primitives.
+   evaluation (Section 6) on the simulated substrate, plus the
+   correctness gates that need a full sweep.  Host speed is judged by
+   the repository benchmark under perf/, not here.
 
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe -- table1  # one artifact
-     dune exec bench/main.exe -- pipeline -j 4   # with 4 pool domains
-     ... table1 | figure9 | table2 | figure10 | figure11 | table3 | campaign | ablation | micro | pipeline | obs | fleet | backends
+     dune exec bench/main.exe             # every paper artifact
+     dune exec bench/main.exe -- table1   # one artifact
+     dune exec bench/main.exe -- campaign -j 4   # with 4 pool domains
+     ... table1 | figure9 | table2 | figure10 | figure11 | table3 | campaign
+       | ablation | coremark-engines | obs | fleet | backends | all
+
+   One target per invocation: a second target word exits 2.
 
    [-j N] sets the size of the shared domain pool for the run, so every
    parallel phase (prewarming, campaign fan-out, the fleet curve's
@@ -20,8 +24,7 @@
    ({!Opec_pipeline.Pipeline}): each target first materializes the
    artifacts it needs with one domain per app, then renders sequentially
    from the cache, so a full sweep compiles and runs each workload
-   exactly once.  The [pipeline] target measures the store itself and
-   writes BENCH_pipeline.json. *)
+   exactly once. *)
 
 module Apps = Opec_apps
 module Met = Opec_metrics
@@ -335,101 +338,12 @@ let ablation () =
     (Apps.Registry.all ());
   say ""
 
-(* ------------------------------------------------------------------- micro *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let pinlock = Apps.Registry.pinlock ~rounds:2 () in
-  let image = Met.Workload.compile pinlock in
-  (* micro-benchmarks time the *uncached* work: the memoized paths
-     would measure a store lookup, so every test below uses the fresh
-     variants *)
-  let switch_test =
-    Test.make ~name:"protected-run(pinlock,2 rounds)"
-      (Staged.stage (fun () ->
-           ignore (Met.Workload.run_protected_fresh ~image pinlock)))
-  in
-  let baseline_test =
-    Test.make ~name:"baseline-run(pinlock,2 rounds)"
-      (Staged.stage (fun () -> ignore (Met.Workload.run_baseline_fresh pinlock)))
-  in
-  let compile_test =
-    Test.make ~name:"compile(pinlock)"
-      (Staged.stage (fun () -> ignore (Met.Workload.compile_fresh pinlock)))
-  in
-  let points_to_test =
-    Test.make ~name:"points-to(tcp-echo)"
-      (let p = (Apps.Registry.tcp_echo ()).Apps.App.program in
-       Staged.stage (fun () -> ignore (Opec_analysis.Points_to.solve p)))
-  in
-  (* one SRAM region over the probed address *)
-  let mpu = Opec_machine.Mpu.create () in
-  Opec_machine.Mpu.set mpu 0
-    (Some
-       (Opec_machine.Mpu.region ~base:0x2000_0000 ~size_log2:16
-          ~privileged:Opec_machine.Mpu.Read_write
-          ~unprivileged:Opec_machine.Mpu.Read_only ()));
-  Opec_machine.Mpu.enable mpu;
-  let mpu_test =
-    Test.make ~name:"mpu-check"
-      (Staged.stage (fun () ->
-           ignore
-             (Opec_machine.Mpu.check mpu ~privileged:false ~addr:0x2000_0100
-                ~access:Opec_machine.Fault.Read)))
-  in
-  Test.make_grouped ~name:"micro" ~fmt:"%s/%s"
-    [ mpu_test; compile_test; points_to_test; baseline_test; switch_test ]
-
-let micro () =
-  say "%s" (R.heading "Micro-benchmarks (bechamel, host-native OCaml time)");
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 100) ()
-  in
-  let raw = Benchmark.all cfg instances (bechamel_tests ()) in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> say "  %-40s %12.1f ns/run" name est
-      | Some _ | None -> say "  %-40s (no estimate)" name)
-    results;
-  say ""
-
-(* -------------------------------------------------------------- pipeline *)
-
-(* Benchmark of the pipeline itself: per-target wall clock on a cold
-   (empty) vs warm (fully cached) store, the shared-store sweep against
-   the compile-per-target sum it replaces, and the default interpreter
-   engine's throughput on CoreMark.  Results also land in
-   BENCH_pipeline.json for CI. *)
-
-let perf_targets =
-  [ ("table1", table1); ("figure9", figure9); ("table2", table2);
-    ("figure10", figure10); ("figure11", figure11); ("table3", table3);
-    ("campaign", campaign); ("ablation", ablation) ]
+(* -------------------------------------------------------- coremark-engines *)
 
 let time f =
   let t0 = Unix.gettimeofday () in
   f ();
   Unix.gettimeofday () -. t0
-
-(* Run [f] with the evaluation's own printing swallowed, so the timing
-   loop doesn't scroll eight reports past the reader. *)
-let quietly f =
-  let devnull = open_out "/dev/null" in
-  let saved = Format.pp_get_formatter_out_functions Format.std_formatter () in
-  Format.pp_set_formatter_out_channel Format.std_formatter devnull;
-  Fun.protect
-    ~finally:(fun () ->
-      Format.pp_print_flush Format.std_formatter ();
-      Format.pp_set_formatter_out_functions Format.std_formatter saved;
-      close_out devnull)
-    f
 
 let engine_name = function
   | Opec_exec.Interp.Tree -> "tree"
@@ -491,96 +405,9 @@ let engine_rows_json rows =
              ("cycles_per_sec", Json.Int (Float.to_int (Float.round cps))) ])
        rows)
 
-let pipeline_bench () =
-  say "%s" (R.heading "Pipeline benchmark: compile-once artifact store");
-  (* every timed block starts from an empty store and a compacted heap,
-     so one block's garbage doesn't tax the next one's clock *)
-  let timed f =
-    P.reset ();
-    Gc.compact ();
-    time (fun () -> quietly f)
-  in
-  (* the end-to-end sweep over one shared store *)
-  let sweep () = List.iter (fun (_, f) -> f ()) perf_targets in
-  let shared = timed sweep in
-  (* each target alone: cold store, then fully warm *)
-  let rows =
-    List.map
-      (fun (name, f) ->
-        let cold = timed f in
-        let warm = time (fun () -> quietly f) in
-        say "  %-10s cold %7.3f s   warm %7.3f s" name cold warm;
-        (name, cold, warm))
-      perf_targets
-  in
-  P.reset ();
-  let cold_sum = List.fold_left (fun acc (_, c, _) -> acc +. c) 0.0 rows in
-  say "  sweep over a shared store: %.3f s" shared;
-  say "  isolated cold targets sum: %.3f s" cold_sum;
-  (* default-engine interpreter throughput: a fresh CoreMark baseline *)
-  let cm = Apps.Registry.coremark () in
-  let cm_cycles = ref 0L in
-  let cm_wall =
-    time (fun () ->
-        cm_cycles := (Met.Workload.run_baseline_fresh cm).Met.Workload.b_cycles)
-  in
-  let cps = Int64.to_float !cm_cycles /. Float.max 1e-9 cm_wall in
-  say "  CoreMark baseline: %Ld cycles in %.3f s (%.0f cycles/s)" !cm_cycles
-    cm_wall cps;
-  (* the per-engine comparison, one fresh CoreMark each *)
-  let engines = engine_rows () in
-  List.iter
-    (fun (name, cy, wall, ecps) ->
-      say "  CoreMark %-8s: %Ld cycles in %.3f s (%.0f cycles/s)" name cy wall
-        ecps)
-    engines;
-  (* per-artifact cycle counts, the invariance record for CI diffs *)
-  let cycles =
-    P.parallel_map
-      (fun c ->
-        let b = P.baseline c in
-        let p = P.protected_ c in
-        (P.app c).Apps.App.app_name, b.P.b_cycles, p.P.p_cycles)
-      (Apps.Registry.all ())
-  in
-  let c v = Json.Int (Int64.to_int v) in
-  write_json "BENCH_pipeline.json"
-    (Json.Obj
-       [ ( "targets",
-           Json.List
-             (List.map
-                (fun (name, cold, warm) ->
-                  Json.Obj
-                    [ ("name", Json.String name); ("cold_s", Json.Float cold);
-                      ("warm_s", Json.Float warm) ])
-                rows) );
-         ( "sweep",
-           Json.Obj
-             [ ("shared_store_s", Json.Float shared);
-               ("isolated_cold_sum_s", Json.Float cold_sum) ] );
-         ( "coremark",
-           Json.Obj
-             [ ("cycles", c !cm_cycles); ("wall_s", Json.Float cm_wall);
-               ("cycles_per_sec", Json.Int (Float.to_int (Float.round cps))) ] );
-         ("engines", engine_rows_json engines);
-         ( "cycles",
-           Json.Obj
-             (List.map
-                (fun (name, b, p) ->
-                  (name, Json.Obj [ ("baseline", c b); ("protected", c p) ]))
-                cycles) );
-         (* the high-water mark of participants any run actually used,
-            not the configured default: on a small machine these
-            differ, and the field is read as "how parallel was this
-            measurement really" *)
-         ("domains", Json.Int (Opec_pipeline.Pool.max_used ())) ]);
-  say "  wrote BENCH_pipeline.json"
-
-(* The standalone engine comparison (the CI perf smoke): CoreMark under
-   both engines, gated on the compiled engine clearing [engine_gate]
-   times the tree walker's throughput.  Writes an engines-only
-   BENCH_pipeline.json — [bench pipeline] writes the full file, engine
-   rows included. *)
+(* The engine comparison (the CI engine gate): CoreMark under both
+   engines, gated on the compiled engine clearing [engine_gate] times
+   the tree walker's throughput.  The rows land in BENCH_pipeline.json. *)
 
 (* The bound keeps the strength of the earlier "compiled >= 2x the
    decode-once engine" rule, which this gate enforced until that engine
@@ -629,39 +456,11 @@ let coremark_engines_bench () =
 
 (* Overhead breakdown per workload (Section 6.3): where the monitor's
    cycles go, measured from the telemetry stream of the instrumented
-   protected run.  Results land in BENCH_obs.json.  The target fails
-   (exit 1) if any workload's total monitor overhead or synced bytes
-   regressed more than 25% against the checked-in reference breakdown
-   (BENCH_obs_ref.json), and exits 2 if that reference is missing or
-   malformed — the CI perf smoke. *)
+   protected run.  Results land in BENCH_obs.json; the model runs are
+   deterministic, so the test suite pins every field of that file
+   exactly. *)
 
 let w_obs c = ignore (P.protected_obs c)
-
-let obs_ref_file = "BENCH_obs_ref.json"
-
-(* The reference's (app, overhead cycles, synced bytes) rows.  A
-   reference that is missing or malformed is an error, never an empty
-   gate. *)
-let parse_obs_ref path =
-  let ( let* ) = Result.bind in
-  let member k = function Json.Obj kvs -> List.assoc_opt k kvs | _ -> None in
-  let* text =
-    try Ok (In_channel.with_open_bin path In_channel.input_all)
-    with Sys_error e -> Error e
-  in
-  let* doc = Result.map_error (Printf.sprintf "%s: %s" path) (Json.parse text) in
-  match member "workloads" doc with
-  | Some (Json.List ws) ->
-    List.fold_right
-      (fun w acc ->
-        let* rows = acc in
-        let int k = match member k w with Some (Json.Int n) -> Some n | _ -> None in
-        match (member "app" w, int "overhead_cycles") with
-        | Some (Json.String app), Some oh ->
-          Ok ((app, Int64.of_int oh, int "synced_bytes") :: rows)
-        | _ -> Error (path ^ ": a workload lacks an app or its overhead_cycles"))
-      ws (Ok [])
-  | _ -> Error (path ^ ": no \"workloads\" array")
 
 let obs () =
   say "%s" (R.heading "Overhead breakdown (Section 6.3): where monitor cycles go");
@@ -706,68 +505,7 @@ let obs () =
                     (("app", Json.String b.Met.Overhead.bd_app)
                     :: Met.Overhead.breakdown_json b))
                 rows) ) ]);
-  say "  wrote BENCH_obs.json";
-  (* the regression gates against the checked-in reference breakdown *)
-  match parse_obs_ref obs_ref_file with
-  | Error e ->
-    Format.eprintf "overhead gate: cannot read the reference: %s@." e;
-    exit 2
-  | Ok refs ->
-    let ref_of app =
-      List.find_opt (fun (a, _, _) -> String.equal a app) refs
-    in
-    (* explicit synced-bytes delta per workload before gating *)
-    List.iter
-      (fun (b : Met.Overhead.breakdown) ->
-        match ref_of b.Met.Overhead.bd_app with
-        | Some (_, _, Some ref_sb) when ref_sb > 0 ->
-          let cur = b.Met.Overhead.bd_synced_bytes in
-          say "  synced bytes %-12s %6d -> %6d  (%+d B, %.2fx)"
-            b.Met.Overhead.bd_app ref_sb cur (cur - ref_sb)
-            (float_of_int cur /. float_of_int ref_sb)
-        | _ -> ())
-      rows;
-    let failures =
-      List.concat_map
-        (fun (b : Met.Overhead.breakdown) ->
-          match ref_of b.Met.Overhead.bd_app with
-          | None -> []
-          | Some (_, ref_oh, ref_sb) ->
-            let cycles =
-              let cur = Int64.to_float b.Met.Overhead.bd_overhead_cycles in
-              let limit = Int64.to_float ref_oh *. 1.25 in
-              if cur > limit then
-                [ Printf.sprintf
-                    "%s: overhead %Ld cycles exceeds reference %Ld by more \
-                     than 25%%"
-                    b.Met.Overhead.bd_app b.Met.Overhead.bd_overhead_cycles
-                    ref_oh ]
-              else []
-            in
-            let synced =
-              match ref_sb with
-              | None -> [] (* pre-schedule reference: no synced-bytes gate *)
-              | Some ref_sb ->
-                let cur = b.Met.Overhead.bd_synced_bytes in
-                if float_of_int cur > float_of_int ref_sb *. 1.25 then
-                  [ Printf.sprintf
-                      "%s: synced bytes %d exceed reference %d by more than \
-                       25%%"
-                      b.Met.Overhead.bd_app cur ref_sb ]
-                else []
-            in
-            cycles @ synced)
-        rows
-    in
-    (match failures with
-    | [] ->
-      say
-        "  overhead gate: every workload within 25%% of %s (cycles and \
-         synced bytes)"
-        obs_ref_file
-    | fs ->
-      List.iter (fun f -> say "  OVERHEAD REGRESSION: %s" f) fs;
-      exit 1)
+  say "  wrote BENCH_obs.json"
 
 (* ------------------------------------------------------------------- fleet *)
 
@@ -935,96 +673,6 @@ let backends_bench () =
       rs;
     exit 1
 
-(* ------------------------------------------------------------------- load *)
-
-(* The traffic suite: every load scenario under every enforcement
-   backend, ≥1M events per backend, with the switch-latency tail
-   (p50/p99/p999) per row.  Gates that each backend's run total makes
-   the million-event floor and that every scenario's end-to-end output
-   check passes; rows land in BENCH_load.json. *)
-
-let load_bench () =
-  let module L = Opec_load in
-  let module M = Opec_machine in
-  say "%s" (R.heading "Load scenarios: switch tail latency under traffic");
-  (* per-scenario event targets chosen to clear 1M per backend with the
-     fixed TCP-Echo slice on top *)
-  let plan =
-    [ (L.Scenario.Request_storm, 550_000);
-      (L.Scenario.Sensor_burst, 330_000);
-      (L.Scenario.Interrupt_preempt, 150_000);
-      (L.Scenario.Tcp_echo_slice, 0) ]
-  in
-  let rows =
-    List.concat_map
-      (fun backend ->
-        List.map
-          (fun (kind, target_events) ->
-            L.Scenario.run ~backend ~target_events kind)
-          plan)
-      M.Backend.all_kinds
-  in
-  let cells (r : L.Scenario.result) =
-    [ r.L.Scenario.r_scenario; r.L.Scenario.r_backend;
-      string_of_int r.L.Scenario.r_events;
-      string_of_int r.L.Scenario.r_switch_spans;
-      Printf.sprintf "%.1f" r.L.Scenario.r_mean;
-      Int64.to_string r.L.Scenario.r_p50;
-      Int64.to_string r.L.Scenario.r_p99;
-      Int64.to_string r.L.Scenario.r_p999;
-      Int64.to_string r.L.Scenario.r_max;
-      Printf.sprintf "%.2f" r.L.Scenario.r_wall_s;
-      (match r.L.Scenario.r_check with Ok () -> "ok" | Error e -> e) ]
-  in
-  say "%s@."
-    (R.table
-       ~header:
-         [ "Scenario"; "Backend"; "Events"; "Switches"; "Mean"; "p50"; "p99";
-           "p999"; "Max"; "Wall(s)"; "Check" ]
-       (List.map cells rows));
-  write_json "BENCH_load.json"
-    (Json.Obj [ ("rows", Json.List (List.map L.Scenario.result_json rows)) ]);
-  say "  wrote BENCH_load.json";
-  let failures =
-    List.concat_map
-      (fun backend ->
-        let name = M.Backend.kind_name backend in
-        let mine =
-          List.filter
-            (fun (r : L.Scenario.result) -> r.L.Scenario.r_backend = name)
-            rows
-        in
-        let events =
-          List.fold_left
-            (fun acc (r : L.Scenario.result) -> acc + r.L.Scenario.r_events)
-            0 mine
-        in
-        let floor_failures =
-          if events < 1_000_000 then
-            [ Printf.sprintf "%s: %d events under the 1M floor" name events ]
-          else begin
-            say "  %-5s drove %d events" name events;
-            []
-          end
-        in
-        floor_failures
-        @ List.filter_map
-            (fun (r : L.Scenario.result) ->
-              match r.L.Scenario.r_check with
-              | Ok () -> None
-              | Error e ->
-                Some
-                  (Printf.sprintf "%s under %s: %s" r.L.Scenario.r_scenario
-                     name e))
-            mine)
-      M.Backend.all_kinds
-  in
-  match failures with
-  | [] -> say "  load gate: 1M-event floor and output checks hold on every backend"
-  | fs ->
-    List.iter (fun f -> say "  LOAD GATE FAILURE: %s" f) fs;
-    exit 1
-
 (* ------------------------------------------------------------------ driver *)
 
 let all () =
@@ -1037,11 +685,22 @@ let all () =
   figure11 ();
   table3 ();
   campaign ();
-  ablation ();
-  micro ()
+  ablation ()
+
+let targets =
+  [ ("table1", table1); ("figure9", figure9); ("table2", table2);
+    ("figure10", figure10); ("figure11", figure11); ("table3", table3);
+    ("campaign", campaign); ("ablation", ablation);
+    ("coremark-engines", coremark_engines_bench); ("obs", obs);
+    ("fleet", fleet_bench); ("backends", backends_bench); ("all", all) ]
+
+let usage () =
+  Format.eprintf "usage: main.exe [-j N] [%s]@."
+    (String.concat "|" (List.map fst targets));
+  exit 2
 
 let () =
-  (* [-j N] anywhere on the line sizes the shared pool; the remaining
+  (* [-j N] anywhere on the line sizes the shared pool; the one other
      word picks the artifact *)
   let rec parse target = function
     | [] -> target
@@ -1056,32 +715,20 @@ let () =
     | ("-j" | "--domains") :: [] ->
       Format.eprintf "-j needs a value@.";
       exit 2
-    | a :: rest -> parse (Some a) rest
+    | a :: rest -> (
+      match target with
+      | None -> parse (Some a) rest
+      | Some first ->
+        Format.eprintf "one target at a time: got %S and %S@." first a;
+        usage ())
   in
   let target =
     Option.value
       (parse None (List.tl (Array.to_list Sys.argv)))
       ~default:"all"
   in
-  match target with
-  | "table1" -> table1 ()
-  | "figure9" -> figure9 ()
-  | "table2" -> table2 ()
-  | "figure10" -> figure10 ()
-  | "figure11" -> figure11 ()
-  | "table3" -> table3 ()
-  | "campaign" -> campaign ()
-  | "ablation" -> ablation ()
-  | "micro" -> micro ()
-  | "pipeline" -> pipeline_bench ()
-  | "coremark-engines" -> coremark_engines_bench ()
-  | "obs" -> obs ()
-  | "fleet" -> fleet_bench ()
-  | "backends" -> backends_bench ()
-  | "load" -> load_bench ()
-  | "all" -> all ()
-  | other ->
-    Format.eprintf
-      "unknown artifact %S (expected table1|figure9|table2|figure10|figure11|table3|campaign|ablation|micro|pipeline|coremark-engines|obs|fleet|backends|load|all)@."
-      other;
-    exit 2
+  match List.assoc_opt target targets with
+  | Some run -> run ()
+  | None ->
+    Format.eprintf "unknown artifact %S@." target;
+    usage ()

@@ -396,7 +396,7 @@ let pp_result f r =
     r.r_cycles r.r_switch_spans r.r_mean r.r_p50 r.r_p99 r.r_p999 r.r_max
     (match r.r_check with Ok () -> "ok" | Error e -> e)
 
-(* JSON emission shared by [bench load] and [opec load --json]. *)
+(* JSON emission for [opec load --json]. *)
 let result_json r =
   let module J = Obs.Json in
   let c v = J.Int (Int64.to_int v) and n v = J.Int v in

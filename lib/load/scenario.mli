@@ -42,5 +42,5 @@ val run :
 
 val pp_result : Format.formatter -> result -> unit
 
-(** One JSON object for [bench load] / [opec load --json]. *)
+(** One JSON object for [opec load --json]. *)
 val result_json : result -> Opec_obs.Json.t

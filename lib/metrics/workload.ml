@@ -4,11 +4,9 @@
    ({!Opec_pipeline.Pipeline}): compiling and running are memoized per
    workload per process, so a full evaluation sweep derives each
    artifact exactly once no matter how many tables and figures consume
-   it.  The [*_fresh] variants bypass the store and recompute from
-   scratch — they exist for micro-benchmarks, whose whole point is to
-   time the uncached work. *)
+   it.  A protected run of an image the store did not produce bypasses
+   it and runs fresh. *)
 
-module M = Opec_machine
 module C = Opec_core
 module E = Opec_exec
 module Mon = Opec_monitor
@@ -38,20 +36,6 @@ let run_baseline (app : Apps.App.t) =
   P.reraise b.P.b_err;
   view_baseline b
 
-let run_baseline_fresh (app : Apps.App.t) =
-  let world = app.Apps.App.make_world () in
-  world.Apps.App.prepare ();
-  let r =
-    Mon.Runner.run_baseline ~devices:world.Apps.App.devices
-      ~engine:(P.current_engine ()) ~trace:true ~board:app.Apps.App.board
-      app.Apps.App.program
-  in
-  { b_cycles = E.Interp.cycles r.Mon.Runner.b_interp;
-    b_trace = E.Trace.events (E.Interp.trace r.Mon.Runner.b_interp);
-    b_check = world.Apps.App.check ();
-    b_flash = r.Mon.Runner.b_layout.E.Vanilla_layout.flash_used;
-    b_sram = r.Mon.Runner.b_layout.E.Vanilla_layout.sram_used }
-
 type protected_result = {
   p_cycles : int64;
   p_check : (unit, string) result;
@@ -61,12 +45,9 @@ type protected_result = {
 
 let compile (app : Apps.App.t) = P.image (P.ctx app)
 
-let compile_fresh (app : Apps.App.t) =
-  C.Compiler.compile ~board:app.Apps.App.board app.Apps.App.program
-    app.Apps.App.dev_input
-
-let run_protected_fresh ?image (app : Apps.App.t) =
-  let image = match image with Some i -> i | None -> compile app in
+(* a foreign image (one the store did not produce) cannot reuse the
+   memoized run *)
+let run_fresh image (app : Apps.App.t) =
   let world = app.Apps.App.make_world () in
   world.Apps.App.prepare ();
   let r =
@@ -80,18 +61,15 @@ let run_protected_fresh ?image (app : Apps.App.t) =
 
 let run_protected ?image (app : Apps.App.t) =
   let c = P.ctx app in
-  (* a foreign image (one the store did not produce) cannot reuse the
-     memoized run; fall back to a fresh one *)
-  let cached = match image with None -> true | Some i -> i == P.image c in
-  if cached then begin
+  match image with
+  | Some image when image != P.image c -> run_fresh image app
+  | _ ->
     let p = P.protected_ c in
     P.reraise p.P.p_err;
     { p_cycles = p.P.p_cycles;
       p_check = p.P.p_check;
       p_stats = p.P.p_stats;
       p_image = P.image c }
-  end
-  else run_protected_fresh ?image app
 
 (* task instances (entry, executed functions) from a baseline trace *)
 let task_instances (app : Apps.App.t) (b : baseline_result) =

@@ -3,9 +3,7 @@
 
     Backed by the compile-once artifact pipeline: [compile],
     [run_baseline], and [run_protected] are memoized per workload per
-    process, so an evaluation sweep derives each artifact exactly once.
-    The [*_fresh] variants recompute from scratch every call (for
-    micro-benchmarks that time the uncached work). *)
+    process, so an evaluation sweep derives each artifact exactly once. *)
 
 type baseline_result = {
   b_cycles : int64;
@@ -16,7 +14,6 @@ type baseline_result = {
 }
 
 val run_baseline : Opec_apps.App.t -> baseline_result
-val run_baseline_fresh : Opec_apps.App.t -> baseline_result
 
 type protected_result = {
   p_cycles : int64;
@@ -28,15 +25,9 @@ type protected_result = {
 (** Compile a workload with its developer inputs (memoized). *)
 val compile : Opec_apps.App.t -> Opec_core.Image.t
 
-(** Compile from scratch, bypassing the artifact store. *)
-val compile_fresh : Opec_apps.App.t -> Opec_core.Image.t
-
 (** Run protected; pass [image] to reuse a compiled image.  The run is
     memoized when [image] is the store's own image (or omitted). *)
 val run_protected :
-  ?image:Opec_core.Image.t -> Opec_apps.App.t -> protected_result
-
-val run_protected_fresh :
   ?image:Opec_core.Image.t -> Opec_apps.App.t -> protected_result
 
 (** Task instances (entry, executed functions) segmented from a baseline

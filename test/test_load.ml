@@ -1,15 +1,15 @@
 (* Tests for the load-generator scenario suite: determinism of the
    scripted device drivers, the percentile estimator's contract, and
-   the tail-latency regression gate — a fixed 10k-event run whose p99
-   switch latency must stay inside a tolerance band around the
-   checked-in reference (mirroring the BENCH_obs_ref.json overhead
-   gate). *)
+   the exact pins: every synthetic scenario on every backend at a fixed
+   10k-event target must reproduce the event count, switch spans,
+   cycles and switch-latency quantiles recorded in
+   [data/load_ref.json]. *)
 
 module L = Opec_load
+module M = Opec_machine
 module Obs = Opec_obs
 
-let ref_file = "data/load_p99_ref.json"
-let tolerance = 0.25
+let ref_file = "data/load_ref.json"
 
 (* --- percentile estimator ------------------------------------------------ *)
 
@@ -122,35 +122,37 @@ let test_checks_pass () =
     [ L.Scenario.Request_storm; L.Scenario.Sensor_burst;
       L.Scenario.Interrupt_preempt ]
 
-(* --- the p99 regression gate --------------------------------------------- *)
+(* --- the exact pins ------------------------------------------------------ *)
 
-let parse_ref path =
-  match Obs.Json.parse (In_channel.with_open_bin path In_channel.input_all) with
-  | Ok (Obs.Json.Obj kvs) -> (
-    match (List.assoc_opt "events" kvs, List.assoc_opt "p99" kvs) with
-    | Some (Obs.Json.Int events), Some (Obs.Json.Int p99) -> Some (events, p99)
-    | _ -> None)
-  | Ok _ | Error _ -> None
-  | exception Sys_error _ -> None
+let pinned (r : L.Scenario.result) =
+  let n v = Obs.Json.Int v and c v = Obs.Json.Int (Int64.to_int v) in
+  Obs.Json.Obj
+    [ ("scenario", Obs.Json.String r.L.Scenario.r_scenario);
+      ("backend", Obs.Json.String r.L.Scenario.r_backend);
+      ("events", n r.L.Scenario.r_events);
+      ("switch_spans", n r.L.Scenario.r_switch_spans);
+      ("cycles", c r.L.Scenario.r_cycles); ("p50", c r.L.Scenario.r_p50);
+      ("p99", c r.L.Scenario.r_p99); ("p999", c r.L.Scenario.r_p999);
+      ("max", c r.L.Scenario.r_max) ]
 
-(* A deterministic 10k-event request-storm run under the default
-   backend, gated against the checked-in reference with a tolerance
-   band — switch-protocol regressions that fatten the tail fail here
-   before they reach the benchmark. *)
-let test_p99_reference () =
-  match parse_ref ref_file with
-  | None -> Alcotest.failf "missing or unparseable %s" ref_file
-  | Some (ref_events, ref_p99) ->
-    let r = L.Scenario.run ~target_events:10_000 L.Scenario.Request_storm in
-    Alcotest.(check int) "event count is pinned" ref_events
-      r.L.Scenario.r_events;
-    let p99 = Int64.to_float r.L.Scenario.r_p99 in
-    let hi = float_of_int ref_p99 *. (1.0 +. tolerance) in
-    (* the band is one-sided with a +1-cycle floor: faster is fine,
-       and at single-digit references a one-cycle wobble is noise *)
-    if p99 > Float.max (float_of_int (ref_p99 + 1)) hi then
-      Alcotest.failf "p99 switch latency %.0f exceeds reference %d by >%.0f%%"
-        p99 ref_p99 (tolerance *. 100.0)
+(* The model runs are deterministic, so every field is compared exactly:
+   a switch-protocol change that moves the tail by one cycle fails here.
+   A deliberate change is recorded by copying these fields from
+   [opec load SCENARIO --backend B --events 10000 --json]. *)
+let test_pinned () =
+  let actual =
+    List.concat_map
+      (fun kind ->
+        List.map
+          (fun backend ->
+            pinned (L.Scenario.run ~backend ~target_events:10_000 kind))
+          M.Backend.all_kinds)
+      [ L.Scenario.Request_storm; L.Scenario.Sensor_burst;
+        L.Scenario.Interrupt_preempt ]
+  in
+  Alcotest.(check (list Test_switch.json))
+    "events, spans, cycles and quantiles equal the recorded values"
+    (Test_switch.read_pins ref_file) actual
 
 let suite () =
   [ ( "load",
@@ -162,5 +164,5 @@ let suite () =
           test_run_deterministic;
         Alcotest.test_case "scenario output checks pass" `Quick
           test_checks_pass;
-        Alcotest.test_case "p99 stays inside the reference band" `Quick
-          test_p99_reference ] ) ]
+        Alcotest.test_case "scenarios equal load_ref.json" `Quick
+          test_pinned ] ) ]

@@ -1,7 +1,8 @@
 (* Telemetry tests: the counter-drift differential (monitor Stats
    counters vs the telemetry event stream, over every registry
-   workload), cycle identity of the instrumented run, exporter
-   reconciliation, and the trace forward-view cache. *)
+   workload), cycle identity of the instrumented run, the overhead
+   breakdown pinned to BENCH_obs.json, exporter reconciliation, and the
+   trace forward-view cache. *)
 
 module Apps = Opec_apps
 module Mon = Opec_monitor
@@ -66,6 +67,34 @@ let test_cycle_identity () =
         (Fmt.str "%a" Mon.Stats.pp p.P.p_stats)
         (Fmt.str "%a" Mon.Stats.pp o.P.o_stats))
     (Apps.Registry.all_small ())
+
+(* ---- the overhead breakdown, pinned ---------------------------------- *)
+
+(* Every registry workload's Section 6.3 breakdown equals its row in the
+   checked-in BENCH_obs.json, field by field: the model runs are
+   deterministic, so cycles, phases, switches, swaps, emulations and
+   synced bytes are compared exactly.  [bench/main.exe obs] regenerates
+   the file when a change moves them on purpose. *)
+let test_breakdown_pinned () =
+  let recorded =
+    match
+      Obs.Json.parse
+        (In_channel.with_open_bin "../BENCH_obs.json" In_channel.input_all)
+    with
+    | Ok (Obs.Json.Obj [ ("workloads", Obs.Json.List rows) ]) -> rows
+    | Ok _ -> Alcotest.fail "BENCH_obs.json: not a {\"workloads\": [...]} object"
+    | Error e -> Alcotest.failf "BENCH_obs.json: %s" e
+  in
+  let actual =
+    List.map
+      (fun (app : Apps.App.t) ->
+        Obs.Json.Obj
+          (("app", Obs.Json.String app.Apps.App.app_name)
+          :: Opec_metrics.Overhead.(breakdown_json (breakdown_of_app app))))
+      (Apps.Registry.all ())
+  in
+  Alcotest.(check (list Test_switch.json))
+    "every field equals BENCH_obs.json" recorded actual
 
 (* ---- exporter reconciliation --------------------------------------- *)
 
@@ -189,6 +218,8 @@ let suite () =
       [ Alcotest.test_case "counter drift (all workloads)" `Quick
           test_counter_drift;
         Alcotest.test_case "cycle identity" `Quick test_cycle_identity;
+        Alcotest.test_case "breakdown equals BENCH_obs.json" `Quick
+          test_breakdown_pinned;
         Alcotest.test_case "chrome export reconciles" `Quick
           test_chrome_reconciles;
         Alcotest.test_case "json export reconciles" `Quick
