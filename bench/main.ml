@@ -199,18 +199,8 @@ let figure11 () =
 let table3 () =
   say "%s" (R.heading "Table 3: efficiency of the icall analysis");
   prewarm [ w_image ] (Apps.Registry.all ());
-  let images =
-    List.map
-      (fun (app : Apps.App.t) -> (app, Met.Workload.compile app))
-      (Apps.Registry.all ())
-  in
-  let rows =
-    List.map
-      (fun ((app : Apps.App.t), (image : C.Image.t)) ->
-        Met.Icall_eval.of_callgraph ~app:app.Apps.App.app_name
-          image.C.Image.callgraph)
-      images
-  in
+  let ctxs = List.map (fun app -> P.ctx app) (Apps.Registry.all ()) in
+  let rows = List.map Met.Icall_eval.of_pipeline ctxs in
   let cells (r : Met.Icall_eval.row) =
     [ r.Met.Icall_eval.app;
       string_of_int r.Met.Icall_eval.icalls;
@@ -224,22 +214,16 @@ let table3 () =
     (R.table
        ~header:[ "Application"; "#Icall"; "#SVF"; "Time(s)"; "#Type"; "#Avg."; "#Max" ]
        (List.map cells rows));
-  (* fixpoint cost on the largest workload, the points-to solver's worst case *)
-  let largest, limage =
+  (* solver cost on the largest workload, the points-to solver's worst case *)
+  let funcs c = List.length (P.app c).Apps.App.program.Opec_ir.Program.funcs in
+  let largest =
     List.fold_left
-      (fun ((best, _) as acc) ((app : Apps.App.t), image) ->
-        if
-          List.length app.Apps.App.program.Opec_ir.Program.funcs
-          > List.length best.Apps.App.program.Opec_ir.Program.funcs
-        then (app, image)
-        else acc)
-      (List.hd images) (List.tl images)
+      (fun best c -> if funcs c > funcs best then c else best)
+      (List.hd ctxs) (List.tl ctxs)
   in
-  let pt = limage.C.Image.points_to in
-  say "points-to fixpoint on %s (largest app, %d functions): %d iterations, %.3f s solve time@."
-    largest.Apps.App.app_name
-    (List.length largest.Apps.App.program.Opec_ir.Program.funcs)
-    pt.Opec_analysis.Points_to.iterations pt.Opec_analysis.Points_to.solve_time
+  say "points-to worklist on %s (largest app, %d functions): %d pops@."
+    (P.app largest).Apps.App.app_name (funcs largest)
+    (Opec_analysis.Points_to.pops (P.points_to largest))
 
 (* ---------------------------------------------------------------- campaign *)
 

@@ -14,7 +14,6 @@ type t = {
   direct : (string, SS.t) Hashtbl.t;   (** caller -> direct callees *)
   indirect : (string, SS.t) Hashtbl.t; (** caller -> icall targets *)
   icalls : icall_info list;
-  analysis_time : float;
 }
 
 let add_edge tbl caller callee =
@@ -52,7 +51,7 @@ let build (p : Program.t) (pts : Points_to.t) =
         { site_func = site.ic_func; resolved_by; targets })
       (Points_to.icall_sites pts)
   in
-  { direct; indirect; icalls; analysis_time = pts.Points_to.solve_time }
+  { direct; indirect; icalls }
 
 let callees t f =
   SS.union

@@ -13,7 +13,6 @@ type t = {
   direct : (string, SS.t) Hashtbl.t;    (** caller -> direct callees *)
   indirect : (string, SS.t) Hashtbl.t;  (** caller -> icall targets *)
   icalls : icall_info list;             (** Table 3's rows *)
-  analysis_time : float;
 }
 
 (** Build the graph: direct edges from call sites, indirect edges from

@@ -277,7 +277,11 @@ let weak_syncsets (image : C.Image.t) =
       image.C.Image.ops
   in
   An.Syncset.compute ~ops:views ~callgraph:image.C.Image.callgraph
-    ~rw:(Hashtbl.create 1) ~escaped:SS.empty ~sanitized:SS.empty
+    ~rw:
+      (An.Dataflow.analyze
+         { image.C.Image.source with Opec_ir.Program.funcs = [] }
+         image.C.Image.points_to)
+    ~escaped:SS.empty ~sanitized:SS.empty
     ~ptr_vars:SS.empty ~has_irq:false ~conservative_resume:true
 
 let test_seeded_l009_weak_schedule () =
