@@ -140,7 +140,7 @@ let svc_mark t kind (fname : string) =
   if t.sink.Obs.Sink.active then
     t.sink.Obs.Sink.emit
       (Obs.Sink.Svc_switch
-         { sv_kind = kind; sv_entry = fname; sv_at = M.Cpu.cycles (cpu t) })
+         { sv_kind = kind; sv_entry = fname; sv_at = (cpu t).M.Cpu.cycles })
 
 (* The two SVC traps of an operation switch, shared by the engines: the
    trap cost, the handler at the privileged level (exception entry; the

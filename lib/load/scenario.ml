@@ -53,10 +53,30 @@ type result = {
   r_stats : Mon.Stats.t;
 }
 
+(* Every [Stats] counter the telemetry stream shadows must equal its
+   [Agg] twin; drift means an emission site or a counter bump is
+   missing. *)
+let drift (stats : Mon.Stats.t) (agg : Obs.Agg.t) =
+  List.filter_map
+    (fun (what, counted, observed) ->
+      if counted = observed then None
+      else Some (Printf.sprintf "Stats.%s %d <> telemetry %d" what counted observed))
+    [ ("switches", stats.Mon.Stats.switches, agg.Obs.Agg.switch_spans);
+      ("virt_swaps", stats.Mon.Stats.virt_swaps, agg.Obs.Agg.swap_events);
+      ("emulations", stats.Mon.Stats.emulations, agg.Obs.Agg.emulation_events);
+      ("denied", stats.Mon.Stats.denied, agg.Obs.Agg.denial_events);
+      ("synced_bytes", stats.Mon.Stats.synced_bytes, agg.Obs.Agg.synced_bytes) ]
+
 let finish ~kind ~backend ~stimuli ~cycles ~wall ~check ~stats
     (agg : Obs.Agg.t) =
   let h = agg.Obs.Agg.all_latency in
   let telemetry = Obs.Agg.event_count agg in
+  let check =
+    match (check, drift stats agg) with
+    | check, [] -> check
+    | Ok (), ds -> Error (String.concat "; " ds)
+    | Error e, ds -> Error (String.concat "; " (e :: ds))
+  in
   { r_scenario = name kind;
     r_backend = M.Backend.kind_name backend;
     r_stimuli = stimuli;
@@ -68,7 +88,7 @@ let finish ~kind ~backend ~stimuli ~cycles ~wall ~check ~stats
     r_p50 = Obs.Agg.hist_percentile h 0.5;
     r_p99 = Obs.Agg.hist_percentile h 0.99;
     r_p999 = Obs.Agg.hist_percentile h 0.999;
-    r_max = (if h.Obs.Agg.samples = 0 then 0L else h.Obs.Agg.max);
+    r_max = Int64.of_int (if h.Obs.Agg.samples = 0 then 0 else h.Obs.Agg.max);
     r_mean = Obs.Agg.hist_mean h;
     r_check = check;
     r_stats = stats }

@@ -9,15 +9,15 @@ val hist_buckets : int
 type hist = {
   buckets : int array;
   mutable samples : int;
-  mutable total : int64;
-  mutable min : int64;
-  mutable max : int64;
+  mutable total : int;
+  mutable min : int;
+  mutable max : int;
 }
 
 val hist_create : unit -> hist
 
 (** Record one sample. *)
-val hist_add : hist -> int64 -> unit
+val hist_add : hist -> int -> unit
 
 val hist_mean : hist -> float
 
@@ -28,7 +28,7 @@ val hist_mean : hist -> float
 val hist_percentile : hist -> float -> int64
 
 type phase_total = {
-  mutable pt_cycles : int64;
+  mutable pt_cycles : int;
   mutable pt_bytes : int;
   mutable pt_samples : int;
 }
@@ -50,9 +50,15 @@ type op_agg = {
   mutable op_denials : int;
 }
 
+(** A table keyed by operation name.  Lookups try physical equality
+    first (the monitor passes each operation's one interned name), then
+    [String.equal], then a hash table; equal names always find the same
+    entry. *)
+type 'a names
+
 type t = {
-  ops : (string, op_agg) Hashtbl.t;
-  matrix : (string * string, int) Hashtbl.t;
+  ops : op_agg names;
+  matrix : int ref names names;  (** src -> dst -> count; see {!matrix_rows} *)
   all_latency : hist;
   totals : phase_total array;
   mutable switch_spans : int;   (** Enter + Exit + Thread spans *)
@@ -61,8 +67,8 @@ type t = {
   mutable emulation_events : int;
   mutable denial_events : int;
   mutable svc_marks : int;
-  mutable switch_cycles : int64;
-  mutable init_cycles : int64;
+  mutable switch_cycles : int;
+  mutable init_cycles : int64;  (** boxed on update, but one Init span per run *)
   mutable synced_bytes : int;
 }
 

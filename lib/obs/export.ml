@@ -12,7 +12,7 @@ let text ?(events = false) (evs : Sink.event list) : string =
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "switch spans     %d (enter/exit/thread)\n" a.Agg.switch_spans;
   pf "init spans       %d\n" a.Agg.init_spans;
-  pf "switch cycles    %Ld (+ %Ld init)\n" a.Agg.switch_cycles
+  pf "switch cycles    %d (+ %Ld init)\n" a.Agg.switch_cycles
     a.Agg.init_cycles;
   pf "region swaps     %d\n" a.Agg.swap_events;
   pf "ppb emulations   %d\n" a.Agg.emulation_events;
@@ -24,7 +24,7 @@ let text ?(events = false) (evs : Sink.event list) : string =
     (fun p ->
       let i = Agg.phase_index p in
       let c = a.Agg.totals.(i) in
-      pf "  %-10s %10Ld cycles %10d bytes %6d legs\n" (Sink.phase_name p)
+      pf "  %-10s %10d cycles %10d bytes %6d legs\n" (Sink.phase_name p)
         c.Agg.pt_cycles c.Agg.pt_bytes c.Agg.pt_samples)
     Sink.phases;
   let ops = Agg.ops_by_cost a in
@@ -34,7 +34,7 @@ let text ?(events = false) (evs : Sink.event list) : string =
       "exit" "thr" "cycles" "mean" "bytes" "swap" "emu" "deny";
     List.iter
       (fun (o : Agg.op_agg) ->
-        pf "  %-20s %6d %6d %6d %10Ld %9.1f %10d %5d %5d %5d\n" o.Agg.op_name
+        pf "  %-20s %6d %6d %6d %10d %9.1f %10d %5d %5d %5d\n" o.Agg.op_name
           o.Agg.enters o.Agg.exits o.Agg.threads o.Agg.op_latency.Agg.total
           (Agg.hist_mean o.Agg.op_latency)
           o.Agg.op_synced_bytes o.Agg.op_swaps o.Agg.op_emulations
@@ -55,7 +55,7 @@ let text ?(events = false) (evs : Sink.event list) : string =
       (fun i n ->
         if n > 0 then pf "  [%7d..%7d] %6d\n" (1 lsl i) ((1 lsl (i + 1)) - 1) n)
       a.Agg.all_latency.Agg.buckets;
-    pf "  min %Ld  mean %.1f  max %Ld\n" a.Agg.all_latency.Agg.min
+    pf "  min %d  mean %.1f  max %d\n" a.Agg.all_latency.Agg.min
       (Agg.hist_mean a.Agg.all_latency)
       a.Agg.all_latency.Agg.max
   end;
@@ -88,8 +88,8 @@ let region_json (r : Sink.region_id) =
 
 let phase_json (p : Sink.phase_sample) =
   Json.Obj
-    [ ("phase", str (Sink.phase_name p.Sink.ph)); ("start", i64 p.Sink.ph_start);
-      ("end", i64 p.Sink.ph_end); ("bytes", int p.Sink.ph_bytes) ]
+    [ ("phase", str (Sink.phase_name p.Sink.ph)); ("start", int p.Sink.ph_start);
+      ("end", int p.Sink.ph_end); ("bytes", int p.Sink.ph_bytes) ]
 
 let event_json (e : Sink.event) =
   let ev ty fields = Json.Obj (("type", str ty) :: fields) in
@@ -97,26 +97,26 @@ let event_json (e : Sink.event) =
   | Sink.Switch s ->
     ev "switch"
       [ ("kind", str (Sink.kind_name s.Sink.sp_kind)); ("src", str s.Sink.sp_src);
-        ("dst", str s.Sink.sp_dst); ("start", i64 s.Sink.sp_start);
-        ("end", i64 s.Sink.sp_end);
+        ("dst", str s.Sink.sp_dst); ("start", int s.Sink.sp_start);
+        ("end", int s.Sink.sp_end);
         ("phases", Json.List (List.map phase_json s.Sink.sp_phases)) ]
   | Sink.Region_swap r ->
     ev "region_swap"
       [ ("op", str r.rs_op); ("slot", int r.rs_slot);
         ("evicted", option region_json r.rs_evicted);
-        ("installed", region_json r.rs_installed); ("at", i64 r.rs_at) ]
+        ("installed", region_json r.rs_installed); ("at", int r.rs_at) ]
   | Sink.Emulation e ->
     ev "emulation"
       [ ("op", str e.em_op); ("write", Json.Bool e.em_write);
-        ("info", info_json e.em_info); ("at", i64 e.em_at) ]
+        ("info", info_json e.em_info); ("at", int e.em_at) ]
   | Sink.Denial d ->
     ev "denial"
       [ ("op", str d.dn_op); ("reason", str d.dn_reason);
-        ("info", option info_json d.dn_info); ("at", i64 d.dn_at) ]
+        ("info", option info_json d.dn_info); ("at", int d.dn_at) ]
   | Sink.Svc_switch s ->
     ev "svc_switch"
       [ ("kind", str (Sink.kind_name s.sv_kind)); ("entry", str s.sv_entry);
-        ("at", i64 s.sv_at) ]
+        ("at", int s.sv_at) ]
 
 let op_json (o : Agg.op_agg) =
   (* one decimal, the precision the text report prints *)
@@ -124,7 +124,7 @@ let op_json (o : Agg.op_agg) =
   Json.Obj
     [ ("name", str o.Agg.op_name); ("enters", int o.Agg.enters);
       ("exits", int o.Agg.exits); ("threads", int o.Agg.threads);
-      ("cycles", i64 o.Agg.op_latency.Agg.total);
+      ("cycles", int o.Agg.op_latency.Agg.total);
       ("mean_cycles", Json.Float (float_of_string mean));
       ("synced_bytes", int o.Agg.op_synced_bytes); ("swaps", int o.Agg.op_swaps);
       ("emulations", int o.Agg.op_emulations); ("denials", int o.Agg.op_denials) ]
@@ -135,7 +135,7 @@ let json (evs : Sink.event list) : string =
     let c = a.Agg.totals.(Agg.phase_index p) in
     ( Sink.phase_name p,
       Json.Obj
-        [ ("cycles", i64 c.Agg.pt_cycles); ("bytes", int c.Agg.pt_bytes);
+        [ ("cycles", int c.Agg.pt_cycles); ("bytes", int c.Agg.pt_bytes);
           ("legs", int c.Agg.pt_samples) ] )
   in
   let cell (src, dst, n) =
@@ -147,7 +147,7 @@ let json (evs : Sink.event list) : string =
            Json.Obj
              [ ("switch_spans", int a.Agg.switch_spans);
                ("init_spans", int a.Agg.init_spans);
-               ("switch_cycles", i64 a.Agg.switch_cycles);
+               ("switch_cycles", int a.Agg.switch_cycles);
                ("init_cycles", i64 a.Agg.init_cycles);
                ("region_swaps", int a.Agg.swap_events);
                ("emulations", int a.Agg.emulation_events);
@@ -167,12 +167,12 @@ let json (evs : Sink.event list) : string =
 let chrome (evs : Sink.event list) : string =
   let event ~name ~cat ~ts ph extra args =
     Json.Obj
-      ([ ("name", str name); ("cat", str cat); ("ph", str ph); ("ts", i64 ts) ]
+      ([ ("name", str name); ("cat", str cat); ("ph", str ph); ("ts", int ts) ]
       @ extra
       @ [ ("pid", int 1); ("tid", int 1); ("args", Json.Obj args) ])
   in
   let complete ~name ~cat ~ts ~dur args =
-    event ~name ~cat ~ts "X" [ ("dur", i64 dur) ] args
+    event ~name ~cat ~ts "X" [ ("dur", int dur) ] args
   in
   let instant ~name ~cat ~ts args =
     event ~name ~cat ~ts "i" [ ("s", str "t") ] args
@@ -189,7 +189,7 @@ let chrome (evs : Sink.event list) : string =
            (fun (p : Sink.phase_sample) ->
              complete ~name:(Sink.phase_name p.Sink.ph) ~cat:"phase"
                ~ts:p.Sink.ph_start
-               ~dur:(Int64.sub p.Sink.ph_end p.Sink.ph_start)
+               ~dur:(p.Sink.ph_end - p.Sink.ph_start)
                [ ("bytes", int p.Sink.ph_bytes) ])
            s.Sink.sp_phases
     | Sink.Region_swap r ->

@@ -3,9 +3,10 @@
    The monitor and the interpreter emit events into a sink; the null
    sink keeps the disabled path to a single flag test with no event
    allocation, so telemetry-off runs execute exactly the code they run
-   today.  Timestamps are [Cpu.cycles] values: recording charges no
-   cycles, so an instrumented run is cycle-identical to a plain one and
-   every span duration is exact, not sampled. *)
+   today.  Timestamps are the [Cpu] cycle counter's own [int], read
+   without boxing: recording charges no cycles, so an instrumented run
+   is cycle-identical to a plain one and every span duration is exact,
+   not sampled. *)
 
 module M = Opec_machine
 
@@ -29,8 +30,8 @@ let phases = [ Sanitize; Sync; Relocate; Mpu_config ]
    over all samples of all spans reconciles exactly with [Stats]). *)
 type phase_sample = {
   ph : phase;
-  ph_start : int64;
-  ph_end : int64;
+  ph_start : int;
+  ph_end : int;
   ph_bytes : int;
 }
 
@@ -59,12 +60,12 @@ type span = {
   sp_kind : switch_kind;
   sp_src : string;
   sp_dst : string;
-  sp_start : int64;
-  sp_end : int64;
+  sp_start : int;
+  sp_end : int;
   sp_phases : phase_sample list;  (** in protocol order *)
 }
 
-let span_cycles s = Int64.sub s.sp_end s.sp_start
+let span_cycles s = s.sp_end - s.sp_start
 
 (* MPU region identity, for rotation events. *)
 type region_id = { rg_base : int; rg_size_log2 : int }
@@ -79,26 +80,26 @@ type event =
       rs_slot : int;                    (** MPU slot rotated *)
       rs_evicted : region_id option;    (** previous occupant, if any *)
       rs_installed : region_id;
-      rs_at : int64;
+      rs_at : int;
     }
   | Emulation of {
       em_op : string;
       em_write : bool;
       em_info : M.Fault.info;
-      em_at : int64;
+      em_at : int;
     }
   | Denial of {
       dn_op : string;
       dn_reason : string;
       dn_info : M.Fault.info option;  (** present for fault-derived denials *)
-      dn_at : int64;
+      dn_at : int;
     }
   | Svc_switch of {
       (* the interpreter's own record of a completed switch trap — the
          independent stream [Interp.switches] is checked against *)
       sv_kind : switch_kind;  (** [Enter] or [Exit] *)
       sv_entry : string;      (** the operation entry function *)
-      sv_at : int64;
+      sv_at : int;
     }
 
 (* The sink proper.  Immutable on purpose: the shared [null] value must
@@ -136,7 +137,7 @@ let pp_region_id fmt r =
 
 let pp_event fmt = function
   | Switch s ->
-    Fmt.pf fmt "@[switch[%s] %s -> %s @@%Ld (%Ld cycles%a)@]"
+    Fmt.pf fmt "@[switch[%s] %s -> %s @@%d (%d cycles%a)@]"
       (kind_name s.sp_kind)
       (if s.sp_src = "" then "-" else s.sp_src)
       (if s.sp_dst = "" then "-" else s.sp_dst)
@@ -144,19 +145,19 @@ let pp_event fmt = function
       (fun fmt phs ->
         List.iter
           (fun p ->
-            Fmt.pf fmt "; %s=%Ldc/%dB" (phase_name p.ph)
-              (Int64.sub p.ph_end p.ph_start) p.ph_bytes)
+            Fmt.pf fmt "; %s=%dc/%dB" (phase_name p.ph)
+              (p.ph_end - p.ph_start) p.ph_bytes)
           phs)
       s.sp_phases
   | Region_swap r ->
-    Fmt.pf fmt "swap[%s] slot %d %a -> %a @@%Ld" r.rs_op r.rs_slot
+    Fmt.pf fmt "swap[%s] slot %d %a -> %a @@%d" r.rs_op r.rs_slot
       (Fmt.option ~none:(Fmt.any "empty") pp_region_id)
       r.rs_evicted pp_region_id r.rs_installed r.rs_at
   | Emulation e ->
-    Fmt.pf fmt "emulate[%s] %s %a @@%Ld" e.em_op
+    Fmt.pf fmt "emulate[%s] %s %a @@%d" e.em_op
       (if e.em_write then "store" else "load")
       M.Fault.pp_info e.em_info e.em_at
   | Denial d ->
-    Fmt.pf fmt "deny[%s] %s @@%Ld" d.dn_op d.dn_reason d.dn_at
+    Fmt.pf fmt "deny[%s] %s @@%d" d.dn_op d.dn_reason d.dn_at
   | Svc_switch s ->
-    Fmt.pf fmt "svc[%s] %s @@%Ld" (kind_name s.sv_kind) s.sv_entry s.sv_at
+    Fmt.pf fmt "svc[%s] %s @@%d" (kind_name s.sv_kind) s.sv_entry s.sv_at

@@ -3,7 +3,8 @@
     The monitor and interpreter emit {!event}s into a {!t}; emission
     sites guard on {!field-active} so the {!null} sink costs one flag
     test and allocates nothing.  Timestamps are {!Opec_machine.Cpu}
-    cycle counts — recording charges no cycles, so instrumented runs are
+    cycle counts, kept as the counter's own [int] so a stamp allocates
+    nothing — recording charges no cycles, so instrumented runs are
     cycle-identical to plain ones. *)
 
 module M = Opec_machine
@@ -26,8 +27,8 @@ val phases : phase list
     [Stats.synced_bytes]. *)
 type phase_sample = {
   ph : phase;
-  ph_start : int64;
-  ph_end : int64;
+  ph_start : int;
+  ph_end : int;
   ph_bytes : int;
 }
 
@@ -48,12 +49,12 @@ type span = {
   sp_kind : switch_kind;
   sp_src : string;
   sp_dst : string;
-  sp_start : int64;
-  sp_end : int64;
+  sp_start : int;
+  sp_end : int;
   sp_phases : phase_sample list;  (** in protocol order *)
 }
 
-val span_cycles : span -> int64
+val span_cycles : span -> int
 
 (** MPU region identity, for peripheral-rotation events. *)
 type region_id = { rg_base : int; rg_size_log2 : int }
@@ -67,24 +68,24 @@ type event =
       rs_slot : int;                  (** MPU slot rotated *)
       rs_evicted : region_id option;  (** previous occupant, if any *)
       rs_installed : region_id;
-      rs_at : int64;
+      rs_at : int;
     }
   | Emulation of {
       em_op : string;
       em_write : bool;
       em_info : M.Fault.info;
-      em_at : int64;
+      em_at : int;
     }
   | Denial of {
       dn_op : string;
       dn_reason : string;
       dn_info : M.Fault.info option;  (** present for fault-derived denials *)
-      dn_at : int64;
+      dn_at : int;
     }
   | Svc_switch of {
       sv_kind : switch_kind;  (** [Enter] or [Exit] *)
       sv_entry : string;      (** the operation entry function *)
-      sv_at : int64;
+      sv_at : int;
     }
       (** The interpreter's own record of a completed SVC switch — an
           independent stream [Interp.switches] is checked against. *)

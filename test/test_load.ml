@@ -16,7 +16,7 @@ let ref_file = "data/load_ref.json"
 let test_percentile_contract () =
   let h =
     { Obs.Agg.buckets = Array.make Obs.Agg.hist_buckets 0;
-      samples = 0; total = 0L; min = Int64.max_int; max = 0L }
+      samples = 0; total = 0; min = max_int; max = 0 }
   in
   Alcotest.(check int64) "empty histogram reads 0" 0L
     (Obs.Agg.hist_percentile h 0.99);
@@ -27,9 +27,9 @@ let test_percentile_contract () =
     let b = min (bucket 0) (Obs.Agg.hist_buckets - 1) in
     h.Obs.Agg.buckets.(b) <- h.Obs.Agg.buckets.(b) + 1;
     h.Obs.Agg.samples <- h.Obs.Agg.samples + 1;
-    h.Obs.Agg.total <- Int64.add h.Obs.Agg.total (Int64.of_int v);
-    if Int64.of_int v < h.Obs.Agg.min then h.Obs.Agg.min <- Int64.of_int v;
-    if Int64.of_int v > h.Obs.Agg.max then h.Obs.Agg.max <- Int64.of_int v
+    h.Obs.Agg.total <- h.Obs.Agg.total + v;
+    if v < h.Obs.Agg.min then h.Obs.Agg.min <- v;
+    if v > h.Obs.Agg.max then h.Obs.Agg.max <- v
   in
   for _ = 1 to 100 do addc 10 done;
   addc 1000;
@@ -51,11 +51,9 @@ let test_percentile_contract () =
 let test_percentile_edges () =
   let fresh () =
     { Obs.Agg.buckets = Array.make Obs.Agg.hist_buckets 0;
-      samples = 0; total = 0L; min = Int64.max_int; max = 0L }
+      samples = 0; total = 0; min = max_int; max = 0 }
   in
-  let add h v =
-    Obs.Agg.hist_add h (Int64.of_int v)
-  in
+  let add = Obs.Agg.hist_add in
   (* empty: every quantile reads 0 *)
   let h = fresh () in
   List.iter
