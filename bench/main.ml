@@ -62,7 +62,7 @@ let table1 () =
   let rows =
     List.map
       (fun (app : Apps.App.t) ->
-        let image = Met.Workload.compile app in
+        let image = P.image (P.ctx app) in
         Met.Security_eval.of_image ~app:app.Apps.App.app_name image)
       (Apps.Registry.all ())
   in
@@ -131,7 +131,7 @@ let figure10 () =
     (fun (app : Apps.App.t) ->
       say "-- %s" app.Apps.App.app_name;
       (* OPEC: every operation's PT (0 by construction, computed) *)
-      let image = Met.Workload.compile app in
+      let image = P.image (P.ctx app) in
       let opec_samples = Met.Overprivilege.opec_pt image in
       let max_pt =
         List.fold_left
@@ -161,14 +161,15 @@ let figure11 () =
   List.iter
     (fun (app : Apps.App.t) ->
       say "-- %s" app.Apps.App.app_name;
-      let baseline = Met.Workload.run_baseline app in
-      let task_instances = Met.Workload.task_instances app baseline in
-      let image = Met.Workload.compile app in
-      let opec = Met.Overprivilege.opec_et image ~task_instances in
+      let c = P.ctx app in
+      let baseline = P.baseline c in
+      P.reraise baseline.P.b_err;
+      let task_instances = Met.Overhead.task_instances app baseline in
+      let opec = Met.Overprivilege.opec_et (P.image c) ~task_instances in
       let aces_series =
         List.map
           (fun kind ->
-            let aces = P.aces (P.ctx app) kind in
+            let aces = P.aces c kind in
             (A.Strategy.name kind, Met.Overprivilege.aces_et aces ~task_instances))
           strategies
       in
@@ -252,7 +253,7 @@ let ablation () =
   let opec_mass = ref 0.0 and aces_mass = ref 0.0 in
   List.iter
     (fun (app : Apps.App.t) ->
-      let image = Met.Workload.compile app in
+      let image = P.image (P.ctx app) in
       opec_mass := !opec_mass +. pt_mass (Met.Overprivilege.opec_pt image);
       let aces = P.aces (P.ctx app) A.Strategy.Filename_no_opt in
       aces_mass := !aces_mass +. pt_mass (Met.Overprivilege.aces_pt aces))
@@ -262,7 +263,7 @@ let ablation () =
   (* 2. sync only shared variables vs whole-section copies at switches *)
   say "-- (2) shared-only sync vs whole-section staging (PinLock, 20 rounds)";
   let app = Apps.Registry.pinlock ~rounds:20 () in
-  let image = Met.Workload.compile app in
+  let image = P.image (P.ctx app) in
   let run whole =
     let world = app.Apps.App.make_world () in
     world.Apps.App.prepare ();
@@ -285,7 +286,7 @@ let ablation () =
   say "-- (3) peripheral sort+merge vs one-region-per-peripheral; (4) ops needing virtualization";
   List.iter
     (fun (app : Apps.App.t) ->
-      let image = Met.Workload.compile app in
+      let image = P.image (P.ctx app) in
       let merged, naive, over =
         List.fold_left
           (fun (m, n, o) (_, (meta : C.Metadata.op_meta)) ->
@@ -309,7 +310,7 @@ let ablation () =
   say "-- (5) descending-size placement vs declaration order (SRAM bytes incl. fragments)";
   List.iter
     (fun (app : Apps.App.t) ->
-      let sorted_img = Met.Workload.compile app in
+      let sorted_img = P.image (P.ctx app) in
       (* the unsorted image is the ablation itself, a non-canonical
          artifact the store never carries: compiled privately *)
       let unsorted_img =

@@ -75,6 +75,16 @@ let seed_range_conv =
   let print f (lo, hi) = Format.fprintf f "%d..%d" lo hi in
   Arg.conv (parse, print)
 
+(* Event counts ([trace --limit], [load --events]): a negative one is a
+   usage error. *)
+let count_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "bad count %S (want an integer >= 0)" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* Interpreter-engine selection, shared by run and compare: the two
    engines are observationally identical (the engine-differential
    oracle holds them to it), so this only trades translation time
@@ -152,8 +162,7 @@ let policy_cmd =
     match find_app name with
     | Error e -> exits_with_error e
     | Ok app ->
-      let image = Met.Workload.compile app in
-      print_endline (C.Compiler.policy image)
+      print_endline (C.Compiler.policy (P.image (P.ctx app)))
   in
   Cmd.v
     (Cmd.info "policy"
@@ -172,17 +181,19 @@ let run_cmd =
     | Error e -> exits_with_error e
     | Ok app ->
       if baseline_only then begin
-        let b = Met.Workload.run_baseline app in
-        Format.printf "cycles: %Ld@." b.Met.Workload.b_cycles;
-        match b.Met.Workload.b_check with
+        let b = P.baseline (P.ctx app) in
+        P.reraise b.P.b_err;
+        Format.printf "cycles: %Ld@." b.P.b_cycles;
+        match b.P.b_check with
         | Ok () -> Format.printf "world check: OK@."
         | Error e -> exits_with_error ("world check failed: " ^ e)
       end
       else begin
-        let p = Met.Workload.run_protected app in
-        Format.printf "cycles: %Ld@." p.Met.Workload.p_cycles;
-        Format.printf "monitor: %a@." Mon.Stats.pp p.Met.Workload.p_stats;
-        match p.Met.Workload.p_check with
+        let p = P.protected_ (P.ctx app) in
+        P.reraise p.P.p_err;
+        Format.printf "cycles: %Ld@." p.P.p_cycles;
+        Format.printf "monitor: %a@." Mon.Stats.pp p.P.p_stats;
+        match p.P.p_check with
         | Ok () -> Format.printf "world check: OK@."
         | Error e -> exits_with_error ("world check failed: " ^ e)
       end
@@ -199,13 +210,16 @@ let compare_cmd =
     match find_app name with
     | Error e -> exits_with_error e
     | Ok app ->
-      let baseline = Met.Workload.run_baseline app in
-      let protected_ = Met.Workload.run_protected app in
-      let image = protected_.Met.Workload.p_image in
-      Format.printf "baseline cycles:  %Ld@." baseline.Met.Workload.b_cycles;
-      Format.printf "protected cycles: %Ld@." protected_.Met.Workload.p_cycles;
+      let c = P.ctx app in
+      let baseline = P.baseline c in
+      P.reraise baseline.P.b_err;
+      let protected_ = P.protected_ c in
+      P.reraise protected_.P.p_err;
+      let image = P.image c in
+      Format.printf "baseline cycles:  %Ld@." baseline.P.b_cycles;
+      Format.printf "protected cycles: %Ld@." protected_.P.p_cycles;
       Format.printf "runtime overhead: %.2f%%@."
-        (Met.Workload.runtime_overhead_pct ~baseline ~protected_);
+        (Met.Overhead.runtime_overhead_pct ~baseline ~protected_);
       Format.printf "flash overhead:   %.2f%% of device flash@."
         (C.Image.flash_overhead_pct image);
       Format.printf "SRAM overhead:    %.2f%% of device SRAM@."
@@ -284,7 +298,7 @@ let trace_cmd =
   in
   let limit =
     Arg.(
-      value & opt int 40
+      value & opt count_conv 40
       & info [ "n"; "limit" ] ~docv:"N"
           ~doc:"Telemetry events to list in text format (default 40).")
   in
@@ -817,8 +831,9 @@ let fuzz_cmd =
     match replay with
     | Some path -> (
       match F.Runner.replay path with
-      | [] -> Format.printf "%s: failure no longer reproduces@." path
-      | fails ->
+      | Error reason -> exits_with_error (path ^ ": " ^ reason)
+      | Ok [] -> Format.printf "%s: failure no longer reproduces@." path
+      | Ok fails ->
         List.iter
           (fun (p, d) -> Format.printf "%s: %s — %s@." path p d)
           fails;
@@ -1018,7 +1033,7 @@ let load_cmd =
   in
   let events =
     Arg.(
-      value & opt int 100_000
+      value & opt count_conv 100_000
       & info [ "events" ] ~docv:"N"
           ~doc:
             "Event target per scenario run (the tcp-echo-slice drives \

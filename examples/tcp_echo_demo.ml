@@ -11,11 +11,10 @@ module M = Opec_machine
 module C = Opec_core
 module Mon = Opec_monitor
 module Apps = Opec_apps
-module Met = Opec_metrics
 
 let () =
   let app = Apps.Registry.tcp_echo ~valid:3 ~invalid:9 () in
-  let image = Met.Workload.compile app in
+  let image = Opec_pipeline.Pipeline.image (Opec_pipeline.Pipeline.ctx app) in
 
   Format.printf "== packet-path operations ==@.";
   List.iter

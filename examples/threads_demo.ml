@@ -56,10 +56,6 @@ let () =
       (C.Dev_input.v [ "pump_even"; "pump_odd"; "reporter" ])
   in
   let run = Mon.Runner.prepare image in
-  let cpu = run.Mon.Runner.bus.M.Bus.cpu in
-  cpu.M.Cpu.sp <- image.C.Image.map.Ex.Address_map.stack_top;
-  cpu.M.Cpu.stack_base <- image.C.Image.map.Ex.Address_map.stack_base;
-  cpu.M.Cpu.stack_limit <- image.C.Image.map.Ex.Address_map.stack_top;
   Mon.Monitor.init run.Mon.Runner.monitor;
   let sched = Mon.Threads.create run in
   ignore (Mon.Threads.spawn sched ~entry:"pump_even" ~args:[] ~stack_bytes:1024);

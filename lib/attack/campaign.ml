@@ -126,10 +126,6 @@ let opec_cell (app : Apps.App.t) (image : C.Image.t) ~clean inj =
       image
   in
   Inject.attach injector ~bus:r.Mon.Runner.bus ~interp:r.Mon.Runner.interp;
-  let cpu = r.Mon.Runner.bus.M.Bus.cpu in
-  cpu.M.Cpu.sp <- image.C.Image.map.E.Address_map.stack_top;
-  cpu.M.Cpu.stack_base <- image.C.Image.map.E.Address_map.stack_base;
-  cpu.M.Cpu.stack_limit <- image.C.Image.map.E.Address_map.stack_top;
   Mon.Monitor.init r.Mon.Runner.monitor;
   let err =
     run_to_end (fun () -> E.Interp.run ~reset_stack:false r.Mon.Runner.interp)
@@ -198,49 +194,51 @@ let clean_protected (app : Apps.App.t) (image : C.Image.t) =
 
 (* --- the campaign -------------------------------------------------------- *)
 
-let compile (app : Apps.App.t) = P.image (P.ctx app)
+(* The campaign's references for [image]: a device-presence probe that
+   restricts MMIO/PPB targets to addresses the campaign machine actually
+   maps (so a vanilla escape is a real peripheral write, not an
+   unmapped-bus crash), and the clean end states attacked runs are
+   diffed against.  For the store's own image these come from the
+   pipeline's memoized marked-baseline and protected runs (the
+   marked-baseline bus carries the campaign machine's device set); a
+   foreign image (the fuzz defect gate substitutes them) gets private
+   runs. *)
+let references c image (app : Apps.App.t) =
+  if image == P.image c then begin
+    let bm = P.baseline_marked c in
+    P.reraise bm.P.b_err;
+    let p = P.protected_ c in
+    P.reraise p.P.p_err;
+    let bus = bm.P.b_run.Mon.Runner.b_bus in
+    let map = bm.P.b_run.Mon.Runner.b_layout.E.Vanilla_layout.map in
+    ( (fun addr -> Option.is_some (M.Bus.find_device bus addr)),
+      lazy (Snapshot.baseline bus ~map app.Apps.App.program),
+      Snapshot.protected_ p.P.p_run.Mon.Runner.bus image )
+  end
+  else begin
+    let world = app.Apps.App.make_world () in
+    let probe =
+      Mon.Runner.prepare_baseline ~devices:world.Apps.App.devices
+        ~board:app.Apps.App.board app.Apps.App.program
+    in
+    ( (fun addr ->
+        Option.is_some (M.Bus.find_device probe.Mon.Runner.b_bus addr)),
+      lazy (clean_baseline app image),
+      clean_protected app image )
+  end
 
-let run_app ?backend ?image (app : Apps.App.t) : matrix =
+(* Every planned injection against each of [defenses], row-major. *)
+let run_cells ?backend ?image ~defenses (app : Apps.App.t) =
   let c = P.ctx ?backend app in
   let image = match image with Some i -> i | None -> P.image c in
-  let pipelined = image == P.image c in
-  (* device-presence probe: restrict MMIO/PPB targets to addresses the
-     campaign machine actually maps, so a vanilla escape is a real
-     peripheral write, not an unmapped-bus crash.  The pipeline's
-     marked-baseline bus carries the same device set the probe used to
-     build privately. *)
-  let mapped, clean_b, clean_p =
-    if pipelined then begin
-      let bm = P.baseline_marked c in
-      P.reraise bm.P.b_err;
-      let p = P.protected_ c in
-      P.reraise p.P.p_err;
-      let map = bm.P.b_run.Mon.Runner.b_layout.E.Vanilla_layout.map in
-      ( (fun addr ->
-          Option.is_some
-            (M.Bus.find_device bm.P.b_run.Mon.Runner.b_bus addr)),
-        Snapshot.baseline bm.P.b_run.Mon.Runner.b_bus ~map
-          app.Apps.App.program,
-        Snapshot.protected_ p.P.p_run.Mon.Runner.bus image )
-    end
-    else begin
-      let world = app.Apps.App.make_world () in
-      let probe =
-        Mon.Runner.prepare_baseline ~devices:world.Apps.App.devices
-          ~board:app.Apps.App.board app.Apps.App.program
-      in
-      ( (fun addr ->
-          Option.is_some (M.Bus.find_device probe.Mon.Runner.b_bus addr)),
-        clean_baseline app image,
-        clean_protected app image )
-    end
-  in
+  let mapped, clean_b, clean_p = references c image app in
   let injections = Planner.select (Planner.plan ~mapped image) in
   let oracles =
-    List.map
-      (fun k -> (k, Aces_policy.build k app.Apps.App.program))
-      [ A.Strategy.Filename; A.Strategy.Filename_no_opt;
-        A.Strategy.By_peripheral ]
+    List.filter_map
+      (function
+        | Aces k -> Some (k, Aces_policy.build k app.Apps.App.program)
+        | Vanilla | Opec -> None)
+      defenses
   in
   let cells =
     List.concat_map
@@ -249,15 +247,19 @@ let run_app ?backend ?image (app : Apps.App.t) : matrix =
           (fun defense ->
             match defense with
             | Vanilla ->
-              baseline_cell app image ~clean:clean_b ~defense
+              baseline_cell app image ~clean:(Lazy.force clean_b) ~defense
                 ~mode:Inject.Unchecked inj
             | Aces k ->
-              baseline_cell app image ~clean:clean_b ~defense
+              baseline_cell app image ~clean:(Lazy.force clean_b) ~defense
                 ~mode:(Inject.Modeled (List.assoc k oracles)) inj
             | Opec -> opec_cell app image ~clean:clean_p inj)
           defenses)
       injections
   in
+  (injections, cells)
+
+let run_app ?backend ?image (app : Apps.App.t) : matrix =
+  let injections, cells = run_cells ?backend ?image ~defenses app in
   { app = app.Apps.App.app_name; injections; cells }
 
 (* OPEC-only column: every planned injection against the real monitor,
@@ -265,32 +267,7 @@ let run_app ?backend ?image (app : Apps.App.t) : matrix =
    per generated program, where only the "all Blocked under OPEC"
    verdict matters and the 4 baseline columns would triple the cost. *)
 let run_opec_only ?backend ?image (app : Apps.App.t) =
-  let c = P.ctx ?backend app in
-  let image = match image with Some i -> i | None -> P.image c in
-  let pipelined = image == P.image c in
-  let mapped, clean_p =
-    if pipelined then begin
-      let bm = P.baseline_marked c in
-      P.reraise bm.P.b_err;
-      let p = P.protected_ c in
-      P.reraise p.P.p_err;
-      ( (fun addr ->
-          Option.is_some (M.Bus.find_device bm.P.b_run.Mon.Runner.b_bus addr)),
-        Snapshot.protected_ p.P.p_run.Mon.Runner.bus image )
-    end
-    else begin
-      let world = app.Apps.App.make_world () in
-      let probe =
-        Mon.Runner.prepare_baseline ~devices:world.Apps.App.devices
-          ~board:app.Apps.App.board app.Apps.App.program
-      in
-      ( (fun addr ->
-          Option.is_some (M.Bus.find_device probe.Mon.Runner.b_bus addr)),
-        clean_protected app image )
-    end
-  in
-  let injections = Planner.select (Planner.plan ~mapped image) in
-  List.map (fun inj -> opec_cell app image ~clean:clean_p inj) injections
+  snd (run_cells ?backend ?image ~defenses:[ Opec ] app)
 
 (* Per-app matrices are independent (every cell is a fresh machine), so
    they fan out across the domain pool; results come back in input

@@ -36,12 +36,8 @@ type matrix = {
       (** row-major: for each injection, one cell per defense *)
 }
 
-(** Compile an app with its developer input (the campaign's image) —
-    memoized through the compile-once artifact pipeline. *)
-val compile : Opec_apps.App.t -> Opec_core.Image.t
-
-(** Run the full matrix for one app ([image] defaults to
-    {!compile}[ app]; [backend] selects the enforcement backend the
+(** Run the full matrix for one app ([image] defaults to the pipeline's
+    image of [app]; [backend] selects the enforcement backend the
     OPEC column runs under, default MPU).  With the store's own image
     the clean reference runs are the pipeline's memoized artifacts; a
     foreign [image] falls back to private runs. *)
@@ -53,7 +49,8 @@ val run_app :
 
 (** The OPEC column alone: every planned injection against the real
     monitor, no vanilla/ACES baseline cells.  The fuzz harness's
-    containment oracle — it only needs the "all Blocked" verdict. *)
+    containment oracle — it only needs the "all Blocked" verdict.
+    Images are handled as in {!run_app}. *)
 val run_opec_only :
   ?backend:Opec_machine.Backend.kind ->
   ?image:Opec_core.Image.t ->

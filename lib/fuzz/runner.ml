@@ -114,8 +114,11 @@ let run ?domains ?(size = 2) ?properties ?(out_dir = "_fuzz")
     r_failures = failures }
 
 let replay path =
-  let r = Repro.load path in
-  Oracle.check_app (Repro.to_app r)
+  match Repro.load path with
+  | r -> Ok (Oracle.check_app (Repro.to_app r))
+  | exception
+      (Opec_ir.Sexp.Parse_error reason | Opec_ir.Program.Ill_formed reason) ->
+    Error reason
 
 (* --- coverage-guided mode ----------------------------------------------- *)
 

@@ -41,8 +41,9 @@ val run :
   report
 
 (** Re-judge a saved reproducer; the failing [(property, detail)]
-    pairs, empty when the failure no longer reproduces. *)
-val replay : string -> (string * string) list
+    pairs, empty when the failure no longer reproduces.  [Error reason]
+    when the file does not parse or its program is ill-formed. *)
+val replay : string -> ((string * string) list, string) result
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -312,10 +312,6 @@ let interrupt_preempt ?backend rounds =
   let run =
     Mon.Runner.prepare ~sink:(Obs.Sink.make (Obs.Agg.add agg)) image
   in
-  let cpu = run.Mon.Runner.bus.M.Bus.cpu in
-  cpu.M.Cpu.sp <- image.C.Image.map.Ex.Address_map.stack_top;
-  cpu.M.Cpu.stack_base <- image.C.Image.map.Ex.Address_map.stack_base;
-  cpu.M.Cpu.stack_limit <- image.C.Image.map.Ex.Address_map.stack_top;
   Mon.Monitor.init run.Mon.Runner.monitor;
   let sched = Mon.Threads.create run in
   ignore (Mon.Threads.spawn sched ~entry:"worker_a" ~args:[] ~stack_bytes:1024);

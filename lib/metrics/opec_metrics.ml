@@ -3,7 +3,6 @@
 
 module Var_size = Var_size
 module Overprivilege = Overprivilege
-module Workload = Workload
 module Security_eval = Security_eval
 module Icall_eval = Icall_eval
 module Overhead = Overhead

@@ -4,6 +4,7 @@
 module M = Opec_machine
 module C = Opec_core
 module A = Opec_aces
+module P = Opec_pipeline.Pipeline
 
 type fig9_row = {
   app : string;
@@ -20,12 +21,31 @@ let fig9_average rows =
     flash_pct = sum (fun r -> r.flash_pct) /. n;
     sram_pct = sum (fun r -> r.sram_pct) /. n }
 
+(* The store's baseline and protected runs of [app], each re-raising
+   its run's terminating exception as an uncached run would. *)
+let runs (app : Opec_apps.App.t) =
+  let c = P.ctx app in
+  let baseline = P.baseline c in
+  P.reraise baseline.P.b_err;
+  let protected_ = P.protected_ c in
+  P.reraise protected_.P.p_err;
+  (P.image c, baseline, protected_)
+
+(* task instances (entry, executed functions) from a baseline trace *)
+let task_instances (app : Opec_apps.App.t) (b : P.baseline) =
+  Opec_exec.Trace.tasks_of ~entries:(Opec_apps.App.task_entries app)
+    b.P.b_events
+
+let runtime_overhead_pct ~(baseline : P.baseline)
+    ~(protected_ : P.protected_result) =
+  let b = Int64.to_float baseline.P.b_cycles in
+  let p = Int64.to_float protected_.P.p_cycles in
+  if b = 0.0 then 0.0 else (p -. b) /. b *. 100.0
+
 let fig9_of_app (app : Opec_apps.App.t) =
-  let baseline = Workload.run_baseline app in
-  let protected_ = Workload.run_protected app in
-  let image = protected_.Workload.p_image in
+  let image, baseline, protected_ = runs app in
   { app = app.Opec_apps.App.app_name;
-    runtime_pct = Workload.runtime_overhead_pct ~baseline ~protected_;
+    runtime_pct = runtime_overhead_pct ~baseline ~protected_;
     flash_pct = C.Image.flash_overhead_pct image;
     sram_pct = C.Image.sram_overhead_pct image }
 
@@ -40,29 +60,27 @@ type t2_row = {
   pac : float;         (** privileged application code % *)
 }
 
-let t2_opec (app : Opec_apps.App.t) ~baseline ~(protected_ : Workload.protected_result) =
-  let image = protected_.Workload.p_image in
+let t2_opec (app : Opec_apps.App.t) image ~(baseline : P.baseline)
+    ~(protected_ : P.protected_result) =
   { t2_app = app.Opec_apps.App.app_name;
     policy = "OPEC";
     ro =
-      Int64.to_float protected_.Workload.p_cycles
-      /. Int64.to_float (max 1L baseline.Workload.b_cycles);
+      Int64.to_float protected_.P.p_cycles
+      /. Int64.to_float (max 1L baseline.P.b_cycles);
     fo = C.Image.flash_overhead_pct image;
     so = C.Image.sram_overhead_pct image;
     pac = 0.0 (* instruction emulation keeps all application code unprivileged *) }
 
-let t2_aces (app : Opec_apps.App.t) kind ~(baseline : Workload.baseline_result) =
-  let aces =
-    Opec_pipeline.Pipeline.aces (Opec_pipeline.Pipeline.ctx app) kind
-  in
-  let switches = A.Aces.count_switches aces baseline.Workload.b_trace in
+let t2_aces (app : Opec_apps.App.t) kind ~(baseline : P.baseline) =
+  let aces = P.aces (P.ctx app) kind in
+  let switches = A.Aces.count_switches aces baseline.P.b_events in
   let switch_cycles = switches * A.Aces.switch_cost_cycles in
   let board = app.Opec_apps.App.board in
   { t2_app = app.Opec_apps.App.app_name;
     policy = A.Strategy.name kind;
     ro =
-      (Int64.to_float baseline.Workload.b_cycles +. float_of_int switch_cycles)
-      /. Int64.to_float (max 1L baseline.Workload.b_cycles);
+      (Int64.to_float baseline.P.b_cycles +. float_of_int switch_cycles)
+      /. Int64.to_float (max 1L baseline.P.b_cycles);
     fo =
       100.0
       *. float_of_int (A.Aces.flash_overhead_bytes aces)
@@ -74,9 +92,8 @@ let t2_aces (app : Opec_apps.App.t) kind ~(baseline : Workload.baseline_result) 
     pac = A.Aces.privileged_app_code_pct aces }
 
 let table2_of_app (app : Opec_apps.App.t) =
-  let baseline = Workload.run_baseline app in
-  let protected_ = Workload.run_protected app in
-  t2_opec app ~baseline ~protected_
+  let image, baseline, protected_ = runs app in
+  t2_opec app image ~baseline ~protected_
   :: List.map
        (fun kind -> t2_aces app kind ~baseline)
        [ A.Strategy.Filename; A.Strategy.Filename_no_opt;
@@ -85,7 +102,6 @@ let table2_of_app (app : Opec_apps.App.t) =
 (* --- overhead breakdown (Section 6.3) ------------------------------------ *)
 
 module Obs = Opec_obs
-module P = Opec_pipeline.Pipeline
 
 (* Where the monitor's overhead cycles go, per workload, measured from
    the telemetry stream of the instrumented protected run.  The phase
@@ -152,12 +168,12 @@ let breakdown_of ~app_name ~base_cycles ~prot_cycles
    backend-independent, so every backend shares the default context's
    run; only the protected run is per-backend. *)
 let breakdown_of_app ?backend (app : Opec_apps.App.t) =
-  let c = P.ctx ?backend app in
-  let baseline = Workload.run_baseline app in
-  let o = P.protected_obs c in
+  let baseline = P.baseline (P.ctx app) in
+  P.reraise baseline.P.b_err;
+  let o = P.protected_obs (P.ctx ?backend app) in
   P.reraise o.P.o_err;
   breakdown_of ~app_name:app.Opec_apps.App.app_name
-    ~base_cycles:baseline.Workload.b_cycles ~prot_cycles:o.P.o_cycles
+    ~base_cycles:baseline.P.b_cycles ~prot_cycles:o.P.o_cycles
     (Obs.Agg.of_events o.P.o_events)
 
 (* The one serialization of a breakdown, shared by [bench obs] and the

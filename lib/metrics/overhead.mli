@@ -12,6 +12,18 @@ val fig9_average : fig9_row list -> fig9_row
 (** Run one workload baseline + protected and derive its Figure 9 row. *)
 val fig9_of_app : Opec_apps.App.t -> fig9_row
 
+(** Figure 9's runtime overhead: (protected - baseline) / baseline. *)
+val runtime_overhead_pct :
+  baseline:Opec_pipeline.Pipeline.baseline ->
+  protected_:Opec_pipeline.Pipeline.protected_result ->
+  float
+
+(** Task instances (entry, executed functions) segmented from a baseline
+    trace — the paper's GDB-based task profiling. *)
+val task_instances :
+  Opec_apps.App.t -> Opec_pipeline.Pipeline.baseline ->
+  (string * string list) list
+
 type t2_row = {
   t2_app : string;
   policy : string;  (** OPEC / ACES1 / ACES2 / ACES3 *)
@@ -20,14 +32,6 @@ type t2_row = {
   so : float;       (** SRAM overhead, % of device SRAM *)
   pac : float;      (** privileged application code, % *)
 }
-
-val t2_opec :
-  Opec_apps.App.t -> baseline:Workload.baseline_result ->
-  protected_:Workload.protected_result -> t2_row
-
-val t2_aces :
-  Opec_apps.App.t -> Opec_aces.Strategy.kind ->
-  baseline:Workload.baseline_result -> t2_row
 
 (** The four policy rows of one application. *)
 val table2_of_app : Opec_apps.App.t -> t2_row list

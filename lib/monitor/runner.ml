@@ -11,10 +11,11 @@ type protected_run = {
   bus : M.Bus.t;
 }
 
-(* Build a protected run: machine + loaded image + monitor handler.
-   [devices] are attached to the bus before loading; [wrap_handler]
-   interposes on the monitor's trap handler (instrumentation such as the
-   attack-injection campaign). *)
+(* Build a protected run: machine + loaded image (stack registers set
+   from its address map) + monitor handler.  [devices] are attached to
+   the bus before loading; [wrap_handler] interposes on the monitor's
+   trap handler (instrumentation such as the attack-injection
+   campaign). *)
 let prepare ?(devices = []) ?sync_whole_section ?full_sync ?wrap_handler
     ?engine ?sink ?trace (image : C.Image.t) =
   let bus = M.Bus.create ~board:image.C.Image.board in
@@ -38,6 +39,10 @@ let prepare ?(devices = []) ?sync_whole_section ?full_sync ?wrap_handler
     E.Interp.create ~handler ~entries:image.C.Image.entries ?engine ?sink
       ?trace ~bus ~map:image.C.Image.map image.C.Image.program
   in
+  let map = image.C.Image.map and cpu = bus.M.Bus.cpu in
+  cpu.M.Cpu.sp <- map.E.Address_map.stack_top;
+  cpu.M.Cpu.stack_base <- map.E.Address_map.stack_base;
+  cpu.M.Cpu.stack_limit <- map.E.Address_map.stack_top;
   { interp; monitor; bus }
 
 (* Initialize the monitor (shadow fill, MPU arm, privilege drop) and run
@@ -48,10 +53,6 @@ let run_protected ?devices ?sync_whole_section ?full_sync ?wrap_handler
     prepare ?devices ?sync_whole_section ?full_sync ?wrap_handler ?engine
       ?sink ?trace image
   in
-  let cpu = r.bus.M.Bus.cpu in
-  cpu.M.Cpu.sp <- image.C.Image.map.E.Address_map.stack_top;
-  cpu.M.Cpu.stack_base <- image.C.Image.map.E.Address_map.stack_base;
-  cpu.M.Cpu.stack_limit <- image.C.Image.map.E.Address_map.stack_top;
   Monitor.init r.monitor;
   E.Interp.run ~reset_stack:false r.interp;
   r

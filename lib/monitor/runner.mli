@@ -14,7 +14,9 @@ type protected_run = {
 }
 
 (** Build a protected run without starting it: machine + devices + core
-    peripherals + loaded image + monitor-backed interpreter.
+    peripherals + loaded image + monitor-backed interpreter, with the
+    CPU's [sp], [stack_base] and [stack_limit] set from the image's
+    address map.
     [wrap_handler] interposes on the monitor's trap handler — used by
     instrumentation such as the attack-injection campaign; [sink]
     attaches one telemetry collector to both the monitor and the

@@ -19,11 +19,11 @@
    table is split across [shard_count] shards by key hash, one mutex
    per shard, so concurrent context lookups from a saturated domain
    pool never serialize on a single global lock.  Within a context,
-   each stage entry is either computed or in flight: the first domain
-   to ask for a stage claims it and computes outside the lock, and any
-   other domain asking meanwhile waits on the context's condition
-   variable for the result instead of duplicating the work — the
-   compile-exactly-once guarantee holds even under full-fleet
+   each stage is a typed cell that is empty, in flight or done: the
+   first domain to ask for a stage claims it and computes outside the
+   lock, and any other domain asking meanwhile waits on the context's
+   condition variable for the result instead of duplicating the work —
+   the compile-exactly-once guarantee holds even under full-fleet
    contention, and physical equality holds between repeated lookups. *)
 
 module M = Opec_machine
@@ -69,24 +69,68 @@ type obs_result = {
   o_events : Obs.Sink.event list;
 }
 
-type art =
-  | A_program of Program.t
-  | A_points_to of An.Points_to.t
-  | A_callgraph of An.Callgraph.t
-  | A_resources of An.Resource.t
-  | A_ops of C.Operation.t list
-  | A_syncsets of An.Syncset.t
-  | A_image of C.Image.t
-  | A_aces of A.Aces.t
-  | A_baseline of baseline
-  | A_protected of protected_result
-  | A_obs of obs_result
-
-type slot =
-  | Done of art
+(* One memoized stage of a context.  [state] and [computed] are guarded
+   by the owning context's lock; [name] keys [timings] and
+   [compute_counts]. *)
+type 'a state =
+  | Empty
   | In_flight
-      (** claimed by a domain that is computing it; waiters park on
-          [cond] until the slot is filled (or abandoned on failure) *)
+      (** claimed by a domain that is computing it; waiters park on the
+          context's [cond] until the cell is filled (or abandoned on
+          failure) *)
+  | Done of 'a
+
+type 'a cell = { name : string; mutable state : 'a state; mutable computed : int }
+
+type cells = {
+  validated : Program.t cell;
+  points_to : An.Points_to.t cell;
+  callgraph : An.Callgraph.t cell;
+  resources : An.Resource.t cell;
+  ops : C.Operation.t list cell;
+  syncsets : An.Syncset.t cell;
+  image : C.Image.t cell;
+  baseline : baseline cell;
+  baseline_traced : baseline cell;
+  baseline_marked : baseline cell;
+  protected_ : protected_result cell;
+  protected_traced : protected_result cell;
+  protected_obs : obs_result cell;
+  aces1 : A.Aces.t cell;
+  aces2 : A.Aces.t cell;
+  aces3 : A.Aces.t cell;
+}
+
+let cell name = { name; state = Empty; computed = 0 }
+
+let aces_name kind = "aces:" ^ A.Strategy.name kind
+
+let fresh_cells () =
+  { validated = cell "validate";
+    points_to = cell "points-to";
+    callgraph = cell "callgraph";
+    resources = cell "resources";
+    ops = cell "partition";
+    syncsets = cell "syncsets";
+    image = cell "image";
+    baseline = cell "baseline";
+    baseline_traced = cell "baseline-traced";
+    baseline_marked = cell "baseline-marked";
+    protected_ = cell "protected";
+    protected_traced = cell "protected-traced";
+    protected_obs = cell "protected-obs";
+    aces1 = cell (aces_name A.Strategy.Filename);
+    aces2 = cell (aces_name A.Strategy.Filename_no_opt);
+    aces3 = cell (aces_name A.Strategy.By_peripheral) }
+
+type any_cell = Any : 'a cell -> any_cell
+
+let all_cells s =
+  [ Any s.validated; Any s.points_to; Any s.callgraph; Any s.resources;
+    Any s.ops; Any s.syncsets; Any s.image; Any s.baseline;
+    Any s.baseline_traced; Any s.baseline_marked; Any s.protected_;
+    Any s.protected_traced; Any s.protected_obs; Any s.aces1; Any s.aces2;
+    Any s.aces3 ]
 
 type ctx = {
   app : Apps.App.t;
@@ -94,9 +138,8 @@ type ctx = {
   key : string;
   lock : Mutex.t;
   cond : Condition.t;
-  arts : (string, slot) Hashtbl.t;
+  cells : cells;
   mutable timings : (string * float) list;  (** (stage, seconds), oldest first *)
-  counts : (string, int) Hashtbl.t;         (** stage -> times computed *)
 }
 
 (* --- the global store, sharded by key hash ------------------------------ *)
@@ -137,9 +180,8 @@ let ctx ?(backend = M.Backend.Mpu) (app : Apps.App.t) : ctx =
             key;
             lock = Mutex.create ();
             cond = Condition.create ();
-            arts = Hashtbl.create 16;
-            timings = [];
-            counts = Hashtbl.create 16 }
+            cells = fresh_cells ();
+            timings = [] }
         in
         Hashtbl.replace sh.s_tbl key c;
         c)
@@ -170,7 +212,7 @@ let set_engine e = Atomic.set engine e
 let current_engine () = Atomic.get engine
 
 (* Get-or-compute one stage, exactly once.  The first domain to ask
-   claims the slot ([In_flight]) and computes outside the lock (stages
+   claims the cell ([In_flight]) and computes outside the lock (stages
    recurse into their prerequisites); every other domain asking while
    the computation runs parks on the context's condition variable and
    returns the computed artifact — never a duplicate computation, which
@@ -178,98 +220,75 @@ let current_engine () = Atomic.get engine
    contention.  A failing compute abandons its claim and re-raises, so
    a waiter retries (and typically re-raises the same way) instead of
    wedging. *)
-let get (c : ctx) stage compute =
+let get (c : ctx) (cell : 'a cell) (compute : unit -> 'a) : 'a =
   let claim () =
     Mutex.protect c.lock (fun () ->
         let rec go () =
-          match Hashtbl.find_opt c.arts stage with
-          | Some (Done a) -> `Hit a
-          | Some In_flight ->
+          match cell.state with
+          | Done a -> Some a
+          | In_flight ->
             Condition.wait c.cond c.lock;
             go ()
-          | None ->
-            Hashtbl.replace c.arts stage In_flight;
-            `Claimed
+          | Empty ->
+            cell.state <- In_flight;
+            None
         in
         go ())
   in
   match claim () with
-  | `Hit a -> a
-  | `Claimed -> (
+  | Some a -> a
+  | None -> (
     let t0 = Unix.gettimeofday () in
     match compute () with
     | a ->
       let dt = Unix.gettimeofday () -. t0 in
       Mutex.protect c.lock (fun () ->
-          Hashtbl.replace c.arts stage (Done a);
-          c.timings <- c.timings @ [ (stage, dt) ];
-          Hashtbl.replace c.counts stage
-            (1 + Option.value (Hashtbl.find_opt c.counts stage) ~default:0);
+          cell.state <- Done a;
+          cell.computed <- cell.computed + 1;
+          c.timings <- c.timings @ [ (cell.name, dt) ];
           Condition.broadcast c.cond);
       a
     | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       Mutex.protect c.lock (fun () ->
-          Hashtbl.remove c.arts stage;
+          cell.state <- Empty;
           Condition.broadcast c.cond);
       Printexc.raise_with_backtrace e bt)
 
 (* --- compile-time stages ------------------------------------------------ *)
 
 let validated c =
-  match
-    get c "validate" (fun () ->
-        A_program (C.Compiler.front c.app.Apps.App.program))
-  with
-  | A_program p -> p
-  | _ -> assert false
+  get c c.cells.validated (fun () -> C.Compiler.front c.app.Apps.App.program)
 
 let points_to c =
   let p = validated c in
-  match get c "points-to" (fun () -> A_points_to (An.Points_to.solve p)) with
-  | A_points_to x -> x
-  | _ -> assert false
+  get c c.cells.points_to (fun () -> An.Points_to.solve p)
 
 let callgraph c =
   let p = validated c in
   let pts = points_to c in
-  match get c "callgraph" (fun () -> A_callgraph (An.Callgraph.build p pts)) with
-  | A_callgraph x -> x
-  | _ -> assert false
+  get c c.cells.callgraph (fun () -> An.Callgraph.build p pts)
 
 let resources c =
   let p = validated c in
   let pts = points_to c in
-  match get c "resources" (fun () -> A_resources (An.Resource.analyze p pts)) with
-  | A_resources x -> x
-  | _ -> assert false
+  get c c.cells.resources (fun () -> An.Resource.analyze p pts)
 
 let ops c =
   let p = validated c in
   let cg = callgraph c in
   let res = resources c in
-  match
-    get c "partition" (fun () ->
-        A_ops
-          (C.Partition.partition ~backend:c.backend p cg res
-             c.app.Apps.App.dev_input))
-  with
-  | A_ops x -> x
-  | _ -> assert false
+  get c c.cells.ops (fun () ->
+      C.Partition.partition ~backend:c.backend p cg res c.app.Apps.App.dev_input)
 
 let syncsets c =
   let p = validated c in
   let pts = points_to c in
   let cg = callgraph c in
   let ops = ops c in
-  match
-    get c "syncsets" (fun () ->
-        A_syncsets
-          (C.Compiler.syncsets_of ~points_to:pts ~callgraph:cg ~ops
-             ~input:c.app.Apps.App.dev_input p))
-  with
-  | A_syncsets x -> x
-  | _ -> assert false
+  get c c.cells.syncsets (fun () ->
+      C.Compiler.syncsets_of ~points_to:pts ~callgraph:cg ~ops
+        ~input:c.app.Apps.App.dev_input p)
 
 let image c =
   let p = validated c in
@@ -278,24 +297,19 @@ let image c =
   let res = resources c in
   let ops = ops c in
   let ss = syncsets c in
-  match
-    get c "image" (fun () ->
-        A_image
-          (C.Compiler.back ~board:c.app.Apps.App.board ~backend:c.backend
-             ~points_to:pts ~callgraph:cg ~resources:res ~ops ~syncsets:ss p
-             c.app.Apps.App.dev_input))
-  with
-  | A_image x -> x
-  | _ -> assert false
+  get c c.cells.image (fun () ->
+      C.Compiler.back ~board:c.app.Apps.App.board ~backend:c.backend
+        ~points_to:pts ~callgraph:cg ~resources:res ~ops ~syncsets:ss p
+        c.app.Apps.App.dev_input)
 
 let aces c kind =
-  match
-    get c
-      ("aces:" ^ A.Strategy.name kind)
-      (fun () -> A_aces (A.Aces.analyze kind c.app.Apps.App.program))
-  with
-  | A_aces x -> x
-  | _ -> assert false
+  let cell =
+    match kind with
+    | A.Strategy.Filename -> c.cells.aces1
+    | A.Strategy.Filename_no_opt -> c.cells.aces2
+    | A.Strategy.By_peripheral -> c.cells.aces3
+  in
+  get c cell (fun () -> A.Aces.analyze kind c.app.Apps.App.program)
 
 (* --- reference runs ----------------------------------------------------- *)
 
@@ -312,9 +326,9 @@ let run_to_end run =
    memoized failing run is indistinguishable from a fresh one. *)
 let reraise = function None -> () | Some e -> raise e
 
-let run_baseline_with c ~entries ?(traced = true) ~mem stage =
+let run_baseline_with c cell ~entries ?(traced = true) ~mem () =
   let app = c.app in
-  get c stage (fun () ->
+  get c cell (fun () ->
       let world = app.Apps.App.make_world () in
       world.Apps.App.prepare ();
       let r =
@@ -329,20 +343,16 @@ let run_baseline_with c ~entries ?(traced = true) ~mem stage =
       (* artifacts live for the process; keep one copy of the (possibly
          huge) event stream, not the interpreter's internal one too *)
       E.Trace.clear tr;
-      A_baseline
-        { b_run = r;
-          b_err = err;
-          b_cycles = E.Interp.cycles r.Mon.Runner.b_interp;
-          b_events = events;
-          b_check = world.Apps.App.check ();
-          b_flash = r.Mon.Runner.b_layout.E.Vanilla_layout.flash_used;
-          b_sram = r.Mon.Runner.b_layout.E.Vanilla_layout.sram_used })
+      { b_run = r;
+        b_err = err;
+        b_cycles = E.Interp.cycles r.Mon.Runner.b_interp;
+        b_events = events;
+        b_check = world.Apps.App.check ();
+        b_flash = r.Mon.Runner.b_layout.E.Vanilla_layout.flash_used;
+        b_sram = r.Mon.Runner.b_layout.E.Vanilla_layout.sram_used })
 
 (* The plain unprotected baseline (no operation entries marked). *)
-let baseline c =
-  match run_baseline_with c ~entries:[] ~mem:false "baseline" with
-  | A_baseline b -> b
-  | _ -> assert false
+let baseline c = run_baseline_with c c.cells.baseline ~entries:[] ~mem:false ()
 
 (* The baseline traced at memory-access granularity — the lint oracle's
    raw material.  A separate stage from {!baseline}: access events are
@@ -350,9 +360,7 @@ let baseline c =
    them; mem-tracing charges no cycles, so both stages report identical
    cycle counts. *)
 let baseline_traced c =
-  match run_baseline_with c ~entries:[] ~mem:true "baseline-traced" with
-  | A_baseline b -> b
-  | _ -> assert false
+  run_baseline_with c c.cells.baseline_traced ~entries:[] ~mem:true ()
 
 (* Baseline with the image's operation entries marked, so its cycle
    accounting matches runs that trap at switch points (the attack
@@ -360,110 +368,84 @@ let baseline_traced c =
    state of the machine, never the event stream. *)
 let baseline_marked c =
   let entries = (image c).C.Image.entries in
-  match
-    run_baseline_with c ~entries ~traced:false ~mem:false "baseline-marked"
-  with
-  | A_baseline b -> b
-  | _ -> assert false
+  run_baseline_with c c.cells.baseline_marked ~entries ~traced:false
+    ~mem:false ()
 
-let run_protected_with c ~traced stage =
+(* One protected run of [image] from reset: a fresh world, the image
+   loaded, the monitor initialized, the program run to its end.  The
+   body every protected stage shares; neither tracing nor telemetry
+   charges cycles, so all of them agree on every number. *)
+let run_protected c image ~traced ?sink () =
+  let world = c.app.Apps.App.make_world () in
+  world.Apps.App.prepare ();
+  let r =
+    Mon.Runner.prepare ~devices:world.Apps.App.devices
+      ~engine:(Atomic.get engine) ~trace:traced ?sink image
+  in
+  Mon.Monitor.init r.Mon.Runner.monitor;
+  let err =
+    run_to_end (fun () -> E.Interp.run ~reset_stack:false r.Mon.Runner.interp)
+  in
+  (world, r, err)
+
+let run_protected_with c cell ~traced =
   let image = image c in
-  let app = c.app in
-  match
-    get c stage (fun () ->
-        let world = app.Apps.App.make_world () in
-        world.Apps.App.prepare ();
-        let r =
-          Mon.Runner.prepare ~devices:world.Apps.App.devices
-            ~engine:(Atomic.get engine) ~trace:traced image
-        in
-        let cpu = r.Mon.Runner.bus.M.Bus.cpu in
-        cpu.M.Cpu.sp <- image.C.Image.map.E.Address_map.stack_top;
-        cpu.M.Cpu.stack_base <- image.C.Image.map.E.Address_map.stack_base;
-        cpu.M.Cpu.stack_limit <- image.C.Image.map.E.Address_map.stack_top;
-        Mon.Monitor.init r.Mon.Runner.monitor;
-        let err =
-          run_to_end (fun () ->
-              E.Interp.run ~reset_stack:false r.Mon.Runner.interp)
-        in
-        let tr = E.Interp.trace r.Mon.Runner.interp in
-        let events = E.Trace.events tr in
-        E.Trace.clear tr;
-        A_protected
-          { p_run = r;
-            p_err = err;
-            p_cycles = E.Interp.cycles r.Mon.Runner.interp;
-            p_events = events;
-            p_check = world.Apps.App.check ();
-            p_stats = Mon.Monitor.stats r.Mon.Runner.monitor })
-  with
-  | A_protected p -> p
-  | _ -> assert false
+  get c cell (fun () ->
+      let world, r, err = run_protected c image ~traced () in
+      let tr = E.Interp.trace r.Mon.Runner.interp in
+      let events = E.Trace.events tr in
+      E.Trace.clear tr;
+      { p_run = r;
+        p_err = err;
+        p_cycles = E.Interp.cycles r.Mon.Runner.interp;
+        p_events = events;
+        p_check = world.Apps.App.check ();
+        p_stats = Mon.Monitor.stats r.Mon.Runner.monitor })
 
 (* The plain protected run: untraced — the evaluation reads its cycle
-   count, check result, and monitor statistics, never its events.
-   Tracing charges no cycles, so {!protected_traced} agrees with it
-   bit-for-bit on every number. *)
-let protected_ c = run_protected_with c ~traced:false "protected"
+   count, check result, and monitor statistics, never its events. *)
+let protected_ c = run_protected_with c c.cells.protected_ ~traced:false
 
 (* The protected run with its call/switch event stream kept — the
    [opec trace] command's and the differential tests' raw material. *)
-let protected_traced c = run_protected_with c ~traced:true "protected-traced"
+let protected_traced c =
+  run_protected_with c c.cells.protected_traced ~traced:true
 
 (* The protected run with a telemetry collector attached — the [opec
    trace] exporters' and [bench obs]'s raw material.  Function-granularity
    tracing stays off (the telemetry stream carries the switch structure
-   itself); neither tracing nor telemetry charges cycles, so this run's
-   cycles and statistics are bit-identical to {!protected_}. *)
+   itself). *)
 let protected_obs c =
   let image = image c in
-  let app = c.app in
-  match
-    get c "protected-obs" (fun () ->
-        let world = app.Apps.App.make_world () in
-        world.Apps.App.prepare ();
-        let buf = Obs.Sink.Memory.create () in
-        let r =
-          Mon.Runner.prepare ~devices:world.Apps.App.devices
-            ~engine:(Atomic.get engine)
-            ~sink:(Obs.Sink.Memory.sink buf) image
-        in
-        let cpu = r.Mon.Runner.bus.M.Bus.cpu in
-        cpu.M.Cpu.sp <- image.C.Image.map.E.Address_map.stack_top;
-        cpu.M.Cpu.stack_base <- image.C.Image.map.E.Address_map.stack_base;
-        cpu.M.Cpu.stack_limit <- image.C.Image.map.E.Address_map.stack_top;
-        Mon.Monitor.init r.Mon.Runner.monitor;
-        let err =
-          run_to_end (fun () ->
-              E.Interp.run ~reset_stack:false r.Mon.Runner.interp)
-        in
-        A_obs
-          { o_err = err;
-            o_cycles = E.Interp.cycles r.Mon.Runner.interp;
-            o_stats = Mon.Monitor.stats r.Mon.Runner.monitor;
-            o_switches = E.Interp.switches r.Mon.Runner.interp;
-            o_events = Obs.Sink.Memory.events buf })
-  with
-  | A_obs o -> o
-  | _ -> assert false
+  get c c.cells.protected_obs (fun () ->
+      let buf = Obs.Sink.Memory.create () in
+      let _, r, err =
+        run_protected c image ~traced:false ~sink:(Obs.Sink.Memory.sink buf) ()
+      in
+      { o_err = err;
+        o_cycles = E.Interp.cycles r.Mon.Runner.interp;
+        o_stats = Mon.Monitor.stats r.Mon.Runner.monitor;
+        o_switches = E.Interp.switches r.Mon.Runner.interp;
+        o_events = Obs.Sink.Memory.events buf })
 
 (* --- instrumentation ---------------------------------------------------- *)
 
 let stage_names =
-  [ "validate"; "points-to"; "callgraph"; "resources"; "partition";
-    "syncsets"; "image"; "baseline"; "baseline-traced"; "baseline-marked";
-    "protected"; "protected-traced"; "protected-obs" ]
+  List.map (fun (Any cell) -> cell.name) (all_cells (fresh_cells ()))
 
 let timings c = Mutex.protect c.lock (fun () -> c.timings)
 
 let compute_counts c =
   Mutex.protect c.lock (fun () ->
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.counts []
-      |> List.sort compare)
+      List.filter_map
+        (fun (Any cell) ->
+          if cell.computed > 0 then Some (cell.name, cell.computed) else None)
+        (all_cells c.cells))
+  |> List.sort compare
 
 let compute_count c stage =
-  Mutex.protect c.lock (fun () ->
-      Option.value (Hashtbl.find_opt c.counts stage) ~default:0)
+  Option.value ~default:0
+    (List.assoc_opt stage (compute_counts c))
 
 (* --- fan-out ------------------------------------------------------------ *)
 

@@ -119,6 +119,8 @@ val reraise : exn option -> unit
 
 (** Stage instrumentation. *)
 
+(** Every stage's name, in pipeline order: the compile-time stages, the
+    reference runs, then one [aces:ACESn] stage per ACES strategy. *)
 val stage_names : string list
 
 (** [(stage, seconds)] of every stage computed so far, in computation
@@ -128,6 +130,7 @@ val timings : ctx -> (string * float) list
 (** How many times each stage was actually computed (cache misses). *)
 val compute_counts : ctx -> (string * int) list
 
+(** One stage's entry of {!compute_counts} (0 when never computed). *)
 val compute_count : ctx -> string -> int
 
 (** Materialize the full pipeline for one workload. *)

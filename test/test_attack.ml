@@ -11,13 +11,14 @@ module E = Opec_exec
 module Mon = Opec_monitor
 module Apps = Opec_apps
 module Atk = Opec_attack
+module P = Opec_pipeline.Pipeline
 
 let pinlock () = Apps.Registry.pinlock ~rounds:2 ()
 
 (* --- planner -------------------------------------------------------------- *)
 
 let plan_names app =
-  let image = Atk.Campaign.compile app in
+  let image = P.image (P.ctx app) in
   List.map
     (fun (i : Atk.Planner.injection) -> Atk.Primitive.name i.Atk.Planner.primitive)
     (Atk.Planner.select (Atk.Planner.plan image))
@@ -31,7 +32,7 @@ let test_planner_covers_all_primitives () =
 
 let test_planner_deterministic () =
   let render app =
-    let image = Atk.Campaign.compile app in
+    let image = P.image (P.ctx app) in
     String.concat "\n"
       (List.map
          (fun i -> Format.asprintf "%a" Atk.Planner.pp i)
@@ -128,10 +129,6 @@ let virt_rogue_image () =
 let test_virt_eviction_under_attack () =
   let image = virt_rogue_image () in
   let r = Mon.Runner.prepare ~devices:(virt_devices ()) image in
-  let cpu = r.Mon.Runner.bus.M.Bus.cpu in
-  cpu.M.Cpu.sp <- image.C.Image.map.E.Address_map.stack_top;
-  cpu.M.Cpu.stack_base <- image.C.Image.map.E.Address_map.stack_base;
-  cpu.M.Cpu.stack_limit <- image.C.Image.map.E.Address_map.stack_top;
   Mon.Monitor.init r.Mon.Runner.monitor;
   (match E.Interp.run ~reset_stack:false r.Mon.Runner.interp with
   | () -> Alcotest.fail "rogue store past the rotation was not trapped"

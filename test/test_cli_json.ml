@@ -134,12 +134,68 @@ let test_hostile_corpus () =
          "_cli_json_fuzz"; "--json" ])
     ()
 
+(* --- usage and input errors ----------------------------------------------- *)
+
+(* run a command and return its exit code and merged stdout/stderr *)
+let status cmd =
+  let ic = Unix.open_process_in (cmd ^ " 2>&1") in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED n -> (n, out)
+  | _ -> Alcotest.failf "%s: killed by a signal" cmd
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let check_status what ~code ~says cmd =
+  let n, out = status cmd in
+  Alcotest.(check int) (what ^ ": exit code") code n;
+  if not (contains out says) then
+    Alcotest.failf "%s: output lacks %S:\n%s" what says out
+
+(* A reproducer that does not parse, or whose program is ill-formed, is
+   an input error (exit 1) naming the file, never an uncaught
+   exception. *)
+let test_replay_bad_file () =
+  let write name body =
+    Out_channel.with_open_bin name (fun oc -> output_string oc body);
+    name
+  in
+  let truncated = write "_cli_replay_truncated.sexp" "(opec-fuzz-repro (seed 1" in
+  check_status "truncated reproducer" ~code:1
+    ~says:(truncated ^ ": unterminated list")
+    (Filename.quote_command cli [ "fuzz"; "--replay"; truncated ]);
+  let ill =
+    write "_cli_replay_ill_formed.sexp"
+      "(opec-fuzz-repro (program ill main () ()\n\
+      \ ((func main main.c false false () ((call _ (d nowhere)) (halt)))))\n\
+      \ (dev-input (entries)))\n"
+  in
+  check_status "ill-formed reproducer" ~code:1
+    ~says:(ill ^ ": main calls undefined function nowhere")
+    (Filename.quote_command cli [ "fuzz"; "--replay"; ill ])
+
+(* Negative event counts are usage errors (cmdliner's exit 124). *)
+let test_negative_counts () =
+  check_status "load --events=-5" ~code:124 ~says:"bad count \"-5\""
+    (Filename.quote_command cli [ "load"; "request-storm"; "--events=-5" ]);
+  check_status "trace --limit=-1" ~code:124 ~says:"bad count \"-1\""
+    (Filename.quote_command cli [ "trace"; "PinLock"; "--limit=-1" ])
+
 let suite () =
   [ ( "cli-json",
       [ Alcotest.test_case "parse_json is strict" `Quick test_parser_strict;
         QCheck_alcotest.to_alcotest prop_round_trip;
         QCheck_alcotest.to_alcotest prop_any_bytes;
         Alcotest.test_case "non-finite floats print as null" `Quick test_non_finite;
+        Alcotest.test_case "fuzz --replay rejects a bad file" `Quick
+          test_replay_bad_file;
+        Alcotest.test_case "negative counts are usage errors" `Quick
+          test_negative_counts;
         Alcotest.test_case "fuzz --json escapes hostile corpus bytes" `Slow
           test_hostile_corpus;
         Alcotest.test_case "fleet --json - is pure JSON" `Slow

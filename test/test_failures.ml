@@ -10,16 +10,19 @@ module C = Opec_core
 module Mon = Opec_monitor
 module Ex = Opec_exec
 module Apps = Opec_apps
-module Met = Opec_metrics
+module P = Opec_pipeline.Pipeline
 
 (* the machine model is deterministic: two identical protected runs give
    identical cycle counts and monitor statistics *)
 let test_determinism () =
   let app = Apps.Registry.pinlock ~rounds:3 () in
-  let image = Met.Workload.compile app in
+  let image = P.image (P.ctx app) in
   let once () =
-    let r = Met.Workload.run_protected ~image app in
-    (r.Met.Workload.p_cycles, r.Met.Workload.p_stats.Mon.Stats.synced_bytes)
+    let world = app.Apps.App.make_world () in
+    world.Apps.App.prepare ();
+    let r = Mon.Runner.run_protected ~devices:world.Apps.App.devices image in
+    ( Ex.Interp.cycles r.Mon.Runner.interp,
+      (Mon.Monitor.stats r.Mon.Runner.monitor).Mon.Stats.synced_bytes )
   in
   let c1, s1 = once () in
   let c2, s2 = once () in

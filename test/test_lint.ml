@@ -10,6 +10,7 @@ module C = Opec_core
 module An = Opec_analysis
 module L = Opec_lint
 module Apps = Opec_apps
+module P = Opec_pipeline.Pipeline
 module SS = An.Resource.SS
 
 let uart = Peripheral.v "UART" ~base:0x4000_4400 ~size:0x400
@@ -64,7 +65,7 @@ let with_op image entry f =
 let test_apps_clean () =
   List.iter
     (fun (app : Apps.App.t) ->
-      let image = Opec_metrics.Workload.compile app in
+      let image = P.image (P.ctx app) in
       let diags = L.Lint.run image in
       Alcotest.(check (list string))
         (app.app_name ^ " has no lint errors")
@@ -131,7 +132,7 @@ let test_budget_matches_install () =
 
 let test_oracle_pinlock () =
   let app = Apps.Registry.pinlock () in
-  let image = Opec_metrics.Workload.compile app in
+  let image = P.image (P.ctx app) in
   let world () =
     let w = app.make_world () in
     w.Apps.App.prepare ();

@@ -25,11 +25,6 @@ let test_image_physically_shared () =
   let i1 = P.image c in
   let i2 = P.image c in
   Alcotest.(check bool) "second access is the same artifact" true (i1 == i2);
-  (* every consumer-facing compile returns the same physical image *)
-  Alcotest.(check bool) "Workload.compile shares it" true
-    (Met.Workload.compile app == i1);
-  Alcotest.(check bool) "Campaign.compile shares it" true
-    (Atk.Campaign.compile app == i1);
   Alcotest.(check int) "the compiler ran once" 1 (C.Compiler.compile_count ())
 
 let test_baseline_physically_shared () =
@@ -75,10 +70,8 @@ let test_sweep_compiles_once () =
   let apps = Apps.Registry.all_small () in
   List.iter
     (fun app ->
-      let baseline = Met.Workload.run_baseline app in
-      let protected_ = Met.Workload.run_protected app in
-      ignore (Met.Workload.runtime_overhead_pct ~baseline ~protected_);
-      ignore (Met.Workload.task_instances app baseline);
+      ignore (Met.Overhead.fig9_of_app app);
+      ignore (Met.Overhead.task_instances app (P.baseline (P.ctx app)));
       List.iter
         (fun k -> ignore (P.aces (P.ctx app) k))
         [ Opec_aces.Strategy.Filename; Opec_aces.Strategy.Filename_no_opt;
@@ -127,18 +120,70 @@ let test_timings_and_counts () =
   Alcotest.(check bool) "timings recorded" true (List.length timings > 0);
   List.iter
     (fun (stage, seconds) ->
-      (* ACES stages carry the strategy name as a suffix *)
-      let known =
-        List.mem stage P.stage_names
-        || String.length stage > 5 && String.sub stage 0 5 = "aces:"
-      in
       Alcotest.(check bool)
         (Printf.sprintf "stage %s is known" stage)
-        true known;
+        true
+        (List.mem stage P.stage_names);
       Alcotest.(check bool)
         (Printf.sprintf "stage %s has a sane duration" stage)
         true (seconds >= 0.0))
     timings
+
+(* --- failure path --------------------------------------------------------- *)
+
+(* An app whose front end rejects the program: [main] calls a function
+   that does not exist.  The record is built directly, since
+   [Program.v] would reject it before the store sees it. *)
+let ill_formed_app () =
+  let open Opec_ir in
+  { Apps.App.app_name = "ill-formed";
+    board = Opec_machine.Memmap.stm32f4_discovery;
+    program =
+      { Program.name = "ill-formed";
+        globals = [];
+        peripherals = [];
+        funcs = [ Build.func "main" [] [ Build.call "nowhere" []; Build.halt ] ];
+        main = "main" };
+    dev_input = C.Dev_input.v [];
+    make_world =
+      (fun () ->
+        { Apps.App.devices = [];
+          prepare = (fun () -> ());
+          check = (fun () -> Ok ()) }) }
+
+let image_error c =
+  match P.image c with
+  | _ -> Alcotest.fail "an ill-formed program compiled"
+  | exception (Opec_ir.Program.Ill_formed _ as e) -> Printexc.to_string e
+
+(* A failing stage abandons its claim: a second lookup computes again
+   and raises the same exception (no stale value, no hang), and the
+   failure leaves no timing and no compute count behind. *)
+let test_failed_stage_recomputes () =
+  fresh ();
+  let c = P.ctx (ill_formed_app ()) in
+  let first = image_error c in
+  Alcotest.(check string) "second lookup raises the same" first
+    (image_error c);
+  Alcotest.(check (list (pair string (float 0.0)))) "no timings" []
+    (P.timings c);
+  Alcotest.(check (list (pair string int))) "no compute counts" []
+    (P.compute_counts c);
+  (* two domains asking at once: both see the exception *)
+  let results =
+    Opec_pipeline.Pool.map_result ~domains:2
+      (fun () -> P.image (P.ctx (ill_formed_app ())))
+      [ (); () ]
+  in
+  List.iter
+    (function
+      | Ok _ -> Alcotest.fail "an ill-formed program compiled on a domain"
+      | Error e ->
+        Alcotest.(check string) "each domain sees the exception" first
+          (Printexc.to_string e))
+    results;
+  Alcotest.(check (list (pair string int))) "still no compute counts" []
+    (P.compute_counts c)
 
 let suite () =
   [ ( "pipeline",
@@ -155,4 +200,6 @@ let suite () =
         Alcotest.test_case "campaign fan-out deterministic" `Slow
           test_campaign_parallel_deterministic;
         Alcotest.test_case "timings and compute counts" `Quick
-          test_timings_and_counts ] ) ]
+          test_timings_and_counts;
+        Alcotest.test_case "failed stage recomputes" `Quick
+          test_failed_stage_recomputes ] ) ]

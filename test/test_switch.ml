@@ -57,10 +57,6 @@ let verified_run ?sync_whole_section ?full_sync ~backend (app : Apps.App.t) =
       ?full_sync ~wrap_handler:wrap image
   in
   monitor := Some r.Mon.Runner.monitor;
-  let cpu = r.Mon.Runner.bus.M.Bus.cpu in
-  cpu.M.Cpu.sp <- image.C.Image.map.Ex.Address_map.stack_top;
-  cpu.M.Cpu.stack_base <- image.C.Image.map.Ex.Address_map.stack_base;
-  cpu.M.Cpu.stack_limit <- image.C.Image.map.Ex.Address_map.stack_top;
   Mon.Monitor.init r.Mon.Runner.monitor;
   verify "init";
   Ex.Interp.run ~reset_stack:false r.Mon.Runner.interp;

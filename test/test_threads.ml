@@ -47,10 +47,6 @@ let run_threads rounds =
     C.Compiler.compile p (C.Dev_input.v [ "worker_a"; "worker_b" ])
   in
   let run = Mon.Runner.prepare image in
-  let cpu = run.Mon.Runner.bus.M.Bus.cpu in
-  cpu.M.Cpu.sp <- image.C.Image.map.Ex.Address_map.stack_top;
-  cpu.M.Cpu.stack_base <- image.C.Image.map.Ex.Address_map.stack_base;
-  cpu.M.Cpu.stack_limit <- image.C.Image.map.Ex.Address_map.stack_top;
   Mon.Monitor.init run.Mon.Runner.monitor;
   let sched = Mon.Threads.create run in
   ignore (Mon.Threads.spawn sched ~entry:"worker_a" ~args:[] ~stack_bytes:1024);
@@ -88,10 +84,6 @@ let test_spawn_exhaustion () =
     C.Compiler.compile p (C.Dev_input.v [ "worker_a"; "worker_b" ])
   in
   let run = Mon.Runner.prepare image in
-  let cpu = run.Mon.Runner.bus.M.Bus.cpu in
-  cpu.M.Cpu.sp <- image.C.Image.map.Ex.Address_map.stack_top;
-  cpu.M.Cpu.stack_base <- image.C.Image.map.Ex.Address_map.stack_base;
-  cpu.M.Cpu.stack_limit <- image.C.Image.map.Ex.Address_map.stack_top;
   let sched = Mon.Threads.create run in
   Alcotest.check_raises "stack carving is bounded" Mon.Threads.Too_many_threads
     (fun () ->
@@ -114,10 +106,6 @@ let test_thread_telemetry () =
   in
   let buf = Opec_obs.Sink.Memory.create () in
   let run = Mon.Runner.prepare ~sink:(Opec_obs.Sink.Memory.sink buf) image in
-  let cpu = run.Mon.Runner.bus.M.Bus.cpu in
-  cpu.M.Cpu.sp <- image.C.Image.map.Ex.Address_map.stack_top;
-  cpu.M.Cpu.stack_base <- image.C.Image.map.Ex.Address_map.stack_base;
-  cpu.M.Cpu.stack_limit <- image.C.Image.map.Ex.Address_map.stack_top;
   Mon.Monitor.init run.Mon.Runner.monitor;
   let sched = Mon.Threads.create run in
   ignore (Mon.Threads.spawn sched ~entry:"worker_a" ~args:[] ~stack_bytes:1024);
@@ -185,10 +173,6 @@ let test_rogue_thread_blocked () =
   in
   let image = { image with C.Image.program = rogue_instr } in
   let run = Mon.Runner.prepare image in
-  let cpu = run.Mon.Runner.bus.M.Bus.cpu in
-  cpu.M.Cpu.sp <- image.C.Image.map.Ex.Address_map.stack_top;
-  cpu.M.Cpu.stack_base <- image.C.Image.map.Ex.Address_map.stack_base;
-  cpu.M.Cpu.stack_limit <- image.C.Image.map.Ex.Address_map.stack_top;
   Mon.Monitor.init run.Mon.Runner.monitor;
   let sched = Mon.Threads.create run in
   ignore (Mon.Threads.spawn sched ~entry:"good_worker" ~args:[] ~stack_bytes:1024);
