@@ -321,7 +321,64 @@ let ablation () =
         app.Apps.App.app_name sorted_img.C.Image.sram_used
         unsorted_img.C.Image.sram_used)
     (Apps.Registry.all ());
-  say ""
+  say "";
+
+  (* 6. every shared-global use through the relocation table (the
+     paper's Section 4.4) vs compile-time resolution in functions that
+     belong to one operation *)
+  say "-- (6) relocation table everywhere (Section 4.4) vs resolved in single-operation functions";
+  let module Mon = Opec_monitor in
+  let row c =
+    let app = P.app c in
+    let resolved = P.image c in
+    let p = P.protected_ c in
+    P.reraise p.P.p_err;
+    (* the table-only image is the ablation itself, compiled privately *)
+    let table =
+      C.Compiler.compile ~board:app.Apps.App.board ~resolve_relocs:false
+        app.Apps.App.program app.Apps.App.dev_input
+    in
+    let world = app.Apps.App.make_world () in
+    world.Apps.App.prepare ();
+    let r =
+      Mon.Runner.run_protected ~devices:world.Apps.App.devices table
+    in
+    let counters (s : Mon.Stats.t) =
+      (s.Mon.Stats.switches, s.Mon.Stats.synced_bytes, s.Mon.Stats.denied)
+    in
+    ( app.Apps.App.app_name,
+      Opec_exec.Interp.cycles r.Mon.Runner.interp,
+      p.P.p_cycles,
+      table.C.Image.stats.C.Instrument.reloc_sites,
+      resolved.C.Image.stats.C.Instrument.reloc_sites,
+      counters (Mon.Monitor.stats r.Mon.Runner.monitor) = counters p.P.p_stats )
+  in
+  let rows = P.parallel_map row (Apps.Registry.all ()) in
+  List.iter
+    (fun (name, table_cycles, resolved_cycles, table_sites, resolved_sites, _) ->
+      say "   %-10s table-only: %9Ld cycles   resolved: %9Ld cycles (%+Ld)   \
+           table loads: %3d -> %3d (%d sites removed)"
+        name table_cycles resolved_cycles
+        (Int64.sub resolved_cycles table_cycles)
+        table_sites resolved_sites (table_sites - resolved_sites))
+    rows;
+  say "";
+  (* resolution only drops loads: the switches, the bytes they copy and
+     the denials are the table-only run's, and no run gets slower *)
+  match
+    List.filter
+      (fun (_, table_cycles, resolved_cycles, _, _, same) ->
+        (not same) || Int64.compare resolved_cycles table_cycles > 0)
+      rows
+  with
+  | [] -> ()
+  | bad ->
+    List.iter
+      (fun (name, _, _, _, _, _) ->
+        say "ablation (6): %s: resolved run differs from the table-only run \
+             beyond dropped loads" name)
+      bad;
+    exit 1
 
 (* -------------------------------------------------------- coremark-engines *)
 

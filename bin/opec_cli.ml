@@ -75,13 +75,22 @@ let seed_range_conv =
   let print f (lo, hi) = Format.fprintf f "%d..%d" lo hi in
   Arg.conv (parse, print)
 
-(* Event counts ([trace --limit], [load --events]): a negative one is a
-   usage error. *)
+(* Counts ([trace --limit], [load --events], [--size], [--budget]): a
+   negative one is a usage error. *)
 let count_conv =
   let parse s =
     match int_of_string_opt s with
     | Some n when n >= 0 -> Ok n
     | _ -> Error (`Msg (Printf.sprintf "bad count %S (want an integer >= 0)" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* Worker counts ([-j]): zero or a negative one is a usage error. *)
+let positive_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "bad count %S (want an integer >= 1)" s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
@@ -602,7 +611,7 @@ let attack_cmd =
   let domains =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_conv) None
       & info [ "j"; "domains" ] ~docv:"N"
           ~doc:
             "Worker domains for the campaign fan-out (default: pool \
@@ -695,7 +704,7 @@ let compare_backends_cmd =
   let domains =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_conv) None
       & info [ "j"; "domains" ] ~docv:"N"
           ~doc:"Worker domains per backend sweep (default: pool size).")
   in
@@ -764,7 +773,7 @@ let fuzz_cmd =
   in
   let size =
     Arg.(
-      value & opt int 2
+      value & opt count_conv 2
       & info [ "size" ]
           ~doc:"Generator size: scales globals, entries, and body length.")
   in
@@ -794,7 +803,7 @@ let fuzz_cmd =
   let domains =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_conv) None
       & info [ "j"; "domains" ] ~docv:"N"
           ~doc:"Worker domains for the sweep (default: pool size).")
   in
@@ -812,7 +821,7 @@ let fuzz_cmd =
   let budget =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some count_conv) None
       & info [ "budget" ] ~docv:"N"
           ~doc:
             "Mutation budget for $(b,--corpus) mode (default: the seed \
@@ -907,7 +916,7 @@ let fleet_cmd =
   in
   let size =
     Arg.(
-      value & opt int 2
+      value & opt count_conv 2
       & info [ "size" ]
           ~doc:"Generator size for the seed images (as in `opec fuzz').")
   in
@@ -931,7 +940,7 @@ let fleet_cmd =
   let domains =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_conv) None
       & info [ "j"; "domains" ] ~docv:"N"
           ~doc:"Scheduler participants (default: pool size).")
   in

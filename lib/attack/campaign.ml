@@ -166,23 +166,9 @@ let baseline_cell (app : Apps.App.t) (image : C.Image.t) ~clean ~defense ~mode
 
 (* --- clean reference runs ------------------------------------------------ *)
 
-(* The clean baseline also runs with [entries] marked (through the
-   pass-through abort handler), so its cycle accounting — visible to
-   firmware through SysTick/DWT — matches the attacked runs exactly.
-   These legacy private runs survive only for foreign images the
-   artifact store did not produce; the normal path reads the pipeline's
-   memoized marked-baseline and protected runs. *)
-let clean_baseline (app : Apps.App.t) (image : C.Image.t) =
-  let world = app.Apps.App.make_world () in
-  world.Apps.App.prepare ();
-  let r =
-    Mon.Runner.run_baseline ~devices:world.Apps.App.devices
-      ~engine:(P.current_engine ()) ~entries:image.C.Image.entries
-      ~board:app.Apps.App.board app.Apps.App.program
-  in
-  Snapshot.baseline r.Mon.Runner.b_bus
-    ~map:r.Mon.Runner.b_layout.E.Vanilla_layout.map app.Apps.App.program
-
+(* A private protected run of a foreign image the artifact store did not
+   produce (the fuzz defect gate substitutes them); the store's own
+   image reads the pipeline's memoized run instead. *)
 let clean_protected (app : Apps.App.t) (image : C.Image.t) =
   let world = app.Apps.App.make_world () in
   world.Apps.App.prepare ();
@@ -194,45 +180,31 @@ let clean_protected (app : Apps.App.t) (image : C.Image.t) =
 
 (* --- the campaign -------------------------------------------------------- *)
 
-(* The campaign's references for [image]: a device-presence probe that
-   restricts MMIO/PPB targets to addresses the campaign machine actually
-   maps (so a vanilla escape is a real peripheral write, not an
-   unmapped-bus crash), and the clean end states attacked runs are
-   diffed against.  For the store's own image these come from the
-   pipeline's memoized marked-baseline and protected runs (the
-   marked-baseline bus carries the campaign machine's device set); a
-   foreign image (the fuzz defect gate substitutes them) gets private
-   runs. *)
-let references c image (app : Apps.App.t) =
-  if image == P.image c then begin
-    let bm = P.baseline_marked c in
-    P.reraise bm.P.b_err;
-    let p = P.protected_ c in
-    P.reraise p.P.p_err;
-    let bus = bm.P.b_run.Mon.Runner.b_bus in
-    let map = bm.P.b_run.Mon.Runner.b_layout.E.Vanilla_layout.map in
-    ( (fun addr -> Option.is_some (M.Bus.find_device bus addr)),
-      lazy (Snapshot.baseline bus ~map app.Apps.App.program),
-      Snapshot.protected_ p.P.p_run.Mon.Runner.bus image )
-  end
-  else begin
-    let world = app.Apps.App.make_world () in
-    let probe =
-      Mon.Runner.prepare_baseline ~devices:world.Apps.App.devices
-        ~board:app.Apps.App.board app.Apps.App.program
-    in
-    ( (fun addr ->
-        Option.is_some (M.Bus.find_device probe.Mon.Runner.b_bus addr)),
-      lazy (clean_baseline app image),
-      clean_protected app image )
-  end
+(* The campaign's references for the store's image: a device-presence
+   probe that restricts MMIO/PPB targets to addresses the campaign
+   machine actually maps (so a vanilla escape is a real peripheral
+   write, not an unmapped-bus crash), and the clean end states attacked
+   runs are diffed against, from the pipeline's memoized marked-baseline
+   and protected runs (the marked-baseline bus carries the campaign
+   machine's device set). *)
+let references c (app : Apps.App.t) =
+  let bm = P.baseline_marked c in
+  P.reraise bm.P.b_err;
+  let p = P.protected_ c in
+  P.reraise p.P.p_err;
+  let bus = bm.P.b_run.Mon.Runner.b_bus in
+  let map = bm.P.b_run.Mon.Runner.b_layout.E.Vanilla_layout.map in
+  ( (fun addr -> Option.is_some (M.Bus.find_device bus addr)),
+    lazy (Snapshot.baseline bus ~map app.Apps.App.program),
+    Snapshot.protected_ p.P.p_run.Mon.Runner.bus (P.image c) )
 
-(* Every planned injection against each of [defenses], row-major. *)
-let run_cells ?backend ?image ~defenses (app : Apps.App.t) =
+let plan_injections ~mapped image = Planner.select (Planner.plan ~mapped image)
+
+let run_app ?backend (app : Apps.App.t) : matrix =
   let c = P.ctx ?backend app in
-  let image = match image with Some i -> i | None -> P.image c in
-  let mapped, clean_b, clean_p = references c image app in
-  let injections = Planner.select (Planner.plan ~mapped image) in
+  let image = P.image c in
+  let mapped, clean_b, clean_p = references c app in
+  let injections = plan_injections ~mapped image in
   let oracles =
     List.filter_map
       (function
@@ -256,18 +228,32 @@ let run_cells ?backend ?image ~defenses (app : Apps.App.t) =
           defenses)
       injections
   in
-  (injections, cells)
-
-let run_app ?backend ?image (app : Apps.App.t) : matrix =
-  let injections, cells = run_cells ?backend ?image ~defenses app in
   { app = app.Apps.App.app_name; injections; cells }
 
 (* OPEC-only column: every planned injection against the real monitor,
    skipping the vanilla and ACES baselines.  The fuzz harness runs this
    per generated program, where only the "all Blocked under OPEC"
-   verdict matters and the 4 baseline columns would triple the cost. *)
+   verdict matters and the 4 baseline columns would triple the cost.  A
+   foreign [image] gets a private device probe and clean protected run. *)
 let run_opec_only ?backend ?image (app : Apps.App.t) =
-  snd (run_cells ?backend ?image ~defenses:[ Opec ] app)
+  let c = P.ctx ?backend app in
+  let image, mapped, clean_p =
+    match image with
+    | Some image when image != P.image c ->
+      let world = app.Apps.App.make_world () in
+      let probe =
+        Mon.Runner.prepare_baseline ~devices:world.Apps.App.devices
+          ~board:app.Apps.App.board app.Apps.App.program
+      in
+      ( image,
+        (fun addr ->
+          Option.is_some (M.Bus.find_device probe.Mon.Runner.b_bus addr)),
+        clean_protected app image )
+    | Some _ | None ->
+      let mapped, _, clean_p = references c app in
+      (P.image c, mapped, clean_p)
+  in
+  List.map (opec_cell app image ~clean:clean_p) (plan_injections ~mapped image)
 
 (* Per-app matrices are independent (every cell is a fresh machine), so
    they fan out across the domain pool; results come back in input

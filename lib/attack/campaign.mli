@@ -36,21 +36,20 @@ type matrix = {
       (** row-major: for each injection, one cell per defense *)
 }
 
-(** Run the full matrix for one app ([image] defaults to the pipeline's
-    image of [app]; [backend] selects the enforcement backend the
-    OPEC column runs under, default MPU).  With the store's own image
-    the clean reference runs are the pipeline's memoized artifacts; a
-    foreign [image] falls back to private runs. *)
+(** Run the full matrix for the pipeline's image of one app ([backend]
+    selects the enforcement backend the OPEC column runs under, default
+    MPU); the clean reference runs are the pipeline's memoized
+    artifacts. *)
 val run_app :
   ?backend:Opec_machine.Backend.kind ->
-  ?image:Opec_core.Image.t ->
   Opec_apps.App.t ->
   matrix
 
 (** The OPEC column alone: every planned injection against the real
     monitor, no vanilla/ACES baseline cells.  The fuzz harness's
     containment oracle — it only needs the "all Blocked" verdict.
-    Images are handled as in {!run_app}. *)
+    [image] defaults to the pipeline's image; a foreign one (the fuzz
+    defect gate) gets a private device probe and clean protected run. *)
 val run_opec_only :
   ?backend:Opec_machine.Backend.kind ->
   ?image:Opec_core.Image.t ->

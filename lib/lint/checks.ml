@@ -509,6 +509,49 @@ let unsyncable_escape (image : C.Image.t) =
       (warn :: holes) @ acc)
     escaped []
 
+(* --- L012: resolved relocations ------------------------------------------ *)
+
+(* A shared-global use the compiler bound to a constant is transparent
+   only when the constant is what the relocation table would hold at
+   that site in every monitor mode: the function belongs to exactly one
+   operation, the variable has a slot and is not mapped read-only there
+   (a read-only slot targets the master or the shadow depending on the
+   mode), and the constant is the operation's target. *)
+let resolved_relocation (image : C.Image.t) =
+  List.concat_map
+    (fun (s : C.Instrument.site) ->
+      let err fmt = Diag.vf ~code:"L012" Diag.Error (Diag.Function s.fn) fmt in
+      match
+        List.filter (fun (op : C.Operation.t) -> SS.mem s.fn op.funcs) image.ops
+      with
+      | [ op ] ->
+        let ro =
+          try A.Syncset.ro_set image.syncsets op.name
+          with Invalid_argument _ -> SS.empty
+        in
+        let target =
+          match C.Image.meta_of image op.name with
+          | Some meta -> C.Metadata.reloc_target meta s.var
+          | None -> 0
+        in
+        if C.Layout.reloc_slot image.layout s.var = None then
+          [ err "%s is resolved to 0x%08X but has no relocation slot" s.var
+              s.addr ]
+        else if SS.mem s.var ro then
+          [ err
+              "%s is resolved to 0x%08X but mapped read-only in %s, where                its slot target depends on the monitor mode"
+              s.var s.addr op.name ]
+        else if target <> s.addr then
+          [ err
+              "%s is resolved to 0x%08X but operation %s's relocation                target is 0x%08X"
+              s.var s.addr op.name target ]
+        else []
+      | owners ->
+        [ err
+            "%s is resolved to 0x%08X but the function belongs to %d              operations: only a function of exactly one may skip the              relocation table"
+            s.var s.addr (List.length owners) ])
+    image.stats.resolved
+
 (* --- L008: layout consistency ------------------------------------------- *)
 
 let layout_consistency (image : C.Image.t) =

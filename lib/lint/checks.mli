@@ -1,4 +1,4 @@
-(** The static policy checkers (codes L001–L006, L008–L010).
+(** The static policy checkers (codes L001–L006, L008–L010, L012).
 
     Each checker examines one facet of a compiled {!Opec_core.Image.t}
     against the isolation policy the OPEC compiler derived: indirect-call
@@ -61,3 +61,10 @@ val sync_schedule_soundness : check
     errors if the embedded schedule is not conservative for it wherever
     a slot exists. *)
 val unsyncable_escape : check
+
+(** L012: resolved relocations — every shared-global use the compiler
+    bound to a constant is in a function of exactly one operation, names
+    a variable with a relocation slot that the operation does not map
+    read-only, and equals the operation's relocation target
+    ({!Opec_core.Metadata.reloc_target}). *)
+val resolved_relocation : check

@@ -74,7 +74,10 @@ let checkers =
             Oracle.check_sync_trace ~map:r.map ~events:r.events
               ~failure:r.failure image
           | Some (Live w) -> Oracle.check_sync ~devices:(w ()) image
-          | None -> Oracle.check_sync image) } ]
+          | None -> Oracle.check_sync image) };
+    static "resolved-relocation" ~code:"L012"
+      ~doc:"compile-time relocation constants equal the table's value"
+      Checks.resolved_relocation ]
 
 let find_checker code =
   List.find_opt (fun c -> String.equal c.code code) checkers

@@ -225,8 +225,44 @@ let emit_span t on kind ~src ~dst =
 
 (* --- construction ------------------------------------------------------- *)
 
+(* Every relocation the compiler resolved to a constant must be the
+   value the table would hold at that site in every monitor mode:
+   recomputed from the image's operations, metadata and schedule. *)
+let check_resolved (image : C.Image.t) =
+  match image.C.Image.stats.C.Instrument.resolved with
+  | [] -> ()
+  | sites ->
+    let resolve =
+      C.Instrument.resolver ~layout:image.C.Image.layout ~ops:image.C.Image.ops
+        ~metas:image.C.Image.metas ~syncsets:image.C.Image.syncsets
+    in
+    List.iter
+      (fun (s : C.Instrument.site) ->
+        let refuse why =
+          raise
+            (Violation
+               (Fmt.str "relocation of %s in %s resolved to 0x%08X, but %s"
+                  s.C.Instrument.var s.C.Instrument.fn s.C.Instrument.addr why))
+        in
+        match resolve s.C.Instrument.fn s.C.Instrument.var with
+        | C.Instrument.Resolved addr when addr = s.C.Instrument.addr -> ()
+        | C.Instrument.Resolved addr ->
+          refuse (Fmt.str "the operation's target is 0x%08X" addr)
+        | C.Instrument.Not_external -> refuse "it has no relocation slot"
+        | C.Instrument.Owners n ->
+          refuse
+            (Fmt.str "the function belongs to %d operations, not one" n)
+        | C.Instrument.Read_only op ->
+          refuse
+            (Fmt.str
+               "it is mapped read-only in %s, where the slot's target \
+                depends on the monitor mode"
+               op))
+      sites
+
 let create ?(sync_whole_section = false) ?(full_sync = false)
     ?(sink = Obs.Sink.null) (image : C.Image.t) (bus : M.Bus.t) =
+  check_resolved image;
   let layout = image.C.Image.layout in
   let ss = image.C.Image.syncsets in
   let full = full_sync || sync_whole_section in
@@ -362,10 +398,7 @@ let create ?(sync_whole_section = false) ?(full_sync = false)
           (fun (var, slot) ->
             let target =
               if Ss.SS.mem var ro_sets.(i) then master_addr var
-              else
-                match List.assoc_opt var meta.C.Metadata.shadow_slots with
-                | Some shadow -> shadow
-                | None -> 0
+              else C.Metadata.reloc_target meta var
             in
             (slot, Int64.of_int target))
           layout.C.Layout.reloc_slots

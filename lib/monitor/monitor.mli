@@ -20,7 +20,13 @@ exception Violation of string
     sections at switches instead of only the shared variables;
     [full_sync:true] the ablation that copies every shadow slot at
     switches, ignoring the schedule (the pre-schedule behaviour); [sink]
-    attaches a telemetry collector (default {!Opec_obs.Sink.null}). *)
+    attaches a telemetry collector (default {!Opec_obs.Sink.null}).
+
+    Raises {!Violation}, naming the function and the variable, when a
+    relocation the image resolved at compile time disagrees with
+    {!Opec_core.Instrument.resolver}: the function is not in exactly
+    one operation, the variable is mapped read-only there, or the
+    constant is not that operation's target. *)
 val create :
   ?sync_whole_section:bool ->
   ?full_sync:bool ->

@@ -61,7 +61,8 @@ let syncsets_of ~points_to ~callgraph ~(ops : Operation.t list)
 (* Stages 1d: image generation from precomputed analysis artifacts.
    [program] must already be validated. *)
 let back ?(board = Opec_machine.Memmap.stm32f4_discovery)
-    ?(backend = Opec_machine.Backend.Mpu) ?(sort_sections = true) ?syncsets
+    ?(backend = Opec_machine.Backend.Mpu) ?(sort_sections = true)
+    ?(resolve_relocs = true) ?syncsets
     ~points_to ~callgraph ~resources ~(ops : Operation.t list)
     (program : Program.t) (input : Dev_input.t) : Image.t =
   Atomic.incr invocations;
@@ -73,15 +74,20 @@ let back ?(board = Opec_machine.Memmap.stm32f4_discovery)
     | Some s -> s
     | None -> syncsets_of ~points_to ~callgraph ~ops ~input program
   in
+  let resolve =
+    if resolve_relocs then
+      Some (Instrument.resolver ~layout ~ops ~metas ~syncsets)
+    else None
+  in
   let instrumented, stats =
-    Instrument.instrument program layout
+    Instrument.instrument ?resolve program layout
       ~entries:(List.map (fun (op : Operation.t) -> op.Operation.entry) ops)
   in
   Image.assemble ~backend ~board ~input ~ops ~layout ~metas ~stats ~callgraph
     ~resources ~points_to ~syncsets ~source:program instrumented
 
-let compile ?board ?backend ?sort_sections (program : Program.t)
-    (input : Dev_input.t) : Image.t =
+let compile ?board ?backend ?sort_sections ?resolve_relocs
+    (program : Program.t) (input : Dev_input.t) : Image.t =
   let program = front program in
   (* Stage 1a: call graph generation (points-to + type-based fallback) *)
   let points_to = Opec_analysis.Points_to.solve program in
@@ -91,8 +97,8 @@ let compile ?board ?backend ?sort_sections (program : Program.t)
   (* Stage 1c: operation partitioning *)
   let ops = Partition.partition ?backend program callgraph resources input in
   (* Stage 1d: image generation *)
-  back ?board ?backend ?sort_sections ~points_to ~callgraph ~resources ~ops
-    program input
+  back ?board ?backend ?sort_sections ?resolve_relocs ~points_to ~callgraph
+    ~resources ~ops program input
 
 (* The policy file for an image. *)
 let policy (image : Image.t) = Policy.to_string image.Image.ops

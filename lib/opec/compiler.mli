@@ -8,11 +8,15 @@
 
 (** Compile a program with the developer inputs into a protected image.
     [sort_sections:false] selects declaration-order section placement
-    (ablation). *)
+    (ablation); [resolve_relocs:false] sends every shared-global use
+    through the relocation table, as the paper's Section 4.4 does,
+    instead of resolving it at compile time in functions that belong to
+    one operation. *)
 val compile :
   ?board:Opec_machine.Memmap.board ->
   ?backend:Opec_machine.Backend.kind ->
   ?sort_sections:bool ->
+  ?resolve_relocs:bool ->
   Opec_ir.Program.t ->
   Dev_input.t ->
   Image.t
@@ -42,6 +46,7 @@ val back :
   ?board:Opec_machine.Memmap.board ->
   ?backend:Opec_machine.Backend.kind ->
   ?sort_sections:bool ->
+  ?resolve_relocs:bool ->
   ?syncsets:Opec_analysis.Syncset.t ->
   points_to:Opec_analysis.Points_to.t ->
   callgraph:Opec_analysis.Callgraph.t ->

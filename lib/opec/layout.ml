@@ -31,6 +31,7 @@ type t = {
   externals : string list;
   reloc_base : int;
   reloc_slots : (string * int) list;      (** external var -> table slot addr *)
+  slot_index : (string, int) Hashtbl.t;    (** [reloc_slots] as a table *)
   stack_base : int;
   stack_top : int;
   data_base : int;
@@ -102,6 +103,8 @@ let build ?(sort_sections = true) ?(backend = Opec_machine.Backend.Mpu)
   let reloc_slots =
     List.mapi (fun i v -> (v, reloc_base + (i * 4))) cls.Partition.external_
   in
+  let slot_index = Hashtbl.create 64 in
+  List.iter (fun (v, a) -> Hashtbl.replace slot_index v a) reloc_slots;
   cursor := reloc_base + (4 * List.length cls.Partition.external_);
   (* 3. application stack: one MPU region with 8 sub-regions *)
   let stack_base = align Config.stack_size !cursor in
@@ -188,6 +191,7 @@ let build ?(sort_sections = true) ?(backend = Opec_machine.Backend.Mpu)
     externals = cls.Partition.external_;
     reloc_base;
     reloc_slots;
+    slot_index;
     stack_base;
     stack_top;
     data_base = Opec_machine.Memmap.sram_base;
@@ -197,7 +201,7 @@ let build ?(sort_sections = true) ?(backend = Opec_machine.Backend.Mpu)
 
 let section_of t op_name = List.assoc_opt op_name t.op_sections
 
-let reloc_slot t var = List.assoc_opt var t.reloc_slots
+let reloc_slot t var = Hashtbl.find_opt t.slot_index var
 
 let shadow_of t ~op ~var =
   match Hashtbl.find_opt t.shadow_addr var with
@@ -206,7 +210,7 @@ let shadow_of t ~op ~var =
 
 let master_of t var = Hashtbl.find_opt t.var_home var
 
-let is_external t var = List.mem var t.externals
+let is_external t var = Hashtbl.mem t.slot_index var
 
 (* SRAM bytes consumed by OPEC's data plan, including the MPU-alignment
    fragments inside and between operation data sections. *)

@@ -28,6 +28,7 @@ type t = {
   externals : string list;             (** shared (shadowed) variables *)
   reloc_base : int;
   reloc_slots : (string * int) list;   (** shared var -> table slot addr *)
+  slot_index : (string, int) Hashtbl.t;  (** [reloc_slots] as a table *)
   stack_base : int;
   stack_top : int;
   data_base : int;

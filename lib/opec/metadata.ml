@@ -98,5 +98,13 @@ let build ?(cls : Partition.classification option) (layout : Layout.t)
           periph_regions; bytes } ))
     ops
 
+(* What an operation's relocation slot for a shared variable holds
+   outside the read-only mappings: its shadow, or 0 (NULL) when the
+   operation has no access to the variable. *)
+let reloc_target meta var =
+  match List.assoc_opt var meta.shadow_slots with
+  | Some shadow -> shadow
+  | None -> 0
+
 let total_bytes metas =
   List.fold_left (fun acc (_, m) -> acc + m.bytes) 0 metas

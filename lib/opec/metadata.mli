@@ -23,4 +23,11 @@ val build :
   ?cls:Partition.classification -> Layout.t -> Dev_input.t ->
   Operation.t list -> (string * op_meta) list
 
+(** The relocation target of a shared variable for the operation when
+    the variable is not mapped read-only: its shadow from
+    [shadow_slots], or 0 (NULL) when the operation has none.  The
+    monitor's relocation table and the compile-time resolution of
+    {!Instrument} both derive from it. *)
+val reloc_target : op_meta -> string -> int
+
 val total_bytes : (string * op_meta) list -> int

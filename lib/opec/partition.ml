@@ -67,10 +67,6 @@ let partition ?backend (p : Program.t) (cg : CG.t) (resources : R.t)
   in
   make 0 p.main :: ops
 
-(* Operations (by name) whose resource dependency includes global [g]. *)
-let users_of_global ops g =
-  List.filter (fun op -> SS.mem g (Operation.accessible_globals op)) ops
-
 (* Writable globals accessed by two or more operations get shadow copies
    ("external"); those accessed by exactly one live directly in that
    operation's data section ("internal") — Section 4.4. *)
@@ -84,11 +80,21 @@ type classification = {
 let classify_globals (p : Program.t) ops =
   let internal = ref [] and external_ = ref [] and unused = ref [] in
   let heap = ref [] in
+  (* each operation's resource union, computed once rather than once per
+     global *)
+  let accessible =
+    List.map (fun op -> (op, Operation.accessible_globals op)) ops
+  in
+  let users g =
+    List.filter_map
+      (fun (op, globals) -> if SS.mem g globals then Some op else None)
+      accessible
+  in
   List.iter
     (fun (g : Global.t) ->
       if g.heap then heap := g.name :: !heap
       else if not g.const then
-        match users_of_global ops g.name with
+        match users g.name with
         | [] -> unused := g.name :: !unused
         | [ op ] -> internal := (g.name, op) :: !internal
         | _ :: _ :: _ -> external_ := g.name :: !external_)

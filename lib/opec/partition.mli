@@ -28,8 +28,6 @@ val partition :
   Dev_input.t ->
   Operation.t list
 
-val users_of_global : Operation.t list -> string -> Operation.t list
-
 (** Writable globals accessed by one operation are internal to it; by
     two or more, external (shadow-copied); by none, unused. *)
 type classification = {

@@ -186,6 +186,27 @@ let test_negative_counts () =
   check_status "trace --limit=-1" ~code:124 ~says:"bad count \"-1\""
     (Filename.quote_command cli [ "trace"; "PinLock"; "--limit=-1" ])
 
+(* Negative generator sizes and mutation budgets are usage errors. *)
+let test_negative_size_budget () =
+  check_status "fuzz --size=-3" ~code:124 ~says:"bad count \"-3\""
+    (Filename.quote_command cli [ "fuzz"; "--seeds"; "0..0"; "--size=-3" ]);
+  check_status "fuzz --budget=-2" ~code:124 ~says:"bad count \"-2\""
+    (Filename.quote_command cli
+       [ "fuzz"; "--seeds"; "0..0"; "--corpus"; "_cli_corpus"; "--budget=-2" ]);
+  check_status "fleet --size=-1" ~code:124 ~says:"bad count \"-1\""
+    (Filename.quote_command cli [ "fleet"; "--seeds"; "0..0"; "--size=-1" ])
+
+(* A worker count below one is a usage error on every parallel command. *)
+let test_worker_count () =
+  List.iter
+    (fun cmd ->
+      check_status
+        (String.concat " " cmd ^ " -j 0")
+        ~code:124 ~says:"bad count \"0\""
+        (Filename.quote_command cli (cmd @ [ "-j"; "0" ])))
+    [ [ "attack" ]; [ "fuzz"; "--seeds"; "0..0" ]; [ "fleet" ];
+      [ "compare-backends" ] ]
+
 let suite () =
   [ ( "cli-json",
       [ Alcotest.test_case "parse_json is strict" `Quick test_parser_strict;
@@ -196,6 +217,10 @@ let suite () =
           test_replay_bad_file;
         Alcotest.test_case "negative counts are usage errors" `Quick
           test_negative_counts;
+        Alcotest.test_case "negative size and budget are usage errors" `Quick
+          test_negative_size_budget;
+        Alcotest.test_case "worker counts below one are usage errors" `Quick
+          test_worker_count;
         Alcotest.test_case "fuzz --json escapes hostile corpus bytes" `Slow
           test_hostile_corpus;
         Alcotest.test_case "fleet --json - is pure JSON" `Slow

@@ -196,6 +196,111 @@ let test_instrumentation () =
   in
   Alcotest.(check bool) "direct access rewritten" false mentions_shared
 
+let has_rel_prologue (f : Func.t) =
+  List.exists
+    (function
+      | Instr.Load (tmp, _, _) ->
+        String.length tmp > 5 && String.sub tmp 0 5 = "$rel_"
+      | _ -> false)
+    f.Func.body
+
+(* task_a belongs to one operation and writes [shared]: its slot would
+   only ever hold task_a's shadow, so the constant replaces the load *)
+let test_resolved_relocation () =
+  let image = compile () in
+  let task_a = Program.func_exn image.C.Image.program "task_a" in
+  Alcotest.(check bool) "no relocation prologue" false (has_rel_prologue task_a);
+  let shadow =
+    Option.get
+      (C.Layout.shadow_of image.C.Image.layout ~op:"task_a" ~var:"shared")
+  in
+  let stores_to_shadow =
+    Instr.fold_block
+      (fun acc instr ->
+        acc
+        ||
+        match instr with
+        | Instr.Store (_, Expr.Const a, _) -> Int64.to_int a = shadow
+        | _ -> false)
+      false task_a.Func.body
+  in
+  Alcotest.(check bool) "&shared is task_a's shadow" true stores_to_shadow;
+  Alcotest.(check bool) "site recorded" true
+    (List.mem
+       { C.Instrument.fn = "task_a"; var = "shared"; addr = shadow }
+       image.C.Image.stats.C.Instrument.resolved);
+  (* helper is in both operations and keeps its load (see
+     [test_instrumentation]); it is the one table site left *)
+  Alcotest.(check int) "table loads" 1
+    image.C.Image.stats.C.Instrument.reloc_sites;
+  (* the paper's configuration routes task_a through the table too, and
+     pays for one more load: its IR instruction in the code-size model
+     plus the modeled relocation sequence *)
+  let table =
+    C.Compiler.compile ~resolve_relocs:false (sample_program ())
+      (C.Dev_input.v [ "task_a"; "task_b" ])
+  in
+  Alcotest.(check bool) "table-only keeps the prologue" true
+    (has_rel_prologue (Program.func_exn table.C.Image.program "task_a"));
+  Alcotest.(check int) "table-only resolves nothing" 0
+    (List.length table.C.Image.stats.C.Instrument.resolved);
+  Alcotest.(check int) "one load's flash saved"
+    (Program.bytes_per_instr + C.Config.reloc_load_bytes)
+    (table.C.Image.flash_used - image.C.Image.flash_used)
+
+(* A read-only mapping's slot targets the master under the static
+   schedule but the shadow under the full-sync ablations: no single
+   constant is right, so the load stays even in a one-operation
+   function. *)
+let test_read_only_keeps_table () =
+  let p =
+    Program.v ~name:"ro"
+      ~globals:[ word "shared"; word "out" ]
+      ~peripherals:[]
+      ~funcs:
+        [ func "writer" [] [ store (gv "shared") (c 7); ret0 ];
+          func "reader" []
+            [ load "v" (gv "shared"); store (gv "out") (l "v"); ret0 ];
+          func "main" [] [ call "writer" []; call "reader" []; halt ] ]
+      ()
+  in
+  let image = C.Compiler.compile p (C.Dev_input.v [ "writer"; "reader" ]) in
+  Alcotest.(check bool) "shared is read-only in reader" true
+    (Opec_analysis.Syncset.SS.mem "shared"
+       (Opec_analysis.Syncset.ro_set image.C.Image.syncsets "reader"));
+  let reader = Program.func_exn image.C.Image.program "reader" in
+  (match reader.Func.body with
+  | Instr.Load ("$rel_shared", Instr.W32, Expr.Const slot) :: _ ->
+    Alcotest.(check (option int)) "slot address" (Some (Int64.to_int slot))
+      (C.Layout.reloc_slot image.C.Image.layout "shared")
+  | _ -> Alcotest.fail "reader should load its relocation slot");
+  Alcotest.(check bool) "writer resolved" false
+    (has_rel_prologue (Program.func_exn image.C.Image.program "writer"))
+
+(* The paper's configuration (every shared-global use through the
+   table) stays reproducible: its protected cycles on CoreMark and
+   PinLock are the ones recorded before resolution existed. *)
+let test_table_only_cycles () =
+  List.iter
+    (fun ((app : Opec_apps.App.t), expected) ->
+      let image =
+        C.Compiler.compile ~board:app.Opec_apps.App.board
+          ~resolve_relocs:false app.Opec_apps.App.program
+          app.Opec_apps.App.dev_input
+      in
+      let world = app.Opec_apps.App.make_world () in
+      world.Opec_apps.App.prepare ();
+      let r =
+        Opec_monitor.Runner.run_protected
+          ~devices:world.Opec_apps.App.devices image
+      in
+      Alcotest.(check int64)
+        (app.Opec_apps.App.app_name ^ " table-only protected cycles")
+        expected
+        (Opec_exec.Interp.cycles r.Opec_monitor.Runner.interp))
+    [ (Opec_apps.Registry.coremark (), 4_231_184L);
+      (Opec_apps.Registry.pinlock (), 10_069_212L) ]
+
 let test_image_accounting () =
   let image = compile () in
   Alcotest.(check bool) "flash grows vs baseline" true
@@ -284,6 +389,11 @@ let suite () =
         Alcotest.test_case "peripheral merging" `Quick test_peripheral_merging;
         Alcotest.test_case "mpu plan" `Quick test_mpu_plan;
         Alcotest.test_case "instrumentation" `Quick test_instrumentation;
+        Alcotest.test_case "resolved relocation" `Quick test_resolved_relocation;
+        Alcotest.test_case "read-only keeps the table" `Quick
+          test_read_only_keeps_table;
+        Alcotest.test_case "table-only cycles pinned" `Quick
+          test_table_only_cycles;
         Alcotest.test_case "image accounting" `Quick test_image_accounting;
         Alcotest.test_case "policy rendering" `Quick test_policy_rendering;
         QCheck_alcotest.to_alcotest prop_layout_random ] ) ]

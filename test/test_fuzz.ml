@@ -190,6 +190,40 @@ let test_defects_need_corruption () =
         (F.Oracle.check_app ~properties:[ prop ] app))
     F.Defect.all
 
+(* Corrupted shadow slots no longer match the relocations the compiler
+   resolved, so the monitor refuses the image at creation.  That refusal
+   must reach transparency as its own verdict (the protected run died,
+   the baseline ran), not as an exception escaping the oracle. *)
+let test_corrupt_shadow_refused_at_create () =
+  let prop = Option.get (F.Oracle.find "transparency") in
+  let rec hunt seed =
+    if seed > 99 then Alcotest.fail "no seed in 0..99 corrupts a resolved site"
+    else
+      let program, dev_input = F.Gen.case ~seed ~size:2 in
+      match C.Compiler.compile ~board program dev_input with
+      | exception _ -> hunt (seed + 1)
+      | img -> (
+        match F.Defect.apply F.Defect.Corrupt_shadow img with
+        | Some bad
+          when (try
+                  ignore (Opec_monitor.Monitor.create bad
+                            (Opec_machine.Bus.create ~board));
+                  false
+                with Opec_monitor.Monitor.Violation _ -> true) ->
+          (F.Gen.app_of program dev_input, bad)
+        | _ -> hunt (seed + 1))
+  in
+  let app, bad = hunt 0 in
+  match F.Oracle.check_app ~image:bad ~properties:[ prop ] app with
+  | [ ("transparency", detail) ] ->
+    let starts p =
+      String.length detail >= String.length p
+      && String.sub detail 0 (String.length p) = p
+    in
+    Alcotest.(check bool) ("a transparency verdict: " ^ detail) true
+      (starts "protected died, baseline ran")
+  | _ -> Alcotest.fail "transparency must fail on the refused image"
+
 (* --- Interp.last_fault regression ---------------------------------------- *)
 
 (* A faulting run used to leave [last_fault] set for the next run of
@@ -416,6 +450,8 @@ let suite () =
           (test_defect_gate F.Defect.Corrupt_shadow);
         Alcotest.test_case "clean images pass the gate properties" `Quick
           test_defects_need_corruption;
+        Alcotest.test_case "corrupt-shadow refused at monitor creation" `Quick
+          test_corrupt_shadow_refused_at_create;
         Alcotest.test_case "last_fault resets between runs" `Quick
           test_last_fault_reset;
         Alcotest.test_case "guided beats blind on seeded defects" `Slow

@@ -389,11 +389,42 @@ let test_diag_ordering_and_json () =
         true (contains needle json))
     [ {|"code":"L001"|}; {|"severity":"warning"|}; {|\"resolution\"|} ]
 
+(* L012: a resolved relocation re-pointed at another operation's shadow,
+   and one claimed for a function two operations share. *)
+let test_seeded_l012 () =
+  let image = compile () in
+  Alcotest.(check (list string)) "clean image" []
+    (error_codes (L.Checks.resolved_relocation image));
+  let layout = image.C.Image.layout in
+  let shadow op = Option.get (C.Layout.shadow_of layout ~op ~var:"shared") in
+  let stats = image.C.Image.stats in
+  Alcotest.(check bool) "task_a resolved" true
+    (List.exists
+       (fun (s : C.Instrument.site) -> String.equal s.C.Instrument.fn "task_a")
+       stats.C.Instrument.resolved);
+  let with_sites resolved =
+    { image with C.Image.stats = { stats with C.Instrument.resolved } }
+  in
+  let retargeted =
+    with_sites
+      (List.map
+         (fun (s : C.Instrument.site) -> { s with C.Instrument.addr = shadow "task_b" })
+         stats.C.Instrument.resolved)
+  in
+  check_fires "foreign shadow" "L012" (L.Lint.run retargeted);
+  let shared_helper =
+    with_sites
+      ({ C.Instrument.fn = "helper"; var = "shared"; addr = shadow "task_a" }
+      :: stats.C.Instrument.resolved)
+  in
+  check_fires "two-operation function" "L012"
+    (L.Checks.resolved_relocation shared_helper)
+
 let test_registry_complete () =
   let codes = List.map (fun c -> c.L.Lint.code) L.Lint.checkers in
   Alcotest.(check (list string)) "registry codes"
     [ "L001"; "L002"; "L003"; "L004"; "L005"; "L006"; "L007"; "L008"; "L009";
-      "L010"; "L011" ]
+      "L010"; "L011"; "L012" ]
     codes;
   Alcotest.(check bool) "only the trace oracles are dynamic" true
     (List.for_all
@@ -434,6 +465,8 @@ let suite () =
           test_seeded_l010_unsyncable_escape;
         Alcotest.test_case "seeded L011 stale read" `Quick
           test_seeded_l011_stale_read;
+        Alcotest.test_case "seeded L012 resolved relocation" `Quick
+          test_seeded_l012;
         Alcotest.test_case "L002 dead code is info" `Quick
           test_l002_dead_code_is_info;
         Alcotest.test_case "diag ordering and json" `Quick

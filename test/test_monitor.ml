@@ -199,6 +199,71 @@ let test_unlisted_peripheral_blocked () =
   | _ -> Alcotest.fail "unlisted peripheral should abort"
   | exception Ex.Interp.Aborted _ -> ()
 
+(* An image whose compile-time relocation constant points at another
+   operation's shadow — the recorded site and the code both re-pointed —
+   is refused before anything runs, naming the function and the
+   variable. *)
+let test_tampered_resolution_rejected () =
+  let p =
+    Program.v ~name:"resolved"
+      ~globals:[ word "shared" ]
+      ~peripherals:[]
+      ~funcs:
+        [ func "task_a" [] [ store (gv "shared") (c 1); ret0 ];
+          func "task_b" [] [ store (gv "shared") (c 2); ret0 ];
+          func "main" [] [ call "task_a" []; call "task_b" []; halt ] ]
+      ()
+  in
+  let image = compile ~entries:[ "task_a"; "task_b" ] p in
+  ignore (run image);
+  let shadow op =
+    Option.get (C.Layout.shadow_of image.C.Image.layout ~op ~var:"shared")
+  in
+  let a = shadow "task_a" and b = shadow "task_b" in
+  let stats = image.C.Image.stats in
+  Alcotest.(check bool) "task_a resolved to its shadow" true
+    (List.mem { C.Instrument.fn = "task_a"; var = "shared"; addr = a }
+       stats.C.Instrument.resolved);
+  let retarget (f : Func.t) =
+    if not (String.equal f.Func.name "task_a") then f
+    else
+      { f with
+        Func.body =
+          Instr.map_block
+            (fun i ->
+              [ Instr.map_exprs
+                  (fun e ->
+                    if e = E.i a then E.i b else e)
+                  i ])
+            f.Func.body }
+  in
+  let tampered =
+    { image with
+      C.Image.program =
+        { image.C.Image.program with
+          Program.funcs = List.map retarget image.C.Image.program.Program.funcs };
+      stats =
+        { stats with
+          C.Instrument.resolved =
+            List.map
+              (fun (s : C.Instrument.site) ->
+                if String.equal s.C.Instrument.fn "task_a" then
+                  { s with C.Instrument.addr = b }
+                else s)
+              stats.C.Instrument.resolved } }
+  in
+  let bus = M.Bus.create ~board:tampered.C.Image.board in
+  match Mon.Monitor.create tampered bus with
+  | _ -> Alcotest.fail "a mis-resolved relocation must be refused"
+  | exception Mon.Monitor.Violation msg ->
+    let mentions needle =
+      let n = String.length msg and m = String.length needle in
+      let rec go i = i + m <= n && (String.sub msg i m = needle || go (i + 1)) in
+      go 0
+    in
+    Alcotest.(check bool) ("names the function: " ^ msg) true (mentions "task_a");
+    Alcotest.(check bool) ("names the variable: " ^ msg) true (mentions "shared")
+
 (* the relocation table is read-only at the unprivileged level *)
 let test_reloc_table_not_writable () =
   let benign =
@@ -502,6 +567,8 @@ let suite () =
         Alcotest.test_case "cross-section write blocked" `Quick test_cross_section_write_blocked;
         Alcotest.test_case "unlisted peripheral blocked" `Quick test_unlisted_peripheral_blocked;
         Alcotest.test_case "reloc table protected" `Quick test_reloc_table_not_writable;
+        Alcotest.test_case "tampered resolution rejected" `Quick
+          test_tampered_resolution_rejected;
         Alcotest.test_case "sanitization" `Quick test_sanitization_aborts;
         Alcotest.test_case "argument relocation" `Quick test_argument_relocation;
         Alcotest.test_case "stack sub-regions" `Quick test_stack_subregions_disabled;

@@ -60,6 +60,11 @@ let verified_run ?sync_whole_section ?full_sync ~backend (app : Apps.App.t) =
   Mon.Monitor.init r.Mon.Runner.monitor;
   verify "init";
   Ex.Interp.run ~reset_stack:false r.Mon.Runner.interp;
+  (* the run's outputs are the app's own check: a wrong compile-time
+     relocation would show here even where the table verifies *)
+  (match world.Apps.App.check () with
+  | Ok () -> ()
+  | Error e -> failures := ("output check: " ^ e) :: !failures);
   (!checks, List.rev !failures)
 
 let check_verified ?sync_whole_section ?full_sync what backends =
@@ -81,9 +86,12 @@ let check_verified ?sync_whole_section ?full_sync what backends =
 
 let test_verify_backends () = check_verified "schedule" M.Backend.all_kinds
 
+(* The images resolve relocations at compile time in single-operation
+   functions; the constants must hold under both ablations (which point
+   read-only slots at the shadow), on every backend. *)
 let test_verify_ablations () =
-  check_verified ~full_sync:true "full-sync" [ M.Backend.Mpu ];
-  check_verified ~sync_whole_section:true "whole-section" [ M.Backend.Mpu ]
+  check_verified ~full_sync:true "full-sync" M.Backend.all_kinds;
+  check_verified ~sync_whole_section:true "whole-section" M.Backend.all_kinds
 
 (* --- the switch-heavy scenarios, bit for bit ----------------------------- *)
 
