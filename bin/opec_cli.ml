@@ -23,8 +23,8 @@
    Every command draws its artifacts from the compile-once pipeline, so
    within one invocation each workload is compiled and run at most
    once no matter how many commands' worth of work an invocation does.
-   Parallel commands (attack --all, fuzz, fleet) share one domain pool;
-   [-j] sets its size for the invocation. *)
+   Parallel commands (attack, compare-backends, fuzz, fleet) share one
+   domain pool; [-j] sets its size for the invocation. *)
 
 open Cmdliner
 module M = Opec_machine
@@ -42,20 +42,40 @@ let print_json v = Format.printf "%s@." (Json.to_string v)
 let write_file path s =
   Out_channel.with_open_text path (fun oc -> output_string oc s)
 
-let find_app name =
-  match Apps.Registry.find name (Apps.Registry.all ()) with
-  | Some app -> Ok app
+let exits_with_error msg =
+  Format.eprintf "error: %s@." msg;
+  exit 1
+
+(* Look a workload up by name in [registry] (default: the full-size
+   workloads); an unknown name is an input error (exit 1). *)
+let find_app ?(registry = Apps.Registry.all) name =
+  match Apps.Registry.find name (registry ()) with
+  | Some app -> app
   | None ->
-    Error
+    exits_with_error
       (Printf.sprintf "unknown application %S; try `opec list'" name)
 
 let app_arg =
   let doc = "Workload name (see `opec list')." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
 
-let exits_with_error msg =
-  Format.eprintf "error: %s@." msg;
-  exit 1
+(* "APP, or every workload of a registry", the optional positional
+   argument of trace, profile, syncsets, lint, attack and
+   compare-backends.  The term yields a picker that a command applies to
+   its registry, so the name is looked up only once every other argument
+   has parsed, and an unknown one exits 1 after any usage error. *)
+let workloads_arg what =
+  let doc =
+    Printf.sprintf "Workload to %s (default: every bundled workload)." what
+  in
+  let pick name registry =
+    match name with
+    | None -> registry ()
+    | Some n -> [ find_app ~registry n ]
+  in
+  Term.(
+    const pick
+    $ Arg.(value & pos 0 (some string) None & info [] ~docv:"APP" ~doc))
 
 (* "A..B" inclusive seed ranges, shared by fuzz and fleet. *)
 let seed_range_conv =
@@ -85,14 +105,26 @@ let count_conv =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-(* Worker counts ([-j]): zero or a negative one is a usage error. *)
-let positive_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "bad count %S (want an integer >= 1)" s))
+(* Worker domains ([-j]) of attack, compare-backends, fuzz and fleet:
+   the size of the one domain pool they share.  Zero or a negative count
+   is a usage error. *)
+let domains_arg =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "bad count %S (want an integer >= 1)" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.(
+    value
+    & opt (some positive) None
+    & info [ "j"; "domains" ] ~docv:"N"
+        ~doc:
+          "Worker domains (default: pool size).  The pool is shared with \
+           every other parallel command, so nested parallel work runs \
+           inline instead of oversubscribing.")
 
 (* Interpreter-engine selection, shared by run and compare: the two
    engines are observationally identical (the engine-differential
@@ -168,10 +200,7 @@ let list_cmd =
 
 let policy_cmd =
   let run name =
-    match find_app name with
-    | Error e -> exits_with_error e
-    | Ok app ->
-      print_endline (C.Compiler.policy (P.image (P.ctx app)))
+    print_endline (C.Compiler.policy (P.image (P.ctx (find_app name))))
   in
   Cmd.v
     (Cmd.info "policy"
@@ -186,26 +215,25 @@ let run_cmd =
   in
   let run name baseline_only engine =
     P.set_engine engine;
-    match find_app name with
-    | Error e -> exits_with_error e
-    | Ok app ->
+    let c = P.ctx (find_app name) in
+    let check =
       if baseline_only then begin
-        let b = P.baseline (P.ctx app) in
+        let b = P.baseline c in
         P.reraise b.P.b_err;
         Format.printf "cycles: %Ld@." b.P.b_cycles;
-        match b.P.b_check with
-        | Ok () -> Format.printf "world check: OK@."
-        | Error e -> exits_with_error ("world check failed: " ^ e)
+        b.P.b_check
       end
       else begin
-        let p = P.protected_ (P.ctx app) in
+        let p = P.protected_ c in
         P.reraise p.P.p_err;
         Format.printf "cycles: %Ld@." p.P.p_cycles;
         Format.printf "monitor: %a@." Mon.Stats.pp p.P.p_stats;
-        match p.P.p_check with
-        | Ok () -> Format.printf "world check: OK@."
-        | Error e -> exits_with_error ("world check failed: " ^ e)
+        p.P.p_check
       end
+    in
+    match check with
+    | Ok () -> Format.printf "world check: OK@."
+    | Error e -> exits_with_error ("world check failed: " ^ e)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a workload on the machine model")
@@ -216,23 +244,20 @@ let run_cmd =
 let compare_cmd =
   let run name engine =
     P.set_engine engine;
-    match find_app name with
-    | Error e -> exits_with_error e
-    | Ok app ->
-      let c = P.ctx app in
-      let baseline = P.baseline c in
-      P.reraise baseline.P.b_err;
-      let protected_ = P.protected_ c in
-      P.reraise protected_.P.p_err;
-      let image = P.image c in
-      Format.printf "baseline cycles:  %Ld@." baseline.P.b_cycles;
-      Format.printf "protected cycles: %Ld@." protected_.P.p_cycles;
-      Format.printf "runtime overhead: %.2f%%@."
-        (Met.Overhead.runtime_overhead_pct ~baseline ~protected_);
-      Format.printf "flash overhead:   %.2f%% of device flash@."
-        (C.Image.flash_overhead_pct image);
-      Format.printf "SRAM overhead:    %.2f%% of device SRAM@."
-        (C.Image.sram_overhead_pct image)
+    let c = P.ctx (find_app name) in
+    let baseline = P.baseline c in
+    P.reraise baseline.P.b_err;
+    let protected_ = P.protected_ c in
+    P.reraise protected_.P.p_err;
+    let image = P.image c in
+    Format.printf "baseline cycles:  %Ld@." baseline.P.b_cycles;
+    Format.printf "protected cycles: %Ld@." protected_.P.p_cycles;
+    Format.printf "runtime overhead: %.2f%%@."
+      (Met.Overhead.runtime_overhead_pct ~baseline ~protected_);
+    Format.printf "flash overhead:   %.2f%% of device flash@."
+      (C.Image.flash_overhead_pct image);
+    Format.printf "SRAM overhead:    %.2f%% of device SRAM@."
+      (C.Image.sram_overhead_pct image)
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Baseline vs OPEC overhead for one workload")
@@ -259,18 +284,14 @@ let aces_cmd =
           ~doc:"ACES strategy: filename (1), filename-no-opt (2), peripheral (3).")
   in
   let run name kind =
-    match find_app name with
-    | Error e -> exits_with_error e
-    | Ok app ->
-      let aces = A.Aces.analyze kind app.Apps.App.program in
-      Format.printf "%a@." A.Aces.pp aces;
-      let samples = Met.Overprivilege.aces_pt aces in
-      List.iter
-        (fun (s : Met.Overprivilege.pt_sample) ->
-          if s.Met.Overprivilege.pt > 0.0 then
-            Format.printf "PT %-40s %.3f@." s.Met.Overprivilege.domain
-              s.Met.Overprivilege.pt)
-        samples
+    let aces = A.Aces.analyze kind (find_app name).Apps.App.program in
+    Format.printf "%a@." A.Aces.pp aces;
+    List.iter
+      (fun (s : Met.Overprivilege.pt_sample) ->
+        if s.Met.Overprivilege.pt > 0.0 then
+          Format.printf "PT %-40s %.3f@." s.Met.Overprivilege.domain
+            s.Met.Overprivilege.pt)
+      (Met.Overprivilege.aces_pt aces)
   in
   Cmd.v
     (Cmd.info "aces" ~doc:"Show the ACES baseline's compartments for a workload")
@@ -280,10 +301,6 @@ let aces_cmd =
 
 let trace_cmd =
   let module Obs = Opec_obs in
-  let app_opt =
-    let doc = "Workload to trace (default: every bundled workload)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
-  in
   let out =
     Arg.(
       value
@@ -342,18 +359,11 @@ let trace_cmd =
         Format.eprintf "wrote %d %s events to %s@." (List.length events)
           (Obs.Export.format_name fmt) path)
   in
-  let run name backend fmt limit out =
-    let apps =
-      match name with
-      | None -> Ok (Apps.Registry.all ())
-      | Some n -> Result.map (fun a -> [ a ]) (find_app n)
-    in
-    match apps with
-    | Error e -> exits_with_error e
-    | Ok apps ->
-      if out <> None && List.length apps > 1 then
-        exits_with_error "--out requires naming a single workload";
-      List.iter (trace_app backend fmt limit out) apps
+  let run workloads backend fmt limit out =
+    let apps = workloads Apps.Registry.all in
+    if out <> None && List.length apps > 1 then
+      exits_with_error "--out requires naming a single workload";
+    List.iter (trace_app backend fmt limit out) apps
   in
   Cmd.v
     (Cmd.info "trace"
@@ -361,15 +371,12 @@ let trace_cmd =
          "Run a workload with cycle-accurate monitor telemetry and export \
           it: per-phase switch spans, region swaps, PPB emulations, and \
           denials, as human text, JSON, or a Chrome/Perfetto trace")
-    Term.(const run $ app_opt $ backend_arg $ format $ limit $ out)
+    Term.(
+      const run $ workloads_arg "trace" $ backend_arg $ format $ limit $ out)
 
 (* --------------------------------------------------------------- profile *)
 
 let profile_cmd =
-  let app_opt =
-    let doc = "Workload to profile (default: every bundled workload)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
-  in
   let profile_app (app : Apps.App.t) =
     let c = P.ctx app in
     let t0 = Unix.gettimeofday () in
@@ -384,31 +391,18 @@ let profile_cmd =
     let p = P.protected_ c in
     Format.printf "  monitor: %a@." Mon.Stats.pp p.P.p_stats
   in
-  let run name =
-    let apps =
-      match name with
-      | None -> Ok (Apps.Registry.all ())
-      | Some n -> Result.map (fun a -> [ a ]) (find_app n)
-    in
-    match apps with
-    | Error e -> exits_with_error e
-    | Ok apps -> List.iter profile_app apps
-  in
+  let run workloads = List.iter profile_app (workloads Apps.Registry.all) in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Materialize a workload's full artifact pipeline and print the \
           wall-clock cost of every stage (validate, analyses, partition, \
           image, reference runs, ACES)")
-    Term.(const run $ app_opt)
+    Term.(const run $ workloads_arg "profile")
 
 (* -------------------------------------------------------------- syncsets *)
 
 let syncsets_cmd =
-  let app_opt =
-    let doc = "Workload to report (default: every bundled workload)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
-  in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
   in
@@ -496,15 +490,8 @@ let syncsets_cmd =
       Format.printf "  schedule: %d B of flash@." image.C.Image.syncset_bytes
     end
   in
-  let run name json =
-    let apps =
-      match name with
-      | None -> Ok (Apps.Registry.all ())
-      | Some n -> Result.map (fun a -> [ a ]) (find_app n)
-    in
-    match apps with
-    | Error e -> exits_with_error e
-    | Ok apps -> List.iter (report_app ~json) apps
+  let run workloads json =
+    List.iter (report_app ~json) (workloads Apps.Registry.all)
   in
   Cmd.v
     (Cmd.info "syncsets"
@@ -513,15 +500,11 @@ let syncsets_cmd =
           sizes, read-only master mappings, dead (never-observed) \
           publishes, per-pair resume sets, escaped globals, and the \
           schedule's flash footprint")
-    Term.(const run $ app_opt $ json)
+    Term.(const run $ workloads_arg "report" $ json)
 
 (* ------------------------------------------------------------------ lint *)
 
 let lint_cmd =
-  let app_opt =
-    let doc = "Workload to lint (default: every bundled workload)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
-  in
   let all =
     Arg.(
       value & flag
@@ -563,34 +546,25 @@ let lint_cmd =
     end;
     Opec_lint.Lint.errors diags = []
   in
-  let run name all json =
-    let apps =
-      match name with
-      | None -> Ok (Apps.Registry.all ())
-      | Some n -> Result.map (fun a -> [ a ]) (find_app n)
+  let run workloads all json =
+    let ok =
+      List.fold_left
+        (fun ok app -> lint_app ~all ~json app && ok)
+        true (workloads Apps.Registry.all)
     in
-    match apps with
-    | Error e -> exits_with_error e
-    | Ok apps ->
-      let ok =
-        List.fold_left (fun ok app -> lint_app ~all ~json app && ok) true apps
-      in
-      if not ok then exit 1
+    if not ok then exit 1
   in
   Cmd.v
     (Cmd.info "lint"
        ~doc:
          "Verify a workload's derived policy: static checks over the \
           compiled image, plus (with --all) a dynamic trace oracle")
-    Term.(const run $ app_opt $ all $ json)
+    Term.(const run $ workloads_arg "lint" $ all $ json)
 
 (* ---------------------------------------------------------------- attack *)
 
 let attack_cmd =
-  let app_opt =
-    let doc = "Workload to attack (default: every bundled workload)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
-  in
+  let module Atk = Opec_attack in
   let all =
     Arg.(
       value & flag
@@ -608,62 +582,35 @@ let attack_cmd =
       & info [ "details" ]
           ~doc:"Show each cell's injection rationale and classification.")
   in
-  let domains =
-    Arg.(
-      value
-      & opt (some positive_conv) None
-      & info [ "j"; "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the campaign fan-out (default: pool \
-             size).  The pool is shared with every other parallel \
-             command, so nested parallel work runs inline instead of \
-             oversubscribing.")
-  in
-  let run name all json details domains backend =
+  let run workloads all json details domains backend =
     (* reduced-size workload variants: same code and policy, fewer
        rounds, so the 30-cell matrix per app stays quick *)
-    let small = Apps.Registry.all_small () in
-    let apps =
-      match (if all then None else name) with
-      | None -> Ok small
-      | Some n -> (
-        match Apps.Registry.find n small with
-        | Some a -> Ok [ a ]
-        | None ->
-          Error (Printf.sprintf "unknown application %S; try `opec list'" n))
+    let small = Apps.Registry.all_small in
+    let apps = if all then small () else workloads small in
+    let ms = Atk.Campaign.run_all ?domains ~backend apps in
+    if json then print_endline (Atk.Report.to_json ms)
+    else begin
+      List.iter
+        (fun m ->
+          print_endline (Atk.Report.render ~details m);
+          print_newline ())
+        ms;
+      if List.length ms > 1 then print_endline (Atk.Report.summary ms)
+    end;
+    (* the security-regression gate: any escape under OPEC fails *)
+    let escapes =
+      List.concat_map
+        (fun (m : Atk.Campaign.matrix) ->
+          List.map (fun c -> (m, c)) (Atk.Campaign.opec_escapes m))
+        ms
     in
-    match apps with
-    | Error e -> exits_with_error e
-    | Ok apps ->
-      let ms = Opec_attack.Campaign.run_all ?domains ~backend apps in
-      if json then print_endline (Opec_attack.Report.to_json ms)
-      else begin
-        List.iter
-          (fun m ->
-            print_endline (Opec_attack.Report.render ~details m);
-            print_newline ())
-          ms;
-        if List.length ms > 1 then
-          print_endline (Opec_attack.Report.summary ms)
-      end;
-      (* the security-regression gate: any escape under OPEC fails *)
-      let escaped =
-        List.fold_left
-          (fun acc (m : Opec_attack.Campaign.matrix) ->
-            List.fold_left
-              (fun acc (c : Opec_attack.Campaign.cell) ->
-                Format.eprintf "OPEC ESCAPE in %s/%s: %s@."
-                  m.Opec_attack.Campaign.app
-                  (Opec_attack.Primitive.name
-                     c.Opec_attack.Campaign.injection
-                       .Opec_attack.Planner.primitive)
-                  c.Opec_attack.Campaign.detail;
-                acc + 1)
-              acc
-              (Opec_attack.Campaign.opec_escapes m))
-          0 ms
-      in
-      if escaped > 0 then exit 1
+    List.iter
+      (fun ((m : Atk.Campaign.matrix), (c : Atk.Campaign.cell)) ->
+        Format.eprintf "OPEC ESCAPE in %s/%s: %s@." m.Atk.Campaign.app
+          (Atk.Primitive.name c.Atk.Campaign.injection.Atk.Planner.primitive)
+          c.Atk.Campaign.detail)
+      escapes;
+    if escapes <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "attack"
@@ -672,16 +619,14 @@ let attack_cmd =
           primitive against every defense (vanilla, ACES1-3, OPEC), \
           with outcomes classified as blocked / contained / escaped / \
           crashed.  Exits nonzero if any attack escapes OPEC.")
-    Term.(const run $ app_opt $ all $ json $ details $ domains $ backend_arg)
+    Term.(
+      const run $ workloads_arg "attack" $ all $ json $ details $ domains_arg
+      $ backend_arg)
 
 (* ----------------------------------------------------- compare-backends *)
 
 let compare_backends_cmd =
   let module Atk = Opec_attack in
-  let app_opt =
-    let doc = "Workload to study (default: every bundled workload)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
-  in
   let backends =
     Arg.(
       value
@@ -699,55 +644,30 @@ let compare_backends_cmd =
       value
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
-          ~doc:"Also write the JSON study to $(docv).")
+          ~doc:"Also write the JSON study, one line, to $(docv).")
   in
-  let domains =
-    Arg.(
-      value
-      & opt (some positive_conv) None
-      & info [ "j"; "domains" ] ~docv:"N"
-          ~doc:"Worker domains per backend sweep (default: pool size).")
-  in
-  let run name backends json out domains =
-    let small = Apps.Registry.all_small () in
-    let apps =
-      match name with
-      | None -> Ok small
-      | Some n -> (
-        match Apps.Registry.find n small with
-        | Some a -> Ok [ a ]
-        | None ->
-          Error (Printf.sprintf "unknown application %S; try `opec list'" n))
-    in
+  let run workloads backends json out domains =
+    let apps = workloads Apps.Registry.all_small in
     (* keep first occurrence of each backend, in the order given *)
     let backends =
       List.fold_left
         (fun acc k -> if List.mem k acc then acc else acc @ [ k ])
         [] backends
     in
-    match apps with
-    | Error e -> exits_with_error e
-    | Ok apps ->
-      if backends = [] then exits_with_error "empty backend list";
-      let t = Atk.Backend_study.run ~backends ?domains apps in
-      (match out with
-      | None -> ()
-      | Some path ->
-        write_file path (Atk.Backend_study.to_json t);
-        Format.eprintf "wrote %s@." path);
-      if json then print_endline (Atk.Backend_study.to_json t)
-      else print_endline (Atk.Backend_study.render t);
-      (* same security gate as `opec attack`, per backend *)
-      let esc = Atk.Backend_study.escapes t in
-      List.iter
-        (fun (app, k, (c : Atk.Campaign.cell)) ->
-          Format.eprintf "ESCAPE under %s in %s/%s: %s@."
-            (M.Backend.kind_name k) app
-            (Atk.Primitive.name
-               c.Atk.Campaign.injection.Atk.Planner.primitive)
-            c.Atk.Campaign.detail)
-        esc;
-      if esc <> [] then exit 1
+    if backends = [] then exits_with_error "empty backend list";
+    let t = Atk.Backend_study.run ~backends ?domains apps in
+    (match out with
+    | None -> ()
+    | Some path ->
+      write_file path (Atk.Backend_study.to_json t ^ "\n");
+      Format.eprintf "wrote %s@." path);
+    if json then print_endline (Atk.Backend_study.to_json t)
+    else print_endline (Atk.Backend_study.render t);
+    (* the study's gate: no escape under any backend, no denial in any
+       clean protected run *)
+    let failures = Atk.Backend_study.failures t in
+    List.iter (Format.eprintf "%s@.") failures;
+    if failures <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "compare-backends"
@@ -757,8 +677,10 @@ let compare_backends_cmd =
           requested enforcement backend (MPU, PMP, CHERI, POE) and \
           render the app\195\151primitive\195\151backend containment \
           matrix next to the per-backend overhead and image footprint.  \
-          Exits nonzero if any attack escapes any backend.")
-    Term.(const run $ app_opt $ backends $ json $ out $ domains)
+          Exits nonzero if any attack escapes any backend or any clean \
+          protected run has a denial.")
+    Term.(
+      const run $ workloads_arg "study" $ backends $ json $ out $ domains_arg)
 
 (* ------------------------------------------------------------------ fuzz *)
 
@@ -799,13 +721,6 @@ let fuzz_cmd =
     Arg.(
       value & flag
       & info [ "no-shrink" ] ~doc:"Skip delta-debugging of failures.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (some positive_conv) None
-      & info [ "j"; "domains" ] ~docv:"N"
-          ~doc:"Worker domains for the sweep (default: pool size).")
   in
   let corpus =
     Arg.(
@@ -890,7 +805,7 @@ let fuzz_cmd =
           replayable reproducers; exits nonzero if any seed fails.")
     Term.(
       const run $ seeds_arg $ size $ properties $ replay $ out_dir
-      $ no_shrink $ domains $ corpus $ budget $ json)
+      $ no_shrink $ domains_arg $ corpus $ budget $ json)
 
 (* ----------------------------------------------------------------- fleet *)
 
@@ -936,13 +851,6 @@ let fleet_cmd =
             "Enforcement backends to mix in this job (any of $(b,mpu), \
              $(b,pmp), $(b,cheri), $(b,poe)); every image\195\151task \
              unit runs once per backend.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (some positive_conv) None
-      & info [ "j"; "domains" ] ~docv:"N"
-          ~doc:"Scheduler participants (default: pool size).")
   in
   let json_out =
     Arg.(
@@ -1024,7 +932,7 @@ let fleet_cmd =
           report (plus an exportable job journal).  Exits nonzero on \
           any task failure or OPEC escape.")
     Term.(
-      const run $ apps $ seeds $ size $ tasks $ backends $ domains $ json_out
+      const run $ apps $ seeds $ size $ tasks $ backends $ domains_arg $ json_out
       $ journal_out $ quiet)
 
 (* ------------------------------------------------------------------ load *)

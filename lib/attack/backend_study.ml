@@ -75,6 +75,22 @@ let escapes t =
         r.r_cells)
     t.rows
 
+let failures t =
+  List.map
+    (fun (app, k, (c : Campaign.cell)) ->
+      Printf.sprintf "ESCAPE under %s in %s/%s: %s" (M.Backend.kind_name k) app
+        (Primitive.name c.Campaign.injection.Planner.primitive)
+        c.Campaign.detail)
+    (escapes t)
+  @ List.filter_map
+      (fun r ->
+        if r.r_denied = 0 then None
+        else
+          Some
+            (Printf.sprintf "DENIALS in clean %s run of %s: %d"
+               (M.Backend.kind_name r.r_backend) r.r_app r.r_denied))
+      t.rows
+
 (* --- text rendering ------------------------------------------------------ *)
 
 let cell_for (r : row) (inj : Planner.injection) =

@@ -30,9 +30,10 @@ val run :
 val rows_of : t -> app:string -> row list
 val apps_of : t -> string list
 
-(** Cells where an attack escaped some backend — the study's security
-    gate (must be empty). *)
-val escapes : t -> (string * M.Backend.kind * Campaign.cell) list
+(** The study's gate, one message per failure: each cell where an
+    attack escaped some backend, then each clean protected run with a
+    monitor denial.  Empty when the study passes. *)
+val failures : t -> string list
 
 (** Aligned text tables: one containment matrix per app plus the
     overhead comparison. *)

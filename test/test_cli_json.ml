@@ -207,6 +207,35 @@ let test_worker_count () =
     [ [ "attack" ]; [ "fuzz"; "--seeds"; "0..0" ]; [ "fleet" ];
       [ "compare-backends" ] ]
 
+(* The six commands that take "APP, or every workload of a registry"
+   share one lookup: an unknown name gives the same message and exits 1
+   on each. *)
+let test_unknown_workload () =
+  List.iter
+    (fun cmd ->
+      check_status (cmd ^ " nosuch") ~code:1
+        ~says:"error: unknown application \"nosuch\"; try `opec list'"
+        (Filename.quote_command cli [ cmd; "nosuch" ]))
+    [ "trace"; "profile"; "syncsets"; "lint"; "attack"; "compare-backends" ]
+
+(* [compare-backends --out F] writes the [--json] document and a
+   newline, the bytes a checked-in BENCH_backends.json holds. *)
+let test_compare_backends_out () =
+  let path = "_cli_backends.json" in
+  let ok, out =
+    capture
+      (Filename.quote_command cli
+         [ "compare-backends"; "pinlock"; "--backends"; "pmp"; "--json";
+           "--out"; path ])
+  in
+  Alcotest.(check bool) "exit status zero" true ok;
+  let written = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check string) "--out holds the --json document and a newline"
+    out written;
+  Alcotest.(check bool) "one line" true
+    (String.index_opt written '\n' = Some (String.length written - 1))
+
 let suite () =
   [ ( "cli-json",
       [ Alcotest.test_case "parse_json is strict" `Quick test_parser_strict;
@@ -221,6 +250,10 @@ let suite () =
           test_negative_size_budget;
         Alcotest.test_case "worker counts below one are usage errors" `Quick
           test_worker_count;
+        Alcotest.test_case "unknown APP exits 1 on every workload command"
+          `Quick test_unknown_workload;
+        Alcotest.test_case "compare-backends --out is the --json document"
+          `Slow test_compare_backends_out;
         Alcotest.test_case "fuzz --json escapes hostile corpus bytes" `Slow
           test_hostile_corpus;
         Alcotest.test_case "fleet --json - is pure JSON" `Slow
@@ -231,6 +264,16 @@ let suite () =
         Alcotest.test_case "syncsets --json is pure JSON" `Slow
           (test_cmd_json "syncsets"
              (Filename.quote_command cli [ "syncsets"; "pinlock"; "--json" ]));
+        Alcotest.test_case "attack --json is pure JSON" `Slow
+          (test_cmd_json "attack"
+             (Filename.quote_command cli [ "attack"; "pinlock"; "--json" ]));
+        Alcotest.test_case "compare-backends --json is pure JSON" `Slow
+          (test_cmd_json "compare-backends"
+             (Filename.quote_command cli
+                [ "compare-backends"; "pinlock"; "--json" ]));
+        Alcotest.test_case "lint --json is pure JSON" `Slow
+          (test_cmd_json "lint"
+             (Filename.quote_command cli [ "lint"; "pinlock"; "--json" ]));
         Alcotest.test_case "load --json is pure JSON" `Slow
           (test_cmd_json "load"
              (Filename.quote_command cli
