@@ -10,17 +10,21 @@
 
 type t
 
+(** What an operation switch synchronizes: [Scheduled], the image's
+    static sync schedule (the default); or one of two ablations that
+    bypass it, [Every_slot] copying every shadow slot at every switch
+    (the pre-schedule behaviour) and [Whole_section] staging the
+    operation's entire data section besides. *)
+type sync = Scheduled | Every_slot | Whole_section
+
 (** Raised internally on blocked accesses and failed sanitization;
     surfaced to callers as {!Opec_exec.Interp.Aborted}. *)
 exception Violation of string
 
 (** [create image bus] builds the monitor state, materializing the
-    image's static sync schedule into per-switch copy plans.
-    [sync_whole_section:true] selects the ablation that stages entire
-    sections at switches instead of only the shared variables;
-    [full_sync:true] the ablation that copies every shadow slot at
-    switches, ignoring the schedule (the pre-schedule behaviour); [sink]
-    attaches a telemetry collector (default {!Opec_obs.Sink.null}).
+    image's static sync schedule, or under an ablation [sync] every
+    shadow slot, into per-switch copy plans; [sink] attaches a
+    telemetry collector (default {!Opec_obs.Sink.null}).
 
     Raises {!Violation}, naming the function and the variable, when a
     relocation the image resolved at compile time disagrees with
@@ -28,8 +32,7 @@ exception Violation of string
     one operation, the variable is mapped read-only there, or the
     constant is not that operation's target. *)
 val create :
-  ?sync_whole_section:bool ->
-  ?full_sync:bool ->
+  ?sync:sync ->
   ?sink:Opec_obs.Sink.t ->
   Opec_core.Image.t ->
   Opec_machine.Bus.t ->

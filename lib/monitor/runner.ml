@@ -16,8 +16,8 @@ type protected_run = {
    the bus before loading; [wrap_handler] interposes on the monitor's
    trap handler (instrumentation such as the attack-injection
    campaign). *)
-let prepare ?(devices = []) ?sync_whole_section ?full_sync ?wrap_handler
-    ?engine ?sink ?trace (image : C.Image.t) =
+let prepare ?(devices = []) ?sync ?wrap_handler ?engine ?sink ?trace
+    (image : C.Image.t) =
   let bus = M.Bus.create ~board:image.C.Image.board in
   (* the default machine carries an MPU; swap in the image's backend
      (the MPU path keeps the machine's own state, preserving the
@@ -30,7 +30,7 @@ let prepare ?(devices = []) ?sync_whole_section ?full_sync ?wrap_handler
   M.Bus.attach bus (M.Core_periph.dwt ~cycles:(fun () -> M.Cpu.cycles bus.M.Bus.cpu));
   M.Bus.attach bus (M.Core_periph.scb ());
   C.Image.load image bus;
-  let monitor = Monitor.create ?sync_whole_section ?full_sync ?sink image bus in
+  let monitor = Monitor.create ?sync ?sink image bus in
   let handler = Monitor.handler monitor in
   let handler =
     match wrap_handler with None -> handler | Some wrap -> wrap handler
@@ -47,12 +47,8 @@ let prepare ?(devices = []) ?sync_whole_section ?full_sync ?wrap_handler
 
 (* Initialize the monitor (shadow fill, MPU arm, privilege drop) and run
    the program from main. *)
-let run_protected ?devices ?sync_whole_section ?full_sync ?wrap_handler
-    ?engine ?sink ?trace image =
-  let r =
-    prepare ?devices ?sync_whole_section ?full_sync ?wrap_handler ?engine
-      ?sink ?trace image
-  in
+let run_protected ?devices ?sync ?wrap_handler ?engine ?sink ?trace image =
+  let r = prepare ?devices ?sync ?wrap_handler ?engine ?sink ?trace image in
   Monitor.init r.monitor;
   E.Interp.run ~reset_stack:false r.interp;
   r

@@ -16,15 +16,15 @@ type protected_run = {
 (** Build a protected run without starting it: machine + devices + core
     peripherals + loaded image + monitor-backed interpreter, with the
     CPU's [sp], [stack_base] and [stack_limit] set from the image's
-    address map.
+    address map.  [sync] selects what switches synchronize (see
+    {!Monitor.sync}).
     [wrap_handler] interposes on the monitor's trap handler — used by
     instrumentation such as the attack-injection campaign; [sink]
     attaches one telemetry collector to both the monitor and the
     interpreter. *)
 val prepare :
   ?devices:M.Device.t list ->
-  ?sync_whole_section:bool ->
-  ?full_sync:bool ->
+  ?sync:Monitor.sync ->
   ?wrap_handler:(E.Interp.handler -> E.Interp.handler) ->
   ?engine:E.Interp.engine ->
   ?sink:Opec_obs.Sink.t ->
@@ -33,12 +33,10 @@ val prepare :
   protected_run
 
 (** Initialize the monitor (shadow fill, MPU arm, privilege drop) and
-    run the program from [main].  [full_sync:true] disables the static
-    sync schedule (every shadow slot copies at every switch). *)
+    run the program from [main]. *)
 val run_protected :
   ?devices:M.Device.t list ->
-  ?sync_whole_section:bool ->
-  ?full_sync:bool ->
+  ?sync:Monitor.sync ->
   ?wrap_handler:(E.Interp.handler -> E.Interp.handler) ->
   ?engine:E.Interp.engine ->
   ?sink:Opec_obs.Sink.t ->

@@ -26,7 +26,7 @@ module Json = Opec_obs.Json
 (* Run [app] protected on [backend], verifying the monitor after init and
    after every enter and exit.  Returns the number of checks made and
    the failures. *)
-let verified_run ?sync_whole_section ?full_sync ~backend (app : Apps.App.t) =
+let verified_run ?sync ~backend (app : Apps.App.t) =
   let image = P.image (P.ctx ~backend app) in
   let world = app.Apps.App.make_world () in
   world.Apps.App.prepare ();
@@ -53,8 +53,8 @@ let verified_run ?sync_whole_section ?full_sync ~backend (app : Apps.App.t) =
           verify ("exit " ^ entry.Opec_ir.Func.name)) }
   in
   let r =
-    Mon.Runner.prepare ~devices:world.Apps.App.devices ?sync_whole_section
-      ?full_sync ~wrap_handler:wrap image
+    Mon.Runner.prepare ~devices:world.Apps.App.devices ?sync
+      ~wrap_handler:wrap image
   in
   monitor := Some r.Mon.Runner.monitor;
   Mon.Monitor.init r.Mon.Runner.monitor;
@@ -67,7 +67,7 @@ let verified_run ?sync_whole_section ?full_sync ~backend (app : Apps.App.t) =
   | Error e -> failures := ("output check: " ^ e) :: !failures);
   (!checks, List.rev !failures)
 
-let check_verified ?sync_whole_section ?full_sync what backends =
+let check_verified ?sync what backends =
   List.iter
     (fun backend ->
       List.iter
@@ -77,7 +77,7 @@ let check_verified ?sync_whole_section ?full_sync what backends =
               (M.Backend.kind_name backend)
           in
           let checks, failures =
-            verified_run ?sync_whole_section ?full_sync ~backend app
+            verified_run ?sync ~backend app
           in
           Alcotest.(check (list string)) (label ^ " verified") [] failures;
           Alcotest.(check bool) (label ^ " switched") true (checks > 1))
@@ -90,8 +90,9 @@ let test_verify_backends () = check_verified "schedule" M.Backend.all_kinds
    functions; the constants must hold under both ablations (which point
    read-only slots at the shadow), on every backend. *)
 let test_verify_ablations () =
-  check_verified ~full_sync:true "full-sync" M.Backend.all_kinds;
-  check_verified ~sync_whole_section:true "whole-section" M.Backend.all_kinds
+  check_verified ~sync:Mon.Monitor.Every_slot "every-slot" M.Backend.all_kinds;
+  check_verified ~sync:Mon.Monitor.Whole_section "whole-section"
+    M.Backend.all_kinds
 
 (* --- the switch-heavy scenarios, bit for bit ----------------------------- *)
 
