@@ -30,10 +30,9 @@ let metadata_sanitize_entry_bytes = 12
 let metadata_stack_arg_entry_bytes = 8
 let metadata_reloc_entry_bytes = 4
 
-(* Extra code bytes per instrumentation point (an SVC plus the relocation
-   load sequence), matching the 4-bytes-per-instruction code model. *)
+(* Extra code bytes per operation-switch site (the SVC sequence),
+   matching the 4-bytes-per-instruction code model. *)
 let svc_site_bytes = 16
-let reloc_load_bytes = 16
 
 (* Static sync-schedule bytes embedded with the operation metadata: one
    header per scheduled list (an out or enter set per operation, a

@@ -34,11 +34,10 @@ val metadata_sanitize_entry_bytes : int
 val metadata_stack_arg_entry_bytes : int
 val metadata_reloc_entry_bytes : int
 
-(** Code bytes per instrumentation point, in the 4-bytes-per-instruction
-    code model. *)
+(** Code bytes per operation-switch site (the SVC sequence), in the
+    4-bytes-per-instruction code model.  A relocation-table load needs
+    no extra term: it is an IR [Load], charged with the code span. *)
 val svc_site_bytes : int
-
-val reloc_load_bytes : int
 
 (** Sync-schedule byte model: one header per embedded scheduled list
     (out/enter per operation, resume per pair), one slot reference per

@@ -71,9 +71,10 @@ let assemble ?(backend = Opec_machine.Backend.Mpu) ~board ~input ~ops ~layout
     instrumented.Program.globals;
   (* operation metadata *)
   let metadata_bytes = Metadata.total_bytes metas in
+  (* a relocation-table load is an IR [Load] of the instrumented
+     program, already in the code span above *)
   let instrumentation_bytes =
-    (stats.Instrument.svc_sites * Config.svc_site_bytes)
-    + (stats.Instrument.reloc_sites * Config.reloc_load_bytes)
+    stats.Instrument.svc_sites * Config.svc_site_bytes
   in
   let syncset_bytes = syncset_flash_bytes syncsets in
   let flash_used =
