@@ -19,7 +19,7 @@
    [resolver] the pass emits that address as a constant and drops the
    load (DESIGN.md, deviations).  Read-only mappings keep the table: their
    slot holds the master under the static schedule but the shadow under
-   the full-sync ablations, so no one constant serves every monitor mode.
+   the sync ablations, so no one constant serves every monitor mode.
 
    The SVC instructions inserted before and after operation entry call
    sites are represented by marking the entry functions in the produced
