@@ -1,8 +1,9 @@
 (* The five differential oracles of the fuzzer.
 
    All of them consume the compile-once pipeline's memoized artifacts
-   where possible; only the engine differential and defect-gate
-   variants (a substitute image) pay for private runs. *)
+   where possible; only the engine differential and transparency (its
+   protected run checks [Monitor.verify] at every switch) pay for
+   private runs. *)
 
 module P = Opec_pipeline.Pipeline
 module C = Opec_core
@@ -125,49 +126,76 @@ let compare_observable ?(exclude = Opec_analysis.Syncset.SS.empty) program
   | [] -> Pass
   | ds -> Fail ("final state diverged: " ^ String.concat "; " ds)
 
+(* One protected run of [img] from reset with [Monitor.verify] after
+   init and after every operation enter and exit: the final view, the
+   exception [catch] accepted, and the first verify failure. *)
+let verified_run ~catch app img =
+  let world = app.Apps.App.make_world () in
+  world.Apps.App.prepare ();
+  let monitor = ref None and unverified = ref None in
+  let report at = function
+    | Ok () -> ()
+    | Error e ->
+      if Option.is_none !unverified then unverified := Some (at ^ ": " ^ e)
+  in
+  let run () =
+    let r =
+      Mon.Runner.prepare ~devices:world.Apps.App.devices
+        ~engine:(P.current_engine ())
+        ~wrap_handler:
+          (Mon.Monitor.verifying ~monitor:(fun () -> !monitor) ~report)
+        img
+    in
+    monitor := Some r.Mon.Runner.monitor;
+    Mon.Monitor.init r.Mon.Runner.monitor;
+    report "init" (Mon.Monitor.verify r.Mon.Runner.monitor);
+    Ex.Interp.run ~reset_stack:false r.Mon.Runner.interp;
+    snapshot_final_view r.Mon.Runner.bus img
+  in
+  let mem, err =
+    match run () with
+    | mem -> (mem, None)
+    | exception e when catch e -> ([], Some e)
+  in
+  (mem, err, !unverified)
+
 let transparency ?image c =
-  let app = P.app c in
   let program = P.validated c in
   let b = P.baseline c in
-  let p_mem, p_err =
+  (* a defect gate's substitute image may break the monitor in any way;
+     the pipeline's own image dies only the way its stages do *)
+  let catch =
     match image with
-    | None ->
-      let p = P.protected_ c in
-      (snapshot_final_view p.P.p_run.Mon.Runner.bus (P.image c), p.P.p_err)
-    | Some img ->
-      (* defect gate: run the substitute image privately *)
-      let world = app.Apps.App.make_world () in
-      world.Apps.App.prepare ();
-      let r, err =
-        try
-          (Some (Mon.Runner.run_protected ~devices:world.Apps.App.devices img),
-           None)
-        with e -> (None, Some e)
-      in
-      ( (match r with
-        | Some r -> snapshot_final_view r.Mon.Runner.bus img
-        | None -> []),
-        err )
+    | Some _ -> fun _ -> true
+    | None -> (
+      function
+      | Ex.Interp.Aborted _ | Ex.Interp.Fuel_exhausted -> true | _ -> false)
   in
-  match (b.P.b_err, p_err) with
-  | Some _, Some _ ->
-    (* both runs died: the protection did not change how the program
-       terminates, which is all transparency asks of a crashing input
-       (the trace oracle separately flags crashing baselines) *)
-    Pass
-  | Some e, None -> failf "baseline died, protected ran: %s" (Printexc.to_string e)
-  | None, Some e -> failf "protected died, baseline ran: %s" (Printexc.to_string e)
-  | None, None ->
-    (* dead publishes: a write no other operation can observe is never
-       synced out, so its master (the external view) is legitimately
-       stale — the schedule's dead-publish filter names exactly these *)
-    let exclude =
-      let img = image_of ?image c in
-      try Opec_analysis.Syncset.unobserved img.C.Image.syncsets
-      with Invalid_argument _ -> Opec_analysis.Syncset.SS.empty
-    in
-    compare_observable ~exclude program
-      ~baseline:(snapshot_baseline b program) ~protected_:p_mem
+  let p_mem, p_err, unverified =
+    verified_run ~catch (P.app c) (image_of ?image c)
+  in
+  match unverified with
+  | Some e -> failf "Monitor.verify failed after %s" e
+  | None ->
+    match (b.P.b_err, p_err) with
+    | Some _, Some _ ->
+      (* both runs died: the protection did not change how the program
+         terminates, which is all transparency asks of a crashing input
+         (the trace oracle separately flags crashing baselines) *)
+      Pass
+    | Some e, None -> failf "baseline died, protected ran: %s" (Printexc.to_string e)
+    | None, Some e -> failf "protected died, baseline ran: %s" (Printexc.to_string e)
+    | None, None ->
+      (* dead publishes: a write no other operation can observe is never
+         synced out, so its master (the external view) is legitimately
+         stale — the schedule's dead-publish filter names exactly these *)
+      let exclude =
+        let img = image_of ?image c in
+        try Opec_analysis.Syncset.unobserved img.C.Image.syncsets
+        with Invalid_argument _ -> Opec_analysis.Syncset.SS.empty
+      in
+      compare_observable ~exclude program
+        ~baseline:(snapshot_baseline b program) ~protected_:p_mem
 
 (* --- sync-soundness ----------------------------------------------------- *)
 
@@ -415,7 +443,9 @@ let all =
          shadow the sync schedule failed to refresh (L011)";
       check = sync_soundness };
     { name = "transparency";
-      doc = "baseline and protected runs agree on all observable globals";
+      doc =
+        "baseline and protected runs agree on all observable globals, and \
+         Monitor.verify holds after init and every switch";
       check = transparency };
     { name = "engine-differential";
       doc =

@@ -77,7 +77,10 @@ let checkers =
           | None -> Oracle.check_sync image) };
     static "resolved-relocation" ~code:"L012"
       ~doc:"compile-time relocation constants equal the table's value"
-      Checks.resolved_relocation ]
+      Checks.resolved_relocation;
+    static "live-relocation" ~code:"L013"
+      ~doc:"relocation slots each operation reads kept at its targets"
+      Checks.live_relocation ]
 
 let find_checker code =
   List.find_opt (fun c -> String.equal c.code code) checkers

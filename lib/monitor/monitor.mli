@@ -38,6 +38,36 @@ val create :
   Opec_machine.Bus.t ->
   t
 
+(** The relocation-table writes, as (slot address, target) pairs.  An
+    operation's live slots are those a table site
+    ({!Opec_core.Instrument.table_loads}) in one of its functions reads;
+    a table site in a function of no operation makes its slot live in
+    every operation.  A slot whose every live operation wants the same
+    target is written once, by {!init}, unless that target is the
+    master address {!Opec_core.Image.load} already put there; every
+    other live slot is written whenever an operation where it is live
+    is entered, resumed or switched to.  A slot live nowhere is never
+    written: it keeps the loader's master address. *)
+type reloc_plan = {
+  once : (int * int64) array;
+      (** the single-target slots whose target is not their master,
+          written by {!init} *)
+  on_switch : (int * int64) array array;
+      (** operation (in image order) -> the slots a switch into it writes *)
+  live : (int * int64) array array;
+      (** operation -> every live slot and its target: what {!verify}
+          checks *)
+}
+
+(** The relocation plan [create ?sync image] derives; a pure function of
+    the image (targets follow {!sync}: a read-only mapping's slot holds
+    the master only under [Scheduled]). *)
+val reloc_plan_of : ?sync:sync -> Opec_core.Image.t -> reloc_plan
+
+(** The monitor's own plan.  Its arrays are the ones the switch reads,
+    so a test can perturb them in place. *)
+val reloc_plan : t -> reloc_plan
+
 (** Runtime counters (switches, synced bytes, rotations, emulations,
     fix-ups, denials). *)
 val stats : t -> Stats.t
@@ -69,11 +99,23 @@ val exit_operation : t -> entry:Opec_ir.Func.t -> unit
 (** The oracle of the compiled switch protocol: [Ok ()] when the live
     protection state equals a fresh install of the active operation's
     plan (same sub-region mask) on a fresh backend of the same kind, and
-    the relocation table holds that operation's targets; otherwise the
-    first difference.  Charges no cycles.  Meaningful right after
+    the operation's live relocation slots hold its targets; otherwise
+    the first difference.  Charges no cycles.  Meaningful right after
     {!init} or a switch, before fault-time virtualization rotates
     protection. *)
 val verify : t -> (unit, string) result
+
+(** [verifying ~monitor ~report] is a [wrap_handler] for
+    {!Runner.prepare}: after every operation enter and exit it runs
+    {!verify} on [monitor ()] (nothing while that is [None]) and hands
+    [report] the point (["enter F"] or ["exit F"]) and the result.
+    [monitor] is a thunk because the handler is wrapped before
+    {!Runner.prepare} returns the monitor. *)
+val verifying :
+  monitor:(unit -> t option) ->
+  report:(string -> (unit, string) result -> unit) ->
+  Opec_exec.Interp.handler ->
+  Opec_exec.Interp.handler
 
 (** The interpreter-facing trap interface. *)
 val handler : t -> Opec_exec.Interp.handler

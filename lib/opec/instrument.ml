@@ -189,6 +189,18 @@ let rewrite_function ~layout ~resolve (f : Func.t) =
   in
   (f, SS.cardinal !table, !resolved)
 
+(* The prologue [rewrite_function] emits: one [$rel_g] load per table
+   variable, ahead of the original body. *)
+let table_loads (f : Func.t) =
+  let rec prologue acc = function
+    | Instr.Load (x, Instr.W32, Expr.Const slot) :: rest
+      when String.length x > 5 && String.sub x 0 5 = "$rel_" ->
+      prologue ((String.sub x 5 (String.length x - 5), Int64.to_int slot) :: acc)
+        rest
+    | _ -> List.rev acc
+  in
+  prologue [] f.Func.body
+
 let count_svc_sites (p : Program.t) entries =
   let entry_set = SS.of_list entries in
   List.fold_left

@@ -50,6 +50,10 @@ val resolver :
   syncsets:Opec_analysis.Syncset.t ->
   resolver
 
+(** The table sites of an instrumented function: the variable and slot
+    address of each [$rel_g] load in its prologue, in order. *)
+val table_loads : Func.t -> (string * int) list
+
 val count_svc_sites : Program.t -> string list -> int
 
 (** Instrument the whole program against a layout, in one pass per

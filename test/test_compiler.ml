@@ -277,7 +277,10 @@ let test_read_only_keeps_table () =
 
 (* The paper's configuration (every shared-global use through the
    table) stays reproducible: its protected cycles on CoreMark and
-   PinLock are the ones recorded before resolution existed. *)
+   PinLock are pinned.  They are the ones recorded before resolution
+   existed, less the relocation writes the monitor no longer makes: a
+   slot no function of the current operation reads, or one whose
+   target is the same in every operation that reads it. *)
 let test_table_only_cycles () =
   List.iter
     (fun ((app : Opec_apps.App.t), expected) ->
@@ -296,8 +299,8 @@ let test_table_only_cycles () =
         (app.Opec_apps.App.app_name ^ " table-only protected cycles")
         expected
         (Opec_exec.Interp.cycles r.Opec_monitor.Runner.interp))
-    [ (Opec_apps.Registry.coremark (), 4_231_184L);
-      (Opec_apps.Registry.pinlock (), 10_069_212L) ]
+    [ (Opec_apps.Registry.coremark (), 4_230_871L);
+      (Opec_apps.Registry.pinlock (), 10_067_981L) ]
 
 let test_image_accounting () =
   let image = compile () in

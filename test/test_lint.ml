@@ -420,11 +420,49 @@ let test_seeded_l012 () =
   check_fires "two-operation function" "L012"
     (L.Checks.resolved_relocation shared_helper)
 
+(* L013: an operation's switches no longer rewrite a slot it reads, and
+   a table read outside any prologue that the monitor does not track. *)
+let test_seeded_l013 () =
+  let module Mon = Opec_monitor.Monitor in
+  let image = compile () in
+  Alcotest.(check (list string)) "clean image" []
+    (error_codes (L.Checks.live_relocation image));
+  let plan = Mon.reloc_plan_of image in
+  let b =
+    let rec find i = function
+      | [] -> Alcotest.fail "no task_b operation"
+      | (op : C.Operation.t) :: rest ->
+        if String.equal op.entry "task_b" then i else find (i + 1) rest
+    in
+    find 0 image.C.Image.ops
+  in
+  Alcotest.(check bool) "task_b rewrites the slot of shared" true
+    (Array.length plan.Mon.on_switch.(b) > 0);
+  let dropped =
+    { plan with
+      Mon.on_switch = Array.mapi (fun i w -> if i = b then [||] else w) plan.Mon.on_switch }
+  in
+  check_fires "dropped switch write" "L013"
+    (L.Checks.relocation_writes dropped image);
+  let slot = Option.get (C.Layout.reloc_slot image.C.Image.layout "shared") in
+  let program =
+    { image.C.Image.program with
+      Program.funcs =
+        List.map
+          (fun (f : Func.t) ->
+            if String.equal f.name "main" then
+              { f with body = load "peek" (cl (Int64.of_int slot)) :: f.body }
+            else f)
+          image.C.Image.program.Program.funcs }
+  in
+  check_fires "untracked table read" "L013"
+    (L.Checks.live_relocation { image with C.Image.program })
+
 let test_registry_complete () =
   let codes = List.map (fun c -> c.L.Lint.code) L.Lint.checkers in
   Alcotest.(check (list string)) "registry codes"
     [ "L001"; "L002"; "L003"; "L004"; "L005"; "L006"; "L007"; "L008"; "L009";
-      "L010"; "L011"; "L012" ]
+      "L010"; "L011"; "L012"; "L013" ]
     codes;
   Alcotest.(check bool) "only the trace oracles are dynamic" true
     (List.for_all
@@ -467,6 +505,8 @@ let suite () =
           test_seeded_l011_stale_read;
         Alcotest.test_case "seeded L012 resolved relocation" `Quick
           test_seeded_l012;
+        Alcotest.test_case "seeded L013 live relocation slots" `Quick
+          test_seeded_l013;
         Alcotest.test_case "L002 dead code is info" `Quick
           test_l002_dead_code_is_info;
         Alcotest.test_case "diag ordering and json" `Quick

@@ -576,9 +576,96 @@ let test_sync_ablation_pins () =
     Alcotest.(check int64) (what ^ " cycles") cycles c;
     Alcotest.(check int) (what ^ " synced bytes") bytes b
   in
-  check "shared-only" (2_013_810L, 1_612) (run Mon.Monitor.Scheduled);
-  check "whole-section" (2_015_465L, 5_300) (run Mon.Monitor.Whole_section);
-  check "every-slot" (2_014_609L, 3_588) (run Mon.Monitor.Every_slot)
+  check "shared-only" (2_013_375L, 1_612) (run Mon.Monitor.Scheduled);
+  check "whole-section" (2_015_030L, 5_300) (run Mon.Monitor.Whole_section);
+  check "every-slot" (2_014_174L, 3_588) (run Mon.Monitor.Every_slot)
+
+(* --- relocation slots ------------------------------------------------------ *)
+
+(* PinLock has no table site: no slot is live anywhere, so neither init
+   nor any switch writes the table.  Slots seeded with sentinels after
+   the image is loaded hold them through the whole run. *)
+let test_pinlock_writes_no_slot () =
+  let module Apps = Opec_apps in
+  let module P = Opec_pipeline.Pipeline in
+  let app = Apps.Registry.pinlock () in
+  let image = P.image (P.ctx app) in
+  Alcotest.(check int) "table sites" 0
+    image.C.Image.stats.C.Instrument.reloc_sites;
+  let slots = image.C.Image.layout.C.Layout.reloc_slots in
+  Alcotest.(check bool) "PinLock has slots" true (slots <> []);
+  let world = app.Apps.App.make_world () in
+  world.Apps.App.prepare ();
+  let r = Mon.Runner.prepare ~devices:world.Apps.App.devices image in
+  let sentinel i = Int64.of_int (0x5EED_0000 + i) in
+  List.iteri
+    (fun i (_, slot) -> M.Bus.write_raw r.Mon.Runner.bus slot 4 (sentinel i))
+    slots;
+  Mon.Monitor.init r.Mon.Runner.monitor;
+  Ex.Interp.run ~reset_stack:false r.Mon.Runner.interp;
+  Alcotest.(check (result unit string)) "output check" (Ok ())
+    (world.Apps.App.check ());
+  Alcotest.(check bool) "switched" true
+    ((Mon.Monitor.stats r.Mon.Runner.monitor).Mon.Stats.switches > 0);
+  List.iteri
+    (fun i (var, slot) ->
+      Alcotest.(check int64) ("slot of " ^ var ^ " never written") (sentinel i)
+        (M.Bus.read_raw r.Mon.Runner.bus slot 4))
+    slots
+
+(* The ROADMAP probe that stopped every table write aborted FatFs-uSD
+   with an isolation violation in Sd_Setup: its table sites really read
+   the slots.  Dropping one live slot from an operation's switch writes
+   must be caught both statically (L013) and at run time
+   ([Monitor.verify] after a switch, or the run's own abort). *)
+let test_dropped_live_slot_caught () =
+  let module Apps = Opec_apps in
+  let module P = Opec_pipeline.Pipeline in
+  let module L = Opec_lint in
+  let app = Apps.Registry.fatfs_usd () in
+  let image = P.image (P.ctx app) in
+  Alcotest.(check (list string)) "clean plan" []
+    (List.map
+       (fun (d : L.Diag.t) -> d.L.Diag.code)
+       (List.filter L.Diag.is_error (L.Checks.live_relocation image)));
+  let oi =
+    let rec find i = function
+      | [] -> Alcotest.fail "no Sd_Setup operation"
+      | (op : C.Operation.t) :: rest ->
+        if String.equal op.C.Operation.name "Sd_Setup" then i
+        else find (i + 1) rest
+    in
+    find 0 image.C.Image.ops
+  in
+  let world = app.Apps.App.make_world () in
+  world.Apps.App.prepare ();
+  let monitor = ref None and failures = ref [] in
+  let report at = function
+    | Ok () -> ()
+    | Error e -> failures := (at ^ ": " ^ e) :: !failures
+  in
+  let r =
+    Mon.Runner.prepare ~devices:world.Apps.App.devices
+      ~wrap_handler:(Mon.Monitor.verifying ~monitor:(fun () -> !monitor) ~report)
+      image
+  in
+  let plan = Mon.Monitor.reloc_plan r.Mon.Runner.monitor in
+  let writes = plan.Mon.Monitor.on_switch.(oi) in
+  Alcotest.(check bool) "Sd_Setup rewrites slots" true (Array.length writes > 0);
+  plan.Mon.Monitor.on_switch.(oi) <- Array.sub writes 1 (Array.length writes - 1);
+  Alcotest.(check bool) "L013 names the dropped slot" true
+    (List.exists
+       (fun (d : L.Diag.t) -> L.Diag.is_error d && String.equal d.L.Diag.code "L013")
+       (L.Checks.relocation_writes plan image));
+  monitor := Some r.Mon.Runner.monitor;
+  Mon.Monitor.init r.Mon.Runner.monitor;
+  let aborted =
+    match Ex.Interp.run ~reset_stack:false r.Mon.Runner.interp with
+    | () -> false
+    | exception Ex.Interp.Aborted _ -> true
+  in
+  Alcotest.(check bool) "verify or the run fails" true
+    (aborted || !failures <> [])
 
 let suite () =
   [ ( "monitor",
@@ -600,4 +687,8 @@ let suite () =
         Alcotest.test_case "MPU virtualization" `Quick test_peripheral_virtualization;
         Alcotest.test_case "core periph emulation" `Quick test_core_peripheral_emulation;
         Alcotest.test_case "unlisted core periph blocked" `Quick test_core_peripheral_unlisted_blocked;
-        Alcotest.test_case "pointer field fixup" `Quick test_pointer_field_fixup ] ) ]
+        Alcotest.test_case "pointer field fixup" `Quick test_pointer_field_fixup;
+        Alcotest.test_case "PinLock writes no relocation slot" `Quick
+          test_pinlock_writes_no_slot;
+        Alcotest.test_case "dropped live slot caught" `Quick
+          test_dropped_live_slot_caught ] ) ]

@@ -3,8 +3,8 @@
    - After init and after every operation enter and exit,
      [Monitor.verify] compares the protection state restored from the
      monitor's cached register image with a fresh [Backend_plan.install] of
-     the same (operation, sub-region mask), and the relocation table
-     with the operation's targets: every registry workload, every
+     the same (operation, sub-region mask), and the operation's live
+     relocation slots with its targets: every registry workload, every
      enforcement backend, and both sync ablations.
    - The switch-heavy load scenarios are pinned bit for bit: model
      cycles and every [Stats] counter (synced bytes included) of the
@@ -31,34 +31,20 @@ let verified_run ?sync ~backend (app : Apps.App.t) =
   let world = app.Apps.App.make_world () in
   world.Apps.App.prepare ();
   let monitor = ref None and checks = ref 0 and failures = ref [] in
-  let verify what =
-    Option.iter
-      (fun m ->
-        incr checks;
-        match Mon.Monitor.verify m with
-        | Ok () -> ()
-        | Error e -> failures := (what ^ ": " ^ e) :: !failures)
-      !monitor
-  in
-  let wrap (h : Ex.Interp.handler) =
-    { h with
-      Ex.Interp.on_operation_enter =
-        (fun ~entry ~args ->
-          let args = h.Ex.Interp.on_operation_enter ~entry ~args in
-          verify ("enter " ^ entry.Opec_ir.Func.name);
-          args);
-      on_operation_exit =
-        (fun ~entry ->
-          h.Ex.Interp.on_operation_exit ~entry;
-          verify ("exit " ^ entry.Opec_ir.Func.name)) }
+  let report what result =
+    incr checks;
+    match result with
+    | Ok () -> ()
+    | Error e -> failures := (what ^ ": " ^ e) :: !failures
   in
   let r =
     Mon.Runner.prepare ~devices:world.Apps.App.devices ?sync
-      ~wrap_handler:wrap image
+      ~wrap_handler:(Mon.Monitor.verifying ~monitor:(fun () -> !monitor) ~report)
+      image
   in
   monitor := Some r.Mon.Runner.monitor;
   Mon.Monitor.init r.Mon.Runner.monitor;
-  verify "init";
+  report "init" (Mon.Monitor.verify r.Mon.Runner.monitor);
   Ex.Interp.run ~reset_stack:false r.Mon.Runner.interp;
   (* the run's outputs are the app's own check: a wrong compile-time
      relocation would show here even where the table verifies *)
