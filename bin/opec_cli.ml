@@ -39,12 +39,26 @@ module Json = Opec_obs.Json
 (* one JSON document per line on stdout *)
 let print_json v = Format.printf "%s@." (Json.to_string v)
 
-let write_file path s =
-  Out_channel.with_open_text path (fun oc -> output_string oc s)
-
 let exits_with_error msg =
   Format.eprintf "error: %s@." msg;
   exit 1
+
+(* An output FILE that cannot be written is an input error (exit 1):
+   checked before a command spends its run, and again at the write. *)
+let cannot_write e = exits_with_error ("cannot write " ^ e)
+
+let check_writable = function
+  | Some path -> (
+    match
+      Out_channel.open_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path
+    with
+    | oc -> Out_channel.close oc
+    | exception Sys_error e -> cannot_write e)
+  | None -> ()
+
+let write_file path s =
+  try Out_channel.with_open_text path (fun oc -> output_string oc s)
+  with Sys_error e -> cannot_write e
 
 (* Look a workload up by name in [registry] (default: the full-size
    workloads); an unknown name is an input error (exit 1). *)
@@ -61,21 +75,23 @@ let app_arg =
 
 (* "APP, or every workload of a registry", the optional positional
    argument of trace, profile, syncsets, lint, attack and
-   compare-backends.  The term yields a picker that a command applies to
-   its registry, so the name is looked up only once every other argument
-   has parsed, and an unknown one exits 1 after any usage error. *)
-let workloads_arg what =
+   compare-backends.  [workloads_arg] yields a picker that a command
+   applies to its registry (attack, which also checks the name against
+   --all, picks itself), so the name is looked up only once every other
+   argument has parsed, and an unknown one exits 1 after any usage
+   error. *)
+let pick_workloads name registry =
+  match name with
+  | None -> registry ()
+  | Some n -> [ find_app ~registry n ]
+
+let workload_name_arg what =
   let doc =
     Printf.sprintf "Workload to %s (default: every bundled workload)." what
   in
-  let pick name registry =
-    match name with
-    | None -> registry ()
-    | Some n -> [ find_app ~registry n ]
-  in
-  Term.(
-    const pick
-    $ Arg.(value & pos 0 (some string) None & info [] ~docv:"APP" ~doc))
+  Arg.(value & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
+
+let workloads_arg what = Term.(const pick_workloads $ workload_name_arg what)
 
 (* "A..B" inclusive seed ranges, shared by fuzz and fleet. *)
 let seed_range_conv =
@@ -363,6 +379,7 @@ let trace_cmd =
     let apps = workloads Apps.Registry.all in
     if out <> None && List.length apps > 1 then
       exits_with_error "--out requires naming a single workload";
+    check_writable out;
     List.iter (trace_app backend fmt limit out) apps
   in
   Cmd.v
@@ -571,7 +588,7 @@ let attack_cmd =
       & info [ "all" ]
           ~doc:
             "Attack every bundled workload (the default when APP is \
-             omitted).")
+             omitted); an error together with APP.")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the matrix as JSON.")
@@ -582,11 +599,13 @@ let attack_cmd =
       & info [ "details" ]
           ~doc:"Show each cell's injection rationale and classification.")
   in
-  let run workloads all json details domains backend =
+  let run name all json details domains backend =
     (* reduced-size workload variants: same code and policy, fewer
        rounds, so the 30-cell matrix per app stays quick *)
     let small = Apps.Registry.all_small in
-    let apps = if all then small () else workloads small in
+    let apps = pick_workloads name small in
+    if all && name <> None then
+      exits_with_error "--all attacks every workload: name no APP with it";
     let ms = Atk.Campaign.run_all ?domains ~backend apps in
     if json then print_endline (Atk.Report.to_json ms)
     else begin
@@ -620,7 +639,7 @@ let attack_cmd =
           with outcomes classified as blocked / contained / escaped / \
           crashed.  Exits nonzero if any attack escapes OPEC.")
     Term.(
-      const run $ workloads_arg "attack" $ all $ json $ details $ domains_arg
+      const run $ workload_name_arg "attack" $ all $ json $ details $ domains_arg
       $ backend_arg)
 
 (* ----------------------------------------------------- compare-backends *)
@@ -655,6 +674,7 @@ let compare_backends_cmd =
         [] backends
     in
     if backends = [] then exits_with_error "empty backend list";
+    check_writable out;
     let t = Atk.Backend_study.run ~backends ?domains apps in
     (match out with
     | None -> ()
@@ -898,6 +918,8 @@ let fleet_cmd =
     match spec with
     | Error e -> exits_with_error e
     | Ok spec -> (
+      if json_out <> Some "-" then check_writable json_out;
+      check_writable journal_out;
       let progress s = Format.eprintf "%s@." s in
       let progress = if quiet then fun _ -> () else progress in
       match Fl.Fleet.run ?domains ~progress spec with

@@ -218,6 +218,36 @@ let test_unknown_workload () =
         (Filename.quote_command cli [ cmd; "nosuch" ]))
     [ "trace"; "profile"; "syncsets"; "lint"; "attack"; "compare-backends" ]
 
+(* An output file that cannot be written is an input error (exit 1),
+   reported before the command runs: the error is all it prints. *)
+let test_unwritable_out () =
+  let path = Filename.concat "_cli_no_such_dir" "x.json" in
+  List.iter
+    (fun cmd ->
+      let what = String.concat " " cmd in
+      let n, out = status (Filename.quote_command cli cmd) in
+      Alcotest.(check int) (what ^ ": exit code") 1 n;
+      Alcotest.(check string) (what ^ ": output")
+        (Printf.sprintf "error: cannot write %s: No such file or directory\n"
+           path)
+        out)
+    [ [ "compare-backends"; "pinlock"; "--backends"; "pmp"; "--out"; path ];
+      [ "trace"; "pinlock"; "--format"; "json"; "--out"; path ];
+      [ "fleet"; "--apps"; "none"; "--seeds"; "0..0"; "--tasks"; "compile";
+        "--json"; path; "-q" ];
+      [ "fleet"; "--apps"; "none"; "--seeds"; "0..0"; "--tasks"; "compile";
+        "--journal"; path; "-q" ] ]
+
+(* [attack --all] attacks every workload, so a named APP with it is an
+   input error; an unknown name still gets the lookup's message. *)
+let test_attack_all_with_app () =
+  check_status "attack nosuch --all" ~code:1
+    ~says:"error: unknown application \"nosuch\"; try `opec list'"
+    (Filename.quote_command cli [ "attack"; "nosuch"; "--all" ]);
+  check_status "attack pinlock --all" ~code:1
+    ~says:"error: --all attacks every workload"
+    (Filename.quote_command cli [ "attack"; "pinlock"; "--all" ])
+
 (* [compare-backends --out F] writes the [--json] document and a
    newline, the bytes a checked-in BENCH_backends.json holds. *)
 let test_compare_backends_out () =
@@ -252,6 +282,10 @@ let suite () =
           test_worker_count;
         Alcotest.test_case "unknown APP exits 1 on every workload command"
           `Quick test_unknown_workload;
+        Alcotest.test_case "an unwritable output file exits 1 before the run"
+          `Quick test_unwritable_out;
+        Alcotest.test_case "attack rejects APP with --all" `Quick
+          test_attack_all_with_app;
         Alcotest.test_case "compare-backends --out is the --json document"
           `Slow test_compare_backends_out;
         Alcotest.test_case "fuzz --json escapes hostile corpus bytes" `Slow
