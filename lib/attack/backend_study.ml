@@ -148,7 +148,7 @@ let overhead_pct (bd : Met.Overhead.breakdown) =
 let render_overhead t =
   let header =
     [ "app"; "backend"; "cycles"; "overhead%"; "switches"; "swaps";
-      "synced B"; "denied"; "flash B"; "sram B" ]
+      "sync"; "synced B"; "denied"; "flash B"; "sram B" ]
   in
   let rows =
     List.concat_map
@@ -162,6 +162,7 @@ let render_overhead t =
               Printf.sprintf "%.2f" (overhead_pct bd);
               string_of_int bd.Met.Overhead.bd_switches;
               string_of_int bd.Met.Overhead.bd_swaps;
+              Int64.to_string bd.Met.Overhead.bd_sync;
               string_of_int bd.Met.Overhead.bd_synced_bytes;
               string_of_int r.r_denied;
               string_of_int r.r_flash_used;

@@ -159,21 +159,10 @@ let verified_run ~catch app img =
   in
   (mem, err, !unverified)
 
-let transparency ?image c =
-  let program = P.validated c in
-  let b = P.baseline c in
-  (* a defect gate's substitute image may break the monitor in any way;
-     the pipeline's own image dies only the way its stages do *)
-  let catch =
-    match image with
-    | Some _ -> fun _ -> true
-    | None -> (
-      function
-      | Ex.Interp.Aborted _ | Ex.Interp.Fuel_exhausted -> true | _ -> false)
-  in
-  let p_mem, p_err, unverified =
-    verified_run ~catch (P.app c) (image_of ?image c)
-  in
+(* One backend's verdict: [img]'s verified protected run against the
+   baseline [b]. *)
+let transparent ~catch ~program (b : P.baseline) app (img : C.Image.t) =
+  let p_mem, p_err, unverified = verified_run ~catch app img in
   match unverified with
   | Some e -> failf "Monitor.verify failed after %s" e
   | None ->
@@ -190,12 +179,42 @@ let transparency ?image c =
          synced out, so its master (the external view) is legitimately
          stale — the schedule's dead-publish filter names exactly these *)
       let exclude =
-        let img = image_of ?image c in
         try Opec_analysis.Syncset.unobserved img.C.Image.syncsets
         with Invalid_argument _ -> Opec_analysis.Syncset.SS.empty
       in
       compare_observable ~exclude program
         ~baseline:(snapshot_baseline b program) ~protected_:p_mem
+
+(* The MPU image, then the PMP and CHERI images, whose data plans grant
+   shared scalars in place.  A substitute image ([?image], the defect
+   gate) is MPU-built, so it gates only the MPU run. *)
+let transparency ?image c =
+  let program = P.validated c in
+  let b = P.baseline c in
+  let app = P.app c in
+  (* a defect gate's substitute image may break the monitor in any way;
+     the pipeline's own image dies only the way its stages do *)
+  let catch =
+    match image with
+    | Some _ -> fun _ -> true
+    | None -> (
+      function
+      | Ex.Interp.Aborted _ | Ex.Interp.Fuel_exhausted -> true | _ -> false)
+  in
+  let judge verdict backend =
+    match verdict with
+    | Fail _ -> verdict
+    | Pass -> (
+      let bc = P.ctx ~backend app in
+      let v = transparent ~catch ~program b app (P.image bc) in
+      P.evict bc;
+      match v with
+      | Pass -> Pass
+      | Fail e -> failf "%s: %s" (M.Backend.kind_name backend) e)
+  in
+  List.fold_left judge
+    (transparent ~catch ~program b app (image_of ?image c))
+    (if Option.is_none image then [ M.Backend.Pmp; M.Backend.Cheri ] else [])
 
 (* --- sync-soundness ----------------------------------------------------- *)
 
@@ -444,8 +463,9 @@ let all =
       check = sync_soundness };
     { name = "transparency";
       doc =
-        "baseline and protected runs agree on all observable globals, and \
-         Monitor.verify holds after init and every switch";
+        "baseline and protected runs (MPU, PMP, CHERI) agree on all \
+         observable globals, and Monitor.verify holds after init and every \
+         switch";
       check = transparency };
     { name = "engine-differential";
       doc =

@@ -683,6 +683,185 @@ let relocation_writes (plan : Opec_monitor.Monitor.reloc_plan)
 let live_relocation image =
   relocation_writes (Opec_monitor.Monitor.reloc_plan_of image) image
 
+(* --- L014: direct grants ---------------------------------------------- *)
+
+(* A shared global granted in place has no shadow to confine a bad write
+   and no sync to sanitize it, so eligibility is recomputed here from the
+   program, the operations, the developer input and the backend
+   descriptor: users from the resource sets, writers from a fresh
+   may-write analysis, the exact-grant test from the descriptor, and
+   each operation's write permission from a fresh install of its plan. *)
+let direct_grant (image : C.Image.t) =
+  let l = image.layout and direct = image.layout.direct in
+  if direct = []
+     && List.for_all (fun (_, m) -> m.C.Metadata.grants = []) image.metas
+  then []
+  else
+    let kind = image.backend in
+    let desc = M.Backend.descriptor kind in
+    let globals = Program.global_map image.source in
+    let rw = A.Dataflow.analyze image.source image.points_to in
+    let sanitized =
+      List.map (fun (r : C.Dev_input.sanitize_rule) -> r.sz_global)
+        image.input.sanitize
+    in
+    let err loc fmt = Diag.vf ~code:"L014" Diag.Error loc fmt in
+    let size v = Global.size (Program.String_map.find v globals) in
+    let span v = (v + 3) / 4 * 4 in
+    (* every other object a grant must not reach *)
+    let objects =
+      let homes =
+        Hashtbl.fold
+          (fun v addr acc -> (v, addr, addr + size v) :: acc)
+          l.var_home []
+      and shadows =
+        Hashtbl.fold
+          (fun v homes acc ->
+            List.map
+              (fun (op, addr) -> (v ^ " (shadow in " ^ op ^ ")", addr, addr + size v))
+              homes
+            @ acc)
+          l.shadow_addr []
+      and sections =
+        List.map
+          (fun (n, (s : C.Layout.section)) ->
+            ("data section of " ^ n, s.base, s.base + s.span))
+          l.op_sections
+        @ Option.to_list
+            (Option.map
+               (fun (h : C.Layout.section) -> ("heap section", h.base, h.base + h.span))
+               l.heap_section)
+      in
+      (("relocation table", l.reloc_base,
+        l.reloc_base + (4 * List.length l.reloc_slots))
+      :: ("stack", l.stack_base, l.stack_top)
+      :: homes)
+      @ shadows @ sections
+    in
+    let installed =
+      List.map
+        (fun (op : C.Operation.t) ->
+          let st = M.Backend.create kind in
+          let meta = C.Image.meta_of image op.name in
+          let planned =
+            match meta with
+            | None -> Error "no metadata"
+            | Some meta -> (
+              try
+                ignore (C.Backend_plan.install st ~image ~meta ~srd:0);
+                Ok st
+              with
+              | Invalid_argument m | M.Mpu.Invalid_region m
+              | M.Pmp.Invalid_entry m | M.Cheri.Invalid_cap m
+              | M.Poe.Invalid_overlay m ->
+                Error m)
+          in
+          (op, meta, planned))
+        image.ops
+    in
+    let can_write st a =
+      Result.is_ok
+        (M.Backend.check st ~privileged:false ~addr:a ~access:M.Fault.Write)
+    in
+    let per_var v =
+      let loc = Diag.Program in
+      let g = Program.String_map.find v globals in
+      let users =
+        List.filter
+          (fun (op : C.Operation.t) -> SS.mem v (C.Operation.accessible_globals op))
+          image.ops
+      in
+      let writes (op : C.Operation.t) =
+        SS.mem v (A.Dataflow.of_funcs rw op.funcs).A.Dataflow.writes
+      in
+      let lo = Option.value (C.Layout.master_of l v) ~default:0 in
+      let hi = lo + span (Global.size g) in
+      let bytes = List.init (hi - lo) (( + ) lo) in
+      (match kind with
+       | M.Backend.Mpu | M.Backend.Poe ->
+         [ err loc
+             "%s is granted in place on %s, whose windows cannot grant one \
+              variable"
+             v (M.Backend.kind_name kind) ]
+       | M.Backend.Pmp | M.Backend.Cheri -> [])
+      @ (if Global.pointer_field_offsets g <> [] then
+           [ err loc
+               "%s is granted in place but has pointer fields: a shadow fill \
+                would localize them"
+               v ]
+         else [])
+      @ (if List.mem v sanitized then
+           [ err loc
+               "%s is granted in place but has a sanitize rule: its writes \
+                reach the master unchecked"
+               v ]
+         else [])
+      @ (if List.length users < 2 then
+           [ err loc "%s is granted in place but is not shared" v ]
+         else [])
+      @ (if C.Layout.reloc_slot l v <> None || Hashtbl.mem l.shadow_addr v then
+           [ err loc "%s is granted in place but keeps a shadow or a relocation slot" v ]
+         else [])
+      @ (if not (M.Backend.grants_exactly desc ~base:lo ~len:(hi - lo)) then
+           [ err loc
+               "%s's grant [0x%08X,0x%08X) is not exact under the %s descriptor"
+               v lo hi (M.Backend.kind_name kind) ]
+         else [])
+      @ List.concat_map
+          (fun ((op : C.Operation.t), _, planned) ->
+            let oloc = Diag.Operation op.name in
+            let user = List.memq op users in
+            match planned with
+            | Error m ->
+              [ err oloc "the plan holding %s's grant cannot be installed: %s" v m ]
+            | Ok st ->
+              if user && writes op
+                 && not (List.for_all (can_write st) bytes)
+              then
+                [ err oloc "may write %s but holds no write grant over its master" v ]
+              else if (not user) && List.exists (can_write st) bytes then
+                [ err oloc "holds a write grant over %s, which it does not use" v ]
+              else [])
+          installed
+    in
+    (* each grant an operation's metadata carries must be one direct
+       global's master span and reach no other object *)
+    let per_grant ((op : C.Operation.t), meta, _) =
+      let grants =
+        match meta with Some m -> m.C.Metadata.grants | None -> []
+      in
+      (* on the PMP a grant may only take an entry no window needs *)
+      (match (kind, meta) with
+       | M.Backend.Pmp, Some meta when grants <> [] -> (
+         match C.Backend_plan.rotation kind meta with
+         | Some rot when rot.C.Backend_plan.needed > rot.C.Backend_plan.slots ->
+           [ err (Diag.Operation op.name)
+               "holds direct grants while %d peripheral window(s) rotate: a \
+                grant took a window's entry"
+               (rot.C.Backend_plan.needed - rot.C.Backend_plan.slots) ]
+         | _ -> [])
+       | _ -> [])
+      @ List.concat_map
+        (fun (v, lo, len) ->
+          let loc = Diag.Operation op.name in
+          let hi = lo + len in
+          (if List.mem v direct then []
+           else [ err loc "holds a grant over %s, which is not granted in place" v ])
+          @ List.filter_map
+              (fun (name, a, b) ->
+                if String.equal name v || b <= lo || a >= hi then None
+                else
+                  Some
+                    (err loc
+                       "grant of %s [0x%08X,0x%08X) covers a byte of %s \
+                        [0x%08X,0x%08X)"
+                       v lo hi name a b))
+              objects)
+        grants
+    in
+    List.sort_uniq compare
+      (List.concat_map per_var direct @ List.concat_map per_grant installed)
+
 (* --- L008: layout consistency ------------------------------------------- *)
 
 let layout_consistency (image : C.Image.t) =

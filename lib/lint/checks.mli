@@ -1,4 +1,4 @@
-(** The static policy checkers (codes L001–L006, L008–L010, L012, L013).
+(** The static policy checkers (codes L001–L006, L008–L010, L012–L014).
 
     Each checker examines one facet of a compiled {!Opec_core.Image.t}
     against the isolation policy the OPEC compiler derived: indirect-call
@@ -84,3 +84,16 @@ val relocation_writes : Opec_monitor.Monitor.reloc_plan -> check
 (** L013 against the plan the monitor derives,
     {!Opec_monitor.Monitor.reloc_plan_of}. *)
 val live_relocation : check
+
+(** L014: direct grants — every shared global the layout grants in place
+    ({!Opec_core.Layout.t.direct}) is re-judged from the program, the
+    operations, the developer input and the backend descriptor.  Errors
+    when one exists on MPU or POE, has a pointer field or a sanitize
+    rule, is not shared, keeps a shadow or a relocation slot, is not
+    granted exactly ({!Opec_machine.Backend.grants_exactly}) or its
+    word-rounded grant covers a byte of any other object; when an
+    operation that may write it (fresh may-write analysis) cannot write
+    its master under a fresh install of its plan, or an operation
+    outside its users can; and, on the PMP, when an operation holds
+    direct grants while a peripheral window rotates. *)
+val direct_grant : check

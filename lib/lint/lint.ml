@@ -80,7 +80,10 @@ let checkers =
       Checks.resolved_relocation;
     static "live-relocation" ~code:"L013"
       ~doc:"relocation slots each operation reads kept at its targets"
-      Checks.live_relocation ]
+      Checks.live_relocation;
+    static "direct-grant" ~code:"L014"
+      ~doc:"shared globals granted in place are eligible and granted exactly"
+      Checks.direct_grant ]
 
 let find_checker code =
   List.find_opt (fun c -> String.equal c.code code) checkers

@@ -51,25 +51,33 @@ type descriptor = {
   d_kind : kind;
   d_entry_budget : int option;  (** simultaneously-resident windows/keys *)
   d_alignment : alignment;
+  d_range_granule : int option;
+      (** one entry grants any range whose base and length are multiples
+          of this (PMP TOR: 4 bytes; CHERI: 1, within bounds precision);
+          [None] when every window takes the aligned encoding above *)
 }
 
 let descriptor = function
   | Mpu ->
     { d_kind = Mpu;
       d_entry_budget = Some Mpu.region_count;
-      d_alignment = Pow2 { min_log2 = Mpu.min_size_log2 } }
+      d_alignment = Pow2 { min_log2 = Mpu.min_size_log2 };
+      d_range_granule = None }
   | Pmp ->
     { d_kind = Pmp;
       d_entry_budget = Some Pmp.entry_count;
-      d_alignment = Pow2 { min_log2 = 3 } }
+      d_alignment = Pow2 { min_log2 = 3 };
+      d_range_granule = Some 4 }
   | Cheri ->
     { d_kind = Cheri;
       d_entry_budget = None;
-      d_alignment = Precision { mantissa_bits = Cheri.mantissa_bits } }
+      d_alignment = Precision { mantissa_bits = Cheri.mantissa_bits };
+      d_range_granule = Some 1 }
   | Poe ->
     { d_kind = Poe;
       d_entry_budget = Some Poe.key_count;
-      d_alignment = Granule { bytes = Poe.granule } }
+      d_alignment = Granule { bytes = Poe.granule };
+      d_range_granule = None }
 
 let round_up a n = (n + a - 1) / a * a
 
@@ -96,6 +104,20 @@ let region_fit d bytes =
       if a' <= a then (max a 1, span) else go a'
     in
     go (max 1 (Cheri.representable_align (max bytes 1)))
+
+(* Can one entry grant exactly [base, base + len), no byte more?  Only a
+   backend with range entries can: a PMP TOR entry on its 4-byte
+   granule, or a CHERI capability whose bounds are representable
+   without widening. *)
+let grants_exactly d ~base ~len =
+  match d.d_range_granule with
+  | None -> false
+  | Some g ->
+    len > 0 && base mod g = 0 && len mod g = 0
+    &&
+    match d.d_alignment with
+    | Precision _ -> Cheri.representable ~base ~len
+    | Pow2 _ | Granule _ -> true
 
 (* --- runtime state ------------------------------------------------------- *)
 

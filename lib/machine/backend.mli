@@ -18,6 +18,11 @@ type descriptor = {
   d_kind : kind;
   d_entry_budget : int option;
   d_alignment : alignment;
+  d_range_granule : int option;
+      (** one entry grants any range whose base and length are multiples
+          of this: 4 on PMP (a TOR entry), 1 on CHERI (within bounds
+          precision); [None] on MPU and POE, whose every window takes
+          the aligned encoding *)
 }
 
 val descriptor : kind -> descriptor
@@ -26,6 +31,11 @@ val region_fit : descriptor -> int -> int * int
 (** [region_fit d bytes] is the [(alignment, span)] a window covering
     [bytes] bytes costs under the backend's encoding.  Identical to
     [Mpu.region_size_for] for power-of-two backends. *)
+
+val grants_exactly : descriptor -> base:int -> len:int -> bool
+(** Whether one entry can grant exactly [\[base, base + len)], no byte
+    more: a PMP TOR entry on the 4-byte granule, or a CHERI capability
+    representable without widening.  Never on MPU or POE. *)
 
 type state =
   | Mpu_state of Mpu.t

@@ -656,12 +656,12 @@ let rec find_master_range t addr i =
     if addr >= base && addr < base + size then i
     else find_master_range t addr (i + 1)
 
-(* Translate a pointer that targets another operation's shadow section to
-   the equivalent location visible to operation [oi] (Section 5.3).  A
-   master address is the canonical form a pointer takes after passing
-   through an operation without access to the target; it localizes into
-   [oi]'s shadow when one exists. *)
-let translate_pointer t oi v =
+(* The location visible to operation [oi] that a pointer to another
+   operation's shadow section stands for (Section 5.3); [v] itself when
+   it targets nothing shared.  A master address is the canonical form a
+   pointer takes after passing through an operation without access to
+   the target; it localizes into [oi]'s shadow when one exists. *)
+let localized t oi v =
   let addr = Int64.to_int v in
   let var, base =
     match find_shadow_range t oi addr 0 with
@@ -678,11 +678,14 @@ let translate_pointer t oi v =
   if var < 0 then v
   else
     let target = t.local_base.((oi * t.nvars) + var) + (addr - base) in
-    if target = addr then v
-    else begin
-      t.stats.Stats.pointer_fixups <- t.stats.Stats.pointer_fixups + 1;
-      Int64.of_int target
-    end
+    if target = addr then v else Int64.of_int target
+
+(* Translate a pointer for operation [oi], counting each rewrite. *)
+let translate_pointer t oi v =
+  let v' = localized t oi v in
+  if not (Int64.equal v' v) then
+    t.stats.Stats.pointer_fixups <- t.stats.Stats.pointer_fixups + 1;
+  v'
 
 (* localize the pointer fields of operation [oi]'s shadow at [base] *)
 let rec fix_pointers t oi base = function
@@ -1056,10 +1059,75 @@ let init t =
 
 (* --- the oracle of the compiled protocol --------------------------------- *)
 
+(* The shadow invariant behind the incremental sync-in: a shadow whose
+   [pulled] equals its variable's [epoch] holds its master's bytes, with
+   pointer fields localized for its operation — the run-time twin of
+   lints L009-L011.  Exempt: read-only mappings (their shadow is dead),
+   forced slots (a device or an ablation rewrites them), and variables
+   the operation may write but never publishes (its shadow is then
+   legitimately ahead of the master).  The first violation, if any. *)
+let shadow_violation t =
+  let ss = t.image.C.Image.syncsets in
+  let word sl off =
+    let w = if sl.sl_size - off >= 4 then 4 else 1 in
+    (w, M.Bus.read_raw t.bus (sl.sl_shadow + off) w,
+     M.Bus.read_raw t.bus (sl.sl_master + off) w)
+  in
+  let rec stale oi sl off =
+    if off >= sl.sl_size then None
+    else
+      let w, shadow, master = word sl off in
+      let expect =
+        if List.mem off sl.sl_ptrs then localized t oi master else master
+      in
+      if Int64.equal shadow expect then stale oi sl (off + w)
+      else Some (off, shadow, expect)
+  in
+  let unpublished oi =
+    let name = t.ops.(oi).C.Operation.name in
+    let writes = try Ss.may_write ss name with Invalid_argument _ -> Ss.SS.empty in
+    fun var sl_var ->
+      Ss.SS.mem var writes
+      && not (Array.exists (fun sl -> sl.sl_var = sl_var) t.out_plan.(oi))
+  in
+  (* a shadow slot names its variable by its master's address *)
+  let var_name = Hashtbl.create 16 in
+  List.iter
+    (fun (s : C.Layout.slot) ->
+      Hashtbl.replace var_name s.C.Layout.addr s.C.Layout.var)
+    t.image.C.Image.layout.C.Layout.public.C.Layout.slots;
+  let rec scan oi =
+    if oi >= Array.length t.ops then None
+    else
+      let row = oi * t.nvars and unpublished = unpublished oi in
+      match
+        Array.find_map
+          (fun sl ->
+            let var = Hashtbl.find var_name sl.sl_master in
+            if sl.sl_forced || t.ro.(row + sl.sl_var)
+               || t.pulled.(row + sl.sl_var) <> t.epoch.(sl.sl_var)
+               || unpublished var sl.sl_var
+            then None
+            else
+              Option.map
+                (fun (off, shadow, expect) ->
+                  Fmt.str
+                    "%s: shadow of %s at 0x%08X+%d holds 0x%08Lx, but its \
+                     epoch (%d) is current and the master gives 0x%08Lx"
+                    t.ops.(oi).C.Operation.name var sl.sl_shadow off shadow
+                    t.epoch.(sl.sl_var) expect)
+                (stale oi sl 0))
+          t.all_plan.(oi)
+      with
+      | Some e -> Some e
+      | None -> scan (oi + 1)
+  in
+  scan 0
+
 (* The live protection state must equal a fresh install of the active
-   operation's plan on a fresh backend of the same kind, and the
-   operation's live relocation slots must hold its targets.  Charges no
-   cycles. *)
+   operation's plan on a fresh backend of the same kind, the operation's
+   live relocation slots must hold its targets, and every shadow must
+   satisfy the sync-in invariant.  Charges no cycles. *)
 let verify t =
   match t.frames with
   | [] -> Error "no active operation"
@@ -1081,11 +1149,12 @@ let verify t =
           (fun (slot, target) -> not (Int64.equal (holds slot) target))
           t.reloc.live.(f.oi)
       with
-      | None -> Ok ()
       | Some (slot, target) ->
         Error
           (Fmt.str "%s: relocation slot 0x%08X holds 0x%08Lx, expected 0x%08Lx"
              name slot (holds slot) target)
+      | None -> (
+        match shadow_violation t with None -> Ok () | Some e -> Error e)
 
 (* [h] with [verify] run after every operation enter and exit.  The
    monitor comes from a thunk because [Runner.prepare] wraps the handler

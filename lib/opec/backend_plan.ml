@@ -108,6 +108,25 @@ let poe_key_first_free = 4
 
 type rotation = { first : int; slots : int; needed : int }
 
+(* The first PMP peripheral window follows the stack, data section,
+   heap and code entries. *)
+let pmp_first ~section ~heap = 1 + section + heap + 1
+
+(* The entries an operation's plan leaves free for direct grants: on the
+   PMP every entry but the stack, data section (every operation has
+   one), heap, code, each peripheral window, the spare and the
+   background; none on the MPU and POE; no budget on CHERI. *)
+let free_entries kind ~uses_heap (op : Operation.t) =
+  match kind with
+  | M.Backend.Cheri -> None
+  | M.Backend.Pmp ->
+    let first = pmp_first ~section:1 ~heap:(Bool.to_int uses_heap) in
+    Some
+      (max 0
+         (Pmp.entry_count - 2 - first
+         - List.length (Metadata.peripheral_regions op)))
+  | M.Backend.Mpu | M.Backend.Poe -> Some 0
+
 let rotation kind (meta : Metadata.op_meta) =
   let heap = if meta.Metadata.uses_heap then 1 else 0 in
   let regions = List.length meta.Metadata.periph_regions in
@@ -118,9 +137,8 @@ let rotation kind (meta : Metadata.op_meta) =
     let last = Config.peripheral_region_first + Config.peripheral_region_count in
     Some { first; slots = last - first; needed = regions }
   | M.Backend.Pmp ->
-    (* after the stack, data section, heap and code entries *)
     let section = if meta.Metadata.section <> None then 1 else 0 in
-    let first = 1 + section + heap + 1 in
+    let first = pmp_first ~section ~heap in
     Some
       { first; slots = min (Pmp.entry_count - 2 - first) regions;
         needed = regions }
@@ -149,7 +167,8 @@ let place set rot windows =
    bounds precision (representability) can widen a grant, via
    {!M.Cheri.round_bounds}. *)
 let cheri_caps ~code_base ~code_bytes ~stack_base ~stack_limit ?heap
-    (section : Layout.section option) (op : Operation.t) =
+    (section : Layout.section option) (meta : Metadata.op_meta) =
+  let op = meta.Metadata.op in
   let rounded ?(r = true) ?(w = false) ?(x = false) ~base ~len () =
     let base, len = M.Cheri.round_bounds ~base ~len in
     M.Cheri.cap ~r ~w ~x ~base ~len ()
@@ -167,9 +186,15 @@ let cheri_caps ~code_base ~code_bytes ~stack_base ~stack_limit ?heap
       (fun (base, limit) -> rounded ~w:true ~base ~len:(limit - base) ())
       op.Operation.periph_ranges
   in
+  (* a direct grant is exact by classification: no rounding *)
+  let grants =
+    List.map
+      (fun (_, base, len) -> M.Cheri.cap ~w:true ~base ~len ())
+      meta.Metadata.grants
+  in
   (background :: code :: stack :: Option.to_list (Option.map window section))
   @ Option.to_list (Option.map window heap)
-  @ periphs
+  @ periphs @ grants
 
 (* --- install -------------------------------------------------------------- *)
 
@@ -230,10 +255,21 @@ let install st ~(image : Image.t) ~(meta : Metadata.op_meta) ~srd =
             ~size_log2:code_log2 ~r:true ~w:false ~x:true () ]
     in
     List.iteri (Pmp.set pmp) fixed;
+    let rot = rot () in
     let overflow =
-      place (fun slot r -> Pmp.set pmp slot (pmp_window r)) (rot ())
+      place (fun slot r -> Pmp.set pmp slot (pmp_window r)) rot
         meta.Metadata.periph_regions
     in
+    (* direct grants after the peripheral windows, one TOR entry each;
+       the classification left each writer a free entry per grant *)
+    List.iteri
+      (fun i (var, base, len) ->
+        let slot = rot.first + rot.slots + i in
+        if slot >= Pmp.entry_count - 2 then
+          invalid_arg ("Backend_plan: no free PMP entry to grant " ^ var);
+        Pmp.set pmp slot
+          (Pmp.tor ~base ~limit:(base + len) ~r:true ~w:true ~x:false ()))
+      meta.Metadata.grants;
     Pmp.set pmp (Pmp.entry_count - 1)
       (Pmp.napot ~base:0x0 ~size_log2:30 ~r:true ~w:false ~x:false ());
     Pmp.enable pmp;
@@ -242,7 +278,7 @@ let install st ~(image : Image.t) ~(meta : Metadata.op_meta) ~srd =
     M.Cheri.clear c;
     M.Cheri.grant c
       (cheri_caps ~code_base ~code_bytes ~stack_base ~stack_limit ?heap section
-         meta.Metadata.op);
+         meta);
     M.Cheri.enable c;
     []
   | M.Backend.Poe_state p ->

@@ -29,6 +29,15 @@ type rotation = { first : int; slots : int; needed : int }
     whose grants are always resident. *)
 val rotation : M.Backend.kind -> Metadata.op_meta -> rotation option
 
+(** The protection entries an operation's plan leaves free for direct
+    grants ({!Partition.grant_direct}): on the PMP all but the stack,
+    data section, heap, code, every peripheral window, the spare and
+    the background; [Some 0] on MPU and POE; [None] (no budget) on
+    CHERI.  Installs place the grants after the peripheral windows:
+    PMP TOR entries before the spare, or extra CHERI capabilities. *)
+val free_entries :
+  M.Backend.kind -> uses_heap:bool -> Operation.t -> int option
+
 (** Install the operation's plan under stack sub-region mask [srd] on
     whatever backend the machine carries; returns the planned peripheral
     windows left non-resident (MPU/PMP overflow; always [[]] for CHERI

@@ -66,14 +66,39 @@ let back ?(board = Opec_machine.Memmap.stm32f4_discovery)
     ~points_to ~callgraph ~resources ~(ops : Operation.t list)
     (program : Program.t) (input : Dev_input.t) : Image.t =
   Atomic.incr invocations;
-  let classification = Partition.classify_globals program ops in
-  let layout = Layout.build ~sort_sections ~backend program ops classification in
-  let metas = Metadata.build ~cls:classification layout input ops in
   let syncsets =
     match syncsets with
     | Some s -> s
     | None -> syncsets_of ~points_to ~callgraph ~ops ~input program
   in
+  let classification = Partition.classify_globals program ops in
+  let descriptor = Opec_machine.Backend.descriptor backend in
+  let classification =
+    (* the MPU and POE keep the paper's plan: nothing is granted in
+       place, and nothing more is computed *)
+    if descriptor.Opec_machine.Backend.d_range_granule = None then
+      classification
+    else
+      let public = Layout.public_section program classification in
+      Partition.grant_direct
+        { Partition.descriptor;
+          sanitized =
+            SS.of_list
+              (List.map
+                 (fun r -> r.Dev_input.sz_global)
+                 input.Dev_input.sanitize);
+          writes =
+            (fun op -> Opec_analysis.Syncset.may_write syncsets op.Operation.name);
+          master = (fun v -> Option.get (Layout.slot_addr public v));
+          free_entries =
+            (fun op ->
+              Backend_plan.free_entries backend
+                ~uses_heap:(Partition.op_uses_heap classification op)
+                op) }
+        program ops classification
+  in
+  let layout = Layout.build ~sort_sections ~backend program ops classification in
+  let metas = Metadata.build ~cls:classification layout input ops in
   let resolve =
     if resolve_relocs then
       Some (Instrument.resolver ~layout ~ops ~metas ~syncsets)

@@ -29,6 +29,7 @@ type t = {
   public : section;
   heap_section : section option;          (** heap arenas (Section 5.2) *)
   externals : string list;
+  direct : string list;  (** shared variables granted in place: no shadow, no slot *)
   reloc_base : int;
   reloc_slots : (string * int) list;      (** external var -> table slot addr *)
   slot_index : (string, int) Hashtbl.t;    (** [reloc_slots] as a table *)
@@ -73,6 +74,25 @@ let log2_ceil n =
   let rec go k = if 1 lsl k >= n then k else go (k + 1) in
   if n <= 1 then 0 else go 0
 
+(* The public data section: masters of the shared globals, shadowed or
+   granted in place, in declaration order, then the unused writable
+   globals.  Which shared globals are granted in place does not move a
+   master. *)
+let public_section (p : Program.t) (cls : Partition.classification) =
+  let shared =
+    SS.union
+      (SS.of_list cls.Partition.external_)
+      (SS.of_list (List.map fst cls.Partition.direct))
+  in
+  let among set =
+    List.filter_map
+      (fun (g : Global.t) ->
+        if SS.mem g.name set then Some (g.name, Global.size g) else None)
+      p.globals
+  in
+  let public_vars = among shared @ among (SS.of_list cls.Partition.unused) in
+  pack_section ~owner:"public" ~base:Opec_machine.Memmap.sram_base public_vars
+
 let build ?(sort_sections = true) ?(backend = Opec_machine.Backend.Mpu)
     (p : Program.t) (ops : Operation.t list)
     (cls : Partition.classification) =
@@ -89,16 +109,11 @@ let build ?(sort_sections = true) ?(backend = Opec_machine.Backend.Mpu)
   let external_set = SS.of_list cls.Partition.external_ in
   let var_home = Hashtbl.create 64 in
   let shadow_addr = Hashtbl.create 64 in
-  let cursor = ref Opec_machine.Memmap.sram_base in
-  (* 1. public data section: masters of externals + unused writable vars *)
-  let public_vars =
-    List.map (fun v -> (v, size_of v)) cls.Partition.external_
-    @ List.map (fun v -> (v, size_of v)) cls.Partition.unused
-  in
-  let public = pack_section ~owner:"public" ~base:!cursor public_vars in
+  (* 1. public data section *)
+  let public = public_section p cls in
   List.iter (fun s -> Hashtbl.replace var_home s.var s.addr) public.slots;
-  cursor := public.base + public.used;
-  (* 2. variables relocation table: one word per external variable *)
+  let cursor = ref (public.base + public.used) in
+  (* 2. variables relocation table: one word per shadowed variable *)
   let reloc_base = align 4 !cursor in
   let reloc_slots =
     List.mapi (fun i v -> (v, reloc_base + (i * 4))) cls.Partition.external_
@@ -189,6 +204,7 @@ let build ?(sort_sections = true) ?(backend = Opec_machine.Backend.Mpu)
     public;
     heap_section;
     externals = cls.Partition.external_;
+    direct = List.map fst cls.Partition.direct;
     reloc_base;
     reloc_slots;
     slot_index;

@@ -26,6 +26,9 @@ type t = {
   public : section;
   heap_section : section option;  (** heap arenas (Section 5.2) *)
   externals : string list;             (** shared (shadowed) variables *)
+  direct : string list;
+      (** shared variables granted in place
+          ({!Partition.grant_direct}): a master, no shadow, no slot *)
   reloc_base : int;
   reloc_slots : (string * int) list;   (** shared var -> table slot addr *)
   slot_index : (string, int) Hashtbl.t;  (** [reloc_slots] as a table *)
@@ -45,6 +48,12 @@ val pack_section : owner:string -> base:int -> (string * int) list -> section
 val slot_addr : section -> string -> int option
 
 val log2_ceil : int -> int
+
+(** The public data section, at the base of SRAM: the masters of every
+    shared global (shadowed or granted in place) in declaration order,
+    then the unused writable globals.  {!build} places it the same
+    way. *)
+val public_section : Program.t -> Partition.classification -> section
 
 (** Build the layout.  [sort_sections:false] keeps declaration order —
     the placement ablation.  [backend] supplies the window-encoding

@@ -12,6 +12,8 @@ type op_meta = {
   section : Layout.section option;
   uses_heap : bool;  (** map the heap section read-write for this op *)
   shadow_slots : (string * int) list;   (** external var -> shadow addr *)
+  grants : (string * int * int) list;
+      (** direct var, master, bytes: a write grant over the master *)
   sanitize : Dev_input.sanitize_rule list;
   stack_info : Dev_input.stack_info option;
   periph_regions : Opec_machine.Mpu.region list;
@@ -49,7 +51,9 @@ let cover_range (lo, hi) =
   go lo []
 
 (* The MPU regions covering the operation's merged peripheral ranges:
-   the plan the MPU and PMP backends install. *)
+   the plan the MPU and PMP backends install.  A function of the
+   operation alone, so the classification can count them before any
+   metadata exists. *)
 let peripheral_regions (op : Operation.t) =
   List.concat_map cover_range op.Operation.periph_ranges
   |> List.map (fun (base, size_log2) ->
@@ -69,6 +73,21 @@ let build ?(cls : Partition.classification option) (layout : Layout.t)
             | None -> acc)
           (Operation.accessible_globals op)
           []
+      in
+      (* a word-granular grant over the master of every direct global
+         the operation may write *)
+      let grants =
+        List.filter_map
+          (fun (v, writers) ->
+            if not (List.mem op.Operation.name writers) then None
+            else
+              List.find_map
+                (fun (s : Layout.slot) ->
+                  if String.equal s.Layout.var v then
+                    Some (v, s.Layout.addr, Layout.align 4 s.Layout.size)
+                  else None)
+                layout.Layout.public.Layout.slots)
+          (match cls with Some c -> c.Partition.direct | None -> [])
       in
       let sanitize =
         List.filter
@@ -94,7 +113,7 @@ let build ?(cls : Partition.classification option) (layout : Layout.t)
         | None -> false
       in
       ( op.Operation.name,
-        { op; section; uses_heap; shadow_slots; sanitize; stack_info;
+        { op; section; uses_heap; shadow_slots; grants; sanitize; stack_info;
           periph_regions; bytes } ))
     ops
 

@@ -8,6 +8,11 @@ type op_meta = {
   section : Layout.section option;
   uses_heap : bool;  (** map the heap section read-write for this op *)
   shadow_slots : (string * int) list;  (** shared var -> shadow addr *)
+  grants : (string * int * int) list;
+      (** (var, master, bytes) of each direct global the operation may
+          write: one read-write grant over its master, rounded up to a
+          word.  Counted in the fixed configuration block, like every
+          protection entry. *)
   sanitize : Dev_input.sanitize_rule list;
   stack_info : Dev_input.stack_info option;
   periph_regions : Opec_machine.Mpu.region list;
@@ -17,6 +22,10 @@ type op_meta = {
 val bytes_of :
   shadow_count:int -> periph_region_count:int -> sanitize_count:int ->
   stack_args:int -> int
+
+(** The MPU regions covering the operation's merged peripheral ranges,
+    which the MPU and PMP plans install. *)
+val peripheral_regions : Operation.t -> Opec_machine.Mpu.region list
 
 (** Build the metadata table; [cls] marks the heap-using operations. *)
 val build :

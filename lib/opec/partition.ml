@@ -73,6 +73,9 @@ let partition ?backend (p : Program.t) (cg : CG.t) (resources : R.t)
 type classification = {
   internal : (string * Operation.t) list;   (** var, owning operation *)
   external_ : string list;
+  direct : (string * string list) list;
+      (** shared globals granted in place: var, the operations that may
+          write it (see {!grant_direct}) *)
   unused : string list;  (** writable globals no operation touches *)
   heap : string list;    (** heap arenas: separate section, never shadowed *)
 }
@@ -101,8 +104,65 @@ let classify_globals (p : Program.t) ops =
     p.globals;
   { internal = List.rev !internal;
     external_ = List.rev !external_;
+    direct = [];
     unused = List.rev !unused;
     heap = List.rev !heap }
+
+(* Shared globals granted in place (DESIGN.md, deviations).  OPEC shadows
+   a shared global only because an MPU region cannot grant one variable.
+   A backend whose single entry grants the master's exact span needs no
+   shadow for a global without pointer fields (a shadow fill localizes
+   those) and without a sanitize rule (the check reads the shadow before
+   it is published): every operation that may write it gets a write
+   grant over the master, and readers use the read-only background.  On
+   a budgeted backend each writer must still have a free entry; the
+   choice is greedy in declaration order, and all-or-nothing per
+   variable. *)
+type grant_rule = {
+  descriptor : Opec_machine.Backend.descriptor;
+  sanitized : SS.t;
+  writes : Operation.t -> SS.t;
+  master : string -> int;
+  free_entries : Operation.t -> int option;
+}
+
+let grant_direct rule (p : Program.t) ops cls =
+  let globals = Program.global_map p in
+  let free = Hashtbl.create 8 in
+  List.iter
+    (fun (op : Operation.t) -> Hashtbl.replace free op.name (rule.free_entries op))
+    ops;
+  let has_room (op : Operation.t) =
+    match Hashtbl.find free op.name with None -> true | Some n -> n > 0
+  in
+  let take (op : Operation.t) =
+    Hashtbl.replace free op.name (Option.map pred (Hashtbl.find free op.name))
+  in
+  let eligible v =
+    let g = Program.String_map.find v globals in
+    Global.pointer_field_offsets g = []
+    && (not (SS.mem v rule.sanitized))
+    && Opec_machine.Backend.grants_exactly rule.descriptor ~base:(rule.master v)
+         ~len:((Global.size g + 3) / 4 * 4)
+  in
+  let direct, external_ =
+    List.partition_map
+      (fun v ->
+        let writers =
+          List.filter
+            (fun op ->
+              SS.mem v (Operation.accessible_globals op)
+              && SS.mem v (rule.writes op))
+            ops
+        in
+        if eligible v && List.for_all has_room writers then begin
+          List.iter take writers;
+          Either.Left (v, List.map (fun (op : Operation.t) -> op.name) writers)
+        end
+        else Either.Right v)
+      cls.external_
+  in
+  { cls with external_; direct }
 
 (* Does the operation touch any heap arena? *)
 let op_uses_heap (cls : classification) (op : Operation.t) =

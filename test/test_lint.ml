@@ -458,11 +458,60 @@ let test_seeded_l013 () =
   check_fires "untracked table read" "L013"
     (L.Checks.live_relocation { image with C.Image.program })
 
+(* L014: the sample's [shared] is granted in place on PMP (task_a writes
+   it, task_b reads it).  Each seeded defect breaks one eligibility
+   rule: the writer's grant removed, a grant handed to an operation
+   that does not use the global, a grant widened over the stack, a
+   sanitize rule added, and the PMP image relabelled as an MPU one. *)
+let test_seeded_l014 () =
+  let image =
+    C.Compiler.compile ~backend:M.Backend.Pmp (sample_program ())
+      (C.Dev_input.v [ "task_a"; "task_b" ])
+  in
+  Alcotest.(check (list string)) "granted in place" [ "shared" ]
+    image.C.Image.layout.C.Layout.direct;
+  Alcotest.(check (list string)) "clean image" []
+    (error_codes (L.Checks.direct_grant image));
+  let with_grants f =
+    { image with
+      C.Image.metas =
+        List.map
+          (fun (n, (m : C.Metadata.op_meta)) ->
+            (n, { m with C.Metadata.grants = f n m.C.Metadata.grants }))
+          image.C.Image.metas }
+  in
+  let a_grant =
+    List.hd (C.Metadata.((Option.get (C.Image.meta_of image "task_a")).grants))
+  in
+  check_fires "writer without its grant" "L014"
+    (L.Checks.direct_grant (with_grants (fun _ g -> if g = [] then g else [])));
+  check_fires "grant to an operation that does not use it" "L014"
+    (L.Checks.direct_grant
+       (with_grants (fun n g -> if String.equal n "default" then [ a_grant ] else g)));
+  let var, base, _ = a_grant in
+  check_fires "grant widened over the stack" "L014"
+    (L.Checks.direct_grant
+       (with_grants (fun n g ->
+            if String.equal n "task_a" then [ (var, base, 0x4000) ] else g)));
+  let sanitized =
+    { image with
+      C.Image.input =
+        C.Dev_input.v
+          ~sanitize:[ { C.Dev_input.sz_global = "shared"; sz_min = 0L; sz_max = 9L } ]
+          [ "task_a"; "task_b" ] }
+  in
+  check_fires "sanitize rule" "L014" (L.Checks.direct_grant sanitized);
+  check_fires "direct grant on the MPU" "L014"
+    (L.Checks.direct_grant { image with C.Image.backend = M.Backend.Mpu });
+  Alcotest.(check (list string)) "the MPU image grants nothing in place" []
+    (C.Compiler.compile (sample_program ()) (C.Dev_input.v [ "task_a"; "task_b" ]))
+      .C.Image.layout.C.Layout.direct
+
 let test_registry_complete () =
   let codes = List.map (fun c -> c.L.Lint.code) L.Lint.checkers in
   Alcotest.(check (list string)) "registry codes"
     [ "L001"; "L002"; "L003"; "L004"; "L005"; "L006"; "L007"; "L008"; "L009";
-      "L010"; "L011"; "L012"; "L013" ]
+      "L010"; "L011"; "L012"; "L013"; "L014" ]
     codes;
   Alcotest.(check bool) "only the trace oracles are dynamic" true
     (List.for_all
@@ -511,5 +560,6 @@ let suite () =
           test_l002_dead_code_is_info;
         Alcotest.test_case "diag ordering and json" `Quick
           test_diag_ordering_and_json;
+        Alcotest.test_case "seeded L014 direct grants" `Quick test_seeded_l014;
         Alcotest.test_case "checker registry" `Quick test_registry_complete ] )
   ]
