@@ -133,6 +133,13 @@ let create = function
   | Cheri -> Cheri_state (Cheri.create ())
   | Poe -> Poe_state (Poe.create ())
 
+(* Structural equality of the registers, except the MPU's, whose
+   decision memo is not state. *)
+let equal a b =
+  match (a, b) with
+  | Mpu_state x, Mpu_state y -> Mpu.equal x y
+  | (Mpu_state _ | Pmp_state _ | Cheri_state _ | Poe_state _), _ -> a = b
+
 let kind_of = function
   | Mpu_state _ -> Mpu
   | Pmp_state _ -> Pmp

@@ -46,6 +46,10 @@ type state =
 val create : kind -> state
 val kind_of : state -> kind
 
+(** Same kind and same registers.  Use this, not [=]: the MPU keeps a
+    decision memo beside its registers. *)
+val equal : state -> state -> bool
+
 val check :
   state ->
   privileged:bool ->

@@ -27,6 +27,9 @@ type region = {
 type t = {
   mutable enabled : bool;
   regions : region option array;  (** slots 0..7 *)
+  mutable stamp : int;
+  mutable uniform : bool;
+  memo : int array;
 }
 
 exception Invalid_region of string
@@ -35,7 +38,34 @@ let region_count = 8
 let min_size_log2 = 5 (* 32 bytes *)
 let subregion_min_log2 = 8 (* SRD is only implemented for >= 256-byte regions *)
 
-let create () = { enabled = false; regions = Array.make region_count None }
+(* The decision memo.  With legal regions (32-byte-aligned bases, sizes
+   from 32 bytes, sub-regions from 256), every boundary that can change
+   a decision is a multiple of 32, so a decision is constant over an
+   aligned 32-byte block.  [memo] holds [tag; stamp; bits] triples,
+   direct-mapped by block: [bits] are the block's read, write and
+   execute permissions, unprivileged in bits 0-2 and privileged in bits
+   3-5.  An entry counts only while its stamp equals [t.stamp], and
+   every change to the regions or the enable bit moves [t.stamp], which
+   retires all entries at once.  [uniform] is false while some region
+   breaks the 32-byte geometry (only a hand-built record can); then
+   every check decides from the regions. *)
+let memo_entries = 64
+
+let create () =
+  { enabled = false;
+    regions = Array.make region_count None;
+    stamp = 0;
+    uniform = true;
+    memo = Array.make (3 * memo_entries) (-1) }
+
+let legal_geometry = function
+  | None -> true
+  | Some r ->
+    r.size_log2 >= min_size_log2 && r.size_log2 <= 32 && r.base land 31 = 0
+
+let changed t =
+  t.stamp <- t.stamp + 1;
+  t.uniform <- Array.for_all legal_geometry t.regions
 
 let region ?(srd = 0) ?(executable = false) ~base ~size_log2 ~privileged
     ~unprivileged () =
@@ -58,22 +88,43 @@ let region_size_for bytes =
 let set t slot r =
   if slot < 0 || slot >= region_count then
     raise (Invalid_region (Printf.sprintf "region number %d" slot));
-  t.regions.(slot) <- r
+  t.regions.(slot) <- r;
+  changed t
 
 let get t slot = t.regions.(slot)
-let enable t = t.enabled <- true
-let disable t = t.enabled <- false
 
-let clear t = Array.fill t.regions 0 region_count None
+let enable t =
+  t.enabled <- true;
+  changed t
 
-(* Does [r] match [addr], taking disabled sub-regions into account? *)
+let disable t =
+  t.enabled <- false;
+  changed t
+
+let clear t =
+  Array.fill t.regions 0 region_count None;
+  changed t
+
+let regions t = Array.copy t.regions
+
+(* Register equality: the memo is a cache, not state. *)
+let equal a b = a.enabled = b.enabled && a.regions = b.regions
+
+let restore t regions ~enabled =
+  Array.blit regions 0 t.regions 0 region_count;
+  t.enabled <- enabled;
+  changed t
+
+(* Does [r] match [addr], taking disabled sub-regions into account?
+   [addr - base] is non-negative once the base test passes and sizes are
+   powers of two, so the sub-region index is a shift, not a divide. *)
 let region_matches r addr =
-  let size = 1 lsl r.size_log2 in
-  if addr < r.base || addr >= r.base + size then false
-  else if r.size_log2 < subregion_min_log2 || r.srd = 0 then true
-  else
-    let sub = (addr - r.base) / (size / 8) in
-    r.srd land (1 lsl sub) = 0
+  let off = addr - r.base in
+  off >= 0
+  && off lsr r.size_log2 = 0
+  && (r.srd = 0
+     || r.size_log2 < subregion_min_log2
+     || r.srd land (1 lsl (off lsr (r.size_log2 - 3))) = 0)
 
 let perm_allows perm access =
   match (perm, (access : Fault.access)) with
@@ -86,30 +137,57 @@ let perm_allows perm access =
        [check] where the region is known *)
     perm <> No_access
 
-(* Decide an access from region [n] down: the first (highest-numbered)
-   matching region decides it. *)
-let rec decide t ~privileged ~addr ~(access : Fault.access) n =
-  if n < 0 then
-    (* PRIVDEFENA behaviour: the background map, for privileged code
-       only (privileged execute included) *)
-    if privileged then Ok () else Error { Fault.addr; access; privileged }
+(* The highest-numbered region at or below slot [n] that matches
+   [addr]: the one that decides the access.  Returns the slot's own
+   option, so it allocates nothing. *)
+let rec matching regions addr n =
+  if n < 0 then None
   else
-    match t.regions.(n) with
-    | Some r when region_matches r addr ->
-      let perm = if privileged then r.privileged else r.unprivileged in
-      let allowed =
-        match access with
-        | Execute -> r.executable && perm_allows perm Fault.Read
-        | Read | Write -> perm_allows perm access
-      in
-      if allowed then Ok () else Error { Fault.addr; access; privileged }
-    | Some _ | None -> decide t ~privileged ~addr ~access (n - 1)
+    match regions.(n) with
+    | Some r as m when region_matches r addr -> m
+    | Some _ | None -> matching regions addr (n - 1)
 
-(* Check a single access.  Returns [Ok ()] or the faulting info.  Only
-   the fault paths allocate: this runs per bus access. *)
+(* The six permission bits of [addr]'s block (see [memo]).  No matching
+   region: PRIVDEFENA's background map, for privileged code only
+   (privileged execute included). *)
+let block_bits t addr =
+  match matching t.regions addr (region_count - 1) with
+  | None -> 0b111_000
+  | Some r ->
+    let bits perm =
+      (if perm_allows perm Fault.Read then 1 else 0)
+      lor (if perm_allows perm Fault.Write then 2 else 0)
+      lor if r.executable && perm_allows perm Fault.Read then 4 else 0
+    in
+    bits r.unprivileged lor (bits r.privileged lsl 3)
+
+let bits t addr =
+  if not t.uniform then block_bits t addr
+  else
+    let blk = addr asr 5 in
+    let e = 3 * (blk land (memo_entries - 1)) in
+    let memo = t.memo in
+    if memo.(e) = blk && memo.(e + 1) = t.stamp then memo.(e + 2)
+    else begin
+      let b = block_bits t addr in
+      memo.(e) <- blk;
+      memo.(e + 1) <- t.stamp;
+      memo.(e + 2) <- b;
+      b
+    end
+
+let allows t ~privileged ~addr ~(access : Fault.access) =
+  (not t.enabled)
+  ||
+  let bit = match access with Read -> 1 | Write -> 2 | Execute -> 4 in
+  bits t addr land (if privileged then bit lsl 3 else bit) <> 0
+
+(* Check a single access: the first (highest-numbered) matching region
+   decides it.  Returns [Ok ()] or the faulting info.  Only the fault
+   paths allocate: this runs per bus access. *)
 let check t ~privileged ~addr ~access =
-  if not t.enabled then Ok ()
-  else decide t ~privileged ~addr ~access (region_count - 1)
+  if allows t ~privileged ~addr ~access then Ok ()
+  else Error { Fault.addr; access; privileged }
 
 let pp_perm fmt p =
   Fmt.string fmt

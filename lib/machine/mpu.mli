@@ -17,7 +17,17 @@ type region = {
   executable : bool;
 }
 
-type t = { mutable enabled : bool; regions : region option array }
+(** The MPU's registers, read-only outside this module: every change
+    goes through {!set}, {!clear}, {!enable}, {!disable} or {!restore},
+    which also retire the decision memo ([stamp], [uniform], [memo] are
+    its internals). *)
+type t = private {
+  mutable enabled : bool;
+  regions : region option array;
+  mutable stamp : int;
+  mutable uniform : bool;
+  memo : int array;
+}
 
 exception Invalid_region of string
 
@@ -54,10 +64,25 @@ val enable : t -> unit
 val disable : t -> unit
 val clear : t -> unit
 
+(** A copy of the eight region slots. *)
+val regions : t -> region option array
+
+(** Reinstate saved slots (as from {!regions}) and the enable bit. *)
+val restore : t -> region option array -> enabled:bool -> unit
+
+(** Same registers (enable bit and slots); the decision memo is not
+    compared.  Use this, not [=], on MPU states. *)
+val equal : t -> t -> bool
+
 (** Does the region match the address, honouring disabled sub-regions? *)
 val region_matches : region -> int -> bool
 
 val perm_allows : perm -> Fault.access -> bool
+
+(** [check] as a boolean, for the bus's hot path.  Decisions are
+    memoized per aligned 32-byte block until the next register
+    change. *)
+val allows : t -> privileged:bool -> addr:int -> access:Fault.access -> bool
 
 (** Check one access: the highest-numbered enabled region whose
     (enabled) sub-region contains [addr] decides; with no match,

@@ -38,7 +38,7 @@ let copy_overlays overlays =
 
 let capture = function
   | M.Backend.Mpu_state m ->
-    Mpu_image { regions = Array.copy m.M.Mpu.regions; enabled = m.M.Mpu.enabled }
+    Mpu_image { regions = M.Mpu.regions m; enabled = m.M.Mpu.enabled }
   | M.Backend.Pmp_state p ->
     Pmp_image { entries = Array.copy p.M.Pmp.entries; enforcing = p.M.Pmp.enforcing }
   | M.Backend.Cheri_state c ->
@@ -53,8 +53,7 @@ let capture = function
 let restore st image =
   match (st, image) with
   | M.Backend.Mpu_state m, Mpu_image i ->
-    Array.blit i.regions 0 m.M.Mpu.regions 0 M.Mpu.region_count;
-    m.M.Mpu.enabled <- i.enabled;
+    M.Mpu.restore m i.regions ~enabled:i.enabled;
     true
   | M.Backend.Pmp_state p, Pmp_image i ->
     Array.blit i.entries 0 p.M.Pmp.entries 0 M.Pmp.entry_count;

@@ -1136,7 +1136,7 @@ let verify t =
     let live = M.Bus.protection t.bus in
     let fresh = M.Backend.create (M.Backend.kind_of live) in
     ignore (C.Backend_plan.install fresh ~image:t.image ~meta:f.meta ~srd:f.srd);
-    if fresh <> live then
+    if not (M.Backend.equal fresh live) then
       Error
         (Fmt.str
            "%s (srd 0x%02X): installed protection differs from a fresh \
