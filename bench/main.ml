@@ -389,10 +389,11 @@ let engine_name = function
    means for an interpreter. *)
 let engine_rows () =
   let cm = Apps.Registry.coremark () in
-  (* an interpreter run is allocation-rate-bound (trace events, boxed
-     Int64 values); a larger minor heap keeps the comparison about the
-     engines rather than about minor-GC frequency, and applies equally
-     to both *)
+  (* the tree walker allocates as it evaluates (a boxed Int64 per
+     expression node, a hashtable environment per call), while the
+     compiled engine allocates little beyond one frame per call; a
+     larger minor heap keeps the comparison about the engines rather
+     than about minor-GC frequency, and applies equally to both *)
   let saved_gc = Gc.get () in
   Gc.set { saved_gc with Gc.minor_heap_size = 8 * 1024 * 1024 };
   let engines = [ Opec_exec.Interp.Tree; Opec_exec.Interp.Compiled ] in

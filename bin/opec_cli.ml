@@ -683,11 +683,11 @@ let compare_backends_cmd =
       Format.eprintf "wrote %s@." path);
     if json then print_endline (Atk.Backend_study.to_json t)
     else print_endline (Atk.Backend_study.render t);
-    (* the study's gate: no escape under any backend, no denial in any
-       clean protected run *)
-    let failures = Atk.Backend_study.failures t in
-    List.iter (Format.eprintf "%s@.") failures;
-    if failures <> [] then exit 1
+    (* the study's gate: no escape under any backend, no abort and no
+       denial in any clean protected run *)
+    List.iter (Format.eprintf "%s@.") (Atk.Backend_study.failures t);
+    let code = Atk.Backend_study.exit_code t in
+    if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "compare-backends"
@@ -698,7 +698,7 @@ let compare_backends_cmd =
           render the app\195\151primitive\195\151backend containment \
           matrix next to the per-backend overhead and image footprint.  \
           Exits nonzero if any attack escapes any backend or any clean \
-          protected run has a denial.")
+          protected run aborts or has a denial.")
     Term.(
       const run $ workloads_arg "study" $ backends $ json $ out $ domains_arg)
 

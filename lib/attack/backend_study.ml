@@ -23,23 +23,51 @@ type row = {
   r_denied : int;        (** monitor denials in the clean protected run *)
   r_flash_used : int;
   r_sram_used : int;
+  r_aborted : string option;
+      (** why the clean protected run stopped early, if it did *)
 }
 
 type t = { backends : M.Backend.kind list; rows : row list }
 
+(* Why a clean protected run of [c] did not complete, if it did not.
+   Such a run leaves no end state to attack and no overhead to report,
+   so the study records it as a gate failure instead of measuring it. *)
+let clean_abort c =
+  let err =
+    match (P.protected_ c).P.p_err with
+    | Some _ as e -> e
+    | None -> (P.protected_obs c).P.o_err
+  in
+  Option.map
+    (function Opec_exec.Interp.Aborted msg -> msg | e -> Printexc.to_string e)
+    err
+
 let run_one backend (app : Apps.App.t) =
-  let cells = Campaign.run_opec_only ~backend app in
-  let bd = Met.Overhead.breakdown_of_app ~backend app in
   let c = P.ctx ~backend app in
   let image = P.image c in
-  let o = P.protected_obs c in
+  let aborted = clean_abort c in
+  let cells, bd =
+    match aborted with
+    | None ->
+      ( Campaign.run_opec_only ~backend app,
+        Met.Overhead.breakdown_of_app ~backend app )
+    | Some _ ->
+      (* the cycles up to the abort, against a complete baseline *)
+      let o = P.protected_obs c in
+      ( [],
+        Met.Overhead.breakdown_of ~app_name:app.Apps.App.app_name
+          ~base_cycles:(P.baseline (P.ctx app)).P.b_cycles
+          ~prot_cycles:o.P.o_cycles
+          (Opec_obs.Agg.of_events o.P.o_events) )
+  in
   { r_app = app.Apps.App.app_name;
     r_backend = backend;
     r_cells = cells;
     r_breakdown = bd;
-    r_denied = o.P.o_stats.Mon.Stats.denied;
+    r_denied = (P.protected_obs c).P.o_stats.Mon.Stats.denied;
     r_flash_used = image.C.Image.flash_used;
-    r_sram_used = image.C.Image.sram_used }
+    r_sram_used = image.C.Image.sram_used;
+    r_aborted = aborted }
 
 (* Backend-major sweep; within one backend the apps fan out across the
    domain pool.  Row order is deterministic (backend order × input app
@@ -84,12 +112,20 @@ let failures t =
     (escapes t)
   @ List.filter_map
       (fun r ->
-        if r.r_denied = 0 then None
-        else
+        let backend = M.Backend.kind_name r.r_backend in
+        match r.r_aborted with
+        | Some msg ->
           Some
-            (Printf.sprintf "DENIALS in clean %s run of %s: %d"
-               (M.Backend.kind_name r.r_backend) r.r_app r.r_denied))
+            (Printf.sprintf "ABORTED in clean %s run of %s: %s" backend r.r_app
+               msg)
+        | None when r.r_denied = 0 -> None
+        | None ->
+          Some
+            (Printf.sprintf "DENIALS in clean %s run of %s: %d" backend r.r_app
+               r.r_denied))
       t.rows
+
+let exit_code t = if failures t = [] then 0 else 1
 
 (* --- text rendering ------------------------------------------------------ *)
 
@@ -159,7 +195,9 @@ let render_overhead t =
             [ r.r_app;
               M.Backend.kind_name r.r_backend;
               Int64.to_string bd.Met.Overhead.bd_prot_cycles;
-              Printf.sprintf "%.2f" (overhead_pct bd);
+              (match r.r_aborted with
+              | None -> Printf.sprintf "%.2f" (overhead_pct bd)
+              | Some _ -> "aborted");
               string_of_int bd.Met.Overhead.bd_switches;
               string_of_int bd.Met.Overhead.bd_swaps;
               Int64.to_string bd.Met.Overhead.bd_sync;
@@ -194,6 +232,9 @@ let row_json (r : row) =
        ("cells", Json.List (List.map Report.cell_json r.r_cells));
        ("escaped", Json.Int escaped);
        ("denied", Json.Int r.r_denied) ]
+    @ (match r.r_aborted with
+      | None -> []
+      | Some msg -> [ ("aborted", Json.String msg) ])
     @ Met.Overhead.breakdown_json r.r_breakdown
     @ [ ("flash_used", Json.Int r.r_flash_used);
         ("sram_used", Json.Int r.r_sram_used) ])

@@ -14,6 +14,10 @@ type row = {
   r_denied : int;  (** monitor denials in the clean protected run *)
   r_flash_used : int;
   r_sram_used : int;
+  r_aborted : string option;
+      (** why the clean protected run stopped early (an abort or fuel
+          exhaustion), if it did; such a row has no cells, and its
+          breakdown counts the cycles up to the stop *)
 }
 
 type t = { backends : M.Backend.kind list; rows : row list }
@@ -31,9 +35,13 @@ val rows_of : t -> app:string -> row list
 val apps_of : t -> string list
 
 (** The study's gate, one message per failure: each cell where an
-    attack escaped some backend, then each clean protected run with a
-    monitor denial.  Empty when the study passes. *)
+    attack escaped some backend, then each clean protected run that
+    aborted or saw a monitor denial.  Empty when the study passes. *)
 val failures : t -> string list
+
+(** What [opec compare-backends] exits with: 0 when {!failures} is
+    empty, else 1. *)
+val exit_code : t -> int
 
 (** Aligned text tables: one containment matrix per app plus the
     overhead comparison. *)

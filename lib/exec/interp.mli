@@ -45,14 +45,17 @@ val abort_handler : handler
 
 (** Execution engine.  [Tree] walks the IR with a hashtable environment
     per activation — the reference semantics.  [Compiled] (the default)
-    translates each function body once, at image-load time, into a tree
-    of OCaml closures with no opcode dispatch: local slots and constants
-    bound into the closures, runs of pure instructions fused into
-    superblocks with one fuel/cycle charge per run, direct-call targets
-    bound to the callee's compiled code, and load/store fast paths that
-    skip the bus's address decode when the target region is statically
-    known.  Cycle accounting, traces, and memory effects are identical
-    across the two; the differential tests replay workloads under both
+    translates each function body once, at image-load time, into OCaml
+    closures with no opcode dispatch: locals in a byte-string frame read
+    and written as unboxed [int64]s, expressions as three-address steps
+    over constant and slot operands (no [int64] is boxed on the hot
+    path), runs of pure instructions fused into superblocks with one
+    fuel/cycle charge per run, direct-call targets bound to the callee's
+    compiled code, and load/store fast paths that skip the bus's address
+    decode when the target region is statically known.  Cycle
+    accounting, fuel, traces, faults and memory effects are identical
+    across the two (save the cycle count of a run that aborts inside an
+    expression); the differential tests replay workloads under both
     engines and assert bit-equal observations. *)
 type engine = Tree | Compiled
 
@@ -101,6 +104,9 @@ val trace : t -> Trace.t
 
 (** Cycles charged so far (the DWT measurement). *)
 val cycles : t -> int64
+
+(** The instruction budget left (see [create]'s [fuel]). *)
+val fuel : t -> int
 
 (** Completed SVC transitions — both traps of the switch protocol, one
     on operation entry and one on exit — so this agrees with the

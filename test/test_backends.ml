@@ -190,6 +190,39 @@ let test_study_gate () =
     [ "DENIALS in clean pmp run of PinLock: 3" ]
     (Atk.Backend_study.failures denied)
 
+(* A clean protected run that aborts is a gate failure, not an uncaught
+   exception (which used to end `opec compare-backends` with exit 125):
+   the operation writes a hard-coded SRAM word outside every resource
+   the compiler granted it, which the unprotected baseline allows and
+   the monitor refuses. *)
+let stray_write_app () =
+  let open Opec_ir.Build in
+  let program =
+    Opec_ir.Program.v ~name:"StrayWrite" ~globals:[ word "g" ] ~peripherals:[]
+      ~funcs:
+        [ func "Stray_Task" [] [ store (c 0x2001_0000) (c 1); ret0 ];
+          func "main" [] [ store (gv "g") (c 1); call "Stray_Task" []; halt ] ]
+      ()
+  in
+  { Apps.App.app_name = "StrayWrite";
+    board = M.Memmap.stm32f4_discovery;
+    program;
+    dev_input = Opec_core.Dev_input.v [ "Stray_Task" ];
+    make_world =
+      (fun () ->
+        { Apps.App.devices = []; prepare = ignore; check = (fun () -> Ok ()) }) }
+
+let test_study_abort () =
+  let t =
+    Atk.Backend_study.run ~backends:[ M.Backend.Mpu ] [ stray_write_app () ]
+  in
+  Alcotest.(check (list string)) "the abort is the gate's one failure"
+    [ "ABORTED in clean mpu run of StrayWrite: isolation violation in \
+       Stray_Task: write of 0x20010000 at unprivileged level" ]
+    (Atk.Backend_study.failures t);
+  Alcotest.(check int) "compare-backends exits 1" 1
+    (Atk.Backend_study.exit_code t)
+
 let suite () =
   [ ( "backends",
       [ Alcotest.test_case "region_fit alignment edges" `Quick
@@ -206,4 +239,6 @@ let suite () =
           test_mpu_campaign_bit_identity;
         Alcotest.test_case "clean runs across all backends" `Slow
           test_cross_backend_clean_runs;
-        Alcotest.test_case "backend study gate" `Slow test_study_gate ] ) ]
+        Alcotest.test_case "backend study gate" `Slow test_study_gate;
+        Alcotest.test_case "aborted clean run fails the study gate" `Quick
+          test_study_abort ] ) ]

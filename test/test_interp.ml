@@ -228,6 +228,153 @@ let test_undefined_local_parity () =
   Alcotest.(check string) "tree faults" "usage: use of undefined local y" tree;
   Alcotest.(check string) "same fault" tree compiled
 
+(* --- int64 edges --------------------------------------------------------- *)
+
+(* The values the compiled engine's unboxed paths must carry exactly:
+   the int64 extremes and the edges of the 62-bit native-int range. *)
+let edge_values =
+  let p62 = Int64.shift_left 1L 62 in
+  [ Int64.max_int; Int64.min_int; p62; Int64.neg p62; Int64.sub p62 1L; -1L ]
+
+let shift_counts = [ 0L; 62L; 63L; 64L; 65L ]
+
+(* One program over [edge_values] held in locals: every binary operator
+   in every operand shape (local/local, local/constant, constant/local,
+   constant/constant), negation and complement, nested trees, signed
+   branch tests, and 1- and 4-byte stores reloaded through constant,
+   affine and shifted addresses.  Each result is also spilled to [out]
+   as two 32-bit halves, so memory holds every result local's 64 bits.
+   [tail] ends the run: a halt, or a division that faults. *)
+let edge_program tail =
+  let n = ref 0 and body = ref [] in
+  let emit i = body := i :: !body in
+  let record e =
+    let x = Printf.sprintf "r%d" !n in
+    let lo = !n * 8 in
+    let hi = lo + 4 in
+    incr n;
+    emit (set x e);
+    emit (store E.(gv "out" + c lo) (l x));
+    emit (store E.(gv "out" + c hi) E.(l x >> c 32))
+  in
+  let leaf prefix i v =
+    let x = Printf.sprintf "%s%d" prefix i in
+    emit (set x (E.Const v));
+    (E.Local x, E.Const v)
+  in
+  let vals = List.mapi (leaf "v") edge_values in
+  let shifts = List.mapi (leaf "s") shift_counts in
+  emit (set "zero" (c 0));
+  emit (set "idx" (c 2));
+  let shapes (la, ka) (lb, kb) = [ (la, lb); (la, kb); (ka, lb); (ka, kb) ] in
+  let pairs xs ys f = List.iter (fun a -> List.iter (fun b -> f a b) ys) xs in
+  List.iter
+    (fun op ->
+      pairs vals vals (fun a b ->
+          List.iter (fun (x, y) -> record (E.Bin (op, x, y))) (shapes a b)))
+    E.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Eq; Ne; Lt; Le; Gt; Ge ];
+  List.iter
+    (fun op ->
+      pairs vals shifts (fun a b ->
+          List.iter (fun (x, y) -> record (E.Bin (op, x, y))) (shapes a b)))
+    E.[ Shl; Shr ];
+  List.iter
+    (fun (x, k) ->
+      List.iter
+        (fun op -> record (E.Un (op, x)); record (E.Un (op, k)))
+        E.[ Neg; Not ])
+    vals;
+  pairs vals vals (fun (a, _) (b, _) ->
+      record E.(((a * b) + (a - b)) * b);
+      record E.((a << l "s2") ^ (b >> l "s1"));
+      (* signed branch tests, and boolean connectives over them *)
+      List.iter
+        (fun op ->
+          emit (if_ (E.Bin (op, a, b)) [ set "t" (c 1) ] [ set "t" (c 2) ]);
+          record (l "t"))
+        E.[ Eq; Ne; Lt; Le; Gt; Ge ];
+      emit
+        (if_
+           E.((a < b) && (b <= a || a != b))
+           [ set "t" (c 3) ]
+           [ set "t" (c 4) ]);
+      record (l "t");
+      emit (if_ E.(a && b) [ set "t" (c 5) ] [ set "t" (c 6) ]);
+      record (l "t"));
+  (* narrow stores of wide values, reloaded *)
+  List.iter
+    (fun (a, _) ->
+      emit (store (gv "buf") a);
+      emit (load "w" (gv "buf"));
+      record (l "w");
+      emit (store E.(gv "buf" + (l "idx" * c 4)) a);
+      emit (load "w" E.(gv "buf" + (l "idx" * c 4)));
+      record (l "w");
+      emit (store8 E.(gv "buf" + c 16 + l "idx") a);
+      emit (load8 "w" E.(gv "buf" + c 16 + l "idx"));
+      record (l "w");
+      emit (store E.(gv "buf" + (l "idx" << c 2) + c 20) a);
+      emit (load "w" E.(gv "buf" + (l "idx" << c 2) + c 20));
+      record (l "w"))
+    vals;
+  List.iter emit tail;
+  emit halt;
+  let body = List.rev !body in
+  ( Program.v ~name:"edges"
+      ~globals:[ words "out" (2 * !n); words "buf" 16 ]
+      ~peripherals:[]
+      ~funcs:[ func "main" [] body ]
+      (),
+    2 * !n )
+
+(* Every edge case under both engines: the same outcome, cycles, fuel
+   and memory (which holds every result local), with the run ending on
+   a halt or on a division by zero in each operand shape. *)
+let test_int64_edges () =
+  let tails =
+    [ ("halt", []);
+      ("div local/local by 0", [ set "q" E.(l "v0" / l "zero") ]);
+      ("div local/const by 0", [ set "q" E.(l "v1" / c 0) ]);
+      ("div const/local by 0", [ set "q" E.(c 7 / l "zero") ]);
+      ("rem local/local by 0", [ set "q" E.(l "v2" % l "zero") ]);
+      ("rem local/const by 0", [ set "q" E.(l "v3" % c 0) ]);
+      ("rem const/local by 0", [ set "q" E.(c 7 % l "zero") ]) ]
+  in
+  List.iter
+    (fun (what, tail) ->
+      let p, words = edge_program tail in
+      let observe engine =
+        let bus = M.Bus.create ~board in
+        let layout = Ex.Vanilla_layout.make ~board p in
+        let map = layout.Ex.Vanilla_layout.map in
+        let interp = Ex.Interp.create ~engine ~bus ~map p in
+        let outcome =
+          match Ex.Interp.run interp with
+          | () -> "completed"
+          | exception M.Fault.Usage msg -> "usage: " ^ msg
+        in
+        let base = map.Ex.Address_map.global_addr "out" in
+        let mem =
+          List.init (words + 16) (fun i ->
+              if i < words then M.Bus.read_raw bus (base + (4 * i)) 4
+              else
+                M.Bus.read_raw bus
+                  (map.Ex.Address_map.global_addr "buf" + (4 * (i - words)))
+                  4)
+        in
+        (outcome, Ex.Interp.cycles interp, Ex.Interp.fuel interp, mem)
+      in
+      let t_out, t_cyc, t_fuel, t_mem = observe Ex.Interp.Tree in
+      let c_out, c_cyc, c_fuel, c_mem = observe Ex.Interp.Compiled in
+      Alcotest.(check string) (what ^ ": outcome") t_out c_out;
+      Alcotest.(check bool) (what ^ ": faults where expected") true
+        (String.equal t_out
+           (if tail = [] then "completed" else "usage: division by zero"));
+      Alcotest.(check int64) (what ^ ": cycles") t_cyc c_cyc;
+      Alcotest.(check int) (what ^ ": fuel") t_fuel c_fuel;
+      Alcotest.(check (list int64)) (what ^ ": memory") t_mem c_mem)
+    tails
+
 let test_stack_overflow () =
   let p =
     Program.v ~name:"t" ~globals:[] ~peripherals:[]
@@ -312,6 +459,8 @@ let suite () =
         Alcotest.test_case "fuel parity across engines" `Quick test_fuel_parity;
         Alcotest.test_case "undefined local parity" `Quick
           test_undefined_local_parity;
+        Alcotest.test_case "int64 edges agree across engines" `Quick
+          test_int64_edges;
         Alcotest.test_case "stack overflow" `Quick test_stack_overflow;
         Alcotest.test_case "call depth" `Quick test_call_depth;
         Alcotest.test_case "cycle accounting" `Quick test_cycles_monotonic;
