@@ -10,9 +10,8 @@ let contains t addr = addr >= t.base && addr < limit t
 
 let in_range t addr bytes = addr >= t.base && addr + bytes <= limit t
 
-(* [read_unchecked]/[write_unchecked] skip the range test: the caller
-   has already established [in_range] (the bus region fast paths probe
-   or precompute it).  [read]/[write] keep the checked contract. *)
+(* [read_unchecked]/[write_unchecked] skip the range test, which
+   [read]/[write] make first. *)
 let read_unchecked t addr bytes =
   let off = addr - t.base in
   (* word and byte accesses accumulate in a native int (4 bytes always

@@ -14,16 +14,11 @@ val read : t -> int -> int -> int64
 
 val write : t -> int -> int -> int64 -> unit
 
-(** Range-check-free variants for callers that have already established
-    {!in_range} (the bus region fast paths).  Out-of-range accesses are
-    undefined behaviour — never call these on an unvalidated address. *)
-val read_unchecked : t -> int -> int -> int64
-
-val write_unchecked : t -> int -> int -> int64 -> unit
-
-(** Unchecked 1- or 4-byte accesses carrying the value as a native int,
-    so a word copy boxes nothing.  Same precondition as
-    {!read_unchecked}; other widths are undefined behaviour. *)
+(** Range-check-free 1- or 4-byte accesses carrying the value as a
+    native int, so a word access boxes nothing: for callers that have
+    already established {!in_range} (the bus region fast paths).
+    Out-of-range addresses and other widths are undefined behaviour —
+    never call these on an unvalidated address. *)
 val get_unchecked : t -> int -> int -> int
 
 val set_unchecked : t -> int -> int -> int -> unit
