@@ -106,6 +106,60 @@ let test_subregion_fallthrough () =
   Alcotest.(check bool) "enabled sub-region writable" true
     (allowed t ~privileged:false ~addr:0x2000_0100 ~access:Fault.Write)
 
+(* Decisions are memoized per 32-byte block until the next register
+   change: every way of changing the registers must retire the memo,
+   and a region off the 32-byte grid (only a hand-built record can be)
+   must bypass it.  Each answer is also compared with a fresh MPU
+   holding the same registers, whose memo is empty. *)
+let test_decision_memo () =
+  let t = Mpu.create () in
+  let ask ~privileged addr access =
+    let fresh = Mpu.create () in
+    Mpu.restore fresh (Mpu.regions t) ~enabled:t.Mpu.enabled;
+    let a = allowed t ~privileged ~addr ~access in
+    Alcotest.(check bool)
+      (Printf.sprintf "memo agrees with a fresh MPU at 0x%08X" addr)
+      (allowed fresh ~privileged ~addr ~access)
+      a;
+    a
+  in
+  let rw = region ~base:0x2000_0000 ~size_log2:10 ~priv:Mpu.Read_write in
+  Mpu.set t 0 (Some (rw ~unpriv:Mpu.Read_write ()));
+  Mpu.enable t;
+  Alcotest.(check bool) "writable" true
+    (ask ~privileged:false 0x2000_0100 Fault.Write);
+  Mpu.set t 0 (Some (rw ~unpriv:Mpu.Read_only ()));
+  Alcotest.(check bool) "set retires the memo" false
+    (ask ~privileged:false 0x2000_0100 Fault.Write);
+  let saved = Mpu.regions t in
+  Mpu.clear t;
+  Alcotest.(check bool) "clear retires the memo" false
+    (ask ~privileged:false 0x2000_0100 Fault.Read);
+  Mpu.restore t saved ~enabled:true;
+  Alcotest.(check bool) "restore retires the memo" true
+    (ask ~privileged:false 0x2000_0100 Fault.Read);
+  Mpu.disable t;
+  Alcotest.(check bool) "disable retires the memo" true
+    (ask ~privileged:false 0x2000_0100 Fault.Write);
+  Mpu.enable t;
+  Alcotest.(check bool) "enable retires the memo" false
+    (ask ~privileged:false 0x2000_0100 Fault.Write);
+  (* a 32-byte window at 0x2000_0410, which shares its first block with
+     0x2000_0400..0x2000_040F *)
+  Mpu.set t 1
+    (Some
+       { Mpu.base = 0x2000_0410; size_log2 = 5; srd = 0;
+         privileged = Mpu.Read_write; unprivileged = Mpu.Read_write;
+         executable = false });
+  Alcotest.(check bool) "below the window: no region" false
+    (ask ~privileged:false 0x2000_0408 Fault.Read);
+  Alcotest.(check bool) "same block, inside the window" true
+    (ask ~privileged:false 0x2000_0418 Fault.Read);
+  Alcotest.(check bool) "registers equal, memo aside" true
+    (let f = Mpu.create () in
+     Mpu.restore f (Mpu.regions t) ~enabled:true;
+     Mpu.equal f t)
+
 let test_execute_permission () =
   let t = Mpu.create () in
   Mpu.set t 0
@@ -159,5 +213,7 @@ let suite () =
         Alcotest.test_case "sub-regions" `Quick test_subregions;
         Alcotest.test_case "sub-region fallthrough" `Quick test_subregion_fallthrough;
         Alcotest.test_case "execute permission" `Quick test_execute_permission;
+        Alcotest.test_case "decision memo follows every change" `Quick
+          test_decision_memo;
         QCheck_alcotest.to_alcotest prop_region_size_minimal;
         QCheck_alcotest.to_alcotest prop_srd_monotonic ] ) ]
