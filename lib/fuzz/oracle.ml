@@ -186,7 +186,8 @@ let transparent ~catch ~program (b : P.baseline) app (img : C.Image.t) =
         ~baseline:(snapshot_baseline b program) ~protected_:p_mem
 
 (* The MPU image, then the PMP and CHERI images, whose data plans grant
-   shared scalars in place.  A substitute image ([?image], the defect
+   shared scalars in place, and the POE image, whose keyless windows
+   recycle keys.  A substitute image ([?image], the defect
    gate) is MPU-built, so it gates only the MPU run. *)
 let transparency ?image c =
   let program = P.validated c in
@@ -214,7 +215,9 @@ let transparency ?image c =
   in
   List.fold_left judge
     (transparent ~catch ~program b app (image_of ?image c))
-    (if Option.is_none image then [ M.Backend.Pmp; M.Backend.Cheri ] else [])
+    (if Option.is_none image then
+       [ M.Backend.Pmp; M.Backend.Cheri; M.Backend.Poe ]
+     else [])
 
 (* --- sync-soundness ----------------------------------------------------- *)
 

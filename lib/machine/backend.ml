@@ -133,31 +133,48 @@ let create = function
   | Cheri -> Cheri_state (Cheri.create ())
   | Poe -> Poe_state (Poe.create ())
 
-(* Structural equality of the registers, except the MPU's, whose
-   decision memo is not state. *)
-let equal a b =
-  match (a, b) with
-  | Mpu_state x, Mpu_state y -> Mpu.equal x y
-  | (Mpu_state _ | Pmp_state _ | Cheri_state _ | Poe_state _), _ -> a = b
-
 let kind_of = function
   | Mpu_state _ -> Mpu
   | Pmp_state _ -> Pmp
   | Cheri_state _ -> Cheri
   | Poe_state _ -> Poe
 
-let check st ~privileged ~addr ~access =
-  match st with
-  | Mpu_state m -> Mpu.check m ~privileged ~addr ~access
-  | Pmp_state p -> Pmp.check p ~privileged ~addr ~access
-  | Cheri_state c -> Cheri.check c ~privileged ~addr ~access
-  | Poe_state p -> Poe.check p ~privileged ~addr ~access
+let decision = function
+  | Mpu_state m -> m.Mpu.dec
+  | Pmp_state p -> p.Pmp.dec
+  | Cheri_state c -> c.Cheri.dec
+  | Poe_state p -> p.Poe.dec
 
-let enable = function
-  | Mpu_state m -> Mpu.enable m
-  | Pmp_state p -> Pmp.enable p
-  | Cheri_state c -> Cheri.enable c
-  | Poe_state p -> Poe.enable p
+(* Register equality: every backend's decision memo is a cache, not
+   state. *)
+let equal a b =
+  (decision a).Decision.on = (decision b).Decision.on
+  &&
+  match (a, b) with
+  | Mpu_state x, Mpu_state y -> x.Mpu.regions = y.Mpu.regions
+  | Pmp_state x, Pmp_state y -> x.Pmp.entries = y.Pmp.entries
+  | Cheri_state x, Cheri_state y -> x.Cheri.caps = y.Cheri.caps
+  | Poe_state x, Poe_state y ->
+    x.Poe.overlays = y.Poe.overlays && x.Poe.por = y.Poe.por
+    && x.Poe.por_x = y.Poe.por_x
+  | (Mpu_state _ | Pmp_state _ | Cheri_state _ | Poe_state _), _ -> false
+
+let block_bits st addr =
+  match st with
+  | Mpu_state m -> Mpu.block_bits m addr
+  | Pmp_state p -> Pmp.block_bits p addr
+  | Cheri_state c -> Cheri.block_bits c addr
+  | Poe_state p -> Poe.block_bits p addr
+
+(* One access decided from the registers, bypassing the memo. *)
+let check st ~privileged ~addr ~(access : Fault.access) =
+  let bit = match access with Read -> 1 | Write -> 2 | Execute -> 4 in
+  if (not (decision st).Decision.on)
+     || block_bits st addr land (if privileged then bit lsl 3 else bit) <> 0
+  then Ok ()
+  else Error { Fault.addr; access; privileged }
+
+let enable st = Decision.set_on (decision st) true
 
 let pp fmt = function
   | Mpu_state m -> Mpu.pp fmt m

@@ -46,10 +46,19 @@ type state =
 val create : kind -> state
 val kind_of : state -> kind
 
-(** Same kind and same registers.  Use this, not [=]: the MPU keeps a
-    decision memo beside its registers. *)
+(** Same kind and same registers.  Use this, not [=]: every backend
+    keeps a decision memo beside its registers. *)
 val equal : state -> state -> bool
 
+(** The state's enable bit and decision memo, which the bus reads. *)
+val decision : state -> Decision.t
+
+(** The six permission bits of [addr]'s block (see {!Decision}): the
+    slow path the memo caches and {!check} decides from. *)
+val block_bits : state -> int -> int
+
+(** One access decided from the registers, bypassing the memo that
+    {!Bus.check_as} consults. *)
 val check :
   state ->
   privileged:bool ->

@@ -11,28 +11,55 @@
 type t = {
   flash : Memory.t;
   sram : Memory.t;
-  mutable devices : Device.t list;
+  mutable devices : Device.t array;
+      (** the devices reachable outside the PPB, latest attached first *)
+  mutable ppb_devices : Device.t array;  (** the same for the PPB *)
   mpu : Mpu.t;
   mutable prot : Backend.state;
       (** the active enforcement backend; defaults to [Mpu_state mpu],
           the same MPU object, so legacy pokes through [mpu] stay
           authoritative until another backend is installed *)
+  mutable dec : Decision.t;  (** [prot]'s enable bit and memo *)
   cpu : Cpu.t;
 }
 
 let create ~(board : Memmap.board) =
   let cpu = Cpu.create () in
   let mpu = Mpu.create () in
-  { flash = Memory.create ~base:Memmap.flash_base ~size:board.flash_size;
+  { flash = Memory.grown ~base:Memmap.flash_base ~size:board.flash_size;
     sram = Memory.create ~base:Memmap.sram_base ~size:board.sram_size;
-    devices = [];
+    devices = [||];
+    ppb_devices = [||];
     mpu;
     prot = Backend.Mpu_state mpu;
+    dec = mpu.Mpu.dec;
     cpu }
 
-let attach t d = t.devices <- d :: t.devices
+let in_ppb addr = addr >= Memmap.ppb_base && addr < Memmap.ppb_limit
 
-let find_device t addr = List.find_opt (fun d -> Device.contains d addr) t.devices
+(* A device goes on each side of the PPB boundary its window reaches,
+   ahead of the devices attached before it. *)
+let attach t (d : Device.t) =
+  let lo = d.base and hi = d.base + d.size in
+  if lo < Memmap.ppb_limit && hi > Memmap.ppb_base then
+    t.ppb_devices <- Array.append [| d |] t.ppb_devices;
+  if lo < Memmap.ppb_base || hi > Memmap.ppb_limit then
+    t.devices <- Array.append [| d |] t.devices
+
+(* The index of the first device in [ds] whose window holds [addr], or
+   -1: no closure and no option per access. *)
+let rec route (ds : Device.t array) addr i =
+  if i = Array.length ds then -1
+  else
+    let d = Array.unsafe_get ds i in
+    if addr >= d.Device.base && addr < d.Device.base + d.Device.size then i
+    else route ds addr (i + 1)
+
+let devices_at t addr = if in_ppb addr then t.ppb_devices else t.devices
+
+let find_device t addr =
+  let ds = devices_at t addr in
+  match route ds addr 0 with -1 -> None | i -> Some ds.(i)
 
 (* One cycle for a bus access: [Cpu.charge] written out, since this runs
    on every access and a cross-module call is not inlined in every build
@@ -41,22 +68,44 @@ let tick t =
   let c = t.cpu in
   c.Cpu.cycles <- c.Cpu.cycles + 1
 
-let set_protection t st = t.prot <- st
+let set_protection t st =
+  t.prot <- st;
+  t.dec <- Backend.decision st
+
 let protection t = t.prot
 
-(* The backend check of an access made at privilege level [privileged]. *)
+(* A memo miss: decide from the backend's registers, fill the slot. *)
+let miss t (d : Decision.t) e blk addr =
+  let bits = Backend.block_bits t.prot addr in
+  let memo = d.Decision.memo in
+  memo.(e) <- blk;
+  memo.(e + 1) <- d.Decision.stamp;
+  memo.(e + 2) <- bits;
+  bits
+
+(* The backend check of an access made at privilege level [privileged].
+   Every backend shares this path: a disabled one costs a single test,
+   an enabled one a lookup in its decision memo, written out here
+   ({!Decision.slot}; [e] indexes a [tag; stamp; bits] triple of a
+   64-entry table, so the unsafe reads stay in bounds). *)
 let check_as t ~privileged ~addr ~access =
-  match t.prot with
-  (* the MPU straight from here, skipping [Backend.check]: a disabled
-     MPU (baseline runs, on every bus access) costs no call at all, an
-     enabled one a single memoized [Mpu.allows] *)
-  | Backend.Mpu_state m ->
-    if m.Mpu.enabled && not (Mpu.allows m ~privileged ~addr ~access) then
+  let d = t.dec in
+  if d.Decision.on then begin
+    let blk = addr asr d.Decision.shift in
+    let e = 3 * ((blk lxor (addr lsr 26)) land 63) in
+    let memo = d.Decision.memo in
+    let bits =
+      if Array.unsafe_get memo e = blk
+         && Array.unsafe_get memo (e + 1) = d.Decision.stamp
+      then Array.unsafe_get memo (e + 2)
+      else miss t d e blk addr
+    in
+    let bit =
+      match (access : Fault.access) with Read -> 1 | Write -> 2 | Execute -> 4
+    in
+    if bits land (if privileged then bit lsl 3 else bit) = 0 then
       raise (Fault.Mem_manage { Fault.addr; access; privileged })
-  | st -> (
-    match Backend.check st ~privileged ~addr ~access with
-    | Ok () -> ()
-    | Error info -> raise (Fault.Mem_manage info))
+  end
 
 let mpu_check t ~addr ~access =
   check_as t ~privileged:t.cpu.Cpu.privileged ~addr ~access
@@ -64,42 +113,47 @@ let mpu_check t ~addr ~access =
 let fault_bus t ~addr ~access =
   raise (Fault.Bus { Fault.addr; access; privileged = t.cpu.Cpu.privileged })
 
+(* The device access of [addr] among [ds], or a bus fault. *)
+let dev_read t ds addr width =
+  match route ds addr 0 with
+  | -1 -> fault_bus t ~addr ~access:Fault.Read
+  | i ->
+    let d = Array.unsafe_get ds i in
+    d.Device.read (addr - d.Device.base) width
+
+let dev_write t ds addr width v =
+  match route ds addr 0 with
+  | -1 -> fault_bus t ~addr ~access:Fault.Write
+  | i ->
+    let d = Array.unsafe_get ds i in
+    d.Device.write (addr - d.Device.base) width v
+
 (* Read [width] bytes at [addr] honouring privilege and MPU. *)
 let read t addr width =
   tick t;
   match Memmap.classify addr with
   | Memmap.Ppb ->
     if not t.cpu.Cpu.privileged then fault_bus t ~addr ~access:Fault.Read;
-    (match find_device t addr with
-    | Some d -> d.Device.read (addr - d.Device.base) width
-    | None -> fault_bus t ~addr ~access:Fault.Read)
+    dev_read t t.ppb_devices addr width
   | Memmap.Code | Memmap.Sram | Memmap.Peripheral | Memmap.External_ram
   | Memmap.External_device | Memmap.Vendor ->
     mpu_check t ~addr ~access:Fault.Read;
     if Memory.contains t.flash addr then Memory.read t.flash addr width
     else if Memory.contains t.sram addr then Memory.read t.sram addr width
-    else (
-      match find_device t addr with
-      | Some d -> d.Device.read (addr - d.Device.base) width
-      | None -> fault_bus t ~addr ~access:Fault.Read)
+    else dev_read t t.devices addr width
 
 let write t addr width v =
   tick t;
   match Memmap.classify addr with
   | Memmap.Ppb ->
     if not t.cpu.Cpu.privileged then fault_bus t ~addr ~access:Fault.Write;
-    (match find_device t addr with
-    | Some d -> d.Device.write (addr - d.Device.base) width v
-    | None -> fault_bus t ~addr ~access:Fault.Write)
+    dev_write t t.ppb_devices addr width v
   | Memmap.Code | Memmap.Sram | Memmap.Peripheral | Memmap.External_ram
   | Memmap.External_device | Memmap.Vendor ->
     mpu_check t ~addr ~access:Fault.Write;
     if Memory.contains t.flash addr then fault_bus t ~addr ~access:Fault.Write
     else if Memory.contains t.sram addr then Memory.write t.sram addr width v
-    else (
-      match find_device t addr with
-      | Some d -> d.Device.write (addr - d.Device.base) width v
-      | None -> fault_bus t ~addr ~access:Fault.Write)
+    else dev_write t t.devices addr width v
 
 (* Fast paths for translation-time-routed accesses (the closure-compiled
    interpreter engine): same one-cycle charge, same MPU check, same fault
@@ -124,21 +178,17 @@ let write_sram_int t addr width x =
 let read_flash_int t addr width =
   tick t;
   mpu_check t ~addr ~access:Fault.Read;
-  Memory.get_unchecked t.flash addr width
+  Memory.get t.flash addr width
 
 let read_device t addr width =
   tick t;
   mpu_check t ~addr ~access:Fault.Read;
-  match find_device t addr with
-  | Some d -> d.Device.read (addr - d.Device.base) width
-  | None -> fault_bus t ~addr ~access:Fault.Read
+  dev_read t t.devices addr width
 
 let write_device t addr width v =
   tick t;
   mpu_check t ~addr ~access:Fault.Write;
-  match find_device t addr with
-  | Some d -> d.Device.write (addr - d.Device.base) width v
-  | None -> fault_bus t ~addr ~access:Fault.Write
+  dev_write t t.devices addr width v
 
 (* Privileged word primitives for the monitor's SRAM copies: each access
    is a privileged [read_sram_int]/[write_sram_int] — the same one-cycle
@@ -169,19 +219,13 @@ let read_raw t addr width =
   Cpu.with_privilege t.cpu (fun () ->
       if Memory.contains t.flash addr then Memory.read t.flash addr width
       else if Memory.contains t.sram addr then Memory.read t.sram addr width
-      else
-        match find_device t addr with
-        | Some d -> d.Device.read (addr - d.Device.base) width
-        | None -> fault_bus t ~addr ~access:Fault.Read)
+      else dev_read t (devices_at t addr) addr width)
 
 let write_raw t addr width v =
   Cpu.with_privilege t.cpu (fun () ->
       if Memory.contains t.flash addr then Memory.write t.flash addr width v
       else if Memory.contains t.sram addr then Memory.write t.sram addr width v
-      else
-        match find_device t addr with
-        | Some d -> d.Device.write (addr - d.Device.base) width v
-        | None -> fault_bus t ~addr ~access:Fault.Write)
+      else dev_write t (devices_at t addr) addr width v)
 
 (* Check an instruction fetch from [addr] (function entry). *)
 let check_execute t addr =

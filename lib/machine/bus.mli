@@ -5,12 +5,18 @@
     other accesses are MPU-checked; unmapped addresses and flash writes
     bus-fault. *)
 
-type t = {
+(** Read-only outside this module, so that [dec] always belongs to
+    [prot].  [flash] holds only what was written to it ({!Memory.grown});
+    [devices] and [ppb_devices] are the attached devices outside and
+    inside the PPB, latest first. *)
+type t = private {
   flash : Memory.t;
   sram : Memory.t;
-  mutable devices : Device.t list;
+  mutable devices : Device.t array;
+  mutable ppb_devices : Device.t array;
   mpu : Mpu.t;
   mutable prot : Backend.state;
+  mutable dec : Decision.t;
   cpu : Cpu.t;
 }
 
@@ -22,6 +28,11 @@ val create : board:Memmap.board -> t
 val set_protection : t -> Backend.state -> unit
 
 val protection : t -> Backend.state
+
+(** The backend check of one access at the given privilege level,
+    through the active backend's decision memo.
+    @raise Fault.Mem_manage when the backend denies it. *)
+val check_as : t -> privileged:bool -> addr:int -> access:Fault.access -> unit
 
 (** Map a device window onto the bus. Devices attached later take
     precedence on overlapping ranges. *)

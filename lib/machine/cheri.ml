@@ -24,7 +24,10 @@ type cap = {
   cap_x : bool;
 }
 
-type t = { mutable caps : cap list; mutable enforcing : bool }
+type t = {
+  mutable caps : cap list;
+  dec : Decision.t;  (** the enable bit and the decision memo *)
+}
 
 exception Invalid_cap of string
 
@@ -61,7 +64,7 @@ let round_bounds ~base ~len =
   in
   go (max 1 (representable_align len))
 
-let create () = { caps = []; enforcing = false }
+let create () = { caps = []; dec = Decision.create () }
 
 (* Build a capability, refusing unrepresentable bounds (callers round
    with {!round_bounds} first when widening is acceptable). *)
@@ -75,35 +78,43 @@ let cap ?(r = true) ?(w = false) ?(x = false) ~base ~len () =
             base len (representable_align len)));
   { cap_base = base; cap_len = len; cap_r = r; cap_w = w; cap_x = x }
 
-let clear t = t.caps <- []
-let add t c = t.caps <- t.caps @ [ c ]
-let grant t cs = t.caps <- t.caps @ cs
-let enable t = t.enforcing <- true
+let set_caps t caps =
+  t.caps <- caps;
+  Decision.changed t.dec
+    (List.fold_left
+       (fun s c -> Decision.narrow (Decision.narrow s c.cap_base) c.cap_len)
+       Decision.max_shift caps)
+
+let clear t = set_caps t []
+let add t c = set_caps t (t.caps @ [ c ])
+let grant t cs = set_caps t (t.caps @ cs)
+let enable t = Decision.set_on t.dec true
 let caps t = t.caps
 let cap_count t = List.length t.caps
 
+let restore t caps image =
+  t.caps <- caps;
+  Decision.restore t.dec image
+
 let cap_matches c addr = addr >= c.cap_base && addr < c.cap_base + c.cap_len
 
-let cap_allows c (access : Fault.access) =
-  match access with
-  | Fault.Read -> c.cap_r
-  | Fault.Write -> c.cap_w
-  | Fault.Execute -> c.cap_x && c.cap_r
-
-(* Check one access: any capability in the table that covers the address
-   and carries the permission grants it (capabilities are grants, not a
-   priority scheme — there is no "deny" capability to shadow another).
-   Privileged code holds the default capability and always passes. *)
-let rec grants caps addr access =
-  match caps with
-  | [] -> false
-  | c :: rest ->
-    (cap_matches c addr && cap_allows c access) || grants rest addr access
-
-(* Only the deny path allocates: this runs per bus access. *)
-let check t ~privileged ~addr ~(access : Fault.access) =
-  if (not t.enforcing) || privileged || grants t.caps addr access then Ok ()
-  else Error { Fault.addr; access; privileged }
+(* The six permission bits of [addr]'s block (see {!Decision}): any
+   capability in the table that covers the address grants its
+   permissions (capabilities are grants, not a priority scheme — there
+   is no "deny" capability to shadow another).  Privileged code holds
+   the default capability and always passes. *)
+let block_bits t addr =
+  let rec grants u = function
+    | [] -> u
+    | c :: rest ->
+      grants
+        (if cap_matches c addr then
+           u lor (if c.cap_r then 1 else 0) lor (if c.cap_w then 2 else 0)
+           lor if c.cap_x && c.cap_r then 4 else 0
+         else u)
+        rest
+  in
+  grants 0b111_000 t.caps
 
 let pp_cap fmt c =
   Fmt.pf fmt "cap [0x%08X,+%d) %s%s%s" c.cap_base c.cap_len
@@ -113,7 +124,7 @@ let pp_cap fmt c =
 
 let pp fmt t =
   Fmt.pf fmt "@[<v>CHERI %s (%d caps)@,%a@]"
-    (if t.enforcing then "enforcing" else "off")
+    (if t.dec.on then "enforcing" else "off")
     (List.length t.caps)
     Fmt.(list ~sep:(any "@,") pp_cap)
     t.caps

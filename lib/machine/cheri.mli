@@ -11,7 +11,10 @@ type cap = {
   cap_x : bool;
 }
 
-type t = { mutable caps : cap list; mutable enforcing : bool }
+(** The capability table, read-only outside this module: every change
+    goes through {!clear}, {!add}, {!grant}, {!enable} or {!restore},
+    which keep [dec] (the enable bit and the decision memo) in step. *)
+type t = private { mutable caps : cap list; dec : Decision.t }
 
 exception Invalid_cap of string
 
@@ -41,12 +44,12 @@ val caps : t -> cap list
 val cap_count : t -> int
 val cap_matches : cap -> int -> bool
 
-val check :
-  t ->
-  privileged:bool ->
-  addr:int ->
-  access:Fault.access ->
-  (unit, Fault.info) result
+(** Reinstate a saved table (as from {!caps}) and the decision captured
+    with it. *)
+val restore : t -> cap list -> Decision.image -> unit
+
+(** The six permission bits of [addr]'s block (see {!Decision}). *)
+val block_bits : t -> int -> int
 
 val pp_cap : Format.formatter -> cap -> unit
 val pp : Format.formatter -> t -> unit

@@ -1,14 +1,38 @@
-(* Flat byte memories for flash and SRAM.  Little-endian, like Cortex-M. *)
+(* Flat byte memories for flash and SRAM.  Little-endian, like Cortex-M.
 
-type t = { base : int; data : Bytes.t }
+   A memory spans [size] bytes, but [data] may hold only a prefix of
+   them: a [grown] memory starts empty and grows on write, and the
+   bytes past [data] read as 0.  Flash is grown, so it costs what the
+   loader writes, not the board's megabytes; SRAM is allocated whole. *)
 
-let create ~base ~size = { base; data = Bytes.make size '\000' }
+type t = { base : int; size : int; mutable data : Bytes.t }
 
-let size t = Bytes.length t.data
-let limit t = t.base + size t
+let create ~base ~size = { base; size; data = Bytes.make size '\000' }
+let grown ~base ~size = { base; size; data = Bytes.empty }
+
+let size t = t.size
+let limit t = t.base + t.size
 let contains t addr = addr >= t.base && addr < limit t
 
 let in_range t addr bytes = addr >= t.base && addr + bytes <= limit t
+
+(* Make [data] hold the first [n] bytes (n <= size), at least doubling. *)
+let grow t n =
+  if n > Bytes.length t.data then begin
+    let held = Bytes.length t.data in
+    let data = Bytes.make (min t.size (max n (2 * held))) '\000' in
+    Bytes.blit t.data 0 data 0 held;
+    t.data <- data
+  end
+
+let held t addr bytes = addr - t.base + bytes <= Bytes.length t.data
+
+let blit_out t addr len =
+  let off = addr - t.base in
+  let out = Bytes.make len '\000' in
+  let held = min len (Bytes.length t.data - off) in
+  if held > 0 then Bytes.blit t.data off out 0 held;
+  out
 
 (* [read_unchecked]/[write_unchecked] skip the range test, which
    [read]/[write] make first. *)
@@ -37,7 +61,11 @@ let read_unchecked t addr bytes =
 let read t addr bytes =
   if not (in_range t addr bytes) then
     raise (Fault.Bus { addr; access = Fault.Read; privileged = true });
-  read_unchecked t addr bytes
+  if held t addr bytes then read_unchecked t addr bytes
+  else
+    (* past the written bytes: read a zero-padded copy *)
+    let data = blit_out t addr bytes in
+    read_unchecked { base = addr; size = bytes; data } addr bytes
 
 let write_unchecked t addr bytes v =
   let off = addr - t.base in
@@ -78,15 +106,13 @@ let set_unchecked t addr bytes x =
     Bytes.unsafe_set t.data (off + 3) (Char.unsafe_chr ((x lsr 24) land 0xFF))
   end
 
+(* [get_unchecked] for a grown memory: bytes past [data] read 0. *)
+let get t addr bytes =
+  if held t addr bytes then get_unchecked t addr bytes
+  else Int64.to_int (read t addr bytes)
+
 let write t addr bytes v =
   if not (in_range t addr bytes) then
     raise (Fault.Bus { addr; access = Fault.Write; privileged = true });
+  grow t (addr - t.base + bytes);
   write_unchecked t addr bytes v
-
-let blit_out t addr len =
-  let off = addr - t.base in
-  Bytes.sub t.data off len
-
-let blit_in t addr src =
-  let off = addr - t.base in
-  Bytes.blit src 0 t.data off (Bytes.length src)

@@ -25,11 +25,8 @@ type region = {
 }
 
 type t = {
-  mutable enabled : bool;
   regions : region option array;  (** slots 0..7 *)
-  mutable stamp : int;
-  mutable uniform : bool;
-  memo : int array;
+  dec : Decision.t;  (** the enable bit and the decision memo *)
 }
 
 exception Invalid_region of string
@@ -38,34 +35,21 @@ let region_count = 8
 let min_size_log2 = 5 (* 32 bytes *)
 let subregion_min_log2 = 8 (* SRD is only implemented for >= 256-byte regions *)
 
-(* The decision memo.  With legal regions (32-byte-aligned bases, sizes
-   from 32 bytes, sub-regions from 256), every boundary that can change
-   a decision is a multiple of 32, so a decision is constant over an
-   aligned 32-byte block.  [memo] holds [tag; stamp; bits] triples,
-   direct-mapped by block: [bits] are the block's read, write and
-   execute permissions, unprivileged in bits 0-2 and privileged in bits
-   3-5.  An entry counts only while its stamp equals [t.stamp], and
-   every change to the regions or the enable bit moves [t.stamp], which
-   retires all entries at once.  [uniform] is false while some region
-   breaks the 32-byte geometry (only a hand-built record can); then
-   every check decides from the regions. *)
-let memo_entries = 64
-
 let create () =
-  { enabled = false;
-    regions = Array.make region_count None;
-    stamp = 0;
-    uniform = true;
-    memo = Array.make (3 * memo_entries) (-1) }
+  { regions = Array.make region_count None; dec = Decision.create () }
 
-let legal_geometry = function
-  | None -> true
-  | Some r ->
-    r.size_log2 >= min_size_log2 && r.size_log2 <= 32 && r.base land 31 = 0
-
+(* A region's boundaries (its base, its end and, from 256 bytes, its
+   sub-region splits at multiples of 32 past the base) are multiples of
+   every power of two up to 32 that divides both its base and its size.
+   Legal regions thus give the 32-byte grain. *)
 let changed t =
-  t.stamp <- t.stamp + 1;
-  t.uniform <- Array.for_all legal_geometry t.regions
+  Decision.changed t.dec
+    (Array.fold_left
+       (fun s -> function
+         | None -> s
+         | Some r ->
+           Decision.narrow (Decision.narrow s r.base) (1 lsl r.size_log2))
+       Decision.max_shift t.regions)
 
 let region ?(srd = 0) ?(executable = false) ~base ~size_log2 ~privileged
     ~unprivileged () =
@@ -93,13 +77,8 @@ let set t slot r =
 
 let get t slot = t.regions.(slot)
 
-let enable t =
-  t.enabled <- true;
-  changed t
-
-let disable t =
-  t.enabled <- false;
-  changed t
+let enable t = Decision.set_on t.dec true
+let disable t = Decision.set_on t.dec false
 
 let clear t =
   Array.fill t.regions 0 region_count None;
@@ -107,13 +86,9 @@ let clear t =
 
 let regions t = Array.copy t.regions
 
-(* Register equality: the memo is a cache, not state. *)
-let equal a b = a.enabled = b.enabled && a.regions = b.regions
-
-let restore t regions ~enabled =
+let restore t regions image =
   Array.blit regions 0 t.regions 0 region_count;
-  t.enabled <- enabled;
-  changed t
+  Decision.restore t.dec image
 
 (* Does [r] match [addr], taking disabled sub-regions into account?
    [addr - base] is non-negative once the base test passes and sizes are
@@ -126,16 +101,13 @@ let region_matches r addr =
      || r.size_log2 < subregion_min_log2
      || r.srd land (1 lsl (off lsr (r.size_log2 - 3))) = 0)
 
-let perm_allows perm access =
-  match (perm, (access : Fault.access)) with
-  | Read_write, (Read | Write) -> true
-  | Read_only, Read -> true
-  | Read_only, Write -> false
-  | No_access, (Read | Write) -> false
-  | (Read_write | Read_only | No_access), Execute ->
-    (* execute additionally requires read permission and !XN; checked in
-       [check] where the region is known *)
-    perm <> No_access
+(* The read, write and execute bits of [perm] (see {!Decision});
+   execute also needs read, and [x] (the region is not XN). *)
+let perm_bits perm ~x =
+  match perm with
+  | No_access -> 0
+  | Read_only -> if x then 0b101 else 0b001
+  | Read_write -> if x then 0b111 else 0b011
 
 (* The highest-numbered region at or below slot [n] that matches
    [addr]: the one that decides the access.  Returns the slot's own
@@ -147,47 +119,15 @@ let rec matching regions addr n =
     | Some r as m when region_matches r addr -> m
     | Some _ | None -> matching regions addr (n - 1)
 
-(* The six permission bits of [addr]'s block (see [memo]).  No matching
-   region: PRIVDEFENA's background map, for privileged code only
-   (privileged execute included). *)
+(* The six permission bits of [addr]'s block (see {!Decision}).  No
+   matching region: PRIVDEFENA's background map, for privileged code
+   only (privileged execute included). *)
 let block_bits t addr =
   match matching t.regions addr (region_count - 1) with
   | None -> 0b111_000
   | Some r ->
-    let bits perm =
-      (if perm_allows perm Fault.Read then 1 else 0)
-      lor (if perm_allows perm Fault.Write then 2 else 0)
-      lor if r.executable && perm_allows perm Fault.Read then 4 else 0
-    in
-    bits r.unprivileged lor (bits r.privileged lsl 3)
-
-let bits t addr =
-  if not t.uniform then block_bits t addr
-  else
-    let blk = addr asr 5 in
-    let e = 3 * (blk land (memo_entries - 1)) in
-    let memo = t.memo in
-    if memo.(e) = blk && memo.(e + 1) = t.stamp then memo.(e + 2)
-    else begin
-      let b = block_bits t addr in
-      memo.(e) <- blk;
-      memo.(e + 1) <- t.stamp;
-      memo.(e + 2) <- b;
-      b
-    end
-
-let allows t ~privileged ~addr ~(access : Fault.access) =
-  (not t.enabled)
-  ||
-  let bit = match access with Read -> 1 | Write -> 2 | Execute -> 4 in
-  bits t addr land (if privileged then bit lsl 3 else bit) <> 0
-
-(* Check a single access: the first (highest-numbered) matching region
-   decides it.  Returns [Ok ()] or the faulting info.  Only the fault
-   paths allocate: this runs per bus access. *)
-let check t ~privileged ~addr ~access =
-  if allows t ~privileged ~addr ~access then Ok ()
-  else Error { Fault.addr; access; privileged }
+    let x = r.executable in
+    perm_bits r.unprivileged ~x lor (perm_bits r.privileged ~x lsl 3)
 
 let pp_perm fmt p =
   Fmt.string fmt
@@ -200,7 +140,7 @@ let pp_region fmt r =
 
 let pp fmt t =
   Fmt.pf fmt "@[<v>MPU %s@,%a@]"
-    (if t.enabled then "enabled" else "disabled")
+    (if t.dec.on then "enabled" else "disabled")
     Fmt.(list ~sep:(any "@,") (fun fmt (i, r) ->
       match r with
       | None -> Fmt.pf fmt "  region %d: <unused>" i

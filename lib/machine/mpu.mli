@@ -19,15 +19,8 @@ type region = {
 
 (** The MPU's registers, read-only outside this module: every change
     goes through {!set}, {!clear}, {!enable}, {!disable} or {!restore},
-    which also retire the decision memo ([stamp], [uniform], [memo] are
-    its internals). *)
-type t = private {
-  mutable enabled : bool;
-  regions : region option array;
-  mutable stamp : int;
-  mutable uniform : bool;
-  memo : int array;
-}
+    which keep [dec] (the enable bit and the decision memo) in step. *)
+type t = private { regions : region option array; dec : Decision.t }
 
 exception Invalid_region of string
 
@@ -67,30 +60,22 @@ val clear : t -> unit
 (** A copy of the eight region slots. *)
 val regions : t -> region option array
 
-(** Reinstate saved slots (as from {!regions}) and the enable bit. *)
-val restore : t -> region option array -> enabled:bool -> unit
-
-(** Same registers (enable bit and slots); the decision memo is not
-    compared.  Use this, not [=], on MPU states. *)
-val equal : t -> t -> bool
+(** Reinstate saved slots (as from {!regions}) and the decision
+    captured with them. *)
+val restore : t -> region option array -> Decision.image -> unit
 
 (** Does the region match the address, honouring disabled sub-regions? *)
 val region_matches : region -> int -> bool
 
-val perm_allows : perm -> Fault.access -> bool
+(** The read, write and execute bits of a permission (execute also
+    needs read, and [x]: the window is executable). *)
+val perm_bits : perm -> x:bool -> int
 
-(** [check] as a boolean, for the bus's hot path.  Decisions are
-    memoized per aligned 32-byte block until the next register
-    change. *)
-val allows : t -> privileged:bool -> addr:int -> access:Fault.access -> bool
-
-(** Check one access: the highest-numbered enabled region whose
-    (enabled) sub-region contains [addr] decides; with no match,
-    privileged accesses use the background map and unprivileged ones
-    fault. *)
-val check :
-  t -> privileged:bool -> addr:int -> access:Fault.access ->
-  (unit, Fault.info) result
+(** The six permission bits of [addr]'s block (see {!Decision}): the
+    highest-numbered region whose (enabled) sub-region contains [addr]
+    decides; with no match, privileged accesses use the background map
+    and unprivileged ones fault. *)
+val block_bits : t -> int -> int
 
 val pp_perm : Format.formatter -> perm -> unit
 val pp_region : Format.formatter -> region -> unit

@@ -8,6 +8,7 @@
 
 module Memmap = Memmap
 module Fault = Fault
+module Decision = Decision
 module Mpu = Mpu
 module Pmp = Pmp
 module Cheri = Cheri

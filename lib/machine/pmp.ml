@@ -23,7 +23,10 @@ type entry = {
   locked : bool;  (** enforced even on privileged (machine-mode) accesses *)
 }
 
-type t = { entries : entry array; mutable enforcing : bool }
+type t = {
+  entries : entry array;
+  dec : Decision.t;  (** the enable bit and the decision memo *)
+}
 
 exception Invalid_entry of string
 
@@ -33,7 +36,7 @@ let create () =
   { entries =
       Array.make entry_count
         { mode = Off; r = false; w = false; x = false; locked = false };
-    enforcing = false }
+    dec = Decision.create () }
 
 let napot ?(locked = false) ~base ~size_log2 ~r ~w ~x () =
   if size_log2 < 3 || size_log2 > 32 then
@@ -44,17 +47,41 @@ let napot ?(locked = false) ~base ~size_log2 ~r ~w ~x () =
          (Printf.sprintf "NAPOT base 0x%08X not aligned to 2^%d" base size_log2));
   { mode = Napot { base; size_log2 }; r; w; x; locked }
 
+(* TOR bounds sit on the 4-byte grain the real PMP address registers
+   encode, so a TOR state's decisions are constant per aligned word. *)
 let tor ?(locked = false) ~base ~limit ~r ~w ~x () =
   if limit < base then raise (Invalid_entry "TOR limit below base");
+  if base land 3 <> 0 || limit land 3 <> 0 then
+    raise
+      (Invalid_entry
+         (Printf.sprintf "TOR bounds [0x%08X,0x%08X) not 4-byte aligned" base
+            limit));
   { mode = Tor { base; limit }; r; w; x; locked }
+
+let changed t =
+  Decision.changed t.dec
+    (Array.fold_left
+       (fun s e ->
+         match e.mode with
+         | Off -> s
+         | Napot { base; size_log2 } ->
+           Decision.narrow (Decision.narrow s base) (1 lsl size_log2)
+         | Tor { base; limit } ->
+           Decision.narrow (Decision.narrow s base) limit)
+       Decision.max_shift t.entries)
 
 let set t i e =
   if i < 0 || i >= entry_count then
     raise (Invalid_entry (Printf.sprintf "entry number %d" i));
-  t.entries.(i) <- e
+  t.entries.(i) <- e;
+  changed t
 
 let get t i = t.entries.(i)
-let enable t = t.enforcing <- true
+let enable t = Decision.set_on t.dec true
+
+let restore t entries image =
+  Array.blit entries 0 t.entries 0 entry_count;
+  Decision.restore t.dec image
 
 let matches e addr =
   match e.mode with
@@ -63,27 +90,24 @@ let matches e addr =
     addr >= base && addr < base + (1 lsl size_log2)
   | Tor { base; limit } -> addr >= base && addr < limit
 
-let entry_allows e (access : Fault.access) =
-  match access with
-  | Fault.Read -> e.r
-  | Fault.Write -> e.w
-  | Fault.Execute -> e.x
-
-(* Check one access: the lowest-numbered matching entry decides.
-   Machine-mode accesses pass unless the deciding entry is locked; with
-   no match, machine mode passes and lower privileges fault. *)
-let rec decide t ~privileged ~addr ~(access : Fault.access) i =
-  if i >= entry_count then
-    if privileged then Ok () else Error { Fault.addr; access; privileged }
-  else
-    let e = t.entries.(i) in
-    if not (matches e addr) then decide t ~privileged ~addr ~access (i + 1)
-    else if (privileged && not e.locked) || entry_allows e access then Ok ()
-    else Error { Fault.addr; access; privileged }
-
-(* Only the deny paths allocate: this runs per bus access. *)
-let check t ~privileged ~addr ~access =
-  if not t.enforcing then Ok () else decide t ~privileged ~addr ~access 0
+(* The six permission bits of [addr]'s block (see {!Decision}): the
+   lowest-numbered matching entry decides.  Machine-mode accesses pass
+   unless that entry is locked; with no match, machine mode passes and
+   lower privileges fault. *)
+let block_bits t addr =
+  let rec first i =
+    if i >= entry_count then 0b111_000
+    else
+      let e = t.entries.(i) in
+      if not (matches e addr) then first (i + 1)
+      else
+        let u =
+          (if e.r then 1 else 0) lor (if e.w then 2 else 0)
+          lor if e.x then 4 else 0
+        in
+        u lor ((if e.locked then u else 0b111) lsl 3)
+  in
+  first 0
 
 let pp_entry fmt e =
   let perms =

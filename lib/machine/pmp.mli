@@ -18,7 +18,10 @@ type entry = {
   locked : bool;  (** enforced even on machine-mode accesses *)
 }
 
-type t = { entries : entry array; mutable enforcing : bool }
+(** The PMP's registers, read-only outside this module: every change
+    goes through {!set}, {!enable} or {!restore}, which keep [dec] (the
+    enable bit and the decision memo) in step. *)
+type t = private { entries : entry array; dec : Decision.t }
 
 exception Invalid_entry of string
 
@@ -30,7 +33,8 @@ val napot :
   ?locked:bool -> base:int -> size_log2:int -> r:bool -> w:bool -> x:bool ->
   unit -> entry
 
-(** Validated top-of-range entry covering [\[base, limit)]. *)
+(** Validated top-of-range entry covering [\[base, limit)]; both bounds
+    must be multiples of 4. *)
 val tor :
   ?locked:bool -> base:int -> limit:int -> r:bool -> w:bool -> x:bool ->
   unit -> entry
@@ -38,14 +42,15 @@ val tor :
 val set : t -> int -> entry -> unit
 val get : t -> int -> entry
 val enable : t -> unit
-val matches : entry -> int -> bool
-val entry_allows : entry -> Fault.access -> bool
 
-(** Check one access: lowest-numbered matching entry decides; machine
-    mode passes unless the entry is locked; no match faults lower
-    privileges. *)
-val check :
-  t -> privileged:bool -> addr:int -> access:Fault.access ->
-  (unit, Fault.info) result
+(** Reinstate saved entries and the decision captured with them. *)
+val restore : t -> entry array -> Decision.image -> unit
+
+val matches : entry -> int -> bool
+
+(** The six permission bits of [addr]'s block (see {!Decision}): the
+    lowest-numbered matching entry decides; machine mode passes unless
+    the entry is locked; no match faults lower privileges. *)
+val block_bits : t -> int -> int
 
 val pp_entry : Format.formatter -> entry -> unit

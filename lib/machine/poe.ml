@@ -17,7 +17,7 @@
    Privileged code ignores overlays (POR restricts EL0 only), mirroring
    PRIVDEFENA on the MPU. *)
 
-type perm = No_access | Read_only | Read_write
+type perm = Mpu.perm = No_access | Read_only | Read_write
 
 type overlay = {
   ov_base : int;
@@ -29,7 +29,13 @@ type t = {
   mutable overlays : overlay list;  (** first match wins *)
   por : perm array;  (** per-key unprivileged data permission *)
   por_x : bool array;  (** per-key unprivileged execute permission *)
-  mutable enforcing : bool;
+  dec : Decision.t;  (** the enable bit and the decision memo *)
+}
+
+type registers = {
+  r_overlays : overlay list;
+  r_por : perm array;
+  r_por_x : bool array;
 }
 
 exception Invalid_overlay of string
@@ -46,7 +52,7 @@ let create () =
   { overlays = [];
     por = Array.make key_count No_access;
     por_x = Array.make key_count false;
-    enforcing = false }
+    dec = Decision.create () }
 
 let overlay ?(key = no_key) ~base ~limit () =
   if limit <= base then raise (Invalid_overlay "empty overlay window");
@@ -59,21 +65,44 @@ let overlay ?(key = no_key) ~base ~limit () =
     raise (Invalid_overlay (Printf.sprintf "key %d out of range" key));
   { ov_base = base; ov_limit = limit; ov_key = key }
 
+(* [overlay] keeps every window on the 32-byte granule, so the grain is
+   always the coarsest. *)
+let changed t = Decision.changed t.dec Decision.max_shift
+
 let clear t =
   t.overlays <- [];
   Array.fill t.por 0 key_count No_access;
-  Array.fill t.por_x 0 key_count false
+  Array.fill t.por_x 0 key_count false;
+  changed t
 
-let add t ov = t.overlays <- t.overlays @ [ ov ]
+let add t ov =
+  t.overlays <- t.overlays @ [ ov ];
+  changed t
 
 let set_key t key ?(x = false) perm =
   if key < 0 || key >= key_count then
     raise (Invalid_overlay (Printf.sprintf "key %d out of range" key));
   t.por.(key) <- perm;
-  t.por_x.(key) <- x
+  t.por_x.(key) <- x;
+  changed t
 
-let enable t = t.enforcing <- true
+let enable t = Decision.set_on t.dec true
 let overlays t = t.overlays
+
+(* Key recycling retags overlays in place, so saved registers and the
+   live state never share an overlay record. *)
+let copy_overlays = List.map (fun ov -> { ov with ov_key = ov.ov_key })
+
+let registers t =
+  { r_overlays = copy_overlays t.overlays;
+    r_por = Array.copy t.por;
+    r_por_x = Array.copy t.por_x }
+
+let restore t r image =
+  t.overlays <- copy_overlays r.r_overlays;
+  Array.blit r.r_por 0 t.por 0 key_count;
+  Array.blit r.r_por_x 0 t.por_x 0 key_count;
+  Decision.restore t.dec image
 
 let find t addr =
   List.find_opt
@@ -87,40 +116,23 @@ let reclaim_key t key =
     List.filter (fun ov -> ov.ov_key = key) t.overlays
   in
   List.iter (fun ov -> ov.ov_key <- no_key) victims;
+  changed t;
   victims
 
-let perm_allows perm (access : Fault.access) =
-  match (perm, access) with
-  | Read_write, (Fault.Read | Fault.Write) -> true
-  | Read_only, Fault.Read -> true
-  | Read_only, Fault.Write -> false
-  | No_access, (Fault.Read | Fault.Write) -> false
-  | _, Fault.Execute -> perm <> No_access
+(* Tag [ov], one of [t]'s windows, with [key] — the other half. *)
+let retag t ov key =
+  ov.ov_key <- key;
+  changed t
 
-(* Check one access: the first overlay covering the address decides via
-   its key's POR entry; a keyless window (or no window at all) faults at
-   the unprivileged level.  Privileged accesses bypass overlays. *)
-let rec allows t addr (access : Fault.access) = function
-  | [] -> false
-  | ov :: rest ->
-    if addr >= ov.ov_base && addr < ov.ov_limit then
-      ov.ov_key <> no_key
-      &&
-      let perm = t.por.(ov.ov_key) in
-      match access with
-      | Fault.Execute -> t.por_x.(ov.ov_key) && perm_allows perm Fault.Read
-      | Fault.Read | Fault.Write -> perm_allows perm access
-    else allows t addr access rest
-
-(* Only the deny path allocates: this runs per bus access. *)
-let check t ~privileged ~addr ~(access : Fault.access) =
-  if (not t.enforcing) || privileged || allows t addr access t.overlays then
-    Ok ()
-  else Error { Fault.addr; access; privileged }
-
-let pp_perm fmt p =
-  Fmt.string fmt
-    (match p with No_access -> "NA" | Read_only -> "RO" | Read_write -> "RW")
+(* The six permission bits of [addr]'s block (see {!Decision}): the
+   first overlay covering the address decides via its key's POR entry;
+   a keyless window (or no window at all) faults at the unprivileged
+   level.  Privileged accesses bypass overlays. *)
+let block_bits t addr =
+  match find t addr with
+  | Some ov when ov.ov_key <> no_key ->
+    Mpu.perm_bits t.por.(ov.ov_key) ~x:t.por_x.(ov.ov_key) lor 0b111_000
+  | Some _ | None -> 0b111_000
 
 let pp_overlay fmt ov =
   Fmt.pf fmt "[0x%08X,0x%08X) key=%s" ov.ov_base ov.ov_limit
@@ -128,10 +140,10 @@ let pp_overlay fmt ov =
 
 let pp fmt t =
   Fmt.pf fmt "@[<v>POE %s@,keys: %a@,%a@]"
-    (if t.enforcing then "enforcing" else "off")
+    (if t.dec.on then "enforcing" else "off")
     Fmt.(
       list ~sep:(any " ") (fun fmt (i, p, x) ->
-          Fmt.pf fmt "%d:%a%s" i pp_perm p (if x then "x" else "")))
+          Fmt.pf fmt "%d:%a%s" i Mpu.pp_perm p (if x then "x" else "")))
     (Array.to_list (Array.mapi (fun i p -> (i, p, t.por_x.(i))) t.por))
     Fmt.(list ~sep:(any "@,") pp_overlay)
     t.overlays

@@ -14,61 +14,40 @@ module C = Opec_core
 module M = Opec_machine
 module Obs = Opec_obs
 
-(* A backend's complete protection state as an install leaves it.  Every
-   install clears and rewrites the whole state — all MPU regions, all
-   PMP entries, the capability table, every overlay and key permission —
-   so restoring an image captured right after an install repeats that
-   install without deriving the plan again. *)
-type image =
-  | Mpu_image of { regions : M.Mpu.region option array; enabled : bool }
-  | Pmp_image of { entries : M.Pmp.entry array; enforcing : bool }
-  | Cheri_image of { caps : M.Cheri.cap list; enforcing : bool }
-  | Poe_image of {
-      overlays : M.Poe.overlay list;
-      por : M.Poe.perm array;
-      por_x : bool array;
-      enforcing : bool;
-    }
+(* A backend's complete protection state as an install leaves it, and
+   the decision memo of that state.  Every install clears and rewrites
+   the whole state — all MPU regions, all PMP entries, the capability
+   table, every overlay and key permission — so restoring an image
+   captured right after an install repeats that install without
+   deriving the plan again.  The image keeps the stamp the install left
+   (see {!M.Decision}), so its memo outlives a switch away and back. *)
+type registers =
+  | Mpu_image of M.Mpu.region option array
+  | Pmp_image of M.Pmp.entry array
+  | Cheri_image of M.Cheri.cap list
+  | Poe_image of M.Poe.registers
 
-(* Key recycling retags POE overlays in place, so an image and the live
-   state never share an overlay record. *)
-let copy_overlays overlays =
-  List.map (fun (ov : M.Poe.overlay) -> { ov with M.Poe.ov_key = ov.M.Poe.ov_key })
-    overlays
+type image = { registers : registers; decision : M.Decision.image }
 
-let capture = function
-  | M.Backend.Mpu_state m ->
-    Mpu_image { regions = M.Mpu.regions m; enabled = m.M.Mpu.enabled }
-  | M.Backend.Pmp_state p ->
-    Pmp_image { entries = Array.copy p.M.Pmp.entries; enforcing = p.M.Pmp.enforcing }
-  | M.Backend.Cheri_state c ->
-    Cheri_image { caps = c.M.Cheri.caps; enforcing = c.M.Cheri.enforcing }
-  | M.Backend.Poe_state p ->
-    Poe_image
-      { overlays = copy_overlays p.M.Poe.overlays;
-        por = Array.copy p.M.Poe.por;
-        por_x = Array.copy p.M.Poe.por_x;
-        enforcing = p.M.Poe.enforcing }
+let capture st =
+  let registers =
+    match st with
+    | M.Backend.Mpu_state m -> Mpu_image (M.Mpu.regions m)
+    | M.Backend.Pmp_state p ->
+      Pmp_image (Array.init M.Pmp.entry_count (M.Pmp.get p))
+    | M.Backend.Cheri_state c -> Cheri_image (M.Cheri.caps c)
+    | M.Backend.Poe_state p -> Poe_image (M.Poe.registers p)
+  in
+  { registers; decision = M.Decision.capture (M.Backend.decision st) }
 
-let restore st image =
-  match (st, image) with
-  | M.Backend.Mpu_state m, Mpu_image i ->
-    M.Mpu.restore m i.regions ~enabled:i.enabled;
-    true
-  | M.Backend.Pmp_state p, Pmp_image i ->
-    Array.blit i.entries 0 p.M.Pmp.entries 0 M.Pmp.entry_count;
-    p.M.Pmp.enforcing <- i.enforcing;
-    true
-  | M.Backend.Cheri_state c, Cheri_image i ->
-    c.M.Cheri.caps <- i.caps;
-    c.M.Cheri.enforcing <- i.enforcing;
-    true
-  | M.Backend.Poe_state p, Poe_image i ->
-    p.M.Poe.overlays <- copy_overlays i.overlays;
-    Array.blit i.por 0 p.M.Poe.por 0 M.Poe.key_count;
-    Array.blit i.por_x 0 p.M.Poe.por_x 0 M.Poe.key_count;
-    p.M.Poe.enforcing <- i.enforcing;
-    true
+(* O(1) in the memo: the image's table, stamp and grain come back as
+   they are. *)
+let restore st { registers; decision } =
+  match (st, registers) with
+  | M.Backend.Mpu_state m, Mpu_image r -> M.Mpu.restore m r decision; true
+  | M.Backend.Pmp_state p, Pmp_image r -> M.Pmp.restore p r decision; true
+  | M.Backend.Cheri_state c, Cheri_image r -> M.Cheri.restore c r decision; true
+  | M.Backend.Poe_state p, Poe_image r -> M.Poe.restore p r decision; true
   | _ -> false
 
 (* One fault-time rotation: which slot (region / entry / key) was
@@ -148,7 +127,7 @@ let virtualize st ~cpu ~(meta : C.Metadata.op_meta) ~virt_next ~addr =
       let victims =
         M.Cpu.with_privilege cpu (fun () ->
             let victims = M.Poe.reclaim_key poe key in
-            ov.M.Poe.ov_key <- key;
+            M.Poe.retag poe ov key;
             victims)
       in
       Some

@@ -10,14 +10,15 @@ module Obs = Opec_obs
 (** A backend's complete protection state as
     {!Opec_core.Backend_plan.install} leaves it: MPU regions, PMP
     entries, the CHERI capability table, or the POE overlays and key
-    permissions. *)
+    permissions; and the decision memo of that state. *)
 type image
 
 (** The state's image.  Taken right after an install, restoring it
-    repeats that install. *)
+    repeats that install.  The live state moves onto the image's memo. *)
 val capture : M.Backend.state -> image
 
-(** Write an image back onto a backend; [false], leaving the state
+(** Write an image back onto a backend, handing its memo, stamp and
+    grain back to the state in O(1); [false], leaving the state
     untouched, when the image was captured from another kind of
     backend. *)
 val restore : M.Backend.state -> image -> bool

@@ -45,7 +45,7 @@ let test_cheri_accepts_unaligned () =
   M.Cheri.add t (M.Cheri.cap ~r:true ~w:true ~base ~len ());
   M.Cheri.enable t;
   let ok addr =
-    Result.is_ok (M.Cheri.check t ~privileged:false ~addr ~access:M.Fault.Write)
+    Result.is_ok (M.Backend.check (M.Backend.Cheri_state t) ~privileged:false ~addr ~access:M.Fault.Write)
   in
   Alcotest.(check bool) "first byte writable" true (ok base);
   Alcotest.(check bool) "last byte writable" true (ok (base + len - 1));
@@ -69,7 +69,7 @@ let test_match_priority () =
   Alcotest.(check bool) "PMP: permissive entry 0 shadows blocking entry 1"
     true
     (Result.is_ok
-       (M.Pmp.check pmp ~privileged:false ~addr ~access:M.Fault.Write));
+       (M.Backend.check (M.Backend.Pmp_state pmp) ~privileged:false ~addr ~access:M.Fault.Write));
   let mpu = M.Mpu.create () in
   M.Mpu.set mpu 0
     (Some
@@ -83,7 +83,7 @@ let test_match_priority () =
   Alcotest.(check bool) "MPU: blocking region 1 shadows permissive region 0"
     true
     (Result.is_error
-       (M.Mpu.check mpu ~privileged:false ~addr ~access:M.Fault.Write))
+       (M.Backend.check (M.Backend.Mpu_state mpu) ~privileged:false ~addr ~access:M.Fault.Write))
 
 (* --- fault model: POE key exhaustion recycles, never evicts -------------- *)
 
@@ -102,7 +102,7 @@ let test_poe_key_recycling () =
   M.Poe.enable t;
   let writable i =
     Result.is_ok
-      (M.Poe.check t ~privileged:false ~addr:(base_of i) ~access:M.Fault.Write)
+      (M.Backend.check (M.Backend.Poe_state t) ~privileged:false ~addr:(base_of i) ~access:M.Fault.Write)
   in
   Alcotest.(check bool) "keyed window accessible" true (writable 3);
   Alcotest.(check bool) "keyless window faults" false (writable M.Poe.key_count);
@@ -111,7 +111,7 @@ let test_poe_key_recycling () =
   Alcotest.(check int) "reclaim strips exactly the key's windows" 1
     (List.length victims);
   (match M.Poe.find t (base_of M.Poe.key_count) with
-  | Some ov -> ov.M.Poe.ov_key <- 3
+  | Some ov -> M.Poe.retag t ov 3
   | None -> Alcotest.fail "keyless window vanished");
   Alcotest.(check int) "no window was evicted" n
     (List.length (M.Poe.overlays t));

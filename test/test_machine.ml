@@ -60,6 +60,64 @@ let test_bus_routing () =
     Alcotest.fail "unmapped peripheral should bus-fault"
   with M.Fault.Bus _ -> ()
 
+(* Flash is backed by the bytes written to it: the board's size still
+   bounds it, and unwritten bytes read as 0. *)
+let test_grown_flash () =
+  let bus = M.Bus.create ~board in
+  let flash = bus.M.Bus.flash in
+  Alcotest.(check int) "flash spans the board's size" board.M.Memmap.flash_size
+    (M.Memory.size flash);
+  let last = M.Memmap.flash_base + board.M.Memmap.flash_size - 4 in
+  Alcotest.(check int64) "unwritten flash reads 0" 0L (M.Bus.read bus last 4);
+  M.Bus.write_raw bus 0x0800_1002 1 0xABL;
+  Alcotest.(check int64) "a written byte" 0xAB0000L (M.Bus.read bus 0x0800_1000 4);
+  Alcotest.(check int) "int path" 0xAB0000 (M.Bus.read_flash_int bus 0x0800_1000 4);
+  Alcotest.(check int) "int path past the written bytes" 0
+    (M.Bus.read_flash_int bus last 4);
+  M.Bus.write_raw bus last 4 0x11223344L;
+  Alcotest.(check int64) "the last word" 0x11223344L (M.Bus.read bus last 4);
+  Alcotest.(check int64) "earlier bytes kept" 0xAB0000L (M.Bus.read bus 0x0800_1000 4);
+  (try
+     ignore (M.Bus.read bus (last + 4) 4);
+     Alcotest.fail "past the board's flash should bus-fault"
+   with M.Fault.Bus _ -> ())
+
+(* Each address reaches the device [attach] made last among those whose
+   window holds it, on either side of the PPB boundary. *)
+let test_device_routing () =
+  let bus = M.Bus.create ~board in
+  let dev name base size =
+    M.Device.v name ~base ~size
+      ~read:(fun _ _ -> Int64.of_int (Hashtbl.hash name))
+      ~write:(fun _ _ _ -> ())
+  in
+  let attached =
+    [ dev "low" 0x4000_0000 0x400; dev "over" 0x4000_0200 0x400;
+      dev "dwt" 0xE000_1000 0x400; dev "straddle" 0xDFFF_FF00 0x200;
+      dev "vendor" 0xE010_0000 0x100 ]
+  in
+  List.iter (M.Bus.attach bus) attached;
+  let expected addr =
+    List.find_opt (fun d -> M.Device.contains d addr) (List.rev attached)
+  in
+  List.iter
+    (fun addr ->
+      let name = Option.map (fun d -> d.M.Device.name) in
+      Alcotest.(check (option string))
+        (Printf.sprintf "device at 0x%08X" addr)
+        (name (expected addr))
+        (name (M.Bus.find_device bus addr));
+      match expected addr with
+      | Some d ->
+        Alcotest.(check int64)
+          (Printf.sprintf "read at 0x%08X" addr)
+          (Int64.of_int (Hashtbl.hash d.M.Device.name))
+          (M.Bus.read_raw bus addr 4)
+      | None -> ())
+    [ 0x4000_0000; 0x4000_01FC; 0x4000_0200; 0x4000_03FC; 0x4000_0400;
+      0x4000_05FC; 0x4000_0600; 0xDFFF_FF00; 0xDFFF_FFFC; 0xE000_0000;
+      0xE000_00FC; 0xE000_0100; 0xE000_1004; 0xE010_0000; 0xE010_0100 ]
+
 let test_ppb_privilege () =
   let bus = M.Bus.create ~board in
   M.Bus.attach bus (M.Core_periph.dwt ~cycles:(fun () -> 123L));
@@ -181,6 +239,8 @@ let suite () =
       [ Alcotest.test_case "memory map" `Quick test_memmap;
         Alcotest.test_case "memory read/write" `Quick test_memory_rw;
         Alcotest.test_case "bus routing" `Quick test_bus_routing;
+        Alcotest.test_case "flash holds what was written" `Quick test_grown_flash;
+        Alcotest.test_case "devices route as attached" `Quick test_device_routing;
         Alcotest.test_case "PPB privilege" `Quick test_ppb_privilege;
         Alcotest.test_case "MPU on the bus" `Quick test_mpu_on_bus ] );
     ( "devices",

@@ -9,7 +9,7 @@ let region ?srd ?executable ~base ~size_log2 ~priv ~unpriv () =
     ~unprivileged:unpriv ()
 
 let allowed t ~privileged ~addr ~access =
-  match Mpu.check t ~privileged ~addr ~access with
+  match M.Backend.check (M.Backend.Mpu_state t) ~privileged ~addr ~access with
   | Ok () -> true
   | Error _ -> false
 
@@ -106,59 +106,261 @@ let test_subregion_fallthrough () =
   Alcotest.(check bool) "enabled sub-region writable" true
     (allowed t ~privileged:false ~addr:0x2000_0100 ~access:Fault.Write)
 
-(* Decisions are memoized per 32-byte block until the next register
-   change: every way of changing the registers must retire the memo,
-   and a region off the 32-byte grid (only a hand-built record can be)
-   must bypass it.  Each answer is also compared with a fresh MPU
-   holding the same registers, whose memo is empty. *)
-let test_decision_memo () =
-  let t = Mpu.create () in
-  let ask ~privileged addr access =
-    let fresh = Mpu.create () in
-    Mpu.restore fresh (Mpu.regions t) ~enabled:t.Mpu.enabled;
-    let a = allowed t ~privileged ~addr ~access in
-    Alcotest.(check bool)
-      (Printf.sprintf "memo agrees with a fresh MPU at 0x%08X" addr)
-      (allowed fresh ~privileged ~addr ~access)
-      a;
-    a
+(* --- the decision memo, on every backend ---------------------------------- *)
+
+(* The bus memoizes each backend's decision per block of the state's
+   grain, in a table every captured image keeps.  Every answer the
+   bus gives is compared with {!M.Backend.check} on a freshly built
+   state holding the same registers, whose memo is empty and unused. *)
+
+let rebuilt st =
+  let f = M.Backend.create (M.Backend.kind_of st) in
+  (match (st, f) with
+  | M.Backend.Mpu_state m, M.Backend.Mpu_state g ->
+    Array.iteri (Mpu.set g) (Mpu.regions m)
+  | M.Backend.Pmp_state p, M.Backend.Pmp_state q ->
+    for i = 0 to M.Pmp.entry_count - 1 do
+      M.Pmp.set q i (M.Pmp.get p i)
+    done
+  | M.Backend.Cheri_state c, M.Backend.Cheri_state d ->
+    M.Cheri.grant d (M.Cheri.caps c)
+  | M.Backend.Poe_state p, M.Backend.Poe_state q ->
+    Array.iteri
+      (fun k perm -> M.Poe.set_key q k ~x:p.M.Poe.por_x.(k) perm)
+      p.M.Poe.por;
+    List.iter
+      (fun (ov : M.Poe.overlay) ->
+        M.Poe.add q
+          (M.Poe.overlay ~key:ov.M.Poe.ov_key ~base:ov.M.Poe.ov_base
+             ~limit:ov.M.Poe.ov_limit ()))
+      (M.Poe.overlays p)
+  | _ -> Alcotest.fail "rebuilt: kinds differ");
+  if (M.Backend.decision st).M.Decision.on then M.Backend.enable f;
+  f
+
+let memo_allows bus ~privileged addr access =
+  match M.Bus.check_as bus ~privileged ~addr ~access with
+  | () -> true
+  | exception Fault.Mem_manage _ -> false
+
+(* Every access at every address in [addrs], twice (a miss, then a
+   hit), against a rebuilt state; and the registers compare equal
+   although the memos differ. *)
+let agree what bus addrs =
+  let st = M.Bus.protection bus in
+  let fresh = rebuilt st in
+  Alcotest.(check bool)
+    (what ^ ": registers equal, memo aside")
+    true (M.Backend.equal fresh st);
+  List.iter
+    (fun addr ->
+      List.iter
+        (fun (privileged, access) ->
+          for _ = 1 to 2 do
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s 0x%08X (%s)" what
+                 (M.Backend.kind_name (M.Backend.kind_of st))
+                 addr (Fmt.str "%a" Fault.pp_access access))
+              (Result.is_ok (M.Backend.check fresh ~privileged ~addr ~access))
+              (memo_allows bus ~privileged addr access)
+          done)
+        [ (false, Fault.Read); (false, Fault.Write); (false, Fault.Execute);
+          (true, Fault.Read); (true, Fault.Write); (true, Fault.Execute) ])
+    addrs
+
+(* Entries of the live memo that count under the live stamp. *)
+let live_entries bus =
+  let d = bus.M.Bus.dec in
+  let n = ref 0 in
+  for i = 0 to M.Decision.entries - 1 do
+    if d.M.Decision.memo.((3 * i) + 1) = d.M.Decision.stamp then incr n
+  done;
+  !n
+
+let first_blocks = [ 0x0800_0000; 0x2000_0000; 0x4000_0000; 0xE000_0000 ]
+
+(* The first blocks of flash, SRAM, the peripheral window and the PPB
+   take distinct slots, so all four stay resident together. *)
+let check_first_blocks what bus =
+  List.iter
+    (fun a -> ignore (memo_allows bus ~privileged:false a Fault.Read))
+    first_blocks;
+  let d = bus.M.Bus.dec in
+  List.iter
+    (fun a ->
+      let e = 3 * M.Decision.slot d a in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: block of 0x%08X stays resident" what a)
+        true
+        (d.M.Decision.memo.(e) = a asr d.M.Decision.shift
+        && d.M.Decision.memo.(e + 1) = d.M.Decision.stamp))
+    first_blocks
+
+(* Two operations; the first writes twelve spaced-out peripherals, more
+   than the MPU, the PMP or the POE keys hold at once. *)
+let crowded_program () =
+  let open Opec_ir in
+  let open Build in
+  let periphs =
+    List.init 12 (fun i ->
+        Peripheral.v (Printf.sprintf "P%d" i)
+          ~base:(0x4000_0000 + (i * 0x1000)) ~size:0x400)
   in
+  ( Program.v ~name:"memo-app"
+      ~globals:[ word "mine"; word "theirs" ]
+      ~peripherals:periphs
+      ~funcs:
+        [ func "op_a" []
+            ((store (gv "mine") (c 1) :: List.map (fun p -> store (reg p 0) (c 1)) periphs)
+            @ [ ret0 ]);
+          func "op_b" [] [ store (gv "theirs") (c 2); ret0 ];
+          func "main" [] [ call "op_a" []; call "op_b" []; halt ] ]
+      (),
+    List.map (fun (p : Peripheral.t) -> p.Peripheral.base) periphs )
+
+let test_decision_memo () =
+  let module C = Opec_core in
+  let module Enf = Opec_monitor.Enforce in
+  let program, periph_bases = crowded_program () in
+  let board = M.Memmap.stm32479i_eval in
+  List.iter
+    (fun kind ->
+      let what = M.Backend.kind_name kind in
+      let image =
+        C.Compiler.compile ~board ~backend:kind program
+          (C.Dev_input.v [ "op_a"; "op_b" ])
+      in
+      let meta entry =
+        let op = Option.get (C.Image.op_of_entry image entry) in
+        Option.get (C.Image.meta_of image op.C.Operation.name)
+      in
+      let layout = image.C.Image.layout in
+      let addrs =
+        first_blocks @ periph_bases
+        @ [ image.C.Image.code_base; layout.C.Layout.stack_base;
+            layout.C.Layout.stack_top - 16 ]
+        @ List.map
+            (fun (s : C.Layout.section) -> s.C.Layout.base)
+            (List.filter_map (C.Layout.section_of layout) [ "op_a"; "op_b" ])
+      in
+      let bus = M.Bus.create ~board in
+      M.Bus.set_protection bus (M.Backend.create kind);
+      let st = M.Bus.protection bus in
+      let install entry =
+        ignore (C.Backend_plan.install st ~image ~meta:(meta entry) ~srd:0);
+        Enf.capture st
+      in
+      let img_a = install "op_a" in
+      agree (what ^ " op_a installed") bus addrs;
+      check_first_blocks what bus;
+      let filled = live_entries bus in
+      let _img_b = install "op_b" in
+      agree (what ^ " op_b installed") bus addrs;
+      Alcotest.(check bool) (what ^ ": restore") true (Enf.restore st img_a);
+      Alcotest.(check int)
+        (what ^ ": the memo survives a switch away and back")
+        filled (live_entries bus);
+      agree (what ^ " op_a restored") bus addrs;
+      (* a permitted peripheral that is not resident: rotate it in *)
+      let denied a = not (memo_allows bus ~privileged:false a Fault.Write) in
+      (match (kind, List.find_opt denied periph_bases) with
+      | M.Backend.Cheri, None -> ()
+      | M.Backend.Cheri, Some a ->
+        Alcotest.failf "cheri: 0x%08X not granted" a
+      | _, None -> Alcotest.failf "%s: every peripheral resident" what
+      | _, Some a ->
+        let sw =
+          Enf.virtualize st ~cpu:bus.M.Bus.cpu ~meta:(meta "op_a")
+            ~virt_next:0 ~addr:a
+        in
+        Alcotest.(check bool) (what ^ ": rotated") true (Option.is_some sw);
+        Alcotest.(check bool) (what ^ ": allowed after the rotation") false
+          (denied a);
+        agree (what ^ " rotated") bus addrs;
+        ignore (Enf.restore st img_a);
+        Alcotest.(check bool) (what ^ ": denied after the restore") true
+          (denied a);
+        agree (what ^ " rotation undone") bus addrs))
+    M.Backend.all_kinds
+
+(* In-place changes on hand-built states, each answer against a rebuilt
+   state: every setter retires the memo, and boundaries inside a
+   32-byte block narrow the grain. *)
+let test_memo_in_place () =
+  let on_bus st =
+    let bus = M.Bus.create ~board:M.Memmap.stm32479i_eval in
+    M.Bus.set_protection bus st;
+    bus
+  in
+  let around base = List.init 12 (fun i -> base - 8 + (4 * i)) in
+  (* MPU: set, clear, disable, enable, and a hand-built region off the
+     32-byte grid sharing a block with 0x2000_0400 *)
+  let t = Mpu.create () in
+  let bus = on_bus (M.Backend.Mpu_state t) in
+  let addrs = around 0x2000_0100 @ around 0x2000_0410 in
   let rw = region ~base:0x2000_0000 ~size_log2:10 ~priv:Mpu.Read_write in
   Mpu.set t 0 (Some (rw ~unpriv:Mpu.Read_write ()));
   Mpu.enable t;
-  Alcotest.(check bool) "writable" true
-    (ask ~privileged:false 0x2000_0100 Fault.Write);
+  agree "mpu set" bus addrs;
   Mpu.set t 0 (Some (rw ~unpriv:Mpu.Read_only ()));
-  Alcotest.(check bool) "set retires the memo" false
-    (ask ~privileged:false 0x2000_0100 Fault.Write);
-  let saved = Mpu.regions t in
+  agree "mpu set again" bus addrs;
   Mpu.clear t;
-  Alcotest.(check bool) "clear retires the memo" false
-    (ask ~privileged:false 0x2000_0100 Fault.Read);
-  Mpu.restore t saved ~enabled:true;
-  Alcotest.(check bool) "restore retires the memo" true
-    (ask ~privileged:false 0x2000_0100 Fault.Read);
+  agree "mpu clear" bus addrs;
+  Mpu.set t 0 (Some (rw ~unpriv:Mpu.Read_write ()));
   Mpu.disable t;
-  Alcotest.(check bool) "disable retires the memo" true
-    (ask ~privileged:false 0x2000_0100 Fault.Write);
+  agree "mpu disable" bus addrs;
   Mpu.enable t;
-  Alcotest.(check bool) "enable retires the memo" false
-    (ask ~privileged:false 0x2000_0100 Fault.Write);
-  (* a 32-byte window at 0x2000_0410, which shares its first block with
-     0x2000_0400..0x2000_040F *)
+  agree "mpu enable" bus addrs;
+  Alcotest.(check int) "mpu: 32-byte grain" 5 bus.M.Bus.dec.M.Decision.shift;
   Mpu.set t 1
     (Some
-       { Mpu.base = 0x2000_0410; size_log2 = 5; srd = 0;
+       { Mpu.base = 0x2000_0410; size_log2 = 4; srd = 0;
          privileged = Mpu.Read_write; unprivileged = Mpu.Read_write;
          executable = false });
-  Alcotest.(check bool) "below the window: no region" false
-    (ask ~privileged:false 0x2000_0408 Fault.Read);
-  Alcotest.(check bool) "same block, inside the window" true
-    (ask ~privileged:false 0x2000_0418 Fault.Read);
-  Alcotest.(check bool) "registers equal, memo aside" true
-    (let f = Mpu.create () in
-     Mpu.restore f (Mpu.regions t) ~enabled:true;
-     Mpu.equal f t)
+  agree "mpu off-grid region" bus addrs;
+  Alcotest.(check int) "mpu: 16-byte grain" 4 bus.M.Bus.dec.M.Decision.shift;
+  (* PMP: a TOR boundary inside a 32-byte block *)
+  let p = M.Pmp.create () in
+  let bus = on_bus (M.Backend.Pmp_state p) in
+  let addrs = around 0x2000_0100 in
+  M.Pmp.set p 1
+    (M.Pmp.napot ~base:0x2000_0000 ~size_log2:12 ~r:true ~w:false ~x:false ());
+  M.Pmp.enable p;
+  agree "pmp napot" bus addrs;
+  M.Pmp.set p 0
+    (M.Pmp.tor ~base:0x2000_0104 ~limit:0x2000_0110 ~r:true ~w:true ~x:false ());
+  agree "pmp tor inside a block" bus addrs;
+  Alcotest.(check int) "pmp: 4-byte grain" 2 bus.M.Bus.dec.M.Decision.shift;
+  check_first_blocks "pmp at a 4-byte grain" bus;
+  (* CHERI: byte-granular bounds *)
+  let c = M.Cheri.create () in
+  let bus = on_bus (M.Backend.Cheri_state c) in
+  let addrs = List.init 40 (fun i -> 0x2000_0000 + i) in
+  M.Cheri.enable c;
+  M.Cheri.add c (M.Cheri.cap ~r:true ~base:0x2000_0000 ~len:32 ());
+  agree "cheri read cap" bus addrs;
+  M.Cheri.add c (M.Cheri.cap ~r:true ~w:true ~base:0x2000_0003 ~len:24 ());
+  agree "cheri odd cap" bus addrs;
+  Alcotest.(check int) "cheri: byte grain" 0 bus.M.Bus.dec.M.Decision.shift;
+  check_first_blocks "cheri at a byte grain" bus;
+  M.Cheri.clear c;
+  agree "cheri clear" bus addrs;
+  (* POE: key permissions change in place, and key recycling *)
+  let t = M.Poe.create () in
+  let bus = on_bus (M.Backend.Poe_state t) in
+  let addrs = around 0x4000_0000 @ around 0x4000_0040 in
+  M.Poe.set_key t 1 M.Poe.Read_write;
+  M.Poe.add t (M.Poe.overlay ~key:1 ~base:0x4000_0000 ~limit:0x4000_0020 ());
+  M.Poe.add t (M.Poe.overlay ~base:0x4000_0040 ~limit:0x4000_0060 ());
+  M.Poe.enable t;
+  agree "poe keyed" bus addrs;
+  M.Poe.set_key t 1 M.Poe.Read_only;
+  agree "poe key permission" bus addrs;
+  let victims = M.Poe.reclaim_key t 1 in
+  agree "poe key reclaimed" bus addrs;
+  M.Poe.retag t (Option.get (M.Poe.find t 0x4000_0040)) 1;
+  agree "poe key recycled" bus addrs;
+  Alcotest.(check int) "poe: one victim" 1 (List.length victims)
 
 let test_execute_permission () =
   let t = Mpu.create () in
@@ -215,5 +417,7 @@ let suite () =
         Alcotest.test_case "execute permission" `Quick test_execute_permission;
         Alcotest.test_case "decision memo follows every change" `Quick
           test_decision_memo;
+        Alcotest.test_case "decision memo follows in-place changes" `Quick
+          test_memo_in_place;
         QCheck_alcotest.to_alcotest prop_region_size_minimal;
         QCheck_alcotest.to_alcotest prop_srd_monotonic ] ) ]

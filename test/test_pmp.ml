@@ -9,7 +9,7 @@ module Pmp = M.Pmp
 module C = Opec_core
 
 let allowed t ~privileged ~addr ~access =
-  match Pmp.check t ~privileged ~addr ~access with
+  match M.Backend.check (M.Backend.Pmp_state t) ~privileged ~addr ~access with
   | Ok () -> true
   | Error _ -> false
 
@@ -31,6 +31,20 @@ let test_validation () =
       ignore (Pmp.napot ~base:0x2000_0004 ~size_log2:5 ~r:true ~w:true ~x:false ()));
   Alcotest.check_raises "tor inverted" (Pmp.Invalid_entry "TOR limit below base")
     (fun () -> ignore (Pmp.tor ~base:10 ~limit:5 ~r:true ~w:true ~x:false ()))
+
+(* TOR bounds sit on the 4-byte grain, as NAPOT bases sit on their
+   size: the memo's grain never drops below a word. *)
+let test_tor_grain () =
+  Alcotest.check_raises "tor base off the grain"
+    (Pmp.Invalid_entry "TOR bounds [0x20000102,0x20000110) not 4-byte aligned")
+    (fun () ->
+      ignore (Pmp.tor ~base:0x2000_0102 ~limit:0x2000_0110 ~r:true ~w:true ~x:false ()));
+  Alcotest.check_raises "tor limit off the grain"
+    (Pmp.Invalid_entry "TOR bounds [0x20000100,0x20000111) not 4-byte aligned")
+    (fun () ->
+      ignore (Pmp.tor ~base:0x2000_0100 ~limit:0x2000_0111 ~r:true ~w:true ~x:false ()));
+  let e = Pmp.tor ~base:0x2000_0104 ~limit:0x2000_0108 ~r:true ~w:true ~x:false () in
+  Alcotest.(check bool) "a one-word TOR entry" true (Pmp.matches e 0x2000_0107)
 
 let test_lowest_entry_wins () =
   let t = Pmp.create () in
@@ -144,5 +158,6 @@ let suite () =
         Alcotest.test_case "lowest entry wins" `Quick test_lowest_entry_wins;
         Alcotest.test_case "machine mode + lock" `Quick test_machine_mode_and_lock;
         Alcotest.test_case "TOR ranges" `Quick test_tor_range;
+        Alcotest.test_case "TOR bounds on the 4-byte grain" `Quick test_tor_grain;
         Alcotest.test_case "OPEC plan translation" `Quick test_plan_translation;
         QCheck_alcotest.to_alcotest prop_pmp_no_more_permissive ] ) ]
