@@ -741,15 +741,12 @@ let direct_grant (image : C.Image.t) =
     let installed =
       List.map
         (fun (op : C.Operation.t) ->
-          let st = M.Backend.create kind in
           let meta = C.Image.meta_of image op.name in
           let planned =
             match meta with
             | None -> Error "no metadata"
             | Some meta -> (
-              try
-                ignore (C.Backend_plan.install st ~image ~meta ~srd:0);
-                Ok st
+              try Ok (fst (C.Backend_plan.install kind ~image ~meta ~srd:0))
               with
               | Invalid_argument m | M.Mpu.Invalid_region m
               | M.Pmp.Invalid_entry m | M.Cheri.Invalid_cap m

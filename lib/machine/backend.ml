@@ -119,72 +119,134 @@ let grants_exactly d ~base ~len =
     | Precision _ -> Cheri.representable ~base ~len
     | Pow2 _ | Granule _ -> true
 
-(* --- runtime state ------------------------------------------------------- *)
+(* --- runtime state -------------------------------------------------------
 
-type state =
-  | Mpu_state of Mpu.t
-  | Pmp_state of Pmp.t
-  | Cheri_state of Cheri.t
-  | Poe_state of Poe.t
+   A protection state is an immutable value: registers, enable bit, and
+   the decision memo that belongs to those registers for the state's
+   whole life.  A switch installs another value and a rotation builds a
+   new one, so no entry can go stale.
 
-let create = function
-  | Mpu -> Mpu_state (Mpu.create ())
-  | Pmp -> Pmp_state (Pmp.create ())
-  | Cheri -> Cheri_state (Cheri.create ())
-  | Poe -> Poe_state (Poe.create ())
+   A decision is the six permission bits of the address's block: read,
+   write and execute at the unprivileged level in bits 0-2, at the
+   privileged level in bits 3-5.  The block is [1 lsl shift] bytes,
+   where [shift] (at most 5) is the grain: the largest power of two up
+   to 32 dividing every boundary of the registers, so the decision is
+   constant over a block.  Legal MPU regions and POE windows give 32,
+   PMP TOR entries 4, CHERI bounds whatever they allow.
 
-let kind_of = function
-  | Mpu_state _ -> Mpu
-  | Pmp_state _ -> Pmp
-  | Cheri_state _ -> Cheri
-  | Poe_state _ -> Poe
+   [memo] is direct-mapped by block, one word per entry,
+   [(block lsl 6) lor bits]: a lookup is one load, and a fill on another
+   domain cannot tear an entry.  Every slot starts out holding block
+   -1's entry, a true decision like any other, so a lookup needs no
+   emptiness test (an all-ones "empty" word would read as block -1 with
+   every permission). *)
 
-let decision = function
-  | Mpu_state m -> m.Mpu.dec
-  | Pmp_state p -> p.Pmp.dec
-  | Cheri_state c -> c.Cheri.dec
-  | Poe_state p -> p.Poe.dec
+type regs =
+  | Mpu_regs of Mpu.t
+  | Pmp_regs of Pmp.t
+  | Cheri_regs of Cheri.t
+  | Poe_regs of Poe.t
 
-(* Register equality: every backend's decision memo is a cache, not
-   state. *)
-let equal a b =
-  (decision a).Decision.on = (decision b).Decision.on
-  &&
-  match (a, b) with
-  | Mpu_state x, Mpu_state y -> x.Mpu.regions = y.Mpu.regions
-  | Pmp_state x, Pmp_state y -> x.Pmp.entries = y.Pmp.entries
-  | Cheri_state x, Cheri_state y -> x.Cheri.caps = y.Cheri.caps
-  | Poe_state x, Poe_state y ->
-    x.Poe.overlays = y.Poe.overlays && x.Poe.por = y.Poe.por
-    && x.Poe.por_x = y.Poe.por_x
-  | (Mpu_state _ | Pmp_state _ | Cheri_state _ | Poe_state _), _ -> false
+type state = { regs : regs; on : bool; shift : int; memo : int array }
 
-let block_bits st addr =
-  match st with
-  | Mpu_state m -> Mpu.block_bits m addr
-  | Pmp_state p -> Pmp.block_bits p addr
-  | Cheri_state c -> Cheri.block_bits c addr
-  | Poe_state p -> Poe.block_bits p addr
+(* [Bus.check_as] inlines [slot], with its mask of 127. *)
+let memo_entries = 128
+let max_shift = 5
+
+let kind_of st =
+  match st.regs with
+  | Mpu_regs _ -> Mpu
+  | Pmp_regs _ -> Pmp
+  | Cheri_regs _ -> Cheri
+  | Poe_regs _ -> Poe
+
+(* [shift] lowered until [1 lsl shift] divides both [a] and [b]. *)
+let rec narrow shift a b =
+  if (a lor b) land ((1 lsl shift) - 1) = 0 then shift
+  else narrow (shift - 1) a b
+
+(* A region's or entry's boundaries (its base, its end and, for an MPU
+   region of 256 bytes and up, its sub-region splits at multiples of 32
+   past the base) are multiples of every power of two up to 32 dividing
+   both its base and its size. *)
+let grain = function
+  | Mpu_regs m ->
+    Array.fold_left
+      (fun s -> function
+        | None -> s
+        | Some (r : Mpu.region) -> narrow s r.base (1 lsl r.size_log2))
+      max_shift m.Mpu.regions
+  | Pmp_regs p ->
+    Array.fold_left
+      (fun s (e : Pmp.entry) ->
+        match e.mode with
+        | Pmp.Off -> s
+        | Pmp.Napot { base; size_log2 } -> narrow s base (1 lsl size_log2)
+        | Pmp.Tor { base; limit } -> narrow s base limit)
+      max_shift p.Pmp.entries
+  | Cheri_regs c ->
+    List.fold_left
+      (fun s (c : Cheri.cap) -> narrow s c.cap_base c.cap_len)
+      max_shift c.Cheri.caps
+  (* [Poe.overlay] keeps every window on the 32-byte granule *)
+  | Poe_regs _ -> max_shift
+
+let block_bits regs addr =
+  match regs with
+  | Mpu_regs m -> Mpu.block_bits m addr
+  | Pmp_regs p -> Pmp.block_bits p addr
+  | Cheri_regs c -> Cheri.block_bits c addr
+  | Poe_regs p -> Poe.block_bits p addr
+
+let make ~on regs =
+  let shift = grain regs in
+  let empty = (-1 lsl 6) lor block_bits regs (-1 lsl shift) in
+  { regs; on; shift; memo = Array.make memo_entries empty }
+
+let create kind =
+  make ~on:false
+    (match kind with
+    | Mpu -> Mpu_regs (Mpu.make [])
+    | Pmp -> Pmp_regs (Pmp.make [])
+    | Cheri -> Cheri_regs (Cheri.make [])
+    | Poe -> Poe_regs (Poe.make ~keys:[] []))
+
+(* The memo is a cache, not state. *)
+let equal a b = a.on = b.on && a.regs = b.regs
+
+(* Neighbouring blocks take neighbouring slots, and the top address bits
+   move the first blocks of flash, SRAM, the peripheral window and the
+   PPB onto distinct slots at every grain. *)
+let slot st addr =
+  ((addr asr st.shift) lxor (addr lsr 26)) land (memo_entries - 1)
+
+(* A memo miss: decide from the registers and fill the slot, unless the
+   block's number does not fit in an entry. *)
+let fill st addr =
+  let bits = block_bits st.regs addr in
+  let blk = addr asr st.shift in
+  let e = (blk lsl 6) lor bits in
+  if e asr 6 = blk then Array.unsafe_set st.memo (slot st addr) e;
+  bits
 
 (* One access decided from the registers, bypassing the memo. *)
 let check st ~privileged ~addr ~(access : Fault.access) =
   let bit = match access with Read -> 1 | Write -> 2 | Execute -> 4 in
-  if (not (decision st).Decision.on)
-     || block_bits st addr land (if privileged then bit lsl 3 else bit) <> 0
+  if (not st.on)
+     || block_bits st.regs addr land (if privileged then bit lsl 3 else bit) <> 0
   then Ok ()
   else Error { Fault.addr; access; privileged }
 
-let enable st = Decision.set_on (decision st) true
-
-let pp fmt = function
-  | Mpu_state m -> Mpu.pp fmt m
-  | Pmp_state p ->
+let pp fmt { regs; on; _ } =
+  match regs with
+  | Mpu_regs m -> Mpu.pp ~on fmt m
+  | Pmp_regs p ->
     Fmt.pf fmt "@[<v>PMP@,%a@]"
       Fmt.(
         list ~sep:(any "@,") (fun fmt (i, e) ->
             Fmt.pf fmt "  entry %d: %a" i Pmp.pp_entry e))
-      (List.filteri
-         (fun _ (_, e) -> e.Pmp.mode <> Pmp.Off)
-         (List.init Pmp.entry_count (fun i -> (i, Pmp.get p i))))
-  | Cheri_state c -> Cheri.pp fmt c
-  | Poe_state p -> Poe.pp fmt p
+      (List.filter
+         (fun (_, e) -> e.Pmp.mode <> Pmp.Off)
+         (List.mapi (fun i e -> (i, e)) (Array.to_list p.Pmp.entries)))
+  | Cheri_regs c -> Cheri.pp ~on fmt c
+  | Poe_regs p -> Poe.pp ~on fmt p

@@ -37,25 +37,39 @@ val grants_exactly : descriptor -> base:int -> len:int -> bool
     more: a PMP TOR entry on the 4-byte granule, or a CHERI capability
     representable without widening.  Never on MPU or POE. *)
 
-type state =
-  | Mpu_state of Mpu.t
-  | Pmp_state of Pmp.t
-  | Cheri_state of Cheri.t
-  | Poe_state of Poe.t
+(** A backend's registers. *)
+type regs =
+  | Mpu_regs of Mpu.t
+  | Pmp_regs of Pmp.t
+  | Cheri_regs of Cheri.t
+  | Poe_regs of Poe.t
 
+(** A protection state: an immutable value of registers, enable bit,
+    block grain ([1 lsl shift] bytes, [shift] at most 5: no boundary of
+    the registers falls inside a block) and the decision memo that
+    belongs to those registers, which the bus reads.  [memo] is
+    direct-mapped by {!slot}; an entry is [(block lsl 6) lor bits],
+    where the six bits are read, write and execute at the unprivileged
+    level (bits 0-2) and at the privileged level (bits 3-5). *)
+type state = private { regs : regs; on : bool; shift : int; memo : int array }
+
+(** A state of the registers with an empty memo. *)
+val make : on:bool -> regs -> state
+
+(** The disabled state of a backend with empty registers. *)
 val create : kind -> state
+
 val kind_of : state -> kind
 
-(** Same kind and same registers.  Use this, not [=]: every backend
-    keeps a decision memo beside its registers. *)
+(** Same enable bit and same registers; the memo is a cache. *)
 val equal : state -> state -> bool
 
-(** The state's enable bit and decision memo, which the bus reads. *)
-val decision : state -> Decision.t
+(** The memo slot of [addr]'s block. *)
+val slot : state -> int -> int
 
-(** The six permission bits of [addr]'s block (see {!Decision}): the
-    slow path the memo caches and {!check} decides from. *)
-val block_bits : state -> int -> int
+(** A memo miss: [addr]'s six permission bits decided from the
+    registers, memoized in its slot. *)
+val fill : state -> int -> int
 
 (** One access decided from the registers, bypassing the memo that
     {!Bus.check_as} consults. *)
@@ -66,5 +80,4 @@ val check :
   access:Fault.access ->
   (unit, Fault.info) result
 
-val enable : state -> unit
 val pp : Format.formatter -> state -> unit

@@ -1,10 +1,11 @@
 (* The system bus: routes accesses to flash, SRAM, mapped devices, and the
-   PPB, enforcing the MPU and the privilege rules of Section 2.
+   PPB, enforcing the protection backend and the privilege rules of
+   Section 2.
 
    Check order models the hardware:
    1. PPB accesses require the privileged level, else bus fault;
-   2. the MPU checks every non-PPB access (the ARM MPU does not confine
-      PPB accesses);
+   2. the backend checks every non-PPB access (the ARM MPU does not
+      confine PPB accesses);
    3. unmapped addresses bus-fault;
    4. flash writes bus-fault (the model has no flash programming). *)
 
@@ -14,26 +15,17 @@ type t = {
   mutable devices : Device.t array;
       (** the devices reachable outside the PPB, latest attached first *)
   mutable ppb_devices : Device.t array;  (** the same for the PPB *)
-  mpu : Mpu.t;
-  mutable prot : Backend.state;
-      (** the active enforcement backend; defaults to [Mpu_state mpu],
-          the same MPU object, so legacy pokes through [mpu] stay
-          authoritative until another backend is installed *)
-  mutable dec : Decision.t;  (** [prot]'s enable bit and memo *)
+  mutable prot : Backend.state;  (** the installed protection state *)
   cpu : Cpu.t;
 }
 
 let create ~(board : Memmap.board) =
-  let cpu = Cpu.create () in
-  let mpu = Mpu.create () in
   { flash = Memory.grown ~base:Memmap.flash_base ~size:board.flash_size;
     sram = Memory.create ~base:Memmap.sram_base ~size:board.sram_size;
     devices = [||];
     ppb_devices = [||];
-    mpu;
-    prot = Backend.Mpu_state mpu;
-    dec = mpu.Mpu.dec;
-    cpu }
+    prot = Backend.create Backend.Mpu;
+    cpu = Cpu.create () }
 
 let in_ppb addr = addr >= Memmap.ppb_base && addr < Memmap.ppb_limit
 
@@ -68,38 +60,22 @@ let tick t =
   let c = t.cpu in
   c.Cpu.cycles <- c.Cpu.cycles + 1
 
-let set_protection t st =
-  t.prot <- st;
-  t.dec <- Backend.decision st
-
+let set_protection t st = t.prot <- st
 let protection t = t.prot
-
-(* A memo miss: decide from the backend's registers, fill the slot. *)
-let miss t (d : Decision.t) e blk addr =
-  let bits = Backend.block_bits t.prot addr in
-  let memo = d.Decision.memo in
-  memo.(e) <- blk;
-  memo.(e + 1) <- d.Decision.stamp;
-  memo.(e + 2) <- bits;
-  bits
 
 (* The backend check of an access made at privilege level [privileged].
    Every backend shares this path: a disabled one costs a single test,
-   an enabled one a lookup in its decision memo, written out here
-   ({!Decision.slot}; [e] indexes a [tag; stamp; bits] triple of a
-   64-entry table, so the unsafe reads stay in bounds). *)
+   an enabled one a lookup in its state's decision memo, written out
+   here ({!Backend.slot}, masked to the 128-entry table, so the unsafe
+   read stays in bounds). *)
 let check_as t ~privileged ~addr ~access =
-  let d = t.dec in
-  if d.Decision.on then begin
-    let blk = addr asr d.Decision.shift in
-    let e = 3 * ((blk lxor (addr lsr 26)) land 63) in
-    let memo = d.Decision.memo in
-    let bits =
-      if Array.unsafe_get memo e = blk
-         && Array.unsafe_get memo (e + 1) = d.Decision.stamp
-      then Array.unsafe_get memo (e + 2)
-      else miss t d e blk addr
+  let s = t.prot in
+  if s.Backend.on then begin
+    let blk = addr asr s.Backend.shift in
+    let e =
+      Array.unsafe_get s.Backend.memo ((blk lxor (addr lsr 26)) land 127)
     in
+    let bits = if e asr 6 = blk then e land 63 else Backend.fill s addr in
     let bit =
       match (access : Fault.access) with Read -> 1 | Write -> 2 | Execute -> 4
     in
@@ -107,7 +83,7 @@ let check_as t ~privileged ~addr ~access =
       raise (Fault.Mem_manage { Fault.addr; access; privileged })
   end
 
-let mpu_check t ~addr ~access =
+let prot_check t ~addr ~access =
   check_as t ~privileged:t.cpu.Cpu.privileged ~addr ~access
 
 let fault_bus t ~addr ~access =
@@ -128,7 +104,7 @@ let dev_write t ds addr width v =
     let d = Array.unsafe_get ds i in
     d.Device.write (addr - d.Device.base) width v
 
-(* Read [width] bytes at [addr] honouring privilege and MPU. *)
+(* Read [width] bytes at [addr] honouring privilege and protection. *)
 let read t addr width =
   tick t;
   match Memmap.classify addr with
@@ -137,7 +113,7 @@ let read t addr width =
     dev_read t t.ppb_devices addr width
   | Memmap.Code | Memmap.Sram | Memmap.Peripheral | Memmap.External_ram
   | Memmap.External_device | Memmap.Vendor ->
-    mpu_check t ~addr ~access:Fault.Read;
+    prot_check t ~addr ~access:Fault.Read;
     if Memory.contains t.flash addr then Memory.read t.flash addr width
     else if Memory.contains t.sram addr then Memory.read t.sram addr width
     else dev_read t t.devices addr width
@@ -150,13 +126,13 @@ let write t addr width v =
     dev_write t t.ppb_devices addr width v
   | Memmap.Code | Memmap.Sram | Memmap.Peripheral | Memmap.External_ram
   | Memmap.External_device | Memmap.Vendor ->
-    mpu_check t ~addr ~access:Fault.Write;
+    prot_check t ~addr ~access:Fault.Write;
     if Memory.contains t.flash addr then fault_bus t ~addr ~access:Fault.Write
     else if Memory.contains t.sram addr then Memory.write t.sram addr width v
     else dev_write t t.devices addr width v
 
 (* Fast paths for translation-time-routed accesses (the closure-compiled
-   interpreter engine): same one-cycle charge, same MPU check, same fault
+   interpreter engine): same one-cycle charge, same backend check, same fault
    behaviour as [read]/[write] for an address whose region is already
    known — only the region classification and the memory-range scans are
    skipped.  Callers guarantee the routing precondition (e.g. the address
@@ -167,27 +143,27 @@ let write t addr width v =
    [int64]. *)
 let read_sram_int t addr width =
   tick t;
-  mpu_check t ~addr ~access:Fault.Read;
+  prot_check t ~addr ~access:Fault.Read;
   Memory.get_unchecked t.sram addr width
 
 let write_sram_int t addr width x =
   tick t;
-  mpu_check t ~addr ~access:Fault.Write;
+  prot_check t ~addr ~access:Fault.Write;
   Memory.set_unchecked t.sram addr width x
 
 let read_flash_int t addr width =
   tick t;
-  mpu_check t ~addr ~access:Fault.Read;
+  prot_check t ~addr ~access:Fault.Read;
   Memory.get t.flash addr width
 
 let read_device t addr width =
   tick t;
-  mpu_check t ~addr ~access:Fault.Read;
+  prot_check t ~addr ~access:Fault.Read;
   dev_read t t.devices addr width
 
 let write_device t addr width v =
   tick t;
-  mpu_check t ~addr ~access:Fault.Write;
+  prot_check t ~addr ~access:Fault.Write;
   dev_write t t.devices addr width v
 
 (* Privileged word primitives for the monitor's SRAM copies: each access
@@ -214,7 +190,8 @@ let equal_sram_word t ~a ~b width =
   va = Memory.get_unchecked t.sram b width
 
 (* Privileged raw accessors for the monitor and the loader: bypass the
-   MPU (the monitor runs on the background map) but still route devices. *)
+   backend (the monitor runs on the background map) but still route
+   devices. *)
 let read_raw t addr width =
   Cpu.with_privilege t.cpu (fun () ->
       if Memory.contains t.flash addr then Memory.read t.flash addr width
@@ -233,4 +210,4 @@ let check_execute t addr =
   | Memmap.Ppb -> fault_bus t ~addr ~access:Fault.Execute
   | Memmap.Code | Memmap.Sram | Memmap.Peripheral | Memmap.External_ram
   | Memmap.External_device | Memmap.Vendor ->
-    mpu_check t ~addr ~access:Fault.Execute
+    prot_check t ~addr ~access:Fault.Execute

@@ -1,30 +1,28 @@
 (** The system bus: routes accesses to flash, SRAM, mapped devices, and
-    the PPB, enforcing MPU and privilege rules (Section 2).
+    the PPB, enforcing the protection backend and privilege rules
+    (Section 2).
 
     PPB accesses require the privileged level (else {!Fault.Bus}); all
-    other accesses are MPU-checked; unmapped addresses and flash writes
-    bus-fault. *)
+    other accesses are backend-checked; unmapped addresses and flash
+    writes bus-fault. *)
 
-(** Read-only outside this module, so that [dec] always belongs to
-    [prot].  [flash] holds only what was written to it ({!Memory.grown});
-    [devices] and [ppb_devices] are the attached devices outside and
-    inside the PPB, latest first. *)
+(** Read-only outside this module.  [flash] holds only what was written
+    to it ({!Memory.grown}); [devices] and [ppb_devices] are the
+    attached devices outside and inside the PPB, latest first; [prot]
+    is the installed protection state. *)
 type t = private {
   flash : Memory.t;
   sram : Memory.t;
   mutable devices : Device.t array;
   mutable ppb_devices : Device.t array;
-  mpu : Mpu.t;
   mutable prot : Backend.state;
-  mutable dec : Decision.t;
   cpu : Cpu.t;
 }
 
+(** A machine whose protection is a disabled MPU. *)
 val create : board:Memmap.board -> t
 
-(** Swap the enforcement backend.  The default is [Backend.Mpu_state]
-    over the bus's own [mpu], so MPU-backed machines behave exactly as
-    before the backend abstraction existed. *)
+(** Install a protection state: one store, its memo coming with it. *)
 val set_protection : t -> Backend.state -> unit
 
 val protection : t -> Backend.state
@@ -48,7 +46,7 @@ val write : t -> int -> int -> int64 -> unit
 
 (** Fast paths for accesses whose region was resolved at translation
     time (the closure-compiled interpreter engine): identical charge,
-    MPU check, and faults to {!read}/{!write}, skipping only the region
+    backend check, and faults to {!read}/{!write}, skipping only the region
     classification and memory-range scans.  The caller guarantees the
     routing precondition — the address lies in the named region.  The
     [_int] paths carry the value as a native int and take 1- and 4-byte
@@ -79,7 +77,7 @@ val copy_sram_word : t -> src:int -> dst:int -> int -> unit
 val equal_sram_word : t -> a:int -> b:int -> int -> bool
 
 (** Privileged raw accessors for the loader and the monitor: bypass the
-    MPU (background map) but still route to devices. *)
+    backend (background map) but still route to devices. *)
 val read_raw : t -> int -> int -> int64
 
 val write_raw : t -> int -> int -> int64 -> unit

@@ -24,10 +24,8 @@ type cap = {
   cap_x : bool;
 }
 
-type t = {
-  mutable caps : cap list;
-  dec : Decision.t;  (** the enable bit and the decision memo *)
-}
+(* A compartment's capability table, never changed once built. *)
+type t = { caps : cap list }
 
 exception Invalid_cap of string
 
@@ -64,8 +62,6 @@ let round_bounds ~base ~len =
   in
   go (max 1 (representable_align len))
 
-let create () = { caps = []; dec = Decision.create () }
-
 (* Build a capability, refusing unrepresentable bounds (callers round
    with {!round_bounds} first when widening is acceptable). *)
 let cap ?(r = true) ?(w = false) ?(x = false) ~base ~len () =
@@ -78,27 +74,11 @@ let cap ?(r = true) ?(w = false) ?(x = false) ~base ~len () =
             base len (representable_align len)));
   { cap_base = base; cap_len = len; cap_r = r; cap_w = w; cap_x = x }
 
-let set_caps t caps =
-  t.caps <- caps;
-  Decision.changed t.dec
-    (List.fold_left
-       (fun s c -> Decision.narrow (Decision.narrow s c.cap_base) c.cap_len)
-       Decision.max_shift caps)
-
-let clear t = set_caps t []
-let add t c = set_caps t (t.caps @ [ c ])
-let grant t cs = set_caps t (t.caps @ cs)
-let enable t = Decision.set_on t.dec true
-let caps t = t.caps
-let cap_count t = List.length t.caps
-
-let restore t caps image =
-  t.caps <- caps;
-  Decision.restore t.dec image
+let make caps = { caps }
 
 let cap_matches c addr = addr >= c.cap_base && addr < c.cap_base + c.cap_len
 
-(* The six permission bits of [addr]'s block (see {!Decision}): any
+(* The six permission bits of [addr]'s block (see {!Backend}): any
    capability in the table that covers the address grants its
    permissions (capabilities are grants, not a priority scheme — there
    is no "deny" capability to shadow another).  Privileged code holds
@@ -122,9 +102,9 @@ let pp_cap fmt c =
     (if c.cap_w then "w" else "-")
     (if c.cap_x then "x" else "-")
 
-let pp fmt t =
+let pp ~on fmt t =
   Fmt.pf fmt "@[<v>CHERI %s (%d caps)@,%a@]"
-    (if t.dec.on then "enforcing" else "off")
+    (if on then "enforcing" else "off")
     (List.length t.caps)
     Fmt.(list ~sep:(any "@,") pp_cap)
     t.caps

@@ -11,10 +11,8 @@ type cap = {
   cap_x : bool;
 }
 
-(** The capability table, read-only outside this module: every change
-    goes through {!clear}, {!add}, {!grant}, {!enable} or {!restore},
-    which keep [dec] (the enable bit and the decision memo) in step. *)
-type t = private { mutable caps : cap list; dec : Decision.t }
+(** A compartment's capability table, never changed once built. *)
+type t = private { caps : cap list }
 
 exception Invalid_cap of string
 
@@ -31,25 +29,17 @@ val representable : base:int -> len:int -> bool
 val round_bounds : base:int -> len:int -> int * int
 (** Smallest representable [(base, len)] containing the request. *)
 
-val create : unit -> t
-
 val cap : ?r:bool -> ?w:bool -> ?x:bool -> base:int -> len:int -> unit -> cap
 (** @raise Invalid_cap on empty or unrepresentable bounds. *)
 
-val clear : t -> unit
-val add : t -> cap -> unit
-val grant : t -> cap list -> unit
-val enable : t -> unit
-val caps : t -> cap list
-val cap_count : t -> int
+val make : cap list -> t
+
 val cap_matches : cap -> int -> bool
 
-(** Reinstate a saved table (as from {!caps}) and the decision captured
-    with it. *)
-val restore : t -> cap list -> Decision.image -> unit
-
-(** The six permission bits of [addr]'s block (see {!Decision}). *)
+(** The six permission bits of [addr]'s block (see {!Backend}). *)
 val block_bits : t -> int -> int
 
 val pp_cap : Format.formatter -> cap -> unit
-val pp : Format.formatter -> t -> unit
+
+(** [on] is the enable bit, which the state beside the table holds. *)
+val pp : on:bool -> Format.formatter -> t -> unit

@@ -24,32 +24,14 @@ type region = {
   executable : bool;
 }
 
-type t = {
-  regions : region option array;  (** slots 0..7 *)
-  dec : Decision.t;  (** the enable bit and the decision memo *)
-}
+(* Slots 0..7, never written once built: a change builds a new value. *)
+type t = { regions : region option array }
 
 exception Invalid_region of string
 
 let region_count = 8
 let min_size_log2 = 5 (* 32 bytes *)
 let subregion_min_log2 = 8 (* SRD is only implemented for >= 256-byte regions *)
-
-let create () =
-  { regions = Array.make region_count None; dec = Decision.create () }
-
-(* A region's boundaries (its base, its end and, from 256 bytes, its
-   sub-region splits at multiples of 32 past the base) are multiples of
-   every power of two up to 32 that divides both its base and its size.
-   Legal regions thus give the 32-byte grain. *)
-let changed t =
-  Decision.changed t.dec
-    (Array.fold_left
-       (fun s -> function
-         | None -> s
-         | Some r ->
-           Decision.narrow (Decision.narrow s r.base) (1 lsl r.size_log2))
-       Decision.max_shift t.regions)
 
 let region ?(srd = 0) ?(executable = false) ~base ~size_log2 ~privileged
     ~unprivileged () =
@@ -69,26 +51,25 @@ let region_size_for bytes =
   let log2 = go min_size_log2 in
   (1 lsl log2, log2)
 
-let set t slot r =
+let check_slot slot =
   if slot < 0 || slot >= region_count then
-    raise (Invalid_region (Printf.sprintf "region number %d" slot));
-  t.regions.(slot) <- r;
-  changed t
+    raise (Invalid_region (Printf.sprintf "region number %d" slot))
 
-let get t slot = t.regions.(slot)
+(* Later pairs win a slot, as later register writes would. *)
+let make pairs =
+  let regions = Array.make region_count None in
+  List.iter
+    (fun (slot, r) ->
+      check_slot slot;
+      regions.(slot) <- Some r)
+    pairs;
+  { regions }
 
-let enable t = Decision.set_on t.dec true
-let disable t = Decision.set_on t.dec false
-
-let clear t =
-  Array.fill t.regions 0 region_count None;
-  changed t
-
-let regions t = Array.copy t.regions
-
-let restore t regions image =
-  Array.blit regions 0 t.regions 0 region_count;
-  Decision.restore t.dec image
+let with_region t slot r =
+  check_slot slot;
+  let regions = Array.copy t.regions in
+  regions.(slot) <- Some r;
+  { regions }
 
 (* Does [r] match [addr], taking disabled sub-regions into account?
    [addr - base] is non-negative once the base test passes and sizes are
@@ -101,7 +82,7 @@ let region_matches r addr =
      || r.size_log2 < subregion_min_log2
      || r.srd land (1 lsl (off lsr (r.size_log2 - 3))) = 0)
 
-(* The read, write and execute bits of [perm] (see {!Decision});
+(* The read, write and execute bits of [perm] (see {!Backend});
    execute also needs read, and [x] (the region is not XN). *)
 let perm_bits perm ~x =
   match perm with
@@ -119,7 +100,7 @@ let rec matching regions addr n =
     | Some r as m when region_matches r addr -> m
     | Some _ | None -> matching regions addr (n - 1)
 
-(* The six permission bits of [addr]'s block (see {!Decision}).  No
+(* The six permission bits of [addr]'s block (see {!Backend}).  No
    matching region: PRIVDEFENA's background map, for privileged code
    only (privileged execute included). *)
 let block_bits t addr =
@@ -138,9 +119,9 @@ let pp_region fmt r =
     r.size_log2 r.srd pp_perm r.privileged pp_perm r.unprivileged
     (if r.executable then " X" else "")
 
-let pp fmt t =
+let pp ~on fmt t =
   Fmt.pf fmt "@[<v>MPU %s@,%a@]"
-    (if t.dec.on then "enabled" else "disabled")
+    (if on then "enabled" else "disabled")
     Fmt.(list ~sep:(any "@,") (fun fmt (i, r) ->
       match r with
       | None -> Fmt.pf fmt "  region %d: <unused>" i

@@ -17,10 +17,9 @@ type region = {
   executable : bool;
 }
 
-(** The MPU's registers, read-only outside this module: every change
-    goes through {!set}, {!clear}, {!enable}, {!disable} or {!restore},
-    which keep [dec] (the enable bit and the decision memo) in step. *)
-type t = private { regions : region option array; dec : Decision.t }
+(** The eight region slots.  A value is never written once built: a
+    change builds a new one ({!with_region}). *)
+type t = private { regions : region option array }
 
 exception Invalid_region of string
 
@@ -31,9 +30,6 @@ val min_size_log2 : int
 
 (** Sub-regions are only implemented for regions of 256 bytes and up. *)
 val subregion_min_log2 : int
-
-(** A disabled MPU (all slots empty). *)
-val create : unit -> t
 
 (** Validated region constructor.  Raises {!Invalid_region} on sizes out
     of range, misaligned bases, or bad [srd] masks. *)
@@ -51,18 +47,12 @@ val region :
     cover [bytes] bytes. *)
 val region_size_for : int -> int * int
 
-val set : t -> int -> region option -> unit
-val get : t -> int -> region option
-val enable : t -> unit
-val disable : t -> unit
-val clear : t -> unit
+(** Slots holding the given regions, the rest empty; a later pair wins
+    its slot.  Raises {!Invalid_region} on a slot number out of range. *)
+val make : (int * region) list -> t
 
-(** A copy of the eight region slots. *)
-val regions : t -> region option array
-
-(** Reinstate saved slots (as from {!regions}) and the decision
-    captured with them. *)
-val restore : t -> region option array -> Decision.image -> unit
+(** A copy with [slot] holding the region. *)
+val with_region : t -> int -> region -> t
 
 (** Does the region match the address, honouring disabled sub-regions? *)
 val region_matches : region -> int -> bool
@@ -71,7 +61,7 @@ val region_matches : region -> int -> bool
     needs read, and [x]: the window is executable). *)
 val perm_bits : perm -> x:bool -> int
 
-(** The six permission bits of [addr]'s block (see {!Decision}): the
+(** The six permission bits of [addr]'s block (see {!Backend}): the
     highest-numbered region whose (enabled) sub-region contains [addr]
     decides; with no match, privileged accesses use the background map
     and unprivileged ones fault. *)
@@ -79,4 +69,6 @@ val block_bits : t -> int -> int
 
 val pp_perm : Format.formatter -> perm -> unit
 val pp_region : Format.formatter -> region -> unit
-val pp : Format.formatter -> t -> unit
+
+(** [on] is the enable bit, which the state beside the registers holds. *)
+val pp : on:bool -> Format.formatter -> t -> unit

@@ -8,7 +8,6 @@
 
 module Memmap = Memmap
 module Fault = Fault
-module Decision = Decision
 module Mpu = Mpu
 module Pmp = Pmp
 module Cheri = Cheri

@@ -23,20 +23,12 @@ type entry = {
   locked : bool;  (** enforced even on privileged (machine-mode) accesses *)
 }
 
-type t = {
-  entries : entry array;
-  dec : Decision.t;  (** the enable bit and the decision memo *)
-}
+(* Entries 0..15, never written once built: a change builds a new value. *)
+type t = { entries : entry array }
 
 exception Invalid_entry of string
 
 let entry_count = 16
-
-let create () =
-  { entries =
-      Array.make entry_count
-        { mode = Off; r = false; w = false; x = false; locked = false };
-    dec = Decision.create () }
 
 let napot ?(locked = false) ~base ~size_log2 ~r ~w ~x () =
   if size_log2 < 3 || size_log2 > 32 then
@@ -58,30 +50,27 @@ let tor ?(locked = false) ~base ~limit ~r ~w ~x () =
             limit));
   { mode = Tor { base; limit }; r; w; x; locked }
 
-let changed t =
-  Decision.changed t.dec
-    (Array.fold_left
-       (fun s e ->
-         match e.mode with
-         | Off -> s
-         | Napot { base; size_log2 } ->
-           Decision.narrow (Decision.narrow s base) (1 lsl size_log2)
-         | Tor { base; limit } ->
-           Decision.narrow (Decision.narrow s base) limit)
-       Decision.max_shift t.entries)
+let off = { mode = Off; r = false; w = false; x = false; locked = false }
 
-let set t i e =
+let check_index i =
   if i < 0 || i >= entry_count then
-    raise (Invalid_entry (Printf.sprintf "entry number %d" i));
-  t.entries.(i) <- e;
-  changed t
+    raise (Invalid_entry (Printf.sprintf "entry number %d" i))
 
-let get t i = t.entries.(i)
-let enable t = Decision.set_on t.dec true
+(* Later pairs win an entry, as later register writes would. *)
+let make pairs =
+  let entries = Array.make entry_count off in
+  List.iter
+    (fun (i, e) ->
+      check_index i;
+      entries.(i) <- e)
+    pairs;
+  { entries }
 
-let restore t entries image =
-  Array.blit entries 0 t.entries 0 entry_count;
-  Decision.restore t.dec image
+let with_entry t i e =
+  check_index i;
+  let entries = Array.copy t.entries in
+  entries.(i) <- e;
+  { entries }
 
 let matches e addr =
   match e.mode with
@@ -90,7 +79,7 @@ let matches e addr =
     addr >= base && addr < base + (1 lsl size_log2)
   | Tor { base; limit } -> addr >= base && addr < limit
 
-(* The six permission bits of [addr]'s block (see {!Decision}): the
+(* The six permission bits of [addr]'s block (see {!Backend}): the
    lowest-numbered matching entry decides.  Machine-mode accesses pass
    unless that entry is locked; with no match, machine mode passes and
    lower privileges fault. *)

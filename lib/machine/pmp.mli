@@ -18,15 +18,13 @@ type entry = {
   locked : bool;  (** enforced even on machine-mode accesses *)
 }
 
-(** The PMP's registers, read-only outside this module: every change
-    goes through {!set}, {!enable} or {!restore}, which keep [dec] (the
-    enable bit and the decision memo) in step. *)
-type t = private { entries : entry array; dec : Decision.t }
+(** The sixteen entries.  A value is never written once built: a change
+    builds a new one ({!with_entry}). *)
+type t = private { entries : entry array }
 
 exception Invalid_entry of string
 
 val entry_count : int
-val create : unit -> t
 
 (** Validated NAPOT entry: naturally aligned power-of-two of >= 8 B. *)
 val napot :
@@ -39,16 +37,16 @@ val tor :
   ?locked:bool -> base:int -> limit:int -> r:bool -> w:bool -> x:bool ->
   unit -> entry
 
-val set : t -> int -> entry -> unit
-val get : t -> int -> entry
-val enable : t -> unit
+(** Entries holding the given values, the rest off; a later pair wins
+    its entry.  Raises {!Invalid_entry} on an index out of range. *)
+val make : (int * entry) list -> t
 
-(** Reinstate saved entries and the decision captured with them. *)
-val restore : t -> entry array -> Decision.image -> unit
+(** A copy with entry [i] holding the value. *)
+val with_entry : t -> int -> entry -> t
 
 val matches : entry -> int -> bool
 
-(** The six permission bits of [addr]'s block (see {!Decision}): the
+(** The six permission bits of [addr]'s block (see {!Backend}): the
     lowest-numbered matching entry decides; machine mode passes unless
     the entry is locked; no match faults lower privileges. *)
 val block_bits : t -> int -> int

@@ -22,20 +22,14 @@ type perm = Mpu.perm = No_access | Read_only | Read_write
 type overlay = {
   ov_base : int;
   ov_limit : int;  (** [ov_base, ov_limit) *)
-  mutable ov_key : int;  (** 0..key_count-1, or {!no_key} *)
+  ov_key : int;  (** 0..key_count-1, or {!no_key} *)
 }
 
+(* Never changed once built: key recycling builds a new value. *)
 type t = {
-  mutable overlays : overlay list;  (** first match wins *)
+  overlays : overlay list;  (** first match wins *)
   por : perm array;  (** per-key unprivileged data permission *)
   por_x : bool array;  (** per-key unprivileged execute permission *)
-  dec : Decision.t;  (** the enable bit and the decision memo *)
-}
-
-type registers = {
-  r_overlays : overlay list;
-  r_por : perm array;
-  r_por_x : bool array;
 }
 
 exception Invalid_overlay of string
@@ -48,11 +42,9 @@ let no_key = -1
    rounding). *)
 let granule = 32
 
-let create () =
-  { overlays = [];
-    por = Array.make key_count No_access;
-    por_x = Array.make key_count false;
-    dec = Decision.create () }
+let check_key key =
+  if key < 0 || key >= key_count then
+    raise (Invalid_overlay (Printf.sprintf "key %d out of range" key))
 
 let overlay ?(key = no_key) ~base ~limit () =
   if limit <= base then raise (Invalid_overlay "empty overlay window");
@@ -61,70 +53,38 @@ let overlay ?(key = no_key) ~base ~limit () =
       (Invalid_overlay
          (Printf.sprintf "window [0x%08X,0x%08X) not %d-byte aligned" base
             limit granule));
-  if key <> no_key && (key < 0 || key >= key_count) then
-    raise (Invalid_overlay (Printf.sprintf "key %d out of range" key));
+  if key <> no_key then check_key key;
   { ov_base = base; ov_limit = limit; ov_key = key }
 
-(* [overlay] keeps every window on the 32-byte granule, so the grain is
-   always the coarsest. *)
-let changed t = Decision.changed t.dec Decision.max_shift
-
-let clear t =
-  t.overlays <- [];
-  Array.fill t.por 0 key_count No_access;
-  Array.fill t.por_x 0 key_count false;
-  changed t
-
-let add t ov =
-  t.overlays <- t.overlays @ [ ov ];
-  changed t
-
-let set_key t key ?(x = false) perm =
-  if key < 0 || key >= key_count then
-    raise (Invalid_overlay (Printf.sprintf "key %d out of range" key));
-  t.por.(key) <- perm;
-  t.por_x.(key) <- x;
-  changed t
-
-let enable t = Decision.set_on t.dec true
-let overlays t = t.overlays
-
-(* Key recycling retags overlays in place, so saved registers and the
-   live state never share an overlay record. *)
-let copy_overlays = List.map (fun ov -> { ov with ov_key = ov.ov_key })
-
-let registers t =
-  { r_overlays = copy_overlays t.overlays;
-    r_por = Array.copy t.por;
-    r_por_x = Array.copy t.por_x }
-
-let restore t r image =
-  t.overlays <- copy_overlays r.r_overlays;
-  Array.blit r.r_por 0 t.por 0 key_count;
-  Array.blit r.r_por_x 0 t.por_x 0 key_count;
-  Decision.restore t.dec image
+let make ~keys overlays =
+  let por = Array.make key_count No_access in
+  let por_x = Array.make key_count false in
+  List.iter
+    (fun (key, perm, x) ->
+      check_key key;
+      por.(key) <- perm;
+      por_x.(key) <- x)
+    keys;
+  { overlays; por; por_x }
 
 let find t addr =
   List.find_opt
     (fun ov -> addr >= ov.ov_base && addr < ov.ov_limit)
     t.overlays
 
-(* Retag every window currently holding [key] to {!no_key} and return
-   them — the victim half of the monitor's key-recycling step. *)
-let reclaim_key t key =
-  let victims =
-    List.filter (fun ov -> ov.ov_key = key) t.overlays
+(* The monitor's key-recycling step: strip [key] from every window
+   holding it (the victims) and tag [window], one of [t]'s, with it. *)
+let recycle t window key =
+  check_key key;
+  let victims = List.filter (fun ov -> ov.ov_key = key) t.overlays in
+  let retag ov =
+    if ov = window then { ov with ov_key = key }
+    else if ov.ov_key = key then { ov with ov_key = no_key }
+    else ov
   in
-  List.iter (fun ov -> ov.ov_key <- no_key) victims;
-  changed t;
-  victims
+  ({ t with overlays = List.map retag t.overlays }, victims)
 
-(* Tag [ov], one of [t]'s windows, with [key] — the other half. *)
-let retag t ov key =
-  ov.ov_key <- key;
-  changed t
-
-(* The six permission bits of [addr]'s block (see {!Decision}): the
+(* The six permission bits of [addr]'s block (see {!Backend}): the
    first overlay covering the address decides via its key's POR entry;
    a keyless window (or no window at all) faults at the unprivileged
    level.  Privileged accesses bypass overlays. *)
@@ -138,9 +98,9 @@ let pp_overlay fmt ov =
   Fmt.pf fmt "[0x%08X,0x%08X) key=%s" ov.ov_base ov.ov_limit
     (if ov.ov_key = no_key then "-" else string_of_int ov.ov_key)
 
-let pp fmt t =
+let pp ~on fmt t =
   Fmt.pf fmt "@[<v>POE %s@,keys: %a@,%a@]"
-    (if t.dec.on then "enforcing" else "off")
+    (if on then "enforcing" else "off")
     Fmt.(
       list ~sep:(any " ") (fun fmt (i, p, x) ->
           Fmt.pf fmt "%d:%a%s" i Mpu.pp_perm p (if x then "x" else "")))

@@ -4,26 +4,16 @@
 
 type perm = Mpu.perm = No_access | Read_only | Read_write
 
-(** A tagged window, read-only outside this module: {!reclaim_key} and
-    {!retag} change its key. *)
-type overlay = private {
-  ov_base : int;
-  ov_limit : int;
-  mutable ov_key : int;
-}
+(** A tagged window. *)
+type overlay = private { ov_base : int; ov_limit : int; ov_key : int }
 
-(** The overlays and key permissions, read-only outside this module:
-    every change goes through the functions below, which keep [dec]
-    (the enable bit and the decision memo) in step. *)
+(** The overlays and key permissions.  A value is never changed once
+    built: key recycling builds a new one ({!recycle}). *)
 type t = private {
-  mutable overlays : overlay list;
+  overlays : overlay list;
   por : perm array;
   por_x : bool array;
-  dec : Decision.t;
 }
-
-(** Saved registers, sharing no overlay record with a live state. *)
-type registers
 
 exception Invalid_overlay of string
 
@@ -31,31 +21,26 @@ val key_count : int
 val no_key : int
 val granule : int
 
-val create : unit -> t
-
 val overlay : ?key:int -> base:int -> limit:int -> unit -> overlay
 (** @raise Invalid_overlay on an empty, misaligned, or bad-key window. *)
 
-val clear : t -> unit
-val add : t -> overlay -> unit
-val set_key : t -> int -> ?x:bool -> perm -> unit
-val enable : t -> unit
-val overlays : t -> overlay list
+(** [make ~keys overlays]: each [(key, perm, x)] gives a key its
+    unprivileged permission and execute bit (other keys: no access);
+    the first overlay covering an address decides.
+    @raise Invalid_overlay on a key out of range. *)
+val make : keys:(int * perm * bool) list -> overlay list -> t
+
 val find : t -> int -> overlay option
 
-val reclaim_key : t -> int -> overlay list
-(** Strip [key] from every window holding it; returns the victims. *)
+(** [recycle t window key] strips [key] from every window holding it
+    and tags [window], one of [t]'s, with it; returns the new state and
+    the stripped windows (the victims). *)
+val recycle : t -> overlay -> int -> t * overlay list
 
-val retag : t -> overlay -> int -> unit
-(** [retag t ov key] tags [ov], one of [t]'s windows, with [key]. *)
-
-val registers : t -> registers
-
-(** Reinstate saved registers and the decision captured with them. *)
-val restore : t -> registers -> Decision.image -> unit
-
-(** The six permission bits of [addr]'s block (see {!Decision}). *)
+(** The six permission bits of [addr]'s block (see {!Backend}). *)
 val block_bits : t -> int -> int
 
 val pp_overlay : Format.formatter -> overlay -> unit
-val pp : Format.formatter -> t -> unit
+
+(** [on] is the enable bit, which the state beside the registers holds. *)
+val pp : on:bool -> Format.formatter -> t -> unit

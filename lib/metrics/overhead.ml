@@ -119,8 +119,8 @@ type breakdown = {
   bd_sync : int64;
   bd_relocate : int64;
   bd_mpu : int64;
-      (** 0 in this model: [Mpu.set] is a register write the machine
-          charges no bus cycles for *)
+      (** 0 in this model: installing a protection state is a register
+          write the machine charges no bus cycles for *)
   bd_init : int64;   (** the one-time init span (shadow fill + first arm) *)
   bd_svc : int64;    (** 4-cycle SVC pipeline cost per completed trap *)
   bd_other : int64;  (** residual overhead outside monitor spans *)

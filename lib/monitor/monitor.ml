@@ -19,8 +19,8 @@
    sync schedule, the relocation-table writes, the sanitization checks,
    the pointer-translation ranges — becomes an array indexed by
    operation.  A switch only indexes them, and a protection install
-   restores the register image captured from the first real install of
-   the same (operation, sub-region mask). *)
+   stores the state the first real install of the same (operation,
+   sub-region mask) built. *)
 
 open Opec_ir
 module M = Opec_machine
@@ -150,9 +150,9 @@ type t = {
          master.  A sync-in copy is skipped when the two agree — the
          master cannot have changed since the shadow was filled (or
          published), so the copy would move identical bytes. *)
-  images : Enforce.image option array;
-      (* protection register images at [op * 256 + srd], each captured
-         from the first install of its pair *)
+  states : M.Backend.state option array;
+      (* protection states at [op * 256 + srd], each built by the first
+         install of its pair on the image's backend *)
   mutable frames : frame list;      (** head = current operation *)
   mutable sink : Obs.Sink.t;
       (** telemetry sink; {!Obs.Sink.null} unless a collector is attached *)
@@ -531,7 +531,7 @@ let create ?(sync = Scheduled) ?(sink = Obs.Sink.null) (image : C.Image.t)
     master_ranges; local_base;
     epoch = Array.make nvars 0;
     pulled = Array.make (nops * nvars) 0;
-    images = Array.make (nops * 256) None;
+    states = Array.make (nops * 256) None;
     frames = [];
     sink;
     recorder = recorder () }
@@ -777,20 +777,48 @@ let rec copy_back t = function
     copy_words t ~sram:false ~src:copy ~dst:orig bytes;
     copy_back t rest
 
+(* [copy_back] lands a relocated range in the caller's view of each
+   shared variable it overlaps: the caller's shadow, or the master
+   itself under a read-only mapping or a direct grant.  Publish those
+   words as if the exiting operation had written them: copy a shadow's
+   words to the master and bump the epoch, keeping the caller's shadow
+   current when it was.  Finding the overlaps charges no cycles. *)
+let publish_copied_back t caller relocated =
+  let row = caller * t.nvars in
+  List.iter
+    (fun (orig, _, bytes) ->
+      Array.iter
+        (fun (var, master, size) ->
+          let view = t.local_base.(row + var) in
+          let lo = max orig view and hi = min (orig + bytes) (view + size) in
+          if lo < hi then begin
+            if view <> master then
+              copy_words t ~sram:false ~src:lo ~dst:(master + lo - view) (hi - lo);
+            let e = t.epoch.(var) + 1 in
+            t.epoch.(var) <- e;
+            if t.pulled.(row + var) = e - 1 then t.pulled.(row + var) <- e
+          end)
+        t.master_ranges)
+    relocated
+
 (* --- protection installation --------------------------------------------- *)
 
-(* Install operation [oi]'s plan under sub-region mask [srd]: restore the
-   register image of the pair's first install, or — the first time, or
-   when the bus now carries another kind of backend — install the plan
-   and capture its image. *)
+(* Install operation [oi]'s plan under sub-region mask [srd]: the state
+   the pair's first install built, with the memo its runs have filled. *)
 let install t oi ~srd =
-  let st = M.Bus.protection t.bus in
   let k = (oi * 256) + srd in
-  match t.images.(k) with
-  | Some img when Enforce.restore st img -> ()
-  | Some _ | None ->
-    ignore (C.Backend_plan.install st ~image:t.image ~meta:t.metas.(oi) ~srd);
-    t.images.(k) <- Some (Enforce.capture st)
+  let st =
+    match t.states.(k) with
+    | Some st -> st
+    | None ->
+      let st, _ =
+        C.Backend_plan.install t.image.C.Image.backend ~image:t.image
+          ~meta:t.metas.(oi) ~srd
+      in
+      t.states.(k) <- Some st;
+      st
+  in
+  M.Bus.set_protection t.bus st
 
 (* --- switch protocol ----------------------------------------------------- *)
 
@@ -879,6 +907,10 @@ let exit_operation t ~(entry : Func.t) =
     (* 2. restore stack data and pointer arguments *)
     ph_begin t on Obs.Sink.Relocate;
     copy_back t frame.relocated;
+    (match rest with
+    | caller :: _ when frame.relocated <> [] ->
+      publish_copied_back t caller.oi frame.relocated
+    | _ -> ());
     ph_end t on;
     t.frames <- rest;
     (* 3. refill the resumed operation's shadows and MPU: only writers
@@ -956,15 +988,16 @@ let handle_mem_fault t (_desc : Opec_exec.Interp.access_desc)
     (* the access is in the allow list: rotate protection onto it
        (round-robin over the backend's reserved slots / keys) *)
     match
-      Enforce.virtualize (M.Bus.protection t.bus) ~cpu:t.bus.M.Bus.cpu
-        ~meta:frame.meta ~virt_next:frame.virt_next ~addr
+      Enforce.virtualize (M.Bus.protection t.bus) ~meta:frame.meta
+        ~virt_next:frame.virt_next ~addr
     with
     | None ->
       Opec_exec.Interp.Abort
         (deny t ~info
            (Fmt.str "no planned region in %s covers permitted access: %a"
               frame.op.C.Operation.name M.Fault.pp_info info))
-    | Some sw ->
+    | Some (st, sw) ->
+      M.Bus.set_protection t.bus st;
       frame.virt_next <- frame.virt_next + 1;
       t.stats.Stats.virt_swaps <- t.stats.Stats.virt_swaps + 1;
       if t.sink.Obs.Sink.active then
@@ -1125,7 +1158,7 @@ let shadow_violation t =
   scan 0
 
 (* The live protection state must equal a fresh install of the active
-   operation's plan on a fresh backend of the same kind, the operation's
+   operation's plan on the image's backend, the operation's
    live relocation slots must hold its targets, and every shadow must
    satisfy the sync-in invariant.  Charges no cycles. *)
 let verify t =
@@ -1134,8 +1167,10 @@ let verify t =
   | f :: _ ->
     let name = f.op.C.Operation.name in
     let live = M.Bus.protection t.bus in
-    let fresh = M.Backend.create (M.Backend.kind_of live) in
-    ignore (C.Backend_plan.install fresh ~image:t.image ~meta:f.meta ~srd:f.srd);
+    let fresh, _ =
+      C.Backend_plan.install t.image.C.Image.backend ~image:t.image
+        ~meta:f.meta ~srd:f.srd
+    in
     if not (M.Backend.equal fresh live) then
       Error
         (Fmt.str

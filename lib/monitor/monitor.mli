@@ -98,7 +98,7 @@ val exit_operation : t -> entry:Opec_ir.Func.t -> unit
 
 (** The oracle of the compiled switch protocol: [Ok ()] when the live
     protection state equals a fresh install of the active operation's
-    plan (same sub-region mask) on a fresh backend of the same kind, and
+    plan (same sub-region mask) on the image's backend, and
     the operation's live relocation slots hold its targets; otherwise
     the first difference.  Charges no cycles.  Meaningful right after
     {!init} or a switch, before fault-time virtualization rotates

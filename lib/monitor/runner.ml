@@ -19,12 +19,6 @@ type protected_run = {
 let prepare ?(devices = []) ?sync ?wrap_handler ?engine ?sink ?trace
     (image : C.Image.t) =
   let bus = M.Bus.create ~board:image.C.Image.board in
-  (* the default machine carries an MPU; swap in the image's backend
-     (the MPU path keeps the machine's own state, preserving the
-     pre-abstraction behaviour bit for bit) *)
-  (match image.C.Image.backend with
-  | M.Backend.Mpu -> ()
-  | kind -> M.Bus.set_protection bus (M.Backend.create kind));
   List.iter (M.Bus.attach bus) devices;
   M.Bus.attach bus (M.Core_periph.systick ~cycles:(fun () -> M.Cpu.cycles bus.M.Bus.cpu));
   M.Bus.attach bus (M.Core_periph.dwt ~cycles:(fun () -> M.Cpu.cycles bus.M.Bus.cpu));

@@ -150,16 +150,16 @@ let rotation kind (meta : Metadata.op_meta) =
         needed = List.length meta.Metadata.op.Operation.periph_ranges }
   | M.Backend.Cheri -> None
 
-(* Write the first [rot.slots] peripheral windows into consecutive slots
-   from [rot.first]; the rest overflow into fault-time rotation. *)
-let place set rot windows =
-  let rec go slot = function
+(* The first [rot.slots] peripheral windows go into consecutive slots
+   from [rot.first], as (slot, window) pairs; the rest overflow into
+   fault-time rotation. *)
+let place rot windows =
+  let rec go slot placed = function
     | w :: rest when slot < rot.first + rot.slots ->
-      set slot w;
-      go (slot + 1) rest
-    | rest -> rest
+      go (slot + 1) ((slot, w) :: placed) rest
+    | rest -> (List.rev placed, rest)
   in
-  go rot.first windows
+  go rot.first [] windows
 
 (* --- CHERI ---------------------------------------------------------------- *)
 
@@ -204,12 +204,14 @@ let round_up g n = (n + g - 1) / g * g
 let poe_window ~base ~limit =
   (round_down M.Poe.granule base, round_up M.Poe.granule limit)
 
-(* Install operation [meta]'s plan under stack sub-region mask [srd] on
-   whatever backend the machine carries.  Returns the planned peripheral
+(* Operation [meta]'s plan under stack sub-region mask [srd] as a
+   protection state of backend [kind], and the planned peripheral
    windows that are not resident (MPU / PMP overflow, rotated in by the
    monitor); CHERI and POE plans are always fully resident ([] — POE's
-   keyless windows are resident, only their keys are lazily assigned). *)
-let install st ~(image : Image.t) ~(meta : Metadata.op_meta) ~srd =
+   keyless windows are resident, only their keys are lazily assigned).
+   Each piece is built in plan order, so a malformed layout raises the
+   same error whichever piece comes first. *)
+let install kind ~(image : Image.t) ~(meta : Metadata.op_meta) ~srd =
   let layout = image.Image.layout in
   let code_base = image.Image.code_base in
   let code_bytes = image.Image.code_bytes in
@@ -221,29 +223,29 @@ let install st ~(image : Image.t) ~(meta : Metadata.op_meta) ~srd =
   let stack_limit =
     stack_limit_of_srd ~stack_base ~stack_top:layout.Layout.stack_top srd
   in
-  let rot () = Option.get (rotation (M.Backend.kind_of st) meta) in
-  match st with
-  | M.Backend.Mpu_state mpu ->
-    Mpu.clear mpu;
-    Mpu.set mpu Config.region_background (Some background_region);
-    List.iter
-      (fun (slot, _, region) -> Mpu.set mpu slot (Some (region ())))
-      (mpu_fixed_regions ~image ~meta ~srd);
-    Option.iter
-      (fun hs ->
-        Mpu.set mpu Config.peripheral_region_first (Some (section_region hs)))
-      heap;
-    let overflow =
-      place (fun slot r -> Mpu.set mpu slot (Some r)) (rot ())
-        meta.Metadata.periph_regions
+  let rot () = Option.get (rotation kind meta) in
+  let state regs = M.Backend.make ~on:true regs in
+  match kind with
+  | M.Backend.Mpu ->
+    let fixed =
+      List.map
+        (fun (slot, _, region) -> (slot, region ()))
+        (mpu_fixed_regions ~image ~meta ~srd)
     in
-    Mpu.enable mpu;
-    overflow
-  | M.Backend.Pmp_state pmp ->
-    for i = 0 to Pmp.entry_count - 1 do
-      Pmp.set pmp i
-        { Pmp.mode = Pmp.Off; r = false; w = false; x = false; locked = false }
-    done;
+    let heap =
+      Option.to_list
+        (Option.map
+           (fun hs -> (Config.peripheral_region_first, section_region hs))
+           heap)
+    in
+    let placed, overflow = place (rot ()) meta.Metadata.periph_regions in
+    ( state
+        (M.Backend.Mpu_regs
+           (Mpu.make
+              (((Config.region_background, background_region) :: fixed)
+              @ heap @ placed))),
+      overflow )
+  | M.Backend.Pmp ->
     (* the code window is written before the peripherals so a
        peripheral-heavy operation can never crowd it out of the table *)
     let _, code_log2 = Mpu.region_size_for code_bytes in
@@ -254,57 +256,71 @@ let install st ~(image : Image.t) ~(meta : Metadata.op_meta) ~srd =
       @ [ Pmp.napot ~base:(code_base land lnot ((1 lsl code_log2) - 1))
             ~size_log2:code_log2 ~r:true ~w:false ~x:true () ]
     in
-    List.iteri (Pmp.set pmp) fixed;
     let rot = rot () in
-    let overflow =
-      place (fun slot r -> Pmp.set pmp slot (pmp_window r)) rot
-        meta.Metadata.periph_regions
-    in
+    let placed, overflow = place rot meta.Metadata.periph_regions in
+    let placed = List.map (fun (slot, r) -> (slot, pmp_window r)) placed in
     (* direct grants after the peripheral windows, one TOR entry each;
        the classification left each writer a free entry per grant *)
-    List.iteri
-      (fun i (var, base, len) ->
-        let slot = rot.first + rot.slots + i in
-        if slot >= Pmp.entry_count - 2 then
-          invalid_arg ("Backend_plan: no free PMP entry to grant " ^ var);
-        Pmp.set pmp slot
-          (Pmp.tor ~base ~limit:(base + len) ~r:true ~w:true ~x:false ()))
-      meta.Metadata.grants;
-    Pmp.set pmp (Pmp.entry_count - 1)
-      (Pmp.napot ~base:0x0 ~size_log2:30 ~r:true ~w:false ~x:false ());
-    Pmp.enable pmp;
-    overflow
-  | M.Backend.Cheri_state c ->
-    M.Cheri.clear c;
-    M.Cheri.grant c
-      (cheri_caps ~code_base ~code_bytes ~stack_base ~stack_limit ?heap section
-         meta);
-    M.Cheri.enable c;
-    []
-  | M.Backend.Poe_state p ->
-    M.Poe.clear p;
-    M.Poe.set_key p poe_key_background M.Poe.Read_only;
-    M.Poe.set_key p poe_key_code ~x:true M.Poe.Read_only;
-    M.Poe.set_key p poe_key_stack M.Poe.Read_write;
-    M.Poe.set_key p poe_key_opdata M.Poe.Read_write;
-    for k = poe_key_first_free to M.Poe.key_count - 1 do
-      M.Poe.set_key p k M.Poe.Read_write
-    done;
-    let add key (base, limit) =
-      let base, limit = poe_window ~base ~limit in
-      M.Poe.add p (M.Poe.overlay ~key ~base ~limit ())
+    let grants =
+      List.mapi
+        (fun i (var, base, len) ->
+          let slot = rot.first + rot.slots + i in
+          if slot >= Pmp.entry_count - 2 then
+            invalid_arg ("Backend_plan: no free PMP entry to grant " ^ var);
+          (slot, Pmp.tor ~base ~limit:(base + len) ~r:true ~w:true ~x:false ()))
+        meta.Metadata.grants
     in
-    let span (s : Layout.section) =
-      (s.Layout.base, s.Layout.base + s.Layout.span)
+    let background =
+      Pmp.napot ~base:0x0 ~size_log2:30 ~r:true ~w:false ~x:false ()
+    in
+    ( state
+        (M.Backend.Pmp_regs
+           (Pmp.make
+              (List.mapi (fun i e -> (i, e)) fixed
+              @ placed @ grants
+              @ [ (Pmp.entry_count - 1, background) ]))),
+      overflow )
+  | M.Backend.Cheri ->
+    ( state
+        (M.Backend.Cheri_regs
+           (M.Cheri.make
+              (cheri_caps ~code_base ~code_bytes ~stack_base ~stack_limit ?heap
+                 section meta))),
+      [] )
+  | M.Backend.Poe ->
+    (* the stack, data section, heap and peripheral keys are read-write *)
+    let keys =
+      (poe_key_background, M.Poe.Read_only, false)
+      :: (poe_key_code, M.Poe.Read_only, true)
+      :: List.init (M.Poe.key_count - poe_key_stack) (fun i ->
+             (poe_key_stack + i, M.Poe.Read_write, false))
+    in
+    let window key (base, limit) =
+      let base, limit = poe_window ~base ~limit in
+      M.Poe.overlay ~key ~base ~limit ()
+    in
+    let span key (s : Layout.section) =
+      window key (s.Layout.base, s.Layout.base + s.Layout.span)
     in
     (* specific windows first (first match wins), background last *)
-    if stack_limit > stack_base then add poe_key_stack (stack_base, stack_limit);
-    Option.iter (fun s -> add poe_key_opdata (span s)) section;
-    Option.iter (fun hs -> add poe_key_first_free (span hs)) heap;
-    List.iter (add M.Poe.no_key)
-      (place add (rot ()) meta.Metadata.op.Operation.periph_ranges);
-    add poe_key_code (code_base, code_base + code_bytes);
-    M.Poe.add p
-      (M.Poe.overlay ~key:poe_key_background ~base:0x0 ~limit:(1 lsl 30) ());
-    M.Poe.enable p;
-    []
+    let stack =
+      if stack_limit > stack_base then
+        [ window poe_key_stack (stack_base, stack_limit) ]
+      else []
+    in
+    let section = Option.to_list (Option.map (span poe_key_opdata) section) in
+    let heap = Option.to_list (Option.map (span poe_key_first_free) heap) in
+    let placed, keyless =
+      place (rot ()) meta.Metadata.op.Operation.periph_ranges
+    in
+    let placed = List.map (fun (key, r) -> window key r) placed in
+    let keyless = List.map (window M.Poe.no_key) keyless in
+    let code = window poe_key_code (code_base, code_base + code_bytes) in
+    let background =
+      M.Poe.overlay ~key:poe_key_background ~base:0x0 ~limit:(1 lsl 30) ()
+    in
+    ( state
+        (M.Backend.Poe_regs
+           (M.Poe.make ~keys
+              (stack @ section @ heap @ placed @ keyless @ [ code; background ]))),
+      [] )

@@ -38,13 +38,13 @@ val rotation : M.Backend.kind -> Metadata.op_meta -> rotation option
 val free_entries :
   M.Backend.kind -> uses_heap:bool -> Operation.t -> int option
 
-(** Install the operation's plan under stack sub-region mask [srd] on
-    whatever backend the machine carries; returns the planned peripheral
-    windows left non-resident (MPU/PMP overflow; always [[]] for CHERI
-    and POE). *)
+(** The operation's plan under stack sub-region mask [srd] as an
+    enabled protection state of backend [kind], and the planned
+    peripheral windows left non-resident (MPU/PMP overflow; always [[]]
+    for CHERI and POE). *)
 val install :
-  M.Backend.state ->
+  M.Backend.kind ->
   image:Image.t ->
   meta:Metadata.op_meta ->
   srd:int ->
-  M.Mpu.region list
+  M.Backend.state * M.Mpu.region list

@@ -41,11 +41,12 @@ let test_cheri_accepts_unaligned () =
   Alcotest.(check (pair int int))
     "24 B at an odd base is representable as-is" (base, len)
     (M.Cheri.round_bounds ~base ~len);
-  let t = M.Cheri.create () in
-  M.Cheri.add t (M.Cheri.cap ~r:true ~w:true ~base ~len ());
-  M.Cheri.enable t;
+  let t =
+    M.Backend.make ~on:true
+      (M.Backend.Cheri_regs (M.Cheri.make [ M.Cheri.cap ~r:true ~w:true ~base ~len () ]))
+  in
   let ok addr =
-    Result.is_ok (M.Backend.check (M.Backend.Cheri_state t) ~privileged:false ~addr ~access:M.Fault.Write)
+    Result.is_ok (M.Backend.check t ~privileged:false ~addr ~access:M.Fault.Write)
   in
   Alcotest.(check bool) "first byte writable" true (ok base);
   Alcotest.(check bool) "last byte writable" true (ok (base + len - 1));
@@ -60,65 +61,65 @@ let test_cheri_accepts_unaligned () =
    matching region.  The planner must never rely on one convention. *)
 let test_match_priority () =
   let addr = 0x2000_0010 in
-  let pmp = M.Pmp.create () in
-  M.Pmp.set pmp 0
-    (M.Pmp.napot ~base:0x2000_0000 ~size_log2:5 ~r:true ~w:true ~x:false ());
-  M.Pmp.set pmp 1
-    (M.Pmp.napot ~base:0x2000_0000 ~size_log2:5 ~r:false ~w:false ~x:false ());
-  M.Pmp.enable pmp;
+  let pmp =
+    M.Pmp.make
+      [ (0, M.Pmp.napot ~base:0x2000_0000 ~size_log2:5 ~r:true ~w:true ~x:false ());
+        (1, M.Pmp.napot ~base:0x2000_0000 ~size_log2:5 ~r:false ~w:false ~x:false ()) ]
+  in
+  let check regs =
+    M.Backend.check (M.Backend.make ~on:true regs) ~privileged:false ~addr
+      ~access:M.Fault.Write
+  in
   Alcotest.(check bool) "PMP: permissive entry 0 shadows blocking entry 1"
     true
-    (Result.is_ok
-       (M.Backend.check (M.Backend.Pmp_state pmp) ~privileged:false ~addr ~access:M.Fault.Write));
-  let mpu = M.Mpu.create () in
-  M.Mpu.set mpu 0
-    (Some
-       (M.Mpu.region ~base:0x2000_0000 ~size_log2:5
-          ~privileged:M.Mpu.Read_write ~unprivileged:M.Mpu.Read_write ()));
-  M.Mpu.set mpu 1
-    (Some
-       (M.Mpu.region ~base:0x2000_0000 ~size_log2:5
-          ~privileged:M.Mpu.No_access ~unprivileged:M.Mpu.No_access ()));
-  M.Mpu.enable mpu;
+    (Result.is_ok (check (M.Backend.Pmp_regs pmp)));
+  let mpu =
+    M.Mpu.make
+      [ ( 0,
+          M.Mpu.region ~base:0x2000_0000 ~size_log2:5
+            ~privileged:M.Mpu.Read_write ~unprivileged:M.Mpu.Read_write () );
+        ( 1,
+          M.Mpu.region ~base:0x2000_0000 ~size_log2:5
+            ~privileged:M.Mpu.No_access ~unprivileged:M.Mpu.No_access () ) ]
+  in
   Alcotest.(check bool) "MPU: blocking region 1 shadows permissive region 0"
     true
-    (Result.is_error
-       (M.Backend.check (M.Backend.Mpu_state mpu) ~privileged:false ~addr ~access:M.Fault.Write))
+    (Result.is_error (check (M.Backend.Mpu_regs mpu)))
 
 (* --- fault model: POE key exhaustion recycles, never evicts -------------- *)
 
 let test_poe_key_recycling () =
-  let t = M.Poe.create () in
-  for k = 0 to M.Poe.key_count - 1 do
-    M.Poe.set_key t k M.Poe.Read_write
-  done;
   (* more windows than keys: the excess windows start keyless *)
   let n = M.Poe.key_count + 4 in
   let base_of i = 0x4000_0000 + (i * 64) in
-  for i = 0 to n - 1 do
-    let key = if i < M.Poe.key_count then i else M.Poe.no_key in
-    M.Poe.add t (M.Poe.overlay ~key ~base:(base_of i) ~limit:(base_of i + 32) ())
-  done;
-  M.Poe.enable t;
-  let writable i =
-    Result.is_ok
-      (M.Backend.check (M.Backend.Poe_state t) ~privileged:false ~addr:(base_of i) ~access:M.Fault.Write)
+  let t =
+    M.Poe.make
+      ~keys:(List.init M.Poe.key_count (fun k -> (k, M.Poe.Read_write, false)))
+      (List.init n (fun i ->
+           let key = if i < M.Poe.key_count then i else M.Poe.no_key in
+           M.Poe.overlay ~key ~base:(base_of i) ~limit:(base_of i + 32) ()))
   in
-  Alcotest.(check bool) "keyed window accessible" true (writable 3);
-  Alcotest.(check bool) "keyless window faults" false (writable M.Poe.key_count);
+  let writable t i =
+    Result.is_ok
+      (M.Backend.check
+         (M.Backend.make ~on:true (M.Backend.Poe_regs t))
+         ~privileged:false ~addr:(base_of i) ~access:M.Fault.Write)
+  in
+  Alcotest.(check bool) "keyed window accessible" true (writable t 3);
+  Alcotest.(check bool) "keyless window faults" false (writable t M.Poe.key_count);
   (* exhaustion: recycle key 3 onto the faulting keyless window *)
-  let victims = M.Poe.reclaim_key t 3 in
-  Alcotest.(check int) "reclaim strips exactly the key's windows" 1
+  let t, victims =
+    match M.Poe.find t (base_of M.Poe.key_count) with
+    | Some ov -> M.Poe.recycle t ov 3
+    | None -> Alcotest.fail "keyless window vanished"
+  in
+  Alcotest.(check int) "recycling strips exactly the key's windows" 1
     (List.length victims);
-  (match M.Poe.find t (base_of M.Poe.key_count) with
-  | Some ov -> M.Poe.retag t ov 3
-  | None -> Alcotest.fail "keyless window vanished");
-  Alcotest.(check int) "no window was evicted" n
-    (List.length (M.Poe.overlays t));
+  Alcotest.(check int) "no window was evicted" n (List.length t.M.Poe.overlays);
   Alcotest.(check bool) "recycled window now accessible" true
-    (writable M.Poe.key_count);
+    (writable t M.Poe.key_count);
   Alcotest.(check bool) "the victim window faults until the key returns"
-    false (writable 3)
+    false (writable t 3)
 
 (* --- entry budgets -------------------------------------------------------- *)
 

@@ -112,14 +112,13 @@ let test_budget_matches_install () =
       in
       List.iter
         (fun (opn, meta) ->
-          let st = M.Backend.create image.backend in
-          let overflow = C.Backend_plan.install st ~image ~meta ~srd:0 in
+          let st, overflow = C.Backend_plan.install image.backend ~image ~meta ~srd:0 in
           let keyless =
-            match st with
-            | M.Backend.Poe_state p ->
+            match st.M.Backend.regs with
+            | M.Backend.Poe_regs p ->
               List.exists
                 (fun (ov : M.Poe.overlay) -> ov.M.Poe.ov_key = M.Poe.no_key)
-                (M.Poe.overlays p)
+                p.M.Poe.overlays
             | _ -> false
           in
           Alcotest.(check bool)

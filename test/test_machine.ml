@@ -132,11 +132,14 @@ let test_ppb_privilege () =
 let test_mpu_on_bus () =
   let bus = M.Bus.create ~board in
   M.Bus.write_raw bus 0x2000_0000 4 9L;
-  M.Mpu.set bus.M.Bus.mpu 0
-    (Some
-       (M.Mpu.region ~base:0x2000_0000 ~size_log2:8 ~privileged:M.Mpu.Read_write
-          ~unprivileged:M.Mpu.Read_only ()));
-  M.Mpu.enable bus.M.Bus.mpu;
+  M.Bus.set_protection bus
+    (M.Backend.make ~on:true
+       (M.Backend.Mpu_regs
+          (M.Mpu.make
+             [ ( 0,
+                 M.Mpu.region ~base:0x2000_0000 ~size_log2:8
+                   ~privileged:M.Mpu.Read_write ~unprivileged:M.Mpu.Read_only
+                   () ) ])));
   M.Cpu.drop_privilege bus.M.Bus.cpu;
   Alcotest.(check int64) "unpriv read allowed" 9L (M.Bus.read bus 0x2000_0000 4);
   (try

@@ -374,6 +374,38 @@ let test_argument_relocation () =
   Alcotest.(check bool) "bytes were relocated" true
     ((Mon.Monitor.stats r.Mon.Runner.monitor).Mon.Stats.relocated_bytes >= 8)
 
+(* A relocated argument that names a shared global: [fill(&g)] stores
+   42 through its stack copy, the copy lands back in the caller's view
+   of [g] (its shadow, or the master under a read-only mapping), and
+   the exit must publish it, so the next operation to read [g] sees 42
+   on every backend, as the unprotected run does. *)
+let test_copy_back_publishes () =
+  let p =
+    Program.v ~name:"copyback"
+      ~globals:[ word "g"; word "out" ]
+      ~peripherals:[]
+      ~funcs:
+        [ func "fill" [ pp_ "p" Ty.Word ] [ store (l "p") (c 42); ret0 ];
+          func "use" [] [ load "v" (gv "g"); store (gv "out") (l "v"); ret0 ];
+          func "main" [] [ call "fill" [ gv "g" ]; call "use" []; halt ] ]
+      ()
+  in
+  let stack_infos =
+    [ { C.Dev_input.si_entry = "fill";
+        ptr_args = [ { C.Dev_input.param_index = 0; buffer_bytes = 4 } ] } ]
+  in
+  List.iter
+    (fun backend ->
+      let image =
+        C.Compiler.compile ~backend p
+          (C.Dev_input.v ~stack_infos [ "fill"; "use" ])
+      in
+      let r = run image in
+      Alcotest.(check int64)
+        (M.Backend.kind_name backend ^ ": use saw fill's write")
+        42L (read_global image r.Mon.Runner.bus "out"))
+    M.Backend.all_kinds
+
 (* Without relocation info, WRITING to the caller's disabled stack
    sub-region faults — the protection Figure 8 illustrates.  (Reads fall
    through to the read-only background region: integrity, not
@@ -683,6 +715,8 @@ let suite () =
           test_tampered_resolution_rejected;
         Alcotest.test_case "sanitization" `Quick test_sanitization_aborts;
         Alcotest.test_case "argument relocation" `Quick test_argument_relocation;
+        Alcotest.test_case "copy-back publishes a global" `Quick
+          test_copy_back_publishes;
         Alcotest.test_case "stack sub-regions" `Quick test_stack_subregions_disabled;
         Alcotest.test_case "MPU virtualization" `Quick test_peripheral_virtualization;
         Alcotest.test_case "core periph emulation" `Quick test_core_peripheral_emulation;

@@ -8,10 +8,11 @@ let region ?srd ?executable ~base ~size_log2 ~priv ~unpriv () =
   Mpu.region ?srd ?executable ~base ~size_log2 ~privileged:priv
     ~unprivileged:unpriv ()
 
-let allowed t ~privileged ~addr ~access =
-  match M.Backend.check (M.Backend.Mpu_state t) ~privileged ~addr ~access with
-  | Ok () -> true
-  | Error _ -> false
+(* An enabled MPU state holding [pairs] (slot, region). *)
+let mpu pairs = M.Backend.make ~on:true (M.Backend.Mpu_regs (Mpu.make pairs))
+
+let allowed st ~privileged ~addr ~access =
+  Result.is_ok (M.Backend.check st ~privileged ~addr ~access)
 
 let test_validation () =
   Alcotest.check_raises "too small"
@@ -31,13 +32,12 @@ let test_region_size_for () =
   Alcotest.(check (pair int int)) "round up" (128, 7) (Mpu.region_size_for 65)
 
 let test_disabled_mpu_allows_everything () =
-  let t = Mpu.create () in
+  let t = M.Backend.create M.Backend.Mpu in
   Alcotest.(check bool) "disabled allows" true
     (allowed t ~privileged:false ~addr:0xDEAD_BEE0 ~access:Fault.Write)
 
 let test_background_map () =
-  let t = Mpu.create () in
-  Mpu.enable t;
+  let t = mpu [] in
   (* PRIVDEFENA: privileged accesses fall back to the default map *)
   Alcotest.(check bool) "privileged allowed" true
     (allowed t ~privileged:true ~addr:0x2000_0000 ~access:Fault.Write);
@@ -45,10 +45,10 @@ let test_background_map () =
     (allowed t ~privileged:false ~addr:0x2000_0000 ~access:Fault.Read)
 
 let test_permissions () =
-  let t = Mpu.create () in
-  Mpu.set t 0
-    (Some (region ~base:0x2000_0000 ~size_log2:10 ~priv:Mpu.Read_write ~unpriv:Mpu.Read_only ()));
-  Mpu.enable t;
+  let t =
+    mpu
+      [ (0, region ~base:0x2000_0000 ~size_log2:10 ~priv:Mpu.Read_write ~unpriv:Mpu.Read_only ()) ]
+  in
   Alcotest.(check bool) "unpriv read" true
     (allowed t ~privileged:false ~addr:0x2000_0100 ~access:Fault.Read);
   Alcotest.(check bool) "unpriv write denied" false
@@ -59,26 +59,25 @@ let test_permissions () =
     (allowed t ~privileged:false ~addr:0x2000_0400 ~access:Fault.Read)
 
 let test_highest_region_wins () =
-  let t = Mpu.create () in
   (* region 0: a large no-access range; region 7: small RW window inside *)
-  Mpu.set t 0
-    (Some (region ~base:0x2000_0000 ~size_log2:16 ~priv:Mpu.Read_write ~unpriv:Mpu.No_access ()));
-  Mpu.set t 7
-    (Some (region ~base:0x2000_1000 ~size_log2:8 ~priv:Mpu.Read_write ~unpriv:Mpu.Read_write ()));
-  Mpu.enable t;
+  let t =
+    mpu
+      [ (0, region ~base:0x2000_0000 ~size_log2:16 ~priv:Mpu.Read_write ~unpriv:Mpu.No_access ());
+        (7, region ~base:0x2000_1000 ~size_log2:8 ~priv:Mpu.Read_write ~unpriv:Mpu.Read_write ()) ]
+  in
   Alcotest.(check bool) "window writable" true
     (allowed t ~privileged:false ~addr:0x2000_1080 ~access:Fault.Write);
   Alcotest.(check bool) "outside window denied" false
     (allowed t ~privileged:false ~addr:0x2000_0080 ~access:Fault.Write)
 
 let test_subregions () =
-  let t = Mpu.create () in
   (* 2 KiB region, 8 x 256-byte sub-regions; disable sub-regions 6 and 7 *)
-  Mpu.set t 1
-    (Some
-       (region ~srd:0b1100_0000 ~base:0x2000_0000 ~size_log2:11
-          ~priv:Mpu.Read_write ~unpriv:Mpu.Read_write ()));
-  Mpu.enable t;
+  let t =
+    mpu
+      [ ( 1,
+          region ~srd:0b1100_0000 ~base:0x2000_0000 ~size_log2:11
+            ~priv:Mpu.Read_write ~unpriv:Mpu.Read_write () ) ]
+  in
   Alcotest.(check bool) "sub-region 0 accessible" true
     (allowed t ~privileged:false ~addr:0x2000_0000 ~access:Fault.Write);
   Alcotest.(check bool) "sub-region 5 accessible" true
@@ -89,15 +88,14 @@ let test_subregions () =
     (allowed t ~privileged:false ~addr:(0x2000_0000 + (7 * 256) + 255) ~access:Fault.Write)
 
 let test_subregion_fallthrough () =
-  let t = Mpu.create () in
   (* a lower-numbered region backs the disabled sub-region *)
-  Mpu.set t 0
-    (Some (region ~base:0x2000_0000 ~size_log2:12 ~priv:Mpu.Read_write ~unpriv:Mpu.Read_only ()));
-  Mpu.set t 2
-    (Some
-       (region ~srd:0b0000_0001 ~base:0x2000_0000 ~size_log2:11
-          ~priv:Mpu.Read_write ~unpriv:Mpu.Read_write ()));
-  Mpu.enable t;
+  let t =
+    mpu
+      [ (0, region ~base:0x2000_0000 ~size_log2:12 ~priv:Mpu.Read_write ~unpriv:Mpu.Read_only ());
+        ( 2,
+          region ~srd:0b0000_0001 ~base:0x2000_0000 ~size_log2:11
+            ~priv:Mpu.Read_write ~unpriv:Mpu.Read_write () ) ]
+  in
   (* sub-region 0 of region 2 is disabled -> region 0's RO applies *)
   Alcotest.(check bool) "fallthrough read" true
     (allowed t ~privileged:false ~addr:0x2000_0010 ~access:Fault.Read);
@@ -109,34 +107,9 @@ let test_subregion_fallthrough () =
 (* --- the decision memo, on every backend ---------------------------------- *)
 
 (* The bus memoizes each backend's decision per block of the state's
-   grain, in a table every captured image keeps.  Every answer the
-   bus gives is compared with {!M.Backend.check} on a freshly built
-   state holding the same registers, whose memo is empty and unused. *)
-
-let rebuilt st =
-  let f = M.Backend.create (M.Backend.kind_of st) in
-  (match (st, f) with
-  | M.Backend.Mpu_state m, M.Backend.Mpu_state g ->
-    Array.iteri (Mpu.set g) (Mpu.regions m)
-  | M.Backend.Pmp_state p, M.Backend.Pmp_state q ->
-    for i = 0 to M.Pmp.entry_count - 1 do
-      M.Pmp.set q i (M.Pmp.get p i)
-    done
-  | M.Backend.Cheri_state c, M.Backend.Cheri_state d ->
-    M.Cheri.grant d (M.Cheri.caps c)
-  | M.Backend.Poe_state p, M.Backend.Poe_state q ->
-    Array.iteri
-      (fun k perm -> M.Poe.set_key q k ~x:p.M.Poe.por_x.(k) perm)
-      p.M.Poe.por;
-    List.iter
-      (fun (ov : M.Poe.overlay) ->
-        M.Poe.add q
-          (M.Poe.overlay ~key:ov.M.Poe.ov_key ~base:ov.M.Poe.ov_base
-             ~limit:ov.M.Poe.ov_limit ()))
-      (M.Poe.overlays p)
-  | _ -> Alcotest.fail "rebuilt: kinds differ");
-  if (M.Backend.decision st).M.Decision.on then M.Backend.enable f;
-  f
+   grain, in the table that belongs to the installed state.  Every
+   answer the bus gives is compared with {!M.Backend.check} on a fresh
+   value of the same registers, whose memo is empty and unused. *)
 
 let memo_allows bus ~privileged addr access =
   match M.Bus.check_as bus ~privileged ~addr ~access with
@@ -144,11 +117,11 @@ let memo_allows bus ~privileged addr access =
   | exception Fault.Mem_manage _ -> false
 
 (* Every access at every address in [addrs], twice (a miss, then a
-   hit), against a rebuilt state; and the registers compare equal
-   although the memos differ. *)
+   hit), against a fresh value; and the two compare equal although
+   their memos differ. *)
 let agree what bus addrs =
   let st = M.Bus.protection bus in
-  let fresh = rebuilt st in
+  let fresh = M.Backend.make ~on:st.M.Backend.on st.M.Backend.regs in
   Alcotest.(check bool)
     (what ^ ": registers equal, memo aside")
     true (M.Backend.equal fresh st);
@@ -168,14 +141,9 @@ let agree what bus addrs =
           (true, Fault.Read); (true, Fault.Write); (true, Fault.Execute) ])
     addrs
 
-(* Entries of the live memo that count under the live stamp. *)
-let live_entries bus =
-  let d = bus.M.Bus.dec in
-  let n = ref 0 in
-  for i = 0 to M.Decision.entries - 1 do
-    if d.M.Decision.memo.((3 * i) + 1) = d.M.Decision.stamp then incr n
-  done;
-  !n
+(* Entries a lookup of a non-negative address filled. *)
+let filled (st : M.Backend.state) =
+  Array.fold_left (fun n e -> if e >= 0 then n + 1 else n) 0 st.M.Backend.memo
 
 let first_blocks = [ 0x0800_0000; 0x2000_0000; 0x4000_0000; 0xE000_0000 ]
 
@@ -185,15 +153,13 @@ let check_first_blocks what bus =
   List.iter
     (fun a -> ignore (memo_allows bus ~privileged:false a Fault.Read))
     first_blocks;
-  let d = bus.M.Bus.dec in
+  let st = M.Bus.protection bus in
   List.iter
     (fun a ->
-      let e = 3 * M.Decision.slot d a in
-      Alcotest.(check bool)
+      Alcotest.(check int)
         (Printf.sprintf "%s: block of 0x%08X stays resident" what a)
-        true
-        (d.M.Decision.memo.(e) = a asr d.M.Decision.shift
-        && d.M.Decision.memo.(e + 1) = d.M.Decision.stamp))
+        (a asr st.M.Backend.shift)
+        (st.M.Backend.memo.(M.Backend.slot st a) asr 6))
     first_blocks
 
 (* Two operations; the first writes twelve spaced-out peripherals, more
@@ -218,6 +184,9 @@ let crowded_program () =
       (),
     List.map (fun (p : Peripheral.t) -> p.Peripheral.base) periphs )
 
+(* Installed states switched in and out as the monitor does: a switch
+   back is the same value with the entries it filled, and a rotation
+   builds a new value, leaving the installed state's table as it was. *)
 let test_decision_memo () =
   let module C = Opec_core in
   let module Enf = Opec_monitor.Enforce in
@@ -244,133 +213,139 @@ let test_decision_memo () =
             (List.filter_map (C.Layout.section_of layout) [ "op_a"; "op_b" ])
       in
       let bus = M.Bus.create ~board in
-      M.Bus.set_protection bus (M.Backend.create kind);
-      let st = M.Bus.protection bus in
       let install entry =
-        ignore (C.Backend_plan.install st ~image ~meta:(meta entry) ~srd:0);
-        Enf.capture st
+        fst (C.Backend_plan.install kind ~image ~meta:(meta entry) ~srd:0)
       in
-      let img_a = install "op_a" in
+      let img_a = install "op_a" and img_b = install "op_b" in
+      M.Bus.set_protection bus img_a;
       agree (what ^ " op_a installed") bus addrs;
       check_first_blocks what bus;
-      let filled = live_entries bus in
-      let _img_b = install "op_b" in
+      let memo_a = Array.copy img_a.M.Backend.memo in
+      Alcotest.(check bool) (what ^ ": entries filled") true (filled img_a > 0);
+      M.Bus.set_protection bus img_b;
       agree (what ^ " op_b installed") bus addrs;
-      Alcotest.(check bool) (what ^ ": restore") true (Enf.restore st img_a);
-      Alcotest.(check int)
+      M.Bus.set_protection bus img_a;
+      Alcotest.(check bool) (what ^ ": a switch back restores the value") true
+        (M.Bus.protection bus == img_a);
+      Alcotest.(check (array int))
         (what ^ ": the memo survives a switch away and back")
-        filled (live_entries bus);
+        memo_a img_a.M.Backend.memo;
       agree (what ^ " op_a restored") bus addrs;
       (* a permitted peripheral that is not resident: rotate it in *)
       let denied a = not (memo_allows bus ~privileged:false a Fault.Write) in
-      (match (kind, List.find_opt denied periph_bases) with
+      let target = List.find_opt denied periph_bases in
+      let memo_a = Array.copy img_a.M.Backend.memo in
+      (match (kind, target) with
       | M.Backend.Cheri, None -> ()
       | M.Backend.Cheri, Some a ->
         Alcotest.failf "cheri: 0x%08X not granted" a
       | _, None -> Alcotest.failf "%s: every peripheral resident" what
       | _, Some a ->
-        let sw =
-          Enf.virtualize st ~cpu:bus.M.Bus.cpu ~meta:(meta "op_a")
-            ~virt_next:0 ~addr:a
-        in
-        Alcotest.(check bool) (what ^ ": rotated") true (Option.is_some sw);
+        (match Enf.virtualize img_a ~meta:(meta "op_a") ~virt_next:0 ~addr:a with
+        | None -> Alcotest.failf "%s: not rotated" what
+        | Some (rotated, _) ->
+          Alcotest.(check bool) (what ^ ": a rotation is a new value") false
+            (rotated == img_a || rotated.M.Backend.memo == img_a.M.Backend.memo);
+          M.Bus.set_protection bus rotated);
         Alcotest.(check bool) (what ^ ": allowed after the rotation") false
           (denied a);
         agree (what ^ " rotated") bus addrs;
-        ignore (Enf.restore st img_a);
-        Alcotest.(check bool) (what ^ ": denied after the restore") true
+        Alcotest.(check (array int))
+          (what ^ ": a rotation leaves the installed memo alone")
+          memo_a img_a.M.Backend.memo;
+        M.Bus.set_protection bus img_a;
+        Alcotest.(check bool) (what ^ ": denied after the switch back") true
           (denied a);
         agree (what ^ " rotation undone") bus addrs))
     M.Backend.all_kinds
 
-(* In-place changes on hand-built states, each answer against a rebuilt
-   state: every setter retires the memo, and boundaries inside a
-   32-byte block narrow the grain. *)
-let test_memo_in_place () =
-  let on_bus st =
+(* Hand-built states, each answer against a fresh value: boundaries
+   inside a 32-byte block narrow the grain, and the first blocks stay
+   resident at every grain. *)
+let test_memo_built_states () =
+  let on_bus ?(on = true) regs =
     let bus = M.Bus.create ~board:M.Memmap.stm32479i_eval in
-    M.Bus.set_protection bus st;
+    M.Bus.set_protection bus (M.Backend.make ~on regs);
     bus
   in
+  let shift bus = (M.Bus.protection bus).M.Backend.shift in
   let around base = List.init 12 (fun i -> base - 8 + (4 * i)) in
-  (* MPU: set, clear, disable, enable, and a hand-built region off the
-     32-byte grid sharing a block with 0x2000_0400 *)
-  let t = Mpu.create () in
-  let bus = on_bus (M.Backend.Mpu_state t) in
+  (* MPU: read-write, read-only, empty, disabled, and a hand-built
+     region off the 32-byte grid sharing a block with 0x2000_0400 *)
   let addrs = around 0x2000_0100 @ around 0x2000_0410 in
   let rw = region ~base:0x2000_0000 ~size_log2:10 ~priv:Mpu.Read_write in
-  Mpu.set t 0 (Some (rw ~unpriv:Mpu.Read_write ()));
-  Mpu.enable t;
-  agree "mpu set" bus addrs;
-  Mpu.set t 0 (Some (rw ~unpriv:Mpu.Read_only ()));
-  agree "mpu set again" bus addrs;
-  Mpu.clear t;
-  agree "mpu clear" bus addrs;
-  Mpu.set t 0 (Some (rw ~unpriv:Mpu.Read_write ()));
-  Mpu.disable t;
-  agree "mpu disable" bus addrs;
-  Mpu.enable t;
-  agree "mpu enable" bus addrs;
-  Alcotest.(check int) "mpu: 32-byte grain" 5 bus.M.Bus.dec.M.Decision.shift;
-  Mpu.set t 1
-    (Some
-       { Mpu.base = 0x2000_0410; size_log2 = 4; srd = 0;
-         privileged = Mpu.Read_write; unprivileged = Mpu.Read_write;
-         executable = false });
+  let regs pairs = M.Backend.Mpu_regs (Mpu.make pairs) in
+  agree "mpu rw" (on_bus (regs [ (0, rw ~unpriv:Mpu.Read_write ()) ])) addrs;
+  agree "mpu ro" (on_bus (regs [ (0, rw ~unpriv:Mpu.Read_only ()) ])) addrs;
+  agree "mpu empty" (on_bus (regs [])) addrs;
+  agree "mpu disabled"
+    (on_bus ~on:false (regs [ (0, rw ~unpriv:Mpu.Read_write ()) ]))
+    addrs;
+  let bus = on_bus (regs [ (0, rw ~unpriv:Mpu.Read_write ()) ]) in
+  agree "mpu enabled" bus addrs;
+  Alcotest.(check int) "mpu: 32-byte grain" 5 (shift bus);
+  (* an empty slot must not read as a decision for block -1 *)
+  agree "mpu below address 0"
+    (on_bus (regs [ (0, rw ~unpriv:Mpu.Read_write ()) ]))
+    [ -4; -32; -36 ];
+  let off_grid =
+    { Mpu.base = 0x2000_0410; size_log2 = 4; srd = 0;
+      privileged = Mpu.Read_write; unprivileged = Mpu.Read_write;
+      executable = false }
+  in
+  let bus = on_bus (regs [ (0, rw ~unpriv:Mpu.Read_write ()); (1, off_grid) ]) in
   agree "mpu off-grid region" bus addrs;
-  Alcotest.(check int) "mpu: 16-byte grain" 4 bus.M.Bus.dec.M.Decision.shift;
+  Alcotest.(check int) "mpu: 16-byte grain" 4 (shift bus);
   (* PMP: a TOR boundary inside a 32-byte block *)
-  let p = M.Pmp.create () in
-  let bus = on_bus (M.Backend.Pmp_state p) in
   let addrs = around 0x2000_0100 in
-  M.Pmp.set p 1
-    (M.Pmp.napot ~base:0x2000_0000 ~size_log2:12 ~r:true ~w:false ~x:false ());
-  M.Pmp.enable p;
-  agree "pmp napot" bus addrs;
-  M.Pmp.set p 0
-    (M.Pmp.tor ~base:0x2000_0104 ~limit:0x2000_0110 ~r:true ~w:true ~x:false ());
+  let napot =
+    M.Pmp.napot ~base:0x2000_0000 ~size_log2:12 ~r:true ~w:false ~x:false ()
+  in
+  let regs pairs = M.Backend.Pmp_regs (M.Pmp.make pairs) in
+  agree "pmp napot" (on_bus (regs [ (1, napot) ])) addrs;
+  let bus =
+    on_bus
+      (regs
+         [ (0, M.Pmp.tor ~base:0x2000_0104 ~limit:0x2000_0110 ~r:true ~w:true ~x:false ());
+           (1, napot) ])
+  in
   agree "pmp tor inside a block" bus addrs;
-  Alcotest.(check int) "pmp: 4-byte grain" 2 bus.M.Bus.dec.M.Decision.shift;
+  Alcotest.(check int) "pmp: 4-byte grain" 2 (shift bus);
   check_first_blocks "pmp at a 4-byte grain" bus;
   (* CHERI: byte-granular bounds *)
-  let c = M.Cheri.create () in
-  let bus = on_bus (M.Backend.Cheri_state c) in
   let addrs = List.init 40 (fun i -> 0x2000_0000 + i) in
-  M.Cheri.enable c;
-  M.Cheri.add c (M.Cheri.cap ~r:true ~base:0x2000_0000 ~len:32 ());
-  agree "cheri read cap" bus addrs;
-  M.Cheri.add c (M.Cheri.cap ~r:true ~w:true ~base:0x2000_0003 ~len:24 ());
+  let read = M.Cheri.cap ~r:true ~base:0x2000_0000 ~len:32 () in
+  let regs caps = M.Backend.Cheri_regs (M.Cheri.make caps) in
+  agree "cheri read cap" (on_bus (regs [ read ])) addrs;
+  let bus =
+    on_bus
+      (regs [ read; M.Cheri.cap ~r:true ~w:true ~base:0x2000_0003 ~len:24 () ])
+  in
   agree "cheri odd cap" bus addrs;
-  Alcotest.(check int) "cheri: byte grain" 0 bus.M.Bus.dec.M.Decision.shift;
+  Alcotest.(check int) "cheri: byte grain" 0 (shift bus);
   check_first_blocks "cheri at a byte grain" bus;
-  M.Cheri.clear c;
-  agree "cheri clear" bus addrs;
-  (* POE: key permissions change in place, and key recycling *)
-  let t = M.Poe.create () in
-  let bus = on_bus (M.Backend.Poe_state t) in
+  agree "cheri empty" (on_bus (regs [])) addrs;
+  (* POE: key permissions, and key recycling *)
   let addrs = around 0x4000_0000 @ around 0x4000_0040 in
-  M.Poe.set_key t 1 M.Poe.Read_write;
-  M.Poe.add t (M.Poe.overlay ~key:1 ~base:0x4000_0000 ~limit:0x4000_0020 ());
-  M.Poe.add t (M.Poe.overlay ~base:0x4000_0040 ~limit:0x4000_0060 ());
-  M.Poe.enable t;
-  agree "poe keyed" bus addrs;
-  M.Poe.set_key t 1 M.Poe.Read_only;
-  agree "poe key permission" bus addrs;
-  let victims = M.Poe.reclaim_key t 1 in
-  agree "poe key reclaimed" bus addrs;
-  M.Poe.retag t (Option.get (M.Poe.find t 0x4000_0040)) 1;
-  agree "poe key recycled" bus addrs;
+  let keyed = M.Poe.overlay ~key:1 ~base:0x4000_0000 ~limit:0x4000_0020 () in
+  let keyless = M.Poe.overlay ~base:0x4000_0040 ~limit:0x4000_0060 () in
+  let poe perm = M.Poe.make ~keys:[ (1, perm, false) ] [ keyed; keyless ] in
+  agree "poe keyed" (on_bus (M.Backend.Poe_regs (poe M.Poe.Read_write))) addrs;
+  agree "poe key permission"
+    (on_bus (M.Backend.Poe_regs (poe M.Poe.Read_only)))
+    addrs;
+  let recycled, victims = M.Poe.recycle (poe M.Poe.Read_only) keyless 1 in
+  agree "poe key recycled" (on_bus (M.Backend.Poe_regs recycled)) addrs;
   Alcotest.(check int) "poe: one victim" 1 (List.length victims)
 
 let test_execute_permission () =
-  let t = Mpu.create () in
-  Mpu.set t 0
-    (Some (region ~base:0x0800_0000 ~size_log2:20 ~priv:Mpu.Read_write ~unpriv:Mpu.Read_only ()));
-  Mpu.set t 1
-    (Some
-       (region ~executable:true ~base:0x0800_0000 ~size_log2:16
-          ~priv:Mpu.Read_write ~unpriv:Mpu.Read_only ()));
-  Mpu.enable t;
+  let t =
+    mpu
+      [ (0, region ~base:0x0800_0000 ~size_log2:20 ~priv:Mpu.Read_write ~unpriv:Mpu.Read_only ());
+        ( 1,
+          region ~executable:true ~base:0x0800_0000 ~size_log2:16
+            ~priv:Mpu.Read_write ~unpriv:Mpu.Read_only () ) ]
+  in
   Alcotest.(check bool) "code executable" true
     (allowed t ~privileged:false ~addr:0x0800_1000 ~access:Fault.Execute);
   Alcotest.(check bool) "data not executable" false
@@ -392,13 +367,10 @@ let prop_srd_monotonic =
     (fun (srd, off) ->
       let base = 0x2000_0000 in
       let mk srd =
-        let t = Mpu.create () in
-        Mpu.set t 0
-          (Some
-             (region ~srd ~base ~size_log2:11 ~priv:Mpu.Read_write
-                ~unpriv:Mpu.Read_write ()));
-        Mpu.enable t;
-        t
+        mpu
+          [ ( 0,
+              region ~srd ~base ~size_log2:11 ~priv:Mpu.Read_write
+                ~unpriv:Mpu.Read_write () ) ]
       in
       let with_srd = allowed (mk srd) ~privileged:false ~addr:(base + off) ~access:Fault.Write in
       let without = allowed (mk 0) ~privileged:false ~addr:(base + off) ~access:Fault.Write in
@@ -417,7 +389,7 @@ let suite () =
         Alcotest.test_case "execute permission" `Quick test_execute_permission;
         Alcotest.test_case "decision memo follows every change" `Quick
           test_decision_memo;
-        Alcotest.test_case "decision memo follows in-place changes" `Quick
-          test_memo_in_place;
+        Alcotest.test_case "memo of hand-built states" `Quick
+          test_memo_built_states;
         QCheck_alcotest.to_alcotest prop_region_size_minimal;
         QCheck_alcotest.to_alcotest prop_srd_monotonic ] ) ]

@@ -8,12 +8,10 @@ module M = Opec_machine
 module Pmp = M.Pmp
 module C = Opec_core
 
-let allowed t ~privileged ~addr ~access =
-  match M.Backend.check (M.Backend.Pmp_state t) ~privileged ~addr ~access with
-  | Ok () -> true
-  | Error _ -> false
+(* An enabled PMP state holding [pairs] (index, entry). *)
+let pmp pairs = M.Backend.make ~on:true (M.Backend.Pmp_regs (Pmp.make pairs))
 
-let allows st ~privileged ~addr ~access =
+let allowed st ~privileged ~addr ~access =
   Result.is_ok (M.Backend.check st ~privileged ~addr ~access)
 
 (* A fresh backend of [kind] with [entry]'s operation installed (full
@@ -21,9 +19,7 @@ let allows st ~privileged ~addr ~access =
 let install_on kind image entry =
   let op = Option.get (C.Image.op_of_entry image entry) in
   let meta = Option.get (C.Image.meta_of image op.C.Operation.name) in
-  let st = M.Backend.create kind in
-  let overflow = C.Backend_plan.install st ~image ~meta ~srd:0 in
-  (st, overflow)
+  C.Backend_plan.install kind ~image ~meta ~srd:0
 
 let test_validation () =
   Alcotest.check_raises "misaligned napot"
@@ -47,11 +43,12 @@ let test_tor_grain () =
   Alcotest.(check bool) "a one-word TOR entry" true (Pmp.matches e 0x2000_0107)
 
 let test_lowest_entry_wins () =
-  let t = Pmp.create () in
   (* entry 0: small RW window; entry 1: big RO covering it *)
-  Pmp.set t 0 (Pmp.napot ~base:0x2000_1000 ~size_log2:8 ~r:true ~w:true ~x:false ());
-  Pmp.set t 1 (Pmp.napot ~base:0x2000_0000 ~size_log2:16 ~r:true ~w:false ~x:false ());
-  Pmp.enable t;
+  let t =
+    pmp
+      [ (0, Pmp.napot ~base:0x2000_1000 ~size_log2:8 ~r:true ~w:true ~x:false ());
+        (1, Pmp.napot ~base:0x2000_0000 ~size_log2:16 ~r:true ~w:false ~x:false ()) ]
+  in
   Alcotest.(check bool) "window writable" true
     (allowed t ~privileged:false ~addr:0x2000_1010 ~access:M.Fault.Write);
   Alcotest.(check bool) "outside read-only" false
@@ -60,11 +57,11 @@ let test_lowest_entry_wins () =
     (allowed t ~privileged:false ~addr:0x2000_2000 ~access:M.Fault.Read)
 
 let test_machine_mode_and_lock () =
-  let t = Pmp.create () in
-  Pmp.set t 0
-    (Pmp.napot ~locked:true ~base:0x0800_0000 ~size_log2:16 ~r:true ~w:false ~x:true ());
-  Pmp.set t 1 (Pmp.napot ~base:0x2000_0000 ~size_log2:16 ~r:true ~w:false ~x:false ());
-  Pmp.enable t;
+  let t =
+    pmp
+      [ (0, Pmp.napot ~locked:true ~base:0x0800_0000 ~size_log2:16 ~r:true ~w:false ~x:true ());
+        (1, Pmp.napot ~base:0x2000_0000 ~size_log2:16 ~r:true ~w:false ~x:false ()) ]
+  in
   (* machine mode passes unlocked entries but honours locked ones *)
   Alcotest.(check bool) "machine write to unlocked" true
     (allowed t ~privileged:true ~addr:0x2000_0010 ~access:M.Fault.Write);
@@ -74,9 +71,9 @@ let test_machine_mode_and_lock () =
     (allowed t ~privileged:false ~addr:0x4000_0000 ~access:M.Fault.Read)
 
 let test_tor_range () =
-  let t = Pmp.create () in
-  Pmp.set t 0 (Pmp.tor ~base:0x2000_0100 ~limit:0x2000_0180 ~r:true ~w:true ~x:false ());
-  Pmp.enable t;
+  let t =
+    pmp [ (0, Pmp.tor ~base:0x2000_0100 ~limit:0x2000_0180 ~r:true ~w:true ~x:false ()) ]
+  in
   Alcotest.(check bool) "inside" true
     (allowed t ~privileged:false ~addr:0x2000_0100 ~access:M.Fault.Write);
   Alcotest.(check bool) "limit exclusive" false
@@ -109,21 +106,21 @@ let test_plan_translation () =
   let sec_a = Option.get (C.Layout.section_of layout "task_a") in
   let sec_b = Option.get (C.Layout.section_of layout "task_b") in
   Alcotest.(check bool) "own section writable" true
-    (allows pmp ~privileged:false ~addr:sec_a.C.Layout.base ~access:M.Fault.Write);
+    (allowed pmp ~privileged:false ~addr:sec_a.C.Layout.base ~access:M.Fault.Write);
   Alcotest.(check bool) "other section not writable" false
-    (allows pmp ~privileged:false ~addr:sec_b.C.Layout.base ~access:M.Fault.Write);
+    (allowed pmp ~privileged:false ~addr:sec_b.C.Layout.base ~access:M.Fault.Write);
   Alcotest.(check bool) "other section readable (background)" true
-    (allows pmp ~privileged:false ~addr:sec_b.C.Layout.base ~access:M.Fault.Read);
+    (allowed pmp ~privileged:false ~addr:sec_b.C.Layout.base ~access:M.Fault.Read);
   Alcotest.(check bool) "listed peripheral writable" true
-    (allows pmp ~privileged:false ~addr:0x4000_4404 ~access:M.Fault.Write);
+    (allowed pmp ~privileged:false ~addr:0x4000_4404 ~access:M.Fault.Write);
   Alcotest.(check bool) "unlisted peripheral blocked" false
-    (allows pmp ~privileged:false ~addr:0x4002_0C14 ~access:M.Fault.Write);
+    (allowed pmp ~privileged:false ~addr:0x4002_0C14 ~access:M.Fault.Write);
   Alcotest.(check bool) "stack writable" true
-    (allows pmp ~privileged:false
+    (allowed pmp ~privileged:false
        ~addr:(layout.C.Layout.stack_top - 16)
        ~access:M.Fault.Write);
   Alcotest.(check bool) "code executable" true
-    (allows pmp ~privileged:false ~addr:image.C.Image.code_base
+    (allowed pmp ~privileged:false ~addr:image.C.Image.code_base
        ~access:M.Fault.Execute)
 
 (* differential property: for random addresses and accesses, the PMP
@@ -147,9 +144,9 @@ let prop_pmp_no_more_permissive =
     (fun off ->
       let addr = 0x2000_0000 + (off * 16) in
       let pmp_ok =
-        allows pmp ~privileged:false ~addr ~access:M.Fault.Write
+        allowed pmp ~privileged:false ~addr ~access:M.Fault.Write
       in
-      let mpu_ok = allows mpu ~privileged:false ~addr ~access:M.Fault.Write in
+      let mpu_ok = allowed mpu ~privileged:false ~addr ~access:M.Fault.Write in
       (not pmp_ok) || mpu_ok)
 
 let suite () =

@@ -1,8 +1,8 @@
 (* The compiled operation-switch protocol against its references.
 
    - After init and after every operation enter and exit,
-     [Monitor.verify] compares the protection state restored from the
-     monitor's cached register image with a fresh [Backend_plan.install] of
+     [Monitor.verify] compares the protection state the monitor cached
+     and installed with a fresh [Backend_plan.install] of
      the same (operation, sub-region mask), and the operation's live
      relocation slots with its targets: every registry workload, every
      enforcement backend, and both sync ablations.
@@ -21,7 +21,7 @@ module P = Opec_pipeline.Pipeline
 module L = Opec_load
 module Json = Opec_obs.Json
 
-(* --- cached protection images vs a fresh derivation ---------------------- *)
+(* --- cached protection states vs a fresh derivation ---------------------- *)
 
 (* Run [app] protected on [backend], verifying the monitor after init and
    after every enter and exit.  Returns the number of checks made and
