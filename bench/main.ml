@@ -494,12 +494,10 @@ let coremark_engines_bench () =
    deterministic, so the test suite pins every field of that file
    exactly. *)
 
-let w_obs c = ignore (P.protected_obs c)
-
 let obs () =
   say "%s" (R.heading "Overhead breakdown (Section 6.3): where monitor cycles go");
   let apps = Apps.Registry.all () in
-  prewarm [ w_baseline; w_obs ] apps;
+  prewarm [ w_baseline; w_protected ] apps;
   let rows = List.map Met.Overhead.breakdown_of_app apps in
   let pct part (b : Met.Overhead.breakdown) =
     100.0

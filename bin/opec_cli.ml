@@ -2,7 +2,7 @@
 
      opec list                      enumerate bundled workloads
      opec policy APP                print the operation policy file
-     opec run APP [--baseline] [--engine E]     execute a workload on the machine model
+     opec run APP [--baseline]      execute a workload on the machine model
      opec compare APP               baseline vs OPEC overhead for one app
      opec aces APP [-s STRATEGY]    show the ACES baseline's compartments
      opec trace APP [-n N]          operation-switch timeline of a run
@@ -142,35 +142,6 @@ let domains_arg =
            every other parallel command, so nested parallel work runs \
            inline instead of oversubscribing.")
 
-(* Interpreter-engine selection, shared by run and compare: the two
-   engines are observationally identical (the engine-differential
-   oracle holds them to it), so this only trades translation time
-   against run throughput. *)
-let engine_conv =
-  let parse s =
-    match String.lowercase_ascii (String.trim s) with
-    | "tree" -> Ok Opec_exec.Interp.Tree
-    | "compiled" -> Ok Opec_exec.Interp.Compiled
-    | _ -> Error (`Msg (Printf.sprintf "unknown engine %S (tree, compiled)" s))
-  in
-  let print f e =
-    Format.pp_print_string f
-      (match e with
-      | Opec_exec.Interp.Tree -> "tree"
-      | Opec_exec.Interp.Compiled -> "compiled")
-  in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Opec_exec.Interp.Compiled
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Interpreter engine: $(b,compiled) (closure-compiled, the \
-           default) or $(b,tree) (the reference tree walker).  Both are \
-           bit-identical in every observable; they differ only in speed.")
-
 (* Enforcement-backend selection, shared by run/trace/attack and the
    cross-backend study. *)
 let backend_conv =
@@ -229,8 +200,7 @@ let run_cmd =
   let baseline =
     Arg.(value & flag & info [ "baseline" ] ~doc:"Run the unprotected baseline binary.")
   in
-  let run name baseline_only engine =
-    P.set_engine engine;
+  let run name baseline_only =
     let c = P.ctx (find_app name) in
     let check =
       if baseline_only then begin
@@ -253,13 +223,12 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a workload on the machine model")
-    Term.(const run $ app_arg $ baseline $ engine_arg)
+    Term.(const run $ app_arg $ baseline)
 
 (* --------------------------------------------------------------- compare *)
 
 let compare_cmd =
-  let run name engine =
-    P.set_engine engine;
+  let run name =
     let c = P.ctx (find_app name) in
     let baseline = P.baseline c in
     P.reraise baseline.P.b_err;
@@ -277,7 +246,7 @@ let compare_cmd =
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Baseline vs OPEC overhead for one workload")
-    Term.(const run $ app_arg $ engine_arg)
+    Term.(const run $ app_arg)
 
 (* ------------------------------------------------------------------ aces *)
 
@@ -346,16 +315,16 @@ let trace_cmd =
   in
   let trace_app backend fmt limit out (app : Apps.App.t) =
     let c = P.ctx ~backend app in
-    let o = P.protected_obs c in
-    P.reraise o.P.o_err;
-    let events = o.P.o_events in
+    let p = P.protected_ c in
+    P.reraise p.P.p_err;
+    let events = p.P.p_events in
     match fmt with
     | Obs.Export.Text ->
       let emit line = Format.printf "%s" line in
       emit (Printf.sprintf "== %s ==\n" app.Apps.App.app_name);
       emit
         (Fmt.str "monitor: %a\nsvc transitions (interp): %d\n@?" Mon.Stats.pp
-           o.P.o_stats o.P.o_switches);
+           p.P.p_stats p.P.p_switches);
       emit (Obs.Export.text events);
       let n = List.length events in
       Format.printf "@.first %d of %d events:@." (min limit n) n;

@@ -29,23 +29,18 @@ type row = {
 
 type t = { backends : M.Backend.kind list; rows : row list }
 
-(* Why a clean protected run of [c] did not complete, if it did not.
-   Such a run leaves no end state to attack and no overhead to report,
-   so the study records it as a gate failure instead of measuring it. *)
-let clean_abort c =
-  let err =
-    match (P.protected_ c).P.p_err with
-    | Some _ as e -> e
-    | None -> (P.protected_obs c).P.o_err
-  in
-  Option.map
-    (function Opec_exec.Interp.Aborted msg -> msg | e -> Printexc.to_string e)
-    err
-
 let run_one backend (app : Apps.App.t) =
   let c = P.ctx ~backend app in
   let image = P.image c in
-  let aborted = clean_abort c in
+  let p = P.protected_ c in
+  (* Why the clean protected run did not complete, if it did not.  Such
+     a run leaves no end state to attack and no overhead to report, so
+     the study records it as a gate failure instead of measuring it. *)
+  let aborted =
+    Option.map
+      (function Opec_exec.Interp.Aborted msg -> msg | e -> Printexc.to_string e)
+      p.P.p_err
+  in
   let cells, bd =
     match aborted with
     | None ->
@@ -53,18 +48,17 @@ let run_one backend (app : Apps.App.t) =
         Met.Overhead.breakdown_of_app ~backend app )
     | Some _ ->
       (* the cycles up to the abort, against a complete baseline *)
-      let o = P.protected_obs c in
       ( [],
         Met.Overhead.breakdown_of ~app_name:app.Apps.App.app_name
           ~base_cycles:(P.baseline (P.ctx app)).P.b_cycles
-          ~prot_cycles:o.P.o_cycles
-          (Opec_obs.Agg.of_events o.P.o_events) )
+          ~prot_cycles:p.P.p_cycles
+          (Opec_obs.Agg.of_events p.P.p_events) )
   in
   { r_app = app.Apps.App.app_name;
     r_backend = backend;
     r_cells = cells;
     r_breakdown = bd;
-    r_denied = (P.protected_obs c).P.o_stats.Mon.Stats.denied;
+    r_denied = p.P.p_stats.Mon.Stats.denied;
     r_flash_used = image.C.Image.flash_used;
     r_sram_used = image.C.Image.sram_used;
     r_aborted = aborted }

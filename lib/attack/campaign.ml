@@ -122,8 +122,7 @@ let opec_cell (app : Apps.App.t) (image : C.Image.t) ~clean inj =
   in
   let r =
     Mon.Runner.prepare ~devices:world.Apps.App.devices
-      ~engine:(P.current_engine ()) ~wrap_handler:(Inject.handler injector)
-      image
+      ~wrap_handler:(Inject.handler injector) image
   in
   Inject.attach injector ~bus:r.Mon.Runner.bus ~interp:r.Mon.Runner.interp;
   Mon.Monitor.init r.Mon.Runner.monitor;
@@ -143,7 +142,7 @@ let baseline_cell (app : Apps.App.t) (image : C.Image.t) ~clean ~defense ~mode
   world.Apps.App.prepare ();
   let r =
     Mon.Runner.prepare_baseline ~devices:world.Apps.App.devices
-      ~engine:(P.current_engine ()) ~entries:image.C.Image.entries
+      ~entries:image.C.Image.entries
       ~board:app.Apps.App.board app.Apps.App.program
   in
   let map = r.Mon.Runner.b_layout.E.Vanilla_layout.map in
@@ -173,8 +172,7 @@ let clean_protected (app : Apps.App.t) (image : C.Image.t) =
   let world = app.Apps.App.make_world () in
   world.Apps.App.prepare ();
   let r =
-    Mon.Runner.run_protected ~devices:world.Apps.App.devices
-      ~engine:(P.current_engine ()) image
+    Mon.Runner.run_protected ~devices:world.Apps.App.devices image
   in
   Snapshot.protected_ r.Mon.Runner.bus image
 

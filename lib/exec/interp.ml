@@ -124,7 +124,7 @@ type t = {
      [Stats.switches] on single-threaded runs *)
   mutable operation_switches : int;
   (* telemetry sink; [Obs.Sink.null] unless a collector is attached *)
-  mutable sink : Obs.Sink.t;
+  sink : Obs.Sink.t;
   (* last data-access fault delivered to the handler, for post-mortem
      classification (the attack campaign reads it after an abort) *)
   mutable last_fault : (access_desc * M.Fault.info) option;
@@ -139,7 +139,6 @@ let fuel t = t.fuel
 let switches t = t.operation_switches
 let engine t = t.engine
 let sink t = t.sink
-let set_sink t sink = t.sink <- sink
 
 (* One SVC transition completed: count it and leave an independent mark
    in the telemetry stream (the counter-drift test reconciles these

@@ -115,13 +115,10 @@ val fuel : t -> int
     side.) *)
 val switches : t -> int
 
-(** The attached telemetry sink ({!Opec_obs.Sink.null} by default). *)
+(** The telemetry sink attached at {!create} ({!Opec_obs.Sink.null} by
+    default).  The interpreter emits one [Svc_switch] mark per completed
+    SVC transition; recording charges no cycles. *)
 val sink : t -> Opec_obs.Sink.t
-
-(** Attach a telemetry sink.  The interpreter emits one
-    [Svc_switch] mark per completed SVC transition; recording charges no
-    cycles. *)
-val set_sink : t -> Opec_obs.Sink.t -> unit
 
 (** Normal termination via the [Halt] instruction. *)
 exception Halted

@@ -1,14 +1,10 @@
-(* Batched result aggregation: each scheduler participant owns one
-   accumulator and folds its units' results into it locally — no shared
-   counters, no locks on the hot path — and the fleet merges the
-   accumulators once at the end.
+(* The fleet's aggregate: one fold over the result slots, in canonical
+   unit order, once the pool has drained.  The slots are the report's
+   per-image raw material too, so both halves of the report come from
+   the same schedule-independent data and are byte-identical at any
+   [-j]. *)
 
-   Every field is a commutative, associative total (counts and sums),
-   so the merged aggregate is identical no matter which domain ran
-   which unit or in what order the merge visits the accumulators —
-   the aggregate half of the report-determinism guarantee.  (The
-   per-image half comes from the result slots, which are read back in
-   canonical unit order.) *)
+module Ov = Opec_metrics.Overhead
 
 type t = {
   mutable g_units : int;
@@ -42,15 +38,6 @@ type t = {
   mutable g_fuzz_failures : int;
 }
 
-let create () =
-  { g_units = 0; g_failed = 0; g_images_compiled = 0; g_ops = 0; g_flash = 0;
-    g_sram = 0; g_syncset_bytes = 0; g_lint_runs = 0; g_lint_errors = 0;
-    g_lint_warnings = 0; g_lint_infos = 0; g_attack_runs = 0;
-    g_injections = 0; g_attack = []; g_opec_escapes = 0; g_trace_runs = 0;
-    g_base_cycles = 0L; g_prot_cycles = 0L; g_overhead_cycles = 0L;
-    g_sync_cycles = 0L; g_switches = 0; g_synced_bytes = 0; g_fuzz_runs = 0;
-    g_fuzz_failures = 0 }
-
 let add_counts a b =
   { Task.oc_blocked = a.Task.oc_blocked + b.Task.oc_blocked;
     oc_contained = a.Task.oc_contained + b.Task.oc_contained;
@@ -65,8 +52,8 @@ let fold_defense acc (name, oc) =
       (fun (n, v) -> if String.equal n name then (n, add_counts prev oc) else (n, v))
       acc
 
-(* Canonical defense order for rendering, independent of which
-   accumulator saw which defense first. *)
+(* Canonical defense order for rendering, independent of which image
+   saw which defense first. *)
 let sort_defenses l =
   let rank n =
     match n with
@@ -104,50 +91,29 @@ let add (t : t) (r : Task.result) =
     t.g_injections <- t.g_injections + a_injections;
     t.g_attack <- List.fold_left fold_defense t.g_attack a_defenses;
     t.g_opec_escapes <- t.g_opec_escapes + a_opec_escapes
-  | Task.Traced
-      { t_base_cycles; t_prot_cycles; t_overhead_cycles; t_sync; t_switches;
-        t_synced_bytes; _ } ->
+  | Task.Traced b ->
     t.g_trace_runs <- t.g_trace_runs + 1;
-    t.g_base_cycles <- Int64.add t.g_base_cycles t_base_cycles;
-    t.g_prot_cycles <- Int64.add t.g_prot_cycles t_prot_cycles;
-    t.g_overhead_cycles <- Int64.add t.g_overhead_cycles t_overhead_cycles;
-    t.g_sync_cycles <- Int64.add t.g_sync_cycles t_sync;
-    t.g_switches <- t.g_switches + t_switches;
-    t.g_synced_bytes <- t.g_synced_bytes + t_synced_bytes
+    t.g_base_cycles <- Int64.add t.g_base_cycles b.Ov.bd_base_cycles;
+    t.g_prot_cycles <- Int64.add t.g_prot_cycles b.Ov.bd_prot_cycles;
+    t.g_overhead_cycles <- Int64.add t.g_overhead_cycles b.Ov.bd_overhead_cycles;
+    t.g_sync_cycles <- Int64.add t.g_sync_cycles b.Ov.bd_sync;
+    t.g_switches <- t.g_switches + b.Ov.bd_switches;
+    t.g_synced_bytes <- t.g_synced_bytes + b.Ov.bd_synced_bytes
   | Task.Fuzzed { f_properties = _; f_failures } ->
     t.g_fuzz_runs <- t.g_fuzz_runs + 1;
     t.g_fuzz_failures <- t.g_fuzz_failures + List.length f_failures
 
-(* Merge [b] into [a].  Every field is a sum, so merging in any order
-   yields the same aggregate. *)
-let merge_into (a : t) (b : t) =
-  a.g_units <- a.g_units + b.g_units;
-  a.g_failed <- a.g_failed + b.g_failed;
-  a.g_images_compiled <- a.g_images_compiled + b.g_images_compiled;
-  a.g_ops <- a.g_ops + b.g_ops;
-  a.g_flash <- a.g_flash + b.g_flash;
-  a.g_sram <- a.g_sram + b.g_sram;
-  a.g_syncset_bytes <- a.g_syncset_bytes + b.g_syncset_bytes;
-  a.g_lint_runs <- a.g_lint_runs + b.g_lint_runs;
-  a.g_lint_errors <- a.g_lint_errors + b.g_lint_errors;
-  a.g_lint_warnings <- a.g_lint_warnings + b.g_lint_warnings;
-  a.g_lint_infos <- a.g_lint_infos + b.g_lint_infos;
-  a.g_attack_runs <- a.g_attack_runs + b.g_attack_runs;
-  a.g_injections <- a.g_injections + b.g_injections;
-  a.g_attack <- List.fold_left fold_defense a.g_attack b.g_attack;
-  a.g_opec_escapes <- a.g_opec_escapes + b.g_opec_escapes;
-  a.g_trace_runs <- a.g_trace_runs + b.g_trace_runs;
-  a.g_base_cycles <- Int64.add a.g_base_cycles b.g_base_cycles;
-  a.g_prot_cycles <- Int64.add a.g_prot_cycles b.g_prot_cycles;
-  a.g_overhead_cycles <- Int64.add a.g_overhead_cycles b.g_overhead_cycles;
-  a.g_sync_cycles <- Int64.add a.g_sync_cycles b.g_sync_cycles;
-  a.g_switches <- a.g_switches + b.g_switches;
-  a.g_synced_bytes <- a.g_synced_bytes + b.g_synced_bytes;
-  a.g_fuzz_runs <- a.g_fuzz_runs + b.g_fuzz_runs;
-  a.g_fuzz_failures <- a.g_fuzz_failures + b.g_fuzz_failures
-
-let total (accs : t list) =
-  let out = create () in
-  List.iter (fun a -> merge_into out a) accs;
-  out.g_attack <- sort_defenses out.g_attack;
-  out
+let of_results (results : Task.result list) =
+  let t =
+    { g_units = 0; g_failed = 0; g_images_compiled = 0; g_ops = 0;
+      g_flash = 0; g_sram = 0; g_syncset_bytes = 0; g_lint_runs = 0;
+      g_lint_errors = 0; g_lint_warnings = 0; g_lint_infos = 0;
+      g_attack_runs = 0; g_injections = 0; g_attack = [];
+      g_opec_escapes = 0; g_trace_runs = 0; g_base_cycles = 0L;
+      g_prot_cycles = 0L; g_overhead_cycles = 0L; g_sync_cycles = 0L;
+      g_switches = 0; g_synced_bytes = 0; g_fuzz_runs = 0;
+      g_fuzz_failures = 0 }
+  in
+  List.iter (add t) results;
+  t.g_attack <- sort_defenses t.g_attack;
+  t

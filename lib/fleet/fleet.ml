@@ -1,13 +1,11 @@
 (* The fleet run loop: turn a job spec into units, push the units
-   through the shared work-stealing {!Opec_pipeline.Pool}, and fold the
-   results three ways at once —
+   through the shared work-stealing {!Opec_pipeline.Pool}, and keep two
+   records of the run —
 
    - a journal entry per scheduler event (enqueued / stolen / started /
      finished / failed), the per-job audit trail;
-   - a per-domain {!Agg} accumulator, merged once after the pool
-     drains, so aggregation never takes a shared lock on the hot path;
    - a result slot per unit in canonical order, the report's raw
-     material.
+     material, folded into the {!Agg} aggregate once the pool drains.
 
    A unit whose task raises becomes [Task.Failed] in its slot and a
    "failed" journal event; it never kills the fleet.  Artifacts of
@@ -49,20 +47,6 @@ let run ?domains ?(progress = fun (_ : string) -> ()) (spec : Spec.t) :
        concurrently *)
     let progress_lock = Mutex.create () in
     let progress s = Mutex.protect progress_lock (fun () -> progress s) in
-    (* per-domain accumulators, keyed by the executing domain's id;
-       created on first use, merged after the pool drains *)
-    let accs_lock = Mutex.create () in
-    let accs : (int, Agg.t) Hashtbl.t = Hashtbl.create 8 in
-    let my_acc () =
-      let id = (Domain.self () :> int) in
-      Mutex.protect accs_lock (fun () ->
-          match Hashtbl.find_opt accs id with
-          | Some a -> a
-          | None ->
-            let a = Agg.create () in
-            Hashtbl.add accs id a;
-            a)
-    in
     (* remaining-task refcounts of the generated images, for eviction;
        keyed per (image, backend) since each backend memoizes its own
        artifacts *)
@@ -78,7 +62,6 @@ let run ?domains ?(progress = fun (_ : string) -> ()) (spec : Spec.t) :
       units;
     let done_count = Atomic.make 0 in
     let finish (u : Spec.unit_) (r : Task.result) =
-      Agg.add (my_acc ()) r;
       let im = u.Spec.u_image in
       (if im.Spec.im_generated then
          match Hashtbl.find_opt refcounts (Spec.image_label im u.Spec.u_backend) with
@@ -117,9 +100,6 @@ let run ?domains ?(progress = fun (_ : string) -> ()) (spec : Spec.t) :
           | Error e -> Task.Failed { x_error = Printexc.to_string e })
         slots
     in
-    let agg =
-      Agg.total (Hashtbl.fold (fun _ a acc -> a :: acc) accs [])
-    in
     let failures =
       List.filter_map
         (fun ((u : Spec.unit_), r) ->
@@ -132,7 +112,7 @@ let run ?domains ?(progress = fun (_ : string) -> ()) (spec : Spec.t) :
       { o_spec = spec;
         o_units = units;
         o_results = results;
-        o_agg = agg;
+        o_agg = Agg.of_results results;
         o_journal = journal;
         o_wall_s = wall_s;
         o_domains = min d (max 1 total);

@@ -121,10 +121,11 @@ let result_cell = function
   | Task.Attacked { a_injections; a_opec_escapes; _ } ->
     if a_opec_escapes = 0 then Printf.sprintf "0/%d escaped" a_injections
     else Printf.sprintf "%d/%d ESCAPED" a_opec_escapes a_injections
-  | Task.Traced { t_base_cycles; t_overhead_cycles; _ } ->
-    if Int64.compare t_base_cycles 0L > 0 then
+  | Task.Traced { bd_base_cycles; bd_overhead_cycles; _ } ->
+    if Int64.compare bd_base_cycles 0L > 0 then
       Printf.sprintf "+%.2f%%"
-        (Int64.to_float t_overhead_cycles /. Int64.to_float t_base_cycles *. 100.)
+        (Int64.to_float bd_overhead_cycles /. Int64.to_float bd_base_cycles
+        *. 100.)
     else "+0.00%"
   | Task.Fuzzed { f_failures; _ } ->
     if f_failures = [] then "pass"

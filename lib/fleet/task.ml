@@ -43,18 +43,7 @@ type result =
           (** per defense, campaign column order *)
       a_opec_escapes : int;
     }
-  | Traced of {
-      t_base_cycles : int64;
-      t_prot_cycles : int64;
-      t_overhead_cycles : int64;
-      t_sanitize : int64;
-      t_sync : int64;
-      t_relocate : int64;
-      t_svc : int64;
-      t_other : int64;
-      t_switches : int;
-      t_synced_bytes : int;
-    }
+  | Traced of Met.Overhead.breakdown
   | Fuzzed of {
       f_properties : string list;
       f_failures : (string * string) list;  (** property, detail *)
@@ -133,18 +122,7 @@ let attack_task ~backend (im : Spec.image) =
   end
 
 let trace_task ~backend (im : Spec.image) =
-  let b = Met.Overhead.breakdown_of_app ~backend im.Spec.im_app in
-  Traced
-    { t_base_cycles = b.Met.Overhead.bd_base_cycles;
-      t_prot_cycles = b.Met.Overhead.bd_prot_cycles;
-      t_overhead_cycles = b.Met.Overhead.bd_overhead_cycles;
-      t_sanitize = b.Met.Overhead.bd_sanitize;
-      t_sync = b.Met.Overhead.bd_sync;
-      t_relocate = b.Met.Overhead.bd_relocate;
-      t_svc = b.Met.Overhead.bd_svc;
-      t_other = b.Met.Overhead.bd_other;
-      t_switches = b.Met.Overhead.bd_switches;
-      t_synced_bytes = b.Met.Overhead.bd_synced_bytes }
+  Traced (Met.Overhead.breakdown_of_app ~backend im.Spec.im_app)
 
 (* The differential oracle subset: transparency, engine agreement, and
    sync-schedule soundness.  Static lint is the lint task's job and
@@ -212,14 +190,15 @@ let to_json r =
     task "attack"
       [ ("injections", n a.a_injections); ("opec_escapes", n a.a_opec_escapes);
         ("defenses", defenses_json a.a_defenses) ]
-  | Traced t ->
+  | Traced b ->
+    let open Met.Overhead in
     task "trace"
-      [ ("baseline_cycles", c t.t_base_cycles);
-        ("protected_cycles", c t.t_prot_cycles);
-        ("overhead_cycles", c t.t_overhead_cycles); ("sanitize", c t.t_sanitize);
-        ("sync", c t.t_sync); ("relocate", c t.t_relocate); ("svc", c t.t_svc);
-        ("other", c t.t_other); ("switches", n t.t_switches);
-        ("synced_bytes", n t.t_synced_bytes) ]
+      [ ("baseline_cycles", c b.bd_base_cycles);
+        ("protected_cycles", c b.bd_prot_cycles);
+        ("overhead_cycles", c b.bd_overhead_cycles); ("sanitize", c b.bd_sanitize);
+        ("sync", c b.bd_sync); ("relocate", c b.bd_relocate); ("svc", c b.bd_svc);
+        ("other", c b.bd_other); ("switches", n b.bd_switches);
+        ("synced_bytes", n b.bd_synced_bytes) ]
   | Fuzzed f ->
     let str s = Json.String s in
     let failure (p, d) = Json.Obj [ ("property", str p); ("detail", str d) ] in

@@ -139,7 +139,7 @@ let of_ctx c =
         put op (classify addr) (if write then "write" else "read"))
     b.P.b_events;
   (* the protected telemetry half *)
-  let o = P.protected_obs c in
+  let p = P.protected_ c in
   let name_or n = if n = "" then "-" else n in
   List.iter
     (fun (ev : Obs.Sink.event) ->
@@ -154,7 +154,7 @@ let of_ctx c =
           (if e.em_write then "write" else "read")
       | Obs.Sink.Denial d -> put (name_or d.dn_op) "denial" d.dn_reason
       | Obs.Sink.Svc_switch _ -> ())
-    o.P.o_events;
+    p.P.p_events;
   !acc
 
 (* Standalone coverage of one generated case: compile and run it

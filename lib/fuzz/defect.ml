@@ -14,7 +14,7 @@ let of_name s = List.find_opt (fun d -> name d = s) all
 
 let caught_by = function
   | Drop_svc -> "lint-static"
-  | Widen_mpu -> "attacks-blocked"
+  | Widen_mpu -> "backend-containment"
   | Corrupt_shadow -> "transparency"
 
 let is_default (meta : C.Metadata.op_meta) =

@@ -141,7 +141,6 @@ let verified_run ~catch app img =
   let run () =
     let r =
       Mon.Runner.prepare ~devices:world.Apps.App.devices
-        ~engine:(P.current_engine ())
         ~wrap_handler:
           (Mon.Monitor.verifying ~monitor:(fun () -> !monitor) ~report)
         img
@@ -310,7 +309,7 @@ let baseline_obs (app : Apps.App.t) engine =
     { o_cycles = 0L; o_events = []; o_mem = []; o_check = Ok ();
       o_err = Some (Printexc.to_string e) }
 
-let protected_obs (app : Apps.App.t) image engine =
+let protected_observation (app : Apps.App.t) image engine =
   let world = app.Apps.App.make_world () in
   world.Apps.App.prepare ();
   try
@@ -354,54 +353,32 @@ let engine_differential ?image c =
     List.filter_map Fun.id
       [ same_observation "baseline" (baseline_obs app Ex.Interp.Tree)
           (baseline_obs app Ex.Interp.Compiled);
-        same_observation "protected" (protected_obs app img Ex.Interp.Tree)
-          (protected_obs app img Ex.Interp.Compiled) ]
+        same_observation "protected"
+          (protected_observation app img Ex.Interp.Tree)
+          (protected_observation app img Ex.Interp.Compiled) ]
   in
   match problems with [] -> Pass | ps -> Fail (String.concat "; " ps)
-
-(* --- attacks-blocked --------------------------------------------------- *)
-
-let attacks_blocked ?image c =
-  let app = P.app c in
-  let cells = Atk.Campaign.run_opec_only ?image app in
-  (* Only Escaped is a security failure — the same gate as
-     [Campaign.opec_escapes].  Contained and Crashed are the residual
-     the paper's threat model concedes: a compromised operation may
-     corrupt (or crash on) anything already inside its own policy, it
-     just must never reach across the boundary. *)
-  let bad =
-    List.filter
-      (fun cl -> cl.Atk.Campaign.outcome = Atk.Campaign.Escaped)
-      cells
-  in
-  match bad with
-  | [] -> Pass
-  | bs ->
-    Fail
-      (String.concat "; "
-         (List.map
-            (fun (cl : Atk.Campaign.cell) ->
-              Printf.sprintf "%s in %s: %s (%s)"
-                (Atk.Primitive.name cl.Atk.Campaign.injection.primitive)
-                cl.Atk.Campaign.injection.op.C.Operation.name
-                (Atk.Campaign.outcome_name cl.Atk.Campaign.outcome)
-                cl.Atk.Campaign.detail)
-            bs))
 
 (* --- backend-containment ------------------------------------------------ *)
 
 (* No attack primitive escapes under ANY enforcement backend, and every
    backend's clean protected run is denial-free with its telemetry
-   stream agreeing with the monitor's own counter.  A substitute image
-   ([?image], the defect gate) is MPU-built, so it gates only the MPU
-   column; the other backends always judge their own pipeline image. *)
+   stream agreeing with the monitor's own counter.  Only [Escaped] is a
+   security failure: [Contained] and [Crashed] are the residual the
+   paper's threat model concedes (a compromised operation may corrupt,
+   or crash on, anything already inside its own policy; it must never
+   reach across the boundary).  A substitute image ([?image], the
+   defect gate) is MPU-built, so it is judged on the MPU column alone,
+   and privately: it has no memoized run to reconcile. *)
 let backend_containment ?image c =
   let app = P.app c in
+  let backends =
+    match image with Some _ -> [ M.Backend.Mpu ] | None -> M.Backend.all_kinds
+  in
   let problems =
     List.concat_map
       (fun backend ->
         let bname = M.Backend.kind_name backend in
-        let image = if backend = M.Backend.Mpu then image else None in
         let escaped =
           let cells = Atk.Campaign.run_opec_only ~backend ?image app in
           List.filter_map
@@ -417,28 +394,28 @@ let backend_containment ?image c =
         in
         let reconcile =
           match image with
-          | Some _ -> [] (* substitute images run privately, no obs run *)
+          | Some _ -> []
           | None ->
-            let bc = P.ctx ~backend app in
-            let o = P.protected_obs bc in
+            let p = P.protected_ (P.ctx ~backend app) in
+            let denied = p.P.p_stats.Mon.Stats.denied in
             let denial_events =
               List.length
                 (List.filter
                    (function Opec_obs.Sink.Denial _ -> true | _ -> false)
-                   o.P.o_events)
+                   p.P.p_events)
             in
-            (if denial_events <> o.P.o_stats.Mon.Stats.denied then
+            (if denial_events <> denied then
                [ Printf.sprintf
                    "%s: %d denial events in telemetry but the monitor \
                     counted %d"
-                   bname denial_events o.P.o_stats.Mon.Stats.denied ]
+                   bname denial_events denied ]
              else [])
             @
-            if o.P.o_stats.Mon.Stats.denied <> 0 then
+            if denied <> 0 then
               [ Printf.sprintf
                   "%s: clean protected run denied %d accesses (protection \
                    must be transparent for benign runs)"
-                  bname o.P.o_stats.Mon.Stats.denied ]
+                  bname denied ]
             else []
         in
         (* generated programs flow through here by the thousands: drop
@@ -446,7 +423,7 @@ let backend_containment ?image c =
            the caller's to evict) *)
         if backend <> M.Backend.Mpu then P.evict (P.ctx ~backend app);
         escaped @ reconcile)
-      M.Backend.all_kinds
+      backends
   in
   match problems with [] -> Pass | ps -> Fail (String.concat "; " ps)
 
@@ -474,9 +451,6 @@ let all =
       doc =
         "tree-walking and closure-compiled engines are bit-identical";
       check = engine_differential };
-    { name = "attacks-blocked";
-      doc = "no planned attack injection escapes the monitor";
-      check = attacks_blocked };
     { name = "backend-containment";
       doc =
         "no attack primitive escapes under any enforcement backend, and \

@@ -14,8 +14,8 @@ type property = {
 }
 
 (** The registry, in checking order (cheap static properties first):
-    [lint-static], [trace-oracle], [transparency], [engine-differential],
-    [attacks-blocked]. *)
+    [lint-static], [trace-oracle], [sync-soundness], [transparency],
+    [engine-differential], [backend-containment]. *)
 val all : property list
 
 val find : string -> property option

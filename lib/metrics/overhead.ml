@@ -170,11 +170,11 @@ let breakdown_of ~app_name ~base_cycles ~prot_cycles
 let breakdown_of_app ?backend (app : Opec_apps.App.t) =
   let baseline = P.baseline (P.ctx app) in
   P.reraise baseline.P.b_err;
-  let o = P.protected_obs (P.ctx ?backend app) in
-  P.reraise o.P.o_err;
+  let p = P.protected_ (P.ctx ?backend app) in
+  P.reraise p.P.p_err;
   breakdown_of ~app_name:app.Opec_apps.App.app_name
-    ~base_cycles:baseline.P.b_cycles ~prot_cycles:o.P.o_cycles
-    (Obs.Agg.of_events o.P.o_events)
+    ~base_cycles:baseline.P.b_cycles ~prot_cycles:p.P.p_cycles
+    (Obs.Agg.of_events p.P.p_events)
 
 (* The one serialization of a breakdown, shared by [bench obs] and the
    cross-backend study; the caller adds the row's identity. *)

@@ -154,7 +154,7 @@ type t = {
       (* protection states at [op * 256 + srd], each built by the first
          install of its pair on the image's backend *)
   mutable frames : frame list;      (** head = current operation *)
-  mutable sink : Obs.Sink.t;
+  sink : Obs.Sink.t;
       (** telemetry sink; {!Obs.Sink.null} unless a collector is attached *)
   recorder : recorder;  (** the open span's legs *)
 }
@@ -164,7 +164,6 @@ exception Violation of string
 let stats t = t.stats
 let reloc_plan t = t.reloc
 let sink t = t.sink
-let set_sink t sink = t.sink <- sink
 
 let now t = t.bus.M.Bus.cpu.M.Cpu.cycles
 

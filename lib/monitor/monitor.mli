@@ -72,17 +72,15 @@ val reloc_plan : t -> reloc_plan
     fix-ups, denials). *)
 val stats : t -> Stats.t
 
-(** The attached telemetry sink ({!Opec_obs.Sink.null} by default). *)
-val sink : t -> Opec_obs.Sink.t
-
-(** Attach a telemetry sink.  With an active sink the monitor emits one
+(** The telemetry sink attached at {!create} ({!Opec_obs.Sink.null} by
+    default).  With an active sink the monitor emits one
     phase-bracketed span per switch (and per {!init}), a region-swap
     event per MPU rotation, an emulation event per PPB access it
     performs, and a denial event — carrying the hardware's
     {!Opec_machine.Fault.info} when one exists — per rejected action.
     Event counts reconcile exactly with {!Stats}; recording charges no
     cycles, so instrumented runs are cycle-identical to plain ones. *)
-val set_sink : t -> Opec_obs.Sink.t -> unit
+val sink : t -> Opec_obs.Sink.t
 
 (** Initialization (Section 5.1): copy initial values into every shadow
     section, enter the default operation, install its MPU plan, and drop

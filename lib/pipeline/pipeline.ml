@@ -56,17 +56,10 @@ type protected_result = {
   p_run : Mon.Runner.protected_run;
   p_err : exn option;
   p_cycles : int64;
-  p_events : E.Trace.event list;
   p_check : (unit, string) result;
   p_stats : Mon.Stats.t;
-}
-
-type obs_result = {
-  o_err : exn option;
-  o_cycles : int64;
-  o_stats : Mon.Stats.t;
-  o_switches : int;  (** the interpreter's independent SVC count *)
-  o_events : Obs.Sink.event list;
+  p_switches : int;  (** the interpreter's independent SVC count *)
+  p_events : Obs.Sink.event list;
 }
 
 (* One memoized stage of a context.  [state] and [computed] are guarded
@@ -94,8 +87,6 @@ type cells = {
   baseline_traced : baseline cell;
   baseline_marked : baseline cell;
   protected_ : protected_result cell;
-  protected_traced : protected_result cell;
-  protected_obs : obs_result cell;
   aces1 : A.Aces.t cell;
   aces2 : A.Aces.t cell;
   aces3 : A.Aces.t cell;
@@ -117,8 +108,6 @@ let fresh_cells () =
     baseline_traced = cell "baseline-traced";
     baseline_marked = cell "baseline-marked";
     protected_ = cell "protected";
-    protected_traced = cell "protected-traced";
-    protected_obs = cell "protected-obs";
     aces1 = cell (aces_name A.Strategy.Filename);
     aces2 = cell (aces_name A.Strategy.Filename_no_opt);
     aces3 = cell (aces_name A.Strategy.By_peripheral) }
@@ -129,8 +118,7 @@ let all_cells s =
   [ Any s.validated; Any s.points_to; Any s.callgraph; Any s.resources;
     Any s.ops; Any s.syncsets; Any s.image; Any s.baseline;
     Any s.baseline_traced; Any s.baseline_marked; Any s.protected_;
-    Any s.protected_traced; Any s.protected_obs; Any s.aces1; Any s.aces2;
-    Any s.aces3 ]
+    Any s.aces1; Any s.aces2; Any s.aces3 ]
 
 type ctx = {
   app : Apps.App.t;
@@ -203,13 +191,6 @@ let reset () =
 let evict (c : ctx) =
   let sh = shard_of c.key in
   Mutex.protect sh.s_lock (fun () -> Hashtbl.remove sh.s_tbl c.key)
-
-(* The engine knob selects the interpreter for the store's reference
-   runs; both engines produce bit-identical traces and cycle counts, so
-   artifacts computed under either are interchangeable. *)
-let engine : E.Interp.engine Atomic.t = Atomic.make E.Interp.Compiled
-let set_engine e = Atomic.set engine e
-let current_engine () = Atomic.get engine
 
 (* Get-or-compute one stage, exactly once.  The first domain to ask
    claims the cell ([In_flight]) and computes outside the lock (stages
@@ -333,8 +314,7 @@ let run_baseline_with c cell ~entries ?(traced = true) ~mem () =
       world.Apps.App.prepare ();
       let r =
         Mon.Runner.prepare_baseline ~devices:world.Apps.App.devices ~entries
-          ~engine:(Atomic.get engine) ~trace:traced ~board:app.Apps.App.board
-          app.Apps.App.program
+          ~trace:traced ~board:app.Apps.App.board app.Apps.App.program
       in
       if mem then (E.Interp.trace r.Mon.Runner.b_interp).E.Trace.mem <- true;
       let err = run_to_end (fun () -> E.Interp.run r.Mon.Runner.b_interp) in
@@ -371,62 +351,34 @@ let baseline_marked c =
   run_baseline_with c c.cells.baseline_marked ~entries ~traced:false
     ~mem:false ()
 
-(* One protected run of [image] from reset: a fresh world, the image
-   loaded, the monitor initialized, the program run to its end.  The
-   body every protected stage shares; neither tracing nor telemetry
-   charges cycles, so all of them agree on every number. *)
-let run_protected c image ~traced ?sink () =
-  let world = c.app.Apps.App.make_world () in
-  world.Apps.App.prepare ();
-  let r =
-    Mon.Runner.prepare ~devices:world.Apps.App.devices
-      ~engine:(Atomic.get engine) ~trace:traced ?sink image
-  in
-  Mon.Monitor.init r.Mon.Runner.monitor;
-  let err =
-    run_to_end (fun () -> E.Interp.run ~reset_stack:false r.Mon.Runner.interp)
-  in
-  (world, r, err)
-
-let run_protected_with c cell ~traced =
+(* The protected reference run: a fresh world, the image loaded, the
+   monitor initialized, the program run to its end with an in-memory
+   telemetry collector attached.  Telemetry charges no cycles, so one
+   run serves every reader: the evaluation's cycle counts, check result
+   and monitor statistics, and the [opec trace] exporters' and
+   overhead breakdown's event stream. *)
+let protected_ c =
   let image = image c in
-  get c cell (fun () ->
-      let world, r, err = run_protected c image ~traced () in
-      let tr = E.Interp.trace r.Mon.Runner.interp in
-      let events = E.Trace.events tr in
-      E.Trace.clear tr;
+  get c c.cells.protected_ (fun () ->
+      let world = c.app.Apps.App.make_world () in
+      world.Apps.App.prepare ();
+      let buf = Obs.Sink.Memory.create () in
+      let r =
+        Mon.Runner.prepare ~devices:world.Apps.App.devices
+          ~sink:(Obs.Sink.Memory.sink buf) image
+      in
+      Mon.Monitor.init r.Mon.Runner.monitor;
+      let err =
+        run_to_end (fun () ->
+            E.Interp.run ~reset_stack:false r.Mon.Runner.interp)
+      in
       { p_run = r;
         p_err = err;
         p_cycles = E.Interp.cycles r.Mon.Runner.interp;
-        p_events = events;
         p_check = world.Apps.App.check ();
-        p_stats = Mon.Monitor.stats r.Mon.Runner.monitor })
-
-(* The plain protected run: untraced — the evaluation reads its cycle
-   count, check result, and monitor statistics, never its events. *)
-let protected_ c = run_protected_with c c.cells.protected_ ~traced:false
-
-(* The protected run with its call/switch event stream kept — the
-   [opec trace] command's and the differential tests' raw material. *)
-let protected_traced c =
-  run_protected_with c c.cells.protected_traced ~traced:true
-
-(* The protected run with a telemetry collector attached — the [opec
-   trace] exporters' and [bench obs]'s raw material.  Function-granularity
-   tracing stays off (the telemetry stream carries the switch structure
-   itself). *)
-let protected_obs c =
-  let image = image c in
-  get c c.cells.protected_obs (fun () ->
-      let buf = Obs.Sink.Memory.create () in
-      let _, r, err =
-        run_protected c image ~traced:false ~sink:(Obs.Sink.Memory.sink buf) ()
-      in
-      { o_err = err;
-        o_cycles = E.Interp.cycles r.Mon.Runner.interp;
-        o_stats = Mon.Monitor.stats r.Mon.Runner.monitor;
-        o_switches = E.Interp.switches r.Mon.Runner.interp;
-        o_events = Obs.Sink.Memory.events buf })
+        p_stats = Mon.Monitor.stats r.Mon.Runner.monitor;
+        p_switches = E.Interp.switches r.Mon.Runner.interp;
+        p_events = Obs.Sink.Memory.events buf })
 
 (* --- instrumentation ---------------------------------------------------- *)
 

@@ -29,21 +29,11 @@ type protected_result = {
   p_run : Opec_monitor.Runner.protected_run;
   p_err : exn option;
   p_cycles : int64;
-  p_events : Opec_exec.Trace.event list;
-      (** the run's trace — non-empty only for {!protected_traced} (the
-          interpreter's own buffer is drained into this, so read it
-          here, not via [Interp.trace]) *)
   p_check : (unit, string) result;
   p_stats : Opec_monitor.Stats.t;
-}
-
-type obs_result = {
-  o_err : exn option;
-  o_cycles : int64;
-  o_stats : Opec_monitor.Stats.t;
-  o_switches : int;
+  p_switches : int;
       (** the interpreter's independent SVC transition count *)
-  o_events : Opec_obs.Sink.event list;
+  p_events : Opec_obs.Sink.event list;
       (** the telemetry stream, in emission order *)
 }
 
@@ -65,13 +55,6 @@ val reset : unit -> unit
 (** Drop one workload's cached artifacts (the fuzz sweep's memory
     bound: each generated program evicts its entry once judged). *)
 val evict : ctx -> unit
-
-(** Interpreter engine for the store's reference runs (default:
-    [Compiled]).  All engines produce bit-identical traces and cycle
-    counts. *)
-val set_engine : Opec_exec.Interp.engine -> unit
-
-val current_engine : unit -> Opec_exec.Interp.engine
 
 (** Compile-time stages, each memoized. *)
 
@@ -99,20 +82,12 @@ val baseline_traced : ctx -> baseline
     campaign's clean reference). *)
 val baseline_marked : ctx -> baseline
 
-(** The protected reference run, untraced (the evaluation reads its
-    numbers, never its events). *)
+(** The protected reference run, with an in-memory telemetry collector
+    attached: the evaluation's numbers and the [opec trace] exporters'
+    and overhead breakdown's event stream, from one run.  Telemetry
+    charges no cycles, so its cycles and statistics equal a sink-less
+    run's. *)
 val protected_ : ctx -> protected_result
-
-(** The protected run with its event stream kept — [opec trace]'s and
-    the differential tests' raw material.  Identical cycle counts and
-    statistics to {!protected_}. *)
-val protected_traced : ctx -> protected_result
-
-(** The protected run with a telemetry collector attached — the [opec
-    trace] exporters' and [bench obs]'s raw material.  Telemetry charges
-    no cycles, so cycles and statistics are bit-identical to
-    {!protected_}. *)
-val protected_obs : ctx -> obs_result
 
 (** Re-raise a memoized run's terminating exception, if any. *)
 val reraise : exn option -> unit

@@ -45,9 +45,6 @@ let size_ref = Atomic.make (max 1 (Domain.recommended_domain_count () - 1))
 let set_size n = Atomic.set size_ref (max 1 n)
 let size () = Atomic.get size_ref
 
-(* Kept for callers of the pre-scheduler API. *)
-let default_domains () = size ()
-
 (* High-water mark of participants actually used by any run in this
    process — what the bench JSONs report as "domains", so the field
    reflects the parallelism that really happened, not a default. *)
@@ -292,8 +289,6 @@ let map ?domains ?on_event (f : 'a -> 'b) (xs : 'a list) : 'b list =
            | None -> assert false)
     end
   end
-
-let iter ?domains f xs = ignore (map ?domains (fun x -> f x) xs)
 
 (* Like {!map}, but a raising unit becomes [Error] in its slot instead
    of failing the whole run — the fleet scheduler's entry point, where

@@ -24,9 +24,6 @@ val size : unit -> int
 val set_size : int -> unit
 (** Set the default participant count for subsequent runs ([-j]). *)
 
-val default_domains : unit -> int
-(** Alias of {!size}, kept for the pre-scheduler API. *)
-
 val max_used : unit -> int
 (** High-water mark of participants any run in this process actually
     used — the truthful value for the bench JSONs' ["domains"]. *)
@@ -51,8 +48,6 @@ type event = {
 
 val map :
   ?domains:int -> ?on_event:(event -> unit) -> ('a -> 'b) -> 'a list -> 'b list
-
-val iter : ?domains:int -> ('a -> unit) -> 'a list -> unit
 
 val map_result :
   ?domains:int ->

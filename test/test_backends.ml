@@ -164,12 +164,12 @@ let test_cross_backend_clean_runs () =
     (fun backend ->
       let name = M.Backend.kind_name backend in
       let c = P.ctx ~backend app in
-      let o = P.protected_obs c in
-      P.reraise o.P.o_err;
+      let p = P.protected_ c in
+      P.reraise p.P.p_err;
       Alcotest.(check int) (name ^ ": clean run denial-free") 0
-        o.P.o_stats.Mon.Stats.denied;
+        p.P.p_stats.Mon.Stats.denied;
       Alcotest.(check bool) (name ^ ": operations actually switched") true
-        (o.P.o_stats.Mon.Stats.switches > 0))
+        (p.P.p_stats.Mon.Stats.switches > 0))
     M.Backend.all_kinds
 
 (* The study's gate (what `opec compare-backends` exits 1 on): a clean

@@ -23,10 +23,10 @@ let span_bytes (s : Obs.Sink.span) =
    drift between the two means an emission site or a counter bump is
    missing. *)
 let check_app (app : Apps.App.t) =
-  let o = P.protected_obs (P.ctx app) in
-  P.reraise o.P.o_err;
-  let st = o.P.o_stats in
-  let a = Obs.Agg.of_events o.P.o_events in
+  let p = P.protected_ (P.ctx app) in
+  P.reraise p.P.p_err;
+  let st = p.P.p_stats in
+  let a = Obs.Agg.of_events p.P.p_events in
   let name = app.Apps.App.app_name in
   let chk what expected got =
     Alcotest.(check int) (Printf.sprintf "%s: %s" name what) expected got
@@ -39,8 +39,8 @@ let check_app (app : Apps.App.t) =
     a.Obs.Agg.emulation_events;
   chk "denial events = Stats.denied" st.Mon.Stats.denied
     a.Obs.Agg.denial_events;
-  chk "svc marks = Interp.switches" o.P.o_switches a.Obs.Agg.svc_marks;
-  chk "Interp.switches = Stats.switches" st.Mon.Stats.switches o.P.o_switches;
+  chk "svc marks = Interp.switches" p.P.p_switches a.Obs.Agg.svc_marks;
+  chk "Interp.switches = Stats.switches" st.Mon.Stats.switches p.P.p_switches;
   chk "span bytes = Stats.synced_bytes" st.Mon.Stats.synced_bytes
     a.Obs.Agg.synced_bytes;
   (* the per-span bytes reconcile too, not just the aggregate *)
@@ -48,26 +48,41 @@ let check_app (app : Apps.App.t) =
     (List.fold_left
        (fun acc s -> acc + span_bytes s)
        0
-       (spans o.P.o_events))
+       (spans p.P.p_events))
 
 let test_counter_drift () = List.iter check_app (Apps.Registry.all_small ())
 
-(* Attaching the telemetry sink must not perturb the run: same cycles,
-   same statistics as the untelemetered protected reference. *)
+(* Attaching the telemetry sink must not perturb the run: the store's
+   protected run, which always carries an in-memory sink, has the same
+   cycles and statistics as a private sink-less run of the same image,
+   on every backend. *)
 let test_cycle_identity () =
   List.iter
-    (fun (app : Apps.App.t) ->
-      let c = P.ctx app in
-      let p = P.protected_ c in
-      let o = P.protected_obs c in
-      Alcotest.(check int64)
-        (app.Apps.App.app_name ^ ": cycles identical")
-        p.P.p_cycles o.P.o_cycles;
-      Alcotest.(check string)
-        (app.Apps.App.app_name ^ ": stats identical")
-        (Fmt.str "%a" Mon.Stats.pp p.P.p_stats)
-        (Fmt.str "%a" Mon.Stats.pp o.P.o_stats))
-    (Apps.Registry.all_small ())
+    (fun backend ->
+      List.iter
+        (fun (app : Apps.App.t) ->
+          let c = P.ctx ~backend app in
+          let p = P.protected_ c in
+          P.reraise p.P.p_err;
+          let world = app.Apps.App.make_world () in
+          world.Apps.App.prepare ();
+          let r =
+            Mon.Runner.run_protected ~devices:world.Apps.App.devices
+              (P.image c)
+          in
+          let what =
+            Printf.sprintf "%s on %s" app.Apps.App.app_name
+              (M.Backend.kind_name backend)
+          in
+          Alcotest.(check bool) (what ^ ": private run has no sink") false
+            (Mon.Monitor.sink r.Mon.Runner.monitor).Obs.Sink.active;
+          Alcotest.(check int64) (what ^ ": cycles identical") p.P.p_cycles
+            (E.Interp.cycles r.Mon.Runner.interp);
+          Alcotest.(check string) (what ^ ": stats identical")
+            (Fmt.str "%a" Mon.Stats.pp p.P.p_stats)
+            (Fmt.str "%a" Mon.Stats.pp (Mon.Monitor.stats r.Mon.Runner.monitor)))
+        (Apps.Registry.all_small ()))
+    M.Backend.all_kinds
 
 (* ---- the overhead breakdown, pinned ---------------------------------- *)
 
@@ -108,9 +123,9 @@ let occurrences hay needle =
   !count
 
 let pinlock_obs () =
-  let o = P.protected_obs (P.ctx (Apps.Registry.pinlock ~rounds:5 ())) in
-  P.reraise o.P.o_err;
-  o
+  let p = P.protected_ (P.ctx (Apps.Registry.pinlock ~rounds:5 ())) in
+  P.reraise p.P.p_err;
+  p
 
 (* An exported document, parsed back: its members, and the [key]
    member of each object in its array [arr]. *)
@@ -126,8 +141,8 @@ let exported s arr key =
 let count keys v = List.length (List.filter (( = ) (Some (Obs.Json.String v))) keys)
 
 let test_chrome_reconciles () =
-  let o = pinlock_obs () in
-  let evs = o.P.o_events in
+  let p = pinlock_obs () in
+  let evs = p.P.p_events in
   let a = Obs.Agg.of_events evs in
   let top, cats = exported (Obs.Export.chrome evs) "traceEvents" "cat" in
   let cat = count cats in
@@ -150,7 +165,7 @@ let test_chrome_reconciles () =
     (cat "svc");
   (* spans reconcile with the Stats counters, the acceptance bar *)
   Alcotest.(check int) "chrome spans = Stats.switches"
-    o.P.o_stats.Mon.Stats.switches
+    p.P.p_stats.Mon.Stats.switches
     (cat "switch" - a.Obs.Agg.init_spans);
   Alcotest.(check int) "every trace event counted once" (List.length cats)
     (cat "switch" + legs + a.Obs.Agg.emulation_events + a.Obs.Agg.swap_events
@@ -159,8 +174,8 @@ let test_chrome_reconciles () =
     (List.assoc_opt "displayTimeUnit" top = Some (Obs.Json.String "ns"))
 
 let test_json_reconciles () =
-  let o = pinlock_obs () in
-  let evs = o.P.o_events in
+  let p = pinlock_obs () in
+  let evs = p.P.p_events in
   let a = Obs.Agg.of_events evs in
   let _, types = exported (Obs.Export.json evs) "events" "type" in
   let ty = count types in
@@ -175,8 +190,7 @@ let test_json_reconciles () =
     (List.length types)
 
 let test_text_renders () =
-  let o = pinlock_obs () in
-  let s = Obs.Export.text o.P.o_events in
+  let s = Obs.Export.text (pinlock_obs ()).P.p_events in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (needle ^ " present") true
@@ -194,9 +208,9 @@ let golden_dir = "data/obs_exports"
 let test_golden_exports () =
   List.iter
     (fun (stem, backend, (app : Apps.App.t)) ->
-      let o = P.protected_obs (P.ctx ~backend app) in
-      P.reraise o.P.o_err;
-      let evs = o.P.o_events in
+      let p = P.protected_ (P.ctx ~backend app) in
+      P.reraise p.P.p_err;
+      let evs = p.P.p_events in
       List.iter
         (fun (suffix, render) ->
           let file = Filename.concat golden_dir (stem ^ suffix) in
@@ -260,9 +274,9 @@ let agg_summary (a : Obs.Agg.t) =
 let quantiles h = List.map (Obs.Agg.hist_percentile h) [ 0.5; 0.99; 0.999 ]
 
 let test_agg_name_identity () =
-  let camera = P.protected_obs (P.ctx (Apps.Registry.camera ())) in
-  P.reraise camera.P.o_err;
-  let evs = (pinlock_obs ()).P.o_events @ camera.P.o_events @ synthetic_events () in
+  let camera = P.protected_ (P.ctx (Apps.Registry.camera ())) in
+  P.reraise camera.P.p_err;
+  let evs = (pinlock_obs ()).P.p_events @ camera.P.p_events @ synthetic_events () in
   Alcotest.(check bool) "a fresh copy is a different string" false (fresh "" == "");
   let a = Obs.Agg.of_events evs in
   let b = Obs.Agg.of_events (List.map fresh_names evs) in

@@ -127,7 +127,23 @@ let test_timings_and_counts () =
       Alcotest.(check bool)
         (Printf.sprintf "stage %s has a sane duration" stage)
         true (seconds >= 0.0))
-    timings
+    timings;
+  Alcotest.(check (list string)) "one protected stage" [ "protected" ]
+    (List.filter (String.starts_with ~prefix:"protected") P.stage_names)
+
+(* The attack campaign's clean reference and the overhead breakdown
+   read the same protected run: one stage, computed once. *)
+let test_one_protected_run () =
+  fresh ();
+  let app = Apps.Registry.pinlock ~rounds:4 () in
+  let c = P.ctx app in
+  ignore (Atk.Campaign.run_opec_only app);
+  ignore (Met.Overhead.breakdown_of_app app);
+  Alcotest.(check (list (pair string int))) "protected stages computed"
+    [ ("protected", 1) ]
+    (List.filter
+       (fun (stage, _) -> String.starts_with ~prefix:"protected" stage)
+       (P.compute_counts c))
 
 (* --- failure path --------------------------------------------------------- *)
 
@@ -201,5 +217,7 @@ let suite () =
           test_campaign_parallel_deterministic;
         Alcotest.test_case "timings and compute counts" `Quick
           test_timings_and_counts;
+        Alcotest.test_case "campaign and breakdown share one run" `Quick
+          test_one_protected_run;
         Alcotest.test_case "failed stage recomputes" `Quick
           test_failed_stage_recomputes ] ) ]
